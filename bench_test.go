@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,7 +26,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/parsec"
 	"repro/internal/pthreadcv"
-	"repro/internal/sem"
 	"repro/internal/stm"
 	"repro/internal/syncx"
 )
@@ -565,64 +563,6 @@ func BenchmarkBroadcastWake(b *testing.B) {
 			})
 		}
 	}
-}
-
-// SemBatchPost: releasing k parked waiters with one PostN (single lock
-// acquisition, chained hand-off) versus k serial Posts — the sem-layer
-// half of the batched wake path.
-func BenchmarkSemBatchPost(b *testing.B) {
-	const k = 64
-	run := func(b *testing.B, post func(s *sem.Sem)) {
-		s := sem.New(0)
-		stop := make(chan struct{})
-		arrived := make(chan struct{}, k)
-		var wg sync.WaitGroup
-		wg.Add(k)
-		for w := 0; w < k; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					s.Wait()
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					arrived <- struct{}{}
-				}
-			}()
-		}
-		waitParked := func() {
-			for s.Waiters() < k {
-				runtime.Gosched()
-			}
-		}
-		waitParked()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			post(s)
-			for j := 0; j < k; j++ {
-				<-arrived
-			}
-			if i+1 < b.N {
-				waitParked()
-			}
-		}
-		b.StopTimer()
-		close(stop)
-		s.PostN(k) // release the final generation so every worker exits
-		wg.Wait()
-	}
-	b.Run("postn", func(b *testing.B) {
-		run(b, func(s *sem.Sem) { s.PostN(k) })
-	})
-	b.Run("serial-post", func(b *testing.B) {
-		run(b, func(s *sem.Sem) {
-			for i := 0; i < k; i++ {
-				s.Post()
-			}
-		})
-	})
 }
 
 // ---- Micro: raw condvar primitive costs across the three lineages ----

@@ -24,9 +24,8 @@
 //	                 lost-wakeup windows): a bounded-buffer conservation
 //	                 workload plus timed- and context-cancellation race
 //	                 probes run under LockTM and Txn, followed by a
-//	                 sem-layer lane-conservation probe (timed/cancel
-//	                 losers racing PostAll on a forced 4-lane
-//	                 semaphore). -seed fixes the
+//	                 sem-layer conservation probe (timed/cancel losers
+//	                 racing Post on one shared semaphore). -seed fixes the
 //	                 injected fault sequence (the injector's decisions are
 //	                 a pure function of seed, point and arrival index);
 //	                 -faultrate and -duration bound the storm. On failure
@@ -453,8 +452,8 @@ func chaosRules(seed uint64, rate float64) *fault.Injector {
 // injection: a bounded-buffer conservation workload (no item lost or
 // duplicated, checked by count, sum and sum-of-squares) with concurrent timed-wait and
 // context-cancellation race probes, all on the same engine the injector
-// is attacking — then a striped-semaphore lane-conservation probe on
-// the raw sem layer (runLaneChaos).
+// is attacking — then a conservation probe on the raw sem layer
+// (runSemChaos).
 func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dumpDir, tracePath string, traceBuf int) int {
 	// Chaos always runs fully instrumented: every engine, condvar and
 	// fault point registers into the process registry (scraped live when
@@ -476,7 +475,7 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 	for _, kind := range []facility.Kind{facility.LockTM, facility.Txn} {
 		code = worseCode(code, runChaosKind(kind, goroutines, seed, rate, dur, reg, rec))
 	}
-	code = worseCode(code, runLaneChaos(goroutines, seed, rate, dur))
+	code = worseCode(code, runSemChaos(goroutines, seed, rate, dur))
 	// -trace: dump the ring for offline analysis and validate the wake
 	// chains in-run. The ring keeps the last N events, so flows that
 	// began before the window lack their root — those are truncation,
@@ -742,17 +741,15 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 	return exitOK
 }
 
-// runLaneChaos is the sem-layer lane-conservation probe: a 4-lane
-// striped semaphore absorbs timed and cancelled waiters racing Post,
-// PostN and PostAll while the injector stalls the post/park hook
-// points underneath. Permits are conserved by construction — every
-// Post/PostN permit and every PostAll hand-off must surface as exactly
-// one successful wait or one banked permit, no matter how many
-// timeout/cancel losers had to consume-and-forward along the way — and
-// no waiter may remain parked once the soak drains.
-func runLaneChaos(goroutines int, seed uint64, rate float64, dur time.Duration) int {
+// runSemChaos is the sem-layer conservation probe: one shared
+// semaphore absorbs timed and cancelled waiters racing Post while the
+// injector stalls the post/park hook points underneath. Permits are
+// conserved by construction — every posted permit must surface as
+// exactly one successful wait (including timeout/cancel losers that keep
+// a raced permit) or one banked permit — and no waiter may remain parked
+// once the soak drains.
+func runSemChaos(goroutines int, seed uint64, rate float64, dur time.Duration) int {
 	s := sem.New(0)
-	s.SetLanes(4) // force striping even on single-core hosts
 	in := chaosRules(seed, rate)
 	s.SetFault(in)
 	in.Arm()
@@ -762,11 +759,10 @@ func runLaneChaos(goroutines int, seed uint64, rate float64, dur time.Duration) 
 		goroutines = 4
 	}
 	deadline := time.Now().Add(dur)
-	var succ, timeouts, cancels atomic.Int64
-	var posted, woken atomic.Int64
+	var succ, timeouts, cancels, posted atomic.Int64
 
 	// Waiter pool: timed and cancelled waits in equal measure, with
-	// jittered budgets so losers and winners interleave on every lane.
+	// jittered budgets so losers and winners interleave in the queue.
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
@@ -798,22 +794,19 @@ func runLaneChaos(goroutines int, seed uint64, rate float64, dur time.Duration) 
 		}()
 	}
 
-	// Posters: singles, batches, and periodic PostAll storms, all racing
-	// the losers above for the same lanes.
+	// Posters: singles and bursts of three, racing the losers above for
+	// the head of the queue.
 	var pwg sync.WaitGroup
 	for p := 0; p < 2; p++ {
-		p := p
 		pwg.Add(1)
 		go func() {
 			defer pwg.Done()
 			for i := 0; running(deadline); i++ {
-				switch {
-				case i%16 == p*8+3:
-					woken.Add(int64(s.PostAll()))
-				case i%4 == 3:
-					s.PostN(3)
-					posted.Add(3)
-				default:
+				n := 1
+				if i%4 == 3 {
+					n = 3
+				}
+				for ; n > 0; n-- {
 					s.Post()
 					posted.Add(1)
 				}
@@ -827,15 +820,15 @@ func runLaneChaos(goroutines int, seed uint64, rate float64, dur time.Duration) 
 	pwg.Wait()
 	// Every wait in the pool is timed or cancellable, so once the posts
 	// stop the pool drains on its own — a waiter still parked past the
-	// grace period is stranded on a lane.
+	// grace period is stranded in the queue.
 	if !awaitOrStuck(30*time.Second, wg.Wait) {
-		fmt.Printf("%-22s: STUCK draining waiters (%d still parked)\n", "sem/lanes", s.Waiters())
+		fmt.Printf("%-22s: STUCK draining waiters (%d still parked)\n", "sem/queue", s.Waiters())
 		return exitStuck
 	}
 	banked := s.Value()
-	conserved := posted.Load()+woken.Load() == succ.Load()+banked
-	fmt.Printf("%-22s: lanes=%d posted=%d postall-woke=%d | waits=%d timeouts=%d cancels=%d banked=%d conserved=%v stranded=%d | faults=%d\n",
-		"sem/lanes", s.Lanes(), posted.Load(), woken.Load(), succ.Load(),
+	conserved := posted.Load() == succ.Load()+banked
+	fmt.Printf("%-22s: posted=%d | waits=%d timeouts=%d cancels=%d banked=%d conserved=%v stranded=%d | faults=%d\n",
+		"sem/queue", posted.Load(), succ.Load(),
 		timeouts.Load(), cancels.Load(), banked, conserved, s.Waiters(), in.FiredTotal())
 	if !conserved || s.Waiters() != 0 {
 		return exitInvariant

@@ -24,7 +24,6 @@
 //	-introspect addr            serve /debug/cv/* live endpoints while running
 //	-wakefanout N               NotifyAll chained-wake fan-out (0 = default)
 //	-serialwake                 ablation: serial broadcast wake loop
-//	-semlanes N                 node-semaphore waiter-lane count (0 = auto)
 //	-profile                    enable STM contention attribution
 //	-sweep "1,2,4"              trajectory mode: run the matrix once per
 //	                            GOMAXPROCS value, write a BENCH_*.json doc
@@ -78,7 +77,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress live progress")
 	wakeFanout := flag.Int("wakefanout", 0, "NotifyAll wake fan-out (chains started by the notifier; 0 = default pacing)")
 	serialWake := flag.Bool("serialwake", false, "ablation: disable the chained wake batch and post every broadcast waiter serially from the commit handler")
-	semLanes := flag.Int("semlanes", 0, "waiter-lane count of every condvar node semaphore (0 = the semaphore's GOMAXPROCS default)")
 	profile := flag.Bool("profile", false, "enable STM contention attribution (per-Var conflict counters; auto-on with -introspect)")
 	sweepList := flag.String("sweep", "", "trajectory mode: comma-separated GOMAXPROCS list (e.g. \"1,2,4\"); writes a BENCH_*.json document and exits")
 	benchOut := flag.String("benchout", "", "trajectory output path (default BENCH_<host>_<date>.json in the current directory)")
@@ -136,7 +134,7 @@ func main() {
 		// The per-run result files carry the full per-trial snapshots, so
 		// collection is on whenever either JSON output is wanted.
 		CollectMetrics: *metrics || *resultDir != "",
-		CVOpts:         core.Options{WakeFanout: *wakeFanout, SerialWake: *serialWake, SemLanes: *semLanes},
+		CVOpts:         core.Options{WakeFanout: *wakeFanout, SerialWake: *serialWake},
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

@@ -35,7 +35,6 @@ func runSweep(base harness.SweepConfig, procsList, outPath string, progress io.W
 	meta.Warmup = base.Warmup
 	meta.WakeFanout = base.CVOpts.WakeFanout
 	meta.SerialWake = base.CVOpts.SerialWake
-	meta.SemLanes = base.CVOpts.SemLanes
 
 	doc := &bench.Doc{Schema: bench.Schema, Meta: meta}
 	for _, p := range procs {

@@ -78,7 +78,6 @@ type RunMeta struct {
 	Warmup     int     `json:"warmup,omitempty"`
 	WakeFanout int     `json:"wake_fanout,omitempty"`
 	SerialWake bool    `json:"serial_wake,omitempty"`
-	SemLanes   int     `json:"sem_lanes,omitempty"`
 }
 
 // Collect gathers the environment half of RunMeta: toolchain and host

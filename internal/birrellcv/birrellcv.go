@@ -99,7 +99,9 @@ func (c *Cond) Broadcast() {
 	if n == 0 {
 		return
 	}
-	c.s.PostN(n)
+	for i := 0; i < n; i++ {
+		c.s.Post()
+	}
 	for i := 0; i < n; i++ {
 		c.h.Wait()
 	}

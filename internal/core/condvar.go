@@ -64,13 +64,6 @@ type Options struct {
 	// notifier unparks every dequeued waiter itself, one semaphore post
 	// at a time. For the broadcast ablation benchmark.
 	SerialWake bool
-	// SemLanes overrides the waiter-lane count of every node semaphore
-	// this condvar creates (sem.Sem.SetLanes). Zero keeps the
-	// semaphore's own default (GOMAXPROCS at first use). A node
-	// semaphore parks at most one goroutine, so more lanes only add
-	// post-side scan work there — the knob exists for the parsecbench
-	// lane sweep and for pinning deterministic single-lane behavior.
-	SemLanes int
 }
 
 // CVStats aggregates condition-variable activity.
@@ -310,9 +303,6 @@ func (cv *CondVar) newNode() *Node {
 		sem:  sem.NewBinary(),
 		next: stm.NewVar[*Node](cv.e, nil),
 		tag:  stm.NewVar[any](cv.e, nil),
-	}
-	if cv.opts.SemLanes > 0 {
-		n.sem.SetLanes(cv.opts.SemLanes)
 	}
 	if cv.name != "" {
 		// All of a named condvar's node links share one attribution row:

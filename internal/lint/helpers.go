@@ -240,7 +240,7 @@ func baseEffect(recv *types.Named, name string) (Effect, string, bool) {
 	switch {
 	case rn == "Sem" && pathIs(pkg, semPathSuffix):
 		switch name {
-		case "Post", "PostN", "PostAll":
+		case "Post":
 			return EffSemPost, "sem." + name, true
 		case "Wait", "WaitTimeout", "WaitCtx":
 			return EffBlock, "sem." + name, true

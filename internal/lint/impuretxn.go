@@ -19,7 +19,7 @@ import (
 //   - any call into package os;
 //   - time.Sleep;
 //   - goroutine launches (one new goroutine per conflict retry);
-//   - sem.Sem Post/PostN (and Wait, which can deadlock a retrying body);
+//   - sem.Sem Post (and Wait, which can deadlock a retrying body);
 //   - obs.Tracer Emit/EmitEvent/EmitFlow (trace events are observable
 //     effects; the attempt-buffered tx.Trace / tx.TraceFlow are the
 //     transactional emission APIs);
@@ -128,7 +128,7 @@ func reportImpureCall(pass *Pass, info *types.Info, call *ast.CallExpr) bool {
 	if recv, name, ok := methodCall(info, call); ok {
 		if pathIs(recv.Obj().Pkg(), semPathSuffix) && recv.Obj().Name() == "Sem" {
 			switch name {
-			case "Post", "PostN", "PostAll":
+			case "Post":
 				pass.Report(call.Pos(), "impuretxn",
 					"sem.%s inside a transaction body wakes threads even if the attempt aborts; register it with tx.OnCommit (Algorithm 5 line 9)", name)
 				return true

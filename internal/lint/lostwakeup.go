@@ -101,8 +101,7 @@ func notifyReachable(mod *Module, info *types.Info, body *ast.BlockStmt) bool {
 				found = true
 				return false
 			}
-			if recv.Obj().Name() == "Sem" && pathIs(recv.Obj().Pkg(), semPathSuffix) &&
-				(name == "Post" || name == "PostN" || name == "PostAll") {
+			if recv.Obj().Name() == "Sem" && pathIs(recv.Obj().Pkg(), semPathSuffix) && name == "Post" {
 				found = true
 				return false
 			}

@@ -50,7 +50,7 @@ type Effect uint
 const (
 	EffIO           Effect = 1 << iota // fmt.Print*/Fprint*, os.*, print/println
 	EffChanSend                        // send on a channel
-	EffSemPost                         // sem.Sem Post/PostN/PostAll
+	EffSemPost                         // sem.Sem Post
 	EffTrace                           // obs.Tracer Emit/EmitEvent
 	EffRegistry                        // registry.Registry Register*/Unregister*/Set*
 	EffSleep                           // time.Sleep

@@ -17,8 +17,6 @@ func bad(e *stm.Engine, s *sem.Sem, ch chan int) {
 		os.Getenv("HOME")            // want "os.Getenv"
 		time.Sleep(time.Millisecond) // want "time.Sleep"
 		s.Post()                     // want "sem.Post"
-		s.PostN(4)                   // want "sem.PostN"
-		s.PostAll()                  // want "sem.PostAll"
 		s.Wait()                     // want "sem.Wait"
 		ch <- 1                      // want "channel send"
 		println("raw")               // want "println"

@@ -18,12 +18,12 @@ func post2(s *sem.Sem) { s.Post() }
 // Three deep, to pin the rendered hop chain.
 func hop1(s *sem.Sem) { hop2(s) }
 func hop2(s *sem.Sem) { hop3(s) }
-func hop3(s *sem.Sem) { s.PostAll() }
+func hop3(s *sem.Sem) { s.Post() }
 
 func badBuried(e *stm.Engine, s *sem.Sem) {
 	e.MustAtomic(func(tx *stm.Tx) {
 		post1(s) // want "call to post1 inside a transaction body reaches post2 \(sem\.Post at .*interproc\.go:[0-9]+\)"
-		hop1(s)  // want "reaches hop2 → hop3 \(sem\.PostAll at"
+		hop1(s)  // want "reaches hop2 → hop3 \(sem\.Post at"
 	})
 }
 

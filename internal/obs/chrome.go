@@ -78,8 +78,6 @@ func chromeArgs(ev Event) map[string]any {
 		return map[string]any{"kind": "consume", "node": ev.Lane, "hop": ev.A, "by": WakeConsumerName(ev.B)}
 	case EvWakeTxn:
 		return map[string]any{"kind": "txn", "txn": ev.Lane, "hop": ev.A}
-	case EvSemHandoff:
-		return map[string]any{"kind": "semhop", "hop": ev.A}
 	default:
 		return nil
 	}
@@ -87,10 +85,9 @@ func chromeArgs(ev Event) map[string]any {
 
 // flowPhase maps a flow-carrying event to its Chrome flow phase. Flow
 // events bind by (name, cat, id), so every phase of one wake DAG shares
-// the name "cv.wake" (sem-level chains get their own "sem.handoff"
-// flows); the event-specific detail lives in args. terminal marks an
-// EvWakeEnd whose node forwarded no successor — the end of its chain —
-// which becomes the flow-finish phase.
+// the name "cv.wake"; the event-specific detail lives in args. terminal
+// marks an EvWakeEnd whose node forwarded no successor — the end of its
+// chain — which becomes the flow-finish phase.
 func flowPhase(ev Event, terminal bool) (name, ph, bp string, ok bool) {
 	switch ev.Type {
 	case EvWakeRoot:
@@ -104,8 +101,6 @@ func flowPhase(ev Event, terminal bool) (name, ph, bp string, ok bool) {
 			return "cv.wake", "f", "e", true
 		}
 		return "cv.wake", "t", "", true
-	case EvSemHandoff:
-		return "sem.handoff", "t", "", true
 	default:
 		return "", "", "", false
 	}

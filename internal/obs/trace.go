@@ -41,11 +41,6 @@ const (
 	EvWakeHop  // chain hop posted; Lane = node id, A = poster's node id (0 = the notifier), B = hop index
 	EvWakeEnd  // wake consumed; Lane = node id, A = hop index, B = consumer code (WakeBy*)
 	EvWakeTxn  // woken waiter's next commit; Lane = txn id, A = hop index
-
-	// EvSemHandoff is the semaphore-level analogue of EvWakeHop: one hop
-	// of a batched PostN/PostAll hand-off chain, stamped when the woken
-	// waiter consumes its signal. Lane = sem lane, A = hop index.
-	EvSemHandoff
 )
 
 // String returns the exporter-facing event name.
@@ -87,8 +82,6 @@ func (t EventType) String() string {
 		return "cv.wake.consume"
 	case EvWakeTxn:
 		return "cv.wake.txn"
-	case EvSemHandoff:
-		return "sem.handoff"
 	default:
 		return "unknown"
 	}

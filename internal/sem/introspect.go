@@ -10,69 +10,49 @@ import (
 // This file is the semaphore's face toward the live-introspection stack
 // (DESIGN.md §10): park ages for /debug/cv/waiters and the park-time
 // goroutine pprof labels, both off the Wait fast path — ages are read
-// under the per-lane waiter-list locks only when a scraper asks, and the
-// label calls sit behind obs.ParkLabelsEnabled (one atomic load when
-// off, checked by TestParkLabelGateNoAlloc in internal/obs).
+// under the waiter-list lock only when a scraper asks, and the label
+// calls sit behind obs.ParkLabelsEnabled (one atomic load when off,
+// checked by TestParkLabelGateNoAlloc in internal/obs).
+
+// parkAge is the age of a park that began at t, clamped at zero: a
+// stepping clock must not report a negative age, the same discipline as
+// the park histogram.
+func parkAge(now, t time.Time) time.Duration {
+	if d := now.Sub(t); d > 0 {
+		return d
+	}
+	return 0
+}
 
 // WaiterAges returns how long each currently parked goroutine has been
-// waiting, longest-parked first. Each lane is FIFO so its run comes out
-// sorted; the cross-lane merge is an explicit sort. Negative ages from a
-// stepping clock are clamped to zero, the same discipline as the park
-// histogram.
+// waiting, longest-parked first (the queue is FIFO, so that is list
+// order).
 func (s *Sem) WaiterAges() []time.Duration {
-	ls := s.ls.Load()
-	if ls == nil {
+	if s.n.Load() == 0 {
 		return nil
 	}
 	now := time.Now()
 	var out []time.Duration
-	for i := range ls.lanes {
-		l := &ls.lanes[i]
-		l.mu.lock()
-		for w := l.head; w != nil; w = w.next {
-			d := now.Sub(w.parkedAt)
-			if d < 0 {
-				d = 0
-			}
-			out = append(out, d)
-		}
-		l.mu.unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for w := s.head; w != nil; w = w.next {
+		out = append(out, parkAge(now, w.parkedAt))
 	}
-	sortAgesDescending(out)
 	return out
 }
 
 // OldestParkAge returns the park age of the longest-waiting goroutine
-// and whether anyone is parked at all. Per-lane FIFO puts each lane's
-// oldest waiter at its head, so only the heads are compared. Same
-// clamping as WaiterAges.
+// (the head of the queue) and whether anyone is parked at all.
 func (s *Sem) OldestParkAge() (time.Duration, bool) {
-	ls := s.ls.Load()
-	if ls == nil {
+	if s.n.Load() == 0 {
 		return 0, false
 	}
-	var oldest time.Time
-	found := false
-	for i := range ls.lanes {
-		l := &ls.lanes[i]
-		if l.n.Load() == 0 {
-			continue
-		}
-		l.mu.lock()
-		if w := l.head; w != nil && (!found || w.parkedAt.Before(oldest)) {
-			oldest = w.parkedAt
-			found = true
-		}
-		l.mu.unlock()
-	}
-	if !found {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.head == nil {
 		return 0, false
 	}
-	d := time.Since(oldest)
-	if d < 0 {
-		d = 0
-	}
-	return d, true
+	return parkAge(time.Now(), s.head.parkedAt), true
 }
 
 // ParkLabelKey is the goroutine pprof label key parked waiters carry

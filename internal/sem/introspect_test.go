@@ -17,13 +17,7 @@ func TestWaiterAges(t *testing.T) {
 			released <- struct{}{}
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Waiters() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiters never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, func() bool { return s.Waiters() == 3 })
 	time.Sleep(5 * time.Millisecond)
 
 	ages := s.WaiterAges()
@@ -46,8 +40,8 @@ func TestWaiterAges(t *testing.T) {
 		t.Fatalf("OldestParkAge = %v, %v", oldest, ok)
 	}
 
-	s.PostN(3)
 	for i := 0; i < 3; i++ {
+		s.Post()
 		<-released
 	}
 	if _, ok := s.OldestParkAge(); ok {
@@ -60,12 +54,11 @@ func TestWaiterAges(t *testing.T) {
 // same discipline parkEnd applies to the park histogram.
 func TestWaiterAgeClamped(t *testing.T) {
 	s := NewBinary()
-	w := &waiter{ch: make(chan wake, 1)}
-	l := &s.lanes().lanes[0]
-	l.mu.lock()
-	l.enqueue(w)
+	w := &waiter{ch: make(chan struct{}, 1)}
+	s.mu.Lock()
+	s.enqueue(w)
 	w.parkedAt = time.Now().Add(time.Hour) // hostile: park "begins" in the future
-	l.mu.unlock()
+	s.mu.Unlock()
 
 	if ages := s.WaiterAges(); len(ages) != 1 || ages[0] != 0 {
 		t.Fatalf("WaiterAges = %v, want [0]", ages)

@@ -83,7 +83,7 @@ func TestParkTimeout(t *testing.T) {
 // spin-budget tuner needs the hand-off latency regardless of
 // instrumentation — but parkEnd must not observe anything, and a zero
 // t0 stays a safe no-op.
-func TestParkUninstrumentedNoClock(t *testing.T) {
+func TestParkStartStampsUninstrumented(t *testing.T) {
 	s := NewBinary()
 	if t0 := s.parkStart(); t0.IsZero() {
 		t.Fatal("parkStart returned the zero time; the spin tuner needs a stamp")

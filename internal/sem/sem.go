@@ -14,50 +14,40 @@
 //     sleeping; if a notifier runs in that window, its SemPost is
 //     memorized by the semaphore.
 //  2. Direct hand-off: a Post that finds a parked waiter hands the
-//     permit to it directly (the permit never becomes visible to a
-//     barging TryWait), so combined with the condvar's queue this
-//     yields the deterministic wake-up semantics of Section 3.4.
+//     permit to the longest-waiting one directly (the permit never
+//     becomes visible to a barging TryWait), so combined with the
+//     condvar's queue this yields the deterministic wake-up semantics
+//     of Section 3.4.
 //
 // Waiters are descheduled (parked on a channel) rather than spinning, so
 // the "Yielding" requirement of Section 3.4 holds even with heavy
 // oversubscription of goroutines over OS threads.
 //
-// # Striped waiter lanes
+// # One queue
 //
-// Parked waiters live in per-P striped lanes (Dice & Kogan, "Semaphores
-// Augmented with a Waiting Array"): a waiter enqueues on the lane of the
-// P it is running on, posts drain lanes round-robin and steal from other
-// lanes when their first pick is empty. FIFO order is preserved within a
-// lane; global FIFO holds only for a single-lane semaphore (the default
-// when GOMAXPROCS is 1, or after SetLanes(1)). Banked permits — posts
-// that found no waiter — live in one global atomic counter, never in a
-// lane, so timeout and cancellation losers just unlink from their lane
-// and never have to repair the count.
+// A Sem is one lock, one banked-permit count and one FIFO list of
+// waiters. Post takes the lock and either pops the head waiter (the
+// permit goes over its capacity-1 channel, never through the count) or,
+// finding nobody, banks the permit. Wait takes a banked permit if there
+// is one and otherwise appends itself under the same lock, so there is
+// no window between a waiter's check and its enqueue for a post to fall
+// into. Wake-up order is global FIFO at every GOMAXPROCS: vacuous for
+// the condvar's node semaphores (one waiter each), Section 3.4's
+// deterministic order for syncx.Mutex, internal/monitor and the Birrell
+// baseline. DESIGN.md §16.1 has the measurements behind this layout and
+// the result that would justify striping the queue per P.
 //
-// The post protocol is scan → bank → rescan:
-//
-//  1. scan the lanes for a parked waiter; if one is found the permit is
-//     handed off directly and the counter is never touched (no barging
-//     window);
-//  2. otherwise bank the permit (one uncontended atomic add);
-//  3. rescan the lanes once: a waiter that enqueued between the scan and
-//     the bank rechecked the counter under its lane lock *after*
-//     enqueueing, so either it saw the banked permit and self-served, or
-//     its enqueue is visible to this rescan, which reclaims the banked
-//     permit (a CAS that can lose only to a concurrent acquire — in
-//     which case the permit went to that acquirer and the post's
-//     obligation is met) and hands it off.
-//
-// The lane-lock/recheck pairing on the wait side and the bank-before-
-// rescan ordering on the post side are what close the lost-wake-up
-// window; DESIGN.md §16 carries the full argument.
+// An untimed Wait polls its channel for a bounded, adaptively tuned
+// number of Gosched-separated iterations before it deschedules. The
+// tuner stays although a node semaphore's waiter could simply park:
+// dropping it trades throughput and CPU against tail wake latency
+// (numbers in §16.1), a decision of its own.
 package sem
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,36 +74,14 @@ type Stats struct {
 	ParkNanos obs.Histogram
 }
 
-// wake is the value a parked waiter receives from its hand-off channel.
-// A plain Post carries the zero value; a batched PostN/PostAll carries
-// the head of the remaining detached chain, which the receiver must
-// unpark before doing anything else (chained hand-off: the notifier pays
-// for one wake-up, each woken waiter pays for the next, so a broadcast
-// over N waiters is not N serial channel sends on the notifier's
-// goroutine). A non-zero flow is the causal-flow id of a PostNFlow/
-// PostAllFlow batch (DESIGN.md §15): hop is this waiter's 0-based chain
-// position, both are stamped into an EvSemHandoff event when the signal
-// is consumed and inherited (hop+1) by the forwarded successor.
-type wake struct {
-	next *waiter
-	flow uint64
-	hop  int32
-}
-
 // waiter is one parked goroutine. The channel has capacity 1 so that a
-// poster never blocks handing over a permit. Waiters are pooled: every
-// exit path provably drains the channel before releasing the struct, so
-// reuse can never deliver a stale signal.
+// poster never blocks handing over a permit.
 type waiter struct {
-	ch   chan wake
+	ch   chan struct{}
 	next *waiter
-
-	// lane is the index of the lane this waiter enqueued on, remembered
-	// so timeout/cancel losers unlink from the right lane without a scan.
-	lane uint32
 
 	// parkedAt is the monotonic park-start timestamp, stamped under the
-	// lane lock by enqueue and read under the same lock by
+	// semaphore lock by enqueue and read under the same lock by
 	// WaiterAges/OldestParkAge — the live park-age source behind
 	// /debug/cv/waiters.
 	parkedAt time.Time
@@ -121,47 +89,20 @@ type waiter struct {
 
 // waiterPool recycles waiter structs (and their hand-off channels) so the
 // park path allocates nothing in steady state. A struct is returned only
-// once its channel is provably empty: either the signal was consumed, or
-// the waiter was unlinked under its lane lock before any poster could
-// have dequeued it.
-var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan wake, 1)} }}
-
-func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
+// once its channel is provably empty — the signal was consumed, or the
+// waiter was unlinked under the lock before any poster could have popped
+// it — so reuse can never deliver a stale signal.
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
 func putWaiter(w *waiter) {
 	w.next = nil
 	waiterPool.Put(w)
 }
 
-// laneHint rides a sync.Pool to give each P a stable lane index without
-// touching runtime internals: Pool.Get serves the P-local slot first, so
-// consecutive waiters on one P see the same hint while different Ps get
-// hints minted from a round-robin counter. The hint is advisory — any
-// value is correct, it only steers locality.
-type laneHint struct{ n uint32 }
-
-var (
-	laneHintSeq  atomic.Uint32
-	laneHintPool = sync.Pool{New: func() any {
-		return &laneHint{n: laneHintSeq.Add(1) - 1}
-	}}
-)
-
-func poolLaneIndex() uint32 {
-	h := laneHintPool.Get().(*laneHint)
-	n := h.n
-	laneHintPool.Put(h)
-	return n
-}
-
-// laneIndexFn returns the lane-affinity hint for the calling goroutine.
-// A package variable so tests on a single-P host can force cross-lane
-// placement deterministically.
-var laneIndexFn = poolLaneIndex
-
-// Spin-then-park tuning bounds (Dice & Kogan: a bounded optimistic spin
-// before the park removes the kernel round-trip when hand-offs are fast,
-// and must decay to pure parking when they are not).
+// Spin-then-park tuning bounds (Dice & Kogan, "Semaphores Augmented
+// with a Waiting Array": a bounded optimistic spin before the park
+// removes the kernel round-trip when hand-offs are fast, and must decay
+// to pure parking when they are not).
 const (
 	// spinLimit caps the adaptive spin budget (poll iterations with a
 	// Gosched between them — cooperative, never a hard busy loop).
@@ -170,126 +111,39 @@ const (
 	// considered "fast": parks shorter than this grow the spin budget,
 	// longer ones shrink it.
 	spinParkThreshold = 50 * time.Microsecond
-	// maxLanes bounds the stripe width however large GOMAXPROCS gets;
-	// beyond this the scan cost outweighs the contention win.
-	maxLanes = 64
 )
-
-// lane is one stripe of the waiter array: a FIFO list under its own
-// lock, with an atomic length so posts can skip empty lanes without
-// taking the lock. Padded to keep neighbouring lanes off one cache line.
-type lane struct {
-	mu         mutex
-	head, tail *waiter
-	n          atomic.Int32
-	_          [36]byte // pad to 64 bytes: keep neighbouring lanes apart
-}
-
-func (l *lane) enqueue(w *waiter) {
-	w.parkedAt = time.Now()
-	if l.tail == nil {
-		l.head, l.tail = w, w
-	} else {
-		l.tail.next = w
-		l.tail = w
-	}
-	l.n.Add(1)
-}
-
-// pop removes and returns the lane's longest-waiting waiter, or nil.
-func (l *lane) pop() *waiter {
-	w := l.head
-	if w == nil {
-		return nil
-	}
-	l.head = w.next
-	if l.head == nil {
-		l.tail = nil
-	}
-	w.next = nil
-	l.n.Add(-1)
-	return w
-}
-
-// detach removes up to n waiters from the head of the lane, preserving
-// their intra-batch next links, and cuts the last link into the
-// remaining queue. It returns the batch head and the number detached.
-func (l *lane) detach(n int) (*waiter, int) {
-	if n <= 0 || l.head == nil {
-		return nil, 0
-	}
-	head := l.head
-	last, cnt := head, 1
-	for cnt < n && last.next != nil {
-		last = last.next
-		cnt++
-	}
-	l.head = last.next
-	if l.head == nil {
-		l.tail = nil
-	}
-	last.next = nil
-	l.n.Add(int32(-cnt))
-	return head, cnt
-}
-
-// unlink removes w from the lane, reporting whether it was still present.
-func (l *lane) unlink(w *waiter) bool {
-	var prev *waiter
-	for cur := l.head; cur != nil; cur = cur.next {
-		if cur == w {
-			if prev == nil {
-				l.head = cur.next
-			} else {
-				prev.next = cur.next
-			}
-			if l.tail == cur {
-				l.tail = prev
-			}
-			cur.next = nil
-			l.n.Add(-1)
-			return true
-		}
-		prev = cur
-	}
-	return false
-}
-
-// laneSet is an immutable lane array; Sem swaps the whole set atomically
-// so the zero value can lazily install its lanes on first use.
-type laneSet struct {
-	mask  uint32 // len(lanes)-1; lane count is a power of two
-	lanes []lane
-}
 
 // Sem is a counting semaphore. The zero value is a semaphore with zero
 // permits; use New to start with an initial count.
 //
 // Sem must not be copied after first use.
 type Sem struct {
-	// count holds banked permits only — posts that found no waiter.
-	// It is never negative; parked waiters are counted by the lanes.
-	// Permits handed directly to a parked waiter never pass through it.
+	// mu guards the waiter list. The paper assumes the OS supplies mutual
+	// exclusion underneath sem_t; sync.Mutex plays that role here.
+	mu sync.Mutex
+
+	// count holds banked permits only — posts that found no waiter. It
+	// grows only under mu and only while the queue is empty, so
+	// count > 0 implies nobody is parked; it shrinks by CAS, with or
+	// without the lock. Permits handed directly to a parked waiter never
+	// pass through it.
 	count atomic.Int64
 
-	// ls is the current lane set, installed lazily for the zero value.
-	ls atomic.Pointer[laneSet]
+	// FIFO list of parked waiters, guarded by mu, and its length (written
+	// under mu, read lock-free by Waiters).
+	head, tail *waiter
+	n          atomic.Int32
 
-	// procs is runtime.GOMAXPROCS sampled once when the lanes are
-	// installed (refreshable via Refresh): it gates the spin phase and
-	// the chained-scatter decision, so a mid-run GOMAXPROCS change can
-	// no longer flip post behaviour per call.
+	// procs is runtime.GOMAXPROCS sampled once, on first need: it gates
+	// the spin phase, so a mid-run GOMAXPROCS change cannot flip wait
+	// behaviour per call.
 	procs atomic.Int32
-
-	// rr rotates the lane a post scans first, spreading drain work.
-	rr atomic.Uint32
 
 	// spin is the adaptive spin budget: how many channel polls Wait
 	// attempts before descheduling. Zero (the zero value) means park
-	// immediately; the budget grows only on evidence of fast hand-offs
-	// and decays back when parks run long, so an idle or slow semaphore
-	// never busy-waits. Pinned to zero when procs == 1: with a single P
-	// the Gosched-polled spin can never overlap a poster.
+	// immediately; tuneSpin grows it only on evidence of fast hand-offs.
+	// Pinned to zero when procs == 1: with a single P the Gosched-polled
+	// spin can never overlap a poster.
 	spin atomic.Int32
 
 	st *Stats
@@ -306,15 +160,12 @@ type Sem struct {
 }
 
 // New returns a semaphore holding n initial permits. n must be >= 0.
-// The lane count defaults to GOMAXPROCS sampled here, once (capped at
-// maxLanes, rounded up to a power of two); override with SetLanes.
 func New(n int64) *Sem {
 	if n < 0 {
 		panic(fmt.Sprintf("sem: negative initial count %d", n))
 	}
 	s := &Sem{}
 	s.count.Store(n)
-	s.installLanes(0)
 	return s
 }
 
@@ -322,63 +173,6 @@ func New(n int64) *Sem {
 // semaphore of the paper's Algorithm 3: it starts at zero, so the first
 // Wait blocks until the matching Post.
 func NewBinary() *Sem { return New(0) }
-
-// nextPow2 rounds n up to the next power of two (n >= 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// installLanes builds and installs a lane set of k lanes (k <= 0 means
-// one per GOMAXPROCS) and samples procs if not yet sampled. Used by the
-// constructors, by lazy zero-value initialization, and by SetLanes.
-func (s *Sem) installLanes(k int) *laneSet {
-	p := runtime.GOMAXPROCS(0)
-	s.procs.CompareAndSwap(0, int32(p))
-	if k <= 0 {
-		k = p
-	}
-	if k > maxLanes {
-		k = maxLanes
-	}
-	k = nextPow2(k)
-	ls := &laneSet{mask: uint32(k - 1), lanes: make([]lane, k)}
-	if s.ls.CompareAndSwap(nil, ls) {
-		return ls
-	}
-	return s.ls.Load()
-}
-
-// lanes returns the current lane set, installing the default one on
-// first use (the zero-value path).
-func (s *Sem) lanes() *laneSet {
-	if ls := s.ls.Load(); ls != nil {
-		return ls
-	}
-	return s.installLanes(0)
-}
-
-// SetLanes overrides the lane count (rounded up to a power of two,
-// capped at maxLanes; k <= 0 restores the GOMAXPROCS default). Like
-// SetStats it is not synchronized with concurrent operations: call it
-// before sharing the semaphore — waiters parked on the old lanes would
-// be stranded.
-func (s *Sem) SetLanes(k int) {
-	s.ls.Store(nil)
-	s.installLanes(k)
-}
-
-// Lanes reports the current lane count.
-func (s *Sem) Lanes() int { return len(s.lanes().lanes) }
-
-// Refresh re-samples runtime.GOMAXPROCS for the spin-phase and
-// chained-scatter decisions. The lane layout itself is fixed once
-// installed (waiters may be parked on it); use SetLanes before sharing
-// to change it.
-func (s *Sem) Refresh() { s.procs.Store(int32(runtime.GOMAXPROCS(0))) }
 
 // SetStats attaches a stats sink; pass nil to detach. Not synchronized
 // with concurrent operations; call before sharing the semaphore.
@@ -410,7 +204,7 @@ func (s *Sem) faultAt(p fault.Point) {
 
 // parkStart stamps the beginning of a descheduled Wait, emitting the park
 // event if tracing and labeling the goroutine with its condvar lane when
-// introspection asked for it. The timestamp always carries a value now:
+// introspection asked for it. The timestamp always carries a value:
 // besides feeding parkEnd's histogram it drives the spin-budget tuner,
 // which needs the hand-off latency even when no stats sink is attached.
 // The label gate is one atomic load when off.
@@ -448,39 +242,17 @@ func (s *Sem) parkEnd(t0 time.Time) {
 	}
 }
 
-// handoff unparks a detached waiter, passing it the rest of its detached
-// chain. The send cannot block (capacity 1, one permit per waiter) and
-// the next link is cleared first so the woken goroutine's waiter struct
-// retains nothing once it resumes. Callers must not hold a lane lock
-// merely for ordering — the links were written under it, and the
-// channel send publishes them to the receiver.
-func handoff(w *waiter, flow uint64, hop int32) {
-	nx := w.next
-	w.next = nil
-	w.ch <- wake{next: nx, flow: flow, hop: hop}
-}
-
-// forward continues a chained hand-off: a waiter that consumed a wake
-// signal carrying a successor unparks that successor before doing
-// anything else, so the chain's critical path is one channel round-trip
-// per hop regardless of who started it. Every path that consumes from
-// w.ch (including timeout/cancel losers that keep the permit) must call
-// forward, or the rest of the chain sleeps forever. A flow-tagged
-// signal additionally stamps its hop into the trace here — the consume
-// moment — before the successor (hop+1) is unparked; an untagged signal
-// costs one integer compare.
-func (s *Sem) forward(sig wake) {
-	if sig.flow != 0 && s.tr.Enabled() {
-		s.tr.EmitFlow(s.trLane, obs.EvSemHandoff, sig.flow, int64(sig.hop), 0)
-	}
-	if sig.next != nil {
-		handoff(sig.next, sig.flow, sig.hop+1)
+// noteFastWait counts a Wait that was satisfied from the banked count.
+func (s *Sem) noteFastWait() {
+	if s.st != nil {
+		s.st.Waits.Inc()
+		s.st.FastWaits.Inc()
 	}
 }
 
 // tryAcquire consumes one banked permit, reporting success. It loops on
-// the CAS so a waiter rechecking under its lane lock cannot be defeated
-// by counter churn alone — only by the count actually reaching zero.
+// the CAS so a waiter rechecking under the lock cannot be defeated by
+// counter churn alone — only by the count actually reaching zero.
 func (s *Sem) tryAcquire() bool {
 	for {
 		c := s.count.Load()
@@ -493,65 +265,60 @@ func (s *Sem) tryAcquire() bool {
 	}
 }
 
-// dequeueOne scans the lanes round-robin (work-stealing: the rotating
-// start plus the full sweep means an empty home lane falls through to
-// its neighbours) and pops the first waiter found. The permit count is
-// not touched — the caller hands its in-hand permit over directly.
-func (s *Sem) dequeueOne() *waiter {
-	ls := s.ls.Load()
-	if ls == nil {
-		return nil // no lanes yet: nobody has ever parked
+// enqueue appends w to the waiter list. Caller holds mu.
+func (s *Sem) enqueue(w *waiter) {
+	w.parkedAt = time.Now()
+	if s.tail == nil {
+		s.head, s.tail = w, w
+	} else {
+		s.tail.next = w
+		s.tail = w
 	}
-	start := s.rr.Add(1)
-	for i := uint32(0); i <= ls.mask; i++ {
-		l := &ls.lanes[(start+i)&ls.mask]
-		if l.n.Load() == 0 {
-			continue
-		}
-		l.mu.lock()
-		w := l.pop()
-		l.mu.unlock()
-		if w != nil {
-			return w
-		}
-	}
-	return nil
+	s.n.Add(1)
 }
 
-// reclaimOne is the post-bank rescan: it looks for a waiter that
-// enqueued between the scan and the bank and, if one is found, reclaims
-// a banked permit for it. A failed reclaim means a concurrent acquire
-// took the permit — the post's obligation is met through that acquirer,
-// so the scan stops.
-func (s *Sem) reclaimOne() *waiter {
-	ls := s.ls.Load()
-	if ls == nil {
+// pop removes and returns the longest-waiting waiter, or nil. Caller
+// holds mu.
+func (s *Sem) pop() *waiter {
+	w := s.head
+	if w == nil {
 		return nil
 	}
-	start := s.rr.Add(1)
-	for i := uint32(0); i <= ls.mask; i++ {
-		if s.count.Load() <= 0 {
-			return nil // drained: the permit went to an acquirer
-		}
-		l := &ls.lanes[(start+i)&ls.mask]
-		if l.n.Load() == 0 {
-			continue
-		}
-		l.mu.lock()
-		if l.head != nil && s.tryAcquire() {
-			w := l.pop()
-			l.mu.unlock()
-			return w
-		}
-		l.mu.unlock()
+	s.head = w.next
+	if s.head == nil {
+		s.tail = nil
 	}
-	return nil
+	w.next = nil
+	s.n.Add(-1)
+	return w
 }
 
-// Post makes one permit available. If a goroutine is blocked in Wait, a
-// parked waiter (the longest-waiting of its lane) receives the permit
-// directly and becomes runnable; otherwise the permit is banked for a
-// future Wait.
+// unlink removes w from the waiter list, reporting whether it was still
+// present. Caller holds mu.
+func (s *Sem) unlink(w *waiter) bool {
+	var prev *waiter
+	for cur := s.head; cur != nil; prev, cur = cur, cur.next {
+		if cur != w {
+			continue
+		}
+		if prev == nil {
+			s.head = w.next
+		} else {
+			prev.next = w.next
+		}
+		if s.tail == w {
+			s.tail = prev
+		}
+		w.next = nil
+		s.n.Add(-1)
+		return true
+	}
+	return false
+}
+
+// Post makes one permit available. If a goroutine is blocked in Wait, the
+// longest-waiting one receives the permit directly and becomes runnable;
+// otherwise the permit is banked for a future Wait.
 //
 // Post never blocks and is safe to call from commit handlers, which is how
 // the condition variable defers wake-ups to transaction commit.
@@ -559,225 +326,85 @@ func (s *Sem) Post() {
 	// Fault hook: delay the (possibly commit-deferred) SEMPOST, widening
 	// the notify→wake window.
 	s.faultAt(fault.SemPost)
-	w := s.dequeueOne()
+	s.mu.Lock()
+	w := s.pop()
 	if w == nil {
 		s.count.Add(1)
-		w = s.reclaimOne()
 	}
+	s.mu.Unlock()
 	if w != nil {
-		handoff(w, 0, 0)
+		// Cannot block (capacity 1, one permit per waiter), and a popped
+		// waiter can no longer unlink itself: it will take this signal.
+		w.ch <- struct{}{}
 	}
 	if s.st != nil {
 		s.st.Posts.Inc()
 	}
 }
 
-// postFanout is the number of hand-off chains a batched post starts per
-// lane batch when the runtime has parallelism for them to propagate on.
-// It mirrors core.DefaultWakeFanout one layer down.
-const postFanout = 8
-
-// batch is one lane's detached FIFO chain, scattered as a unit.
-type batch struct {
-	head *waiter
-	cnt  int
+// acquireOrEnqueue takes a banked permit if there is one and reports nil;
+// otherwise it appends a pooled waiter to the queue and returns it, and
+// the caller must park on its channel. The recheck under the lock is
+// what closes the lost-wake-up window: a Post banks only under the same
+// lock, so it either banked before the recheck (the permit is consumed
+// here) or runs after the enqueue and pops this waiter.
+//
+// The waiter is fetched before the lock is taken: a pool miss allocates,
+// an allocation can be made to assist the collector, and a poster must
+// never queue on mu behind that.
+func (s *Sem) acquireOrEnqueue() *waiter {
+	if s.tryAcquire() {
+		s.noteFastWait()
+		return nil
+	}
+	w := waiterPool.Get().(*waiter)
+	s.mu.Lock()
+	if s.tryAcquire() {
+		s.mu.Unlock()
+		putWaiter(w)
+		s.noteFastWait()
+		return nil
+	}
+	s.enqueue(w)
+	s.mu.Unlock()
+	return w
 }
 
-// scatter unparks a detached FIFO batch of cnt waiters. When the
-// scheduler has parallelism (procs sampled > 1) and the batch is wide,
-// the batch is cut into up to postFanout contiguous chains and only the
-// chain heads are posted here — each woken waiter unparks its successor,
-// so the wake wave spreads across the running CPUs instead of
-// serializing on the poster. Chained hand-off trades poster-side posts
-// for wake-to-wake scheduling hops; with a single P there is no
-// parallelism to win the hops back, so the degenerate case posts every
-// waiter directly. Batched posts call this once per non-empty lane: the
-// chains never cross a lane boundary.
-func (s *Sem) scatter(head *waiter, cnt int, flow uint64) {
-	f := cnt
-	if s.procs.Load() > 1 && cnt > postFanout {
-		f = postFanout
+// parallel reports whether the runtime had more than one P when this
+// semaphore first asked.
+func (s *Sem) parallel() bool {
+	p := s.procs.Load()
+	if p == 0 {
+		p = int32(runtime.GOMAXPROCS(0))
+		s.procs.Store(p)
 	}
-	if f >= cnt {
-		for w := head; w != nil; {
-			nx := w.next
-			w.next = nil
-			w.ch <- wake{flow: flow}
-			w = nx
-		}
-		return
-	}
-	seg := (cnt + f - 1) / f
-	for w := head; w != nil; {
-		h := w
-		for i := 1; i < seg && w.next != nil; i++ {
-			w = w.next
-		}
-		nx := w.next
-		w.next = nil
-		w = nx
-		handoff(h, flow, 0)
-	}
-}
-
-// PostN posts n permits. Equivalent to n calls of Post but detaches
-// waiters in per-lane FIFO batches (one lane-lock acquisition per
-// non-empty lane) and draws the fault.SemPost hook once per batch:
-// parked waiters are unparked via scatter (chained hand-off when the
-// runtime is parallel enough to profit), and any permits left over are
-// banked.
-func (s *Sem) PostN(n int) { s.postN(n, 0) }
-
-// PostNFlow is PostN tagged with a causal-flow id: every waiter woken by
-// this batch — directly or down a hand-off chain — stamps an
-// EvSemHandoff event carrying flow and its chain hop when it consumes
-// the signal, binding the batch's propagation into the wake DAG the
-// trace exporter renders. A zero flow is exactly PostN.
-func (s *Sem) PostNFlow(n int, flow uint64) { s.postN(n, flow) }
-
-func (s *Sem) postN(n int, flow uint64) {
-	if n <= 0 {
-		return
-	}
-	s.faultAt(fault.SemPost)
-	var batches []batch
-	remaining := n
-	// Phase 1: direct detach — permits in hand, the count is not touched.
-	if ls := s.ls.Load(); ls != nil {
-		start := s.rr.Add(1)
-		for i := uint32(0); i <= ls.mask && remaining > 0; i++ {
-			l := &ls.lanes[(start+i)&ls.mask]
-			if l.n.Load() == 0 {
-				continue
-			}
-			l.mu.lock()
-			h, c := l.detach(remaining)
-			l.mu.unlock()
-			if c > 0 {
-				batches = append(batches, batch{h, c})
-				remaining -= c
-			}
-		}
-	}
-	if remaining > 0 {
-		// Phase 2: bank the surplus, then one full rescan to catch
-		// waiters that enqueued after their lane's phase-1 visit (their
-		// recheck may have preceded the bank). See the package comment's
-		// scan → bank → rescan argument.
-		s.count.Add(int64(remaining))
-		if ls := s.ls.Load(); ls != nil {
-			start := s.rr.Add(1)
-		rescan:
-			for i := uint32(0); i <= ls.mask; i++ {
-				if s.count.Load() <= 0 {
-					break
-				}
-				l := &ls.lanes[(start+i)&ls.mask]
-				if l.n.Load() == 0 {
-					continue
-				}
-				var h, t *waiter
-				c := 0
-				l.mu.lock()
-				for l.head != nil {
-					if !s.tryAcquire() {
-						break
-					}
-					w := l.pop()
-					if h == nil {
-						h, t = w, w
-					} else {
-						t.next = w
-						t = w
-					}
-					c++
-				}
-				drained := l.head != nil // stopped on a failed reclaim
-				l.mu.unlock()
-				if c > 0 {
-					batches = append(batches, batch{h, c})
-				}
-				if drained {
-					break rescan
-				}
-			}
-		}
-	}
-	for _, b := range batches {
-		s.scatter(b.head, b.cnt, flow)
-	}
-	if s.st != nil {
-		s.st.Posts.Add(int64(n))
-	}
-}
-
-// PostAll unparks every currently blocked waiter in a single batched
-// hand-off and reports how many there were. Unlike PostN it banks
-// nothing: a semaphore with no waiters is left untouched. This is the
-// broadcast primitive the condvar's batched NotifyAll rides on. Each
-// non-empty lane contributes one detached FIFO batch (its own hand-off
-// chains), so the wake wave starts in parallel across the lanes.
-func (s *Sem) PostAll() int { return s.postAll(0) }
-
-// PostAllFlow is PostAll tagged with a causal-flow id; see PostNFlow.
-func (s *Sem) PostAllFlow(flow uint64) int { return s.postAll(flow) }
-
-func (s *Sem) postAll(flow uint64) int {
-	s.faultAt(fault.SemPost)
-	ls := s.ls.Load()
-	if ls == nil {
-		return 0
-	}
-	total := 0
-	var batches []batch
-	for i := range ls.lanes {
-		l := &ls.lanes[i]
-		if l.n.Load() == 0 {
-			continue
-		}
-		l.mu.lock()
-		h, c := l.detach(int(^uint(0) >> 1))
-		l.mu.unlock()
-		if c > 0 {
-			batches = append(batches, batch{h, c})
-			total += c
-		}
-	}
-	for _, b := range batches {
-		s.scatter(b.head, b.cnt, flow)
-	}
-	if s.st != nil && total > 0 {
-		s.st.Posts.Add(int64(total))
-	}
-	return total
+	return p > 1
 }
 
 // spinWait polls w.ch for up to budget iterations, yielding the
 // processor between polls, and reports whether a wake signal arrived
 // during the spin. The yield keeps the spin cooperative: with more
-// goroutines than OS threads the poster still gets scheduled, so this
-// never degenerates into a livelocked busy-wait.
-func spinWait(w *waiter, budget int32) (wake, bool) {
+// goroutines than OS threads the poster still gets scheduled.
+func spinWait(w *waiter, budget int32) bool {
 	for i := int32(0); i < budget; i++ {
 		select {
-		case sig := <-w.ch:
-			return sig, true
+		case <-w.ch:
+			return true
 		default:
 		}
 		runtime.Gosched()
 	}
-	return wake{}, false
+	return false
 }
 
 // tuneSpin adapts the spin budget to the hand-off latency a real park
-// just observed: fast hand-offs (poster arrived almost immediately) grow
-// the budget so the next Wait can catch the permit without descheduling;
-// slow ones shrink it toward zero so an idle semaphore parks outright.
-// With a single P the budget pins to zero — the Gosched-polled spin can
-// never overlap a poster there, so even "fast" hand-offs are evidence of
-// scheduling luck, not of a spin that could have won.
+// just observed: fast hand-offs grow the budget so the next Wait can
+// catch the permit without descheduling; slow ones shrink it toward zero
+// so an idle semaphore parks outright. With a single P the budget pins
+// to zero — there even "fast" hand-offs are evidence of scheduling luck,
+// not of a spin that could have won.
 func (s *Sem) tuneSpin(parked time.Duration) {
-	if s.procs.Load() <= 1 {
+	if !s.parallel() {
 		s.spin.Store(0)
 		return
 	}
@@ -793,57 +420,17 @@ func (s *Sem) tuneSpin(parked time.Duration) {
 	s.spin.Store(b)
 }
 
-// prepark enqueues a pooled waiter on the caller's lane and rechecks the
-// banked count under the lane lock. A successful recheck unlinks the
-// waiter again (it is guaranteed still present: posters need this lane's
-// lock to dequeue it) and reports (nil, true) — the permit was acquired
-// without parking. Otherwise the enqueued waiter is returned and the
-// caller must park on its channel.
-func (s *Sem) prepark() (*waiter, bool) {
-	ls := s.lanes()
-	li := laneIndexFn() & ls.mask
-	l := &ls.lanes[li]
-	w := getWaiter()
-	w.lane = li
-	l.mu.lock()
-	l.enqueue(w)
-	// The recheck: a post that banked before our enqueue became visible
-	// must be consumable here, or its rescan must find us (it cannot
-	// rescan this lane before we release the lock).
-	if s.tryAcquire() {
-		l.unlink(w)
-		l.mu.unlock()
-		putWaiter(w)
-		return nil, true
-	}
-	l.mu.unlock()
-	return w, false
-}
-
 // Wait acquires one permit, descheduling the caller until one is
-// available. Permits are delivered in FIFO order among blocked waiters
-// of the same lane.
+// available. Permits are delivered in FIFO order among blocked waiters.
 //
-// Before descheduling, Wait optimistically polls its hand-off channel
-// for a bounded, adaptively tuned number of iterations (spin-then-park):
-// when recent hand-offs have been fast the permit usually lands during
-// the spin and the park/unpark round-trip is skipped entirely. The
-// budget starts at zero, decays on slow hand-offs and is pinned to zero
-// on a single-P runtime, so a semaphore nobody posts to never busy-waits.
+// Before descheduling, Wait polls its hand-off channel for the current
+// spin budget (spin-then-park): when recent hand-offs have been fast the
+// permit usually lands during the spin and the park/unpark round-trip is
+// skipped. The budget starts at zero, so a semaphore nobody posts to
+// never busy-waits.
 func (s *Sem) Wait() {
-	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return
-	}
-	w, acquired := s.prepark()
-	if acquired {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
+	w := s.acquireOrEnqueue()
+	if w == nil {
 		return
 	}
 	// Fault hook: stall between publishing ourselves as a waiter and
@@ -852,9 +439,8 @@ func (s *Sem) Wait() {
 	s.faultAt(fault.SemPark)
 	// The spin phase only makes sense with another P to run the poster;
 	// on a single P it would burn the rest of this goroutine's slice.
-	if budget := s.spin.Load(); budget > 0 && s.procs.Load() > 1 {
-		if sig, ok := spinWait(w, budget); ok {
-			s.forward(sig)
+	if budget := s.spin.Load(); budget > 0 && s.parallel() {
+		if spinWait(w, budget) {
 			putWaiter(w)
 			if s.st != nil {
 				s.st.SpinWaits.Inc()
@@ -867,8 +453,7 @@ func (s *Sem) Wait() {
 		s.st.Blocks.Inc()
 	}
 	t0 := s.parkStart()
-	sig := <-w.ch
-	s.forward(sig)
+	<-w.ch
 	putWaiter(w)
 	s.parkEnd(t0)
 	s.tuneSpin(time.Since(t0))
@@ -882,21 +467,66 @@ func (s *Sem) Wait() {
 // here). It reports whether a permit was acquired.
 func (s *Sem) TryWait() bool {
 	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
+		s.noteFastWait()
 		return true
 	}
 	return false
 }
 
+// parkAbortable parks the enqueued waiter w until a Post hands it a
+// permit, d elapses (d > 0) or done is closed (nil never is), and
+// reports whether a permit was acquired. The notification wins: a loser
+// unlinks itself under the lock, and one that finds a Post has already
+// popped it takes the permit that is (or will be) in its channel
+// instead, so no permit is ever lost to an abandoned wait and none is
+// banked twice. There is no spin phase here.
+func (s *Sem) parkAbortable(w *waiter, d time.Duration, done <-chan struct{}) bool {
+	if s.st != nil {
+		s.st.Blocks.Inc()
+	}
+	s.faultAt(fault.SemPark)
+	t0 := s.parkStart()
+
+	var expired <-chan time.Time
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
+	}
+	acquired := true
+	select {
+	case <-w.ch:
+	case <-expired:
+		acquired = s.abandon(w)
+	case <-done:
+		acquired = s.abandon(w)
+	}
+	putWaiter(w)
+	s.parkEnd(t0)
+	if acquired && s.st != nil {
+		s.st.Waits.Inc()
+	}
+	return acquired
+}
+
+// abandon is the loser half of parkAbortable: it reports false if w was
+// still queued (now unlinked, channel untouched) and true if a Post got
+// to it first, after consuming that Post's signal.
+func (s *Sem) abandon(w *waiter) bool {
+	s.mu.Lock()
+	queued := s.unlink(w)
+	s.mu.Unlock()
+	if queued {
+		return false
+	}
+	<-w.ch
+	return true
+}
+
 // WaitTimeout acquires a permit, giving up after d. It reports whether a
-// permit was acquired. A timed-out waiter is unlinked from its lane; if a
-// Post races with the timeout and hands the permit over anyway, the permit
-// is kept and WaitTimeout returns true (no permit is ever lost). Losers
-// never touched the banked count, so no counter repair is needed — the
-// lane-local cancel discipline the striped layout depends on.
+// permit was acquired. A timed-out waiter is unlinked from the queue; if
+// a Post races with the timeout and hands the permit over anyway, the
+// permit is kept and WaitTimeout returns true (no permit is ever lost).
 //
 // A non-positive d acts exactly as TryWait — the caller is never parked
 // — except that a failed acquire still counts as a timeout in Stats.
@@ -905,70 +535,16 @@ func (s *Sem) WaitTimeout(d time.Duration) bool {
 		if s.TryWait() {
 			return true
 		}
-		if s.st != nil {
-			s.st.Timeouts.Inc()
+	} else {
+		w := s.acquireOrEnqueue()
+		if w == nil || s.parkAbortable(w, d, nil) {
+			return true
 		}
-		return false
-	}
-	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return true
-	}
-	w, acquired := s.prepark()
-	if acquired {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return true
 	}
 	if s.st != nil {
-		s.st.Blocks.Inc()
+		s.st.Timeouts.Inc()
 	}
-	s.faultAt(fault.SemPark)
-	t0 := s.parkStart()
-
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case sig := <-w.ch:
-		s.forward(sig)
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Waits.Inc()
-		}
-		return true
-	case <-t.C:
-	}
-
-	// Timed out: remove ourselves from our lane. A concurrent Post may
-	// have already dequeued us and committed a permit to w.ch; check
-	// under the lane lock.
-	l := &s.lanes().lanes[w.lane]
-	l.mu.lock()
-	if l.unlink(w) {
-		l.mu.unlock()
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Timeouts.Inc()
-		}
-		return false
-	}
-	l.mu.unlock()
-	// We were already dequeued by a Post: the permit is (or will be) in
-	// the channel. Take it — and keep any hand-off chain moving.
-	s.forward(<-w.ch)
-	putWaiter(w)
-	s.parkEnd(t0)
-	if s.st != nil {
-		s.st.Waits.Inc()
-	}
-	return true
+	return false
 }
 
 // WaitCtx acquires a permit, giving up when ctx is cancelled. It reports
@@ -979,93 +555,23 @@ func (s *Sem) WaitTimeout(d time.Duration) bool {
 // waiter. An already-cancelled ctx still acquires an immediately
 // available permit (TryWait semantics) but never parks.
 func (s *Sem) WaitCtx(ctx context.Context) bool {
-	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
+	if s.TryWait() {
 		return true
 	}
-	if ctx.Err() != nil {
-		if s.st != nil {
-			s.st.Cancels.Inc()
+	if ctx.Err() == nil {
+		w := s.acquireOrEnqueue()
+		if w == nil || s.parkAbortable(w, 0, ctx.Done()) {
+			return true
 		}
-		return false
-	}
-	w, acquired := s.prepark()
-	if acquired {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return true
 	}
 	if s.st != nil {
-		s.st.Blocks.Inc()
+		s.st.Cancels.Inc()
 	}
-	s.faultAt(fault.SemPark)
-	t0 := s.parkStart()
-
-	select {
-	case sig := <-w.ch:
-		s.forward(sig)
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Waits.Inc()
-		}
-		return true
-	case <-ctx.Done():
-	}
-
-	// Cancelled: remove ourselves from our lane. A concurrent Post may
-	// have already dequeued us and committed a permit to w.ch; check
-	// under the lane lock.
-	l := &s.lanes().lanes[w.lane]
-	l.mu.lock()
-	if l.unlink(w) {
-		l.mu.unlock()
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Cancels.Inc()
-		}
-		return false
-	}
-	l.mu.unlock()
-	// We lost the race to a Post: the permit is (or will be) in the
-	// channel. Take it — the notification wins over the cancellation —
-	// and keep any hand-off chain moving.
-	s.forward(<-w.ch)
-	putWaiter(w)
-	s.parkEnd(t0)
-	if s.st != nil {
-		s.st.Waits.Inc()
-	}
-	return true
+	return false
 }
 
-// Value returns the current banked permit count. Negative values are
-// never returned; the number of blocked waiters is reported by Waiters.
+// Value returns the current banked permit count (never negative).
 func (s *Sem) Value() int64 { return s.count.Load() }
 
-// Waiters returns the number of goroutines currently blocked in Wait
-// (a racy snapshot summed across the lanes).
-func (s *Sem) Waiters() int {
-	ls := s.ls.Load()
-	if ls == nil {
-		return 0
-	}
-	n := 0
-	for i := range ls.lanes {
-		n += int(ls.lanes[i].n.Load())
-	}
-	return n
-}
-
-// sortAgesDescending orders park ages longest-first, the presentation
-// order WaiterAges promises (per-lane FIFO gives each lane a sorted run;
-// the merge across lanes needs the sort).
-func sortAgesDescending(ages []time.Duration) {
-	sort.Slice(ages, func(i, j int) bool { return ages[i] > ages[j] })
-}
+// Waiters returns the number of goroutines currently parked (a snapshot).
+func (s *Sem) Waiters() int { return int(s.n.Load()) }

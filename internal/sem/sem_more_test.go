@@ -7,36 +7,6 @@ import (
 	"time"
 )
 
-func TestPostNWakesBlockedWaiters(t *testing.T) {
-	s := NewBinary()
-	const n = 5
-	var woke atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Wait()
-			woke.Add(1)
-		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Waiters() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d parked", s.Waiters())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.PostN(n)
-	wg.Wait()
-	if woke.Load() != n {
-		t.Fatalf("woke = %d", woke.Load())
-	}
-	if s.Value() != 0 {
-		t.Fatalf("leftover permits: %d", s.Value())
-	}
-}
-
 func TestTimeoutStats(t *testing.T) {
 	var st Stats
 	s := NewBinary()
@@ -74,7 +44,9 @@ func TestMixedTimedAndUntimedWaiters(t *testing.T) {
 	}
 	time.Sleep(60 * time.Millisecond) // all timed waiters expire
 	// Now wake the untimed ones.
-	s.PostN(4)
+	for i := 0; i < 4; i++ {
+		s.Post()
+	}
 	wg.Wait()
 	if timedOut.Load() != 4 || acquired.Load() != 4 {
 		t.Fatalf("timedOut=%d acquired=%d, want 4/4", timedOut.Load(), acquired.Load())

@@ -147,7 +147,6 @@ func TestWaitTimeoutRaceKeepsPermit(t *testing.T) {
 
 func TestFIFOHandOff(t *testing.T) {
 	s := NewBinary()
-	s.SetLanes(1) // global FIFO is a single-lane property
 	const n = 8
 	order := make(chan int, n)
 	ready := make(chan struct{}, n)
@@ -181,28 +180,11 @@ func TestWaitersCount(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go s.Wait()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Waiters() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("Waiters() = %d, want %d", s.Waiters(), n)
-		}
-		time.Sleep(time.Millisecond)
+	waitUntil(t, func() bool { return s.Waiters() == n })
+	for i := 0; i < n; i++ {
+		s.Post()
 	}
-	s.PostN(n)
-	for s.Waiters() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("Waiters() = %d after PostN, want 0", s.Waiters())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestPostNBanksPermits(t *testing.T) {
-	s := NewBinary()
-	s.PostN(7)
-	if got := s.Value(); got != 7 {
-		t.Fatalf("Value() = %d, want 7", got)
-	}
+	waitUntil(t, func() bool { return s.Waiters() == 0 })
 }
 
 func TestStats(t *testing.T) {

@@ -29,7 +29,6 @@ const (
 	KindHop     = "hop"     // chain hop posted (obs.EvWakeHop)
 	KindConsume = "consume" // wake consumed by a waiter (obs.EvWakeEnd)
 	KindTxn     = "txn"     // woken waiter's next transaction (obs.EvWakeTxn)
-	KindSemHop  = "semhop"  // semaphore-level chain hop (obs.EvSemHandoff)
 )
 
 // Event is one normalized flow-tagged trace record. Field meaning per
@@ -37,11 +36,11 @@ const (
 // and the condvar id in B (CV resolves the name when the dump had one);
 // hop carries the poster's node id in A (0 = the notifier's commit
 // handler) and the hop index in B; consume carries the hop index in A
-// and the consumer code in B; txn and semhop carry the hop index in A.
+// and the consumer code in B; txn carries the hop index in A.
 type Event struct {
 	TS   int64  // nanoseconds, dump-relative
 	Kind string // Kind* constant
-	Lane uint64 // node id (hop/consume), cv id (root), txn id (txn), sem lane (semhop)
+	Lane uint64 // node id (hop/consume), cv id (root), txn id (txn)
 	Flow uint64 // the wakeID; never zero for events in this package
 	A    int64
 	B    int64
@@ -176,8 +175,6 @@ func FromObs(evs []obs.Event) []Event {
 			e.Kind = KindConsume
 		case obs.EvWakeTxn:
 			e.Kind = KindTxn
-		case obs.EvSemHandoff:
-			e.Kind = KindSemHop
 		default:
 			continue
 		}
@@ -187,9 +184,7 @@ func FromObs(evs []obs.Event) []Event {
 }
 
 // Build groups flow events per wakeID and reconstructs each flow's DAG,
-// returned sorted by root (or earliest-event) timestamp. Semaphore-level
-// flows (semhop events) describe sem-internal chains, not condvar wake
-// DAGs, so flows containing only semhop events are skipped.
+// returned sorted by root (or earliest-event) timestamp.
 func Build(evs []Event) []*DAG {
 	byFlow := map[uint64][]Event{}
 	for _, ev := range evs {
@@ -201,7 +196,6 @@ func Build(evs []Event) []*DAG {
 	var dags []*DAG
 	for flow, fe := range byFlow {
 		d := &DAG{Flow: flow, Hops: map[uint64]*Hop{}}
-		cvOnly := false
 		first := int64(-1)
 		for _, ev := range fe {
 			if first < 0 || ev.TS < first {
@@ -213,7 +207,6 @@ func Build(evs []Event) []*DAG {
 				d.RootTS = ev.TS
 				d.Batch = ev.A
 				d.CV = ev.CV
-				cvOnly = true
 			case KindHop:
 				h := d.Hops[ev.Lane]
 				if h == nil {
@@ -223,7 +216,6 @@ func Build(evs []Event) []*DAG {
 				h.Parent = ev.A
 				h.Index = ev.B
 				h.PostTS = ev.TS
-				cvOnly = true
 			case KindConsume:
 				h := d.Hops[ev.Lane]
 				if h == nil {
@@ -233,14 +225,9 @@ func Build(evs []Event) []*DAG {
 				h.Consumed = true
 				h.ConsTS = ev.TS
 				h.By = obs.WakeConsumerName(ev.B)
-				cvOnly = true
 			case KindTxn:
 				d.Txns = append(d.Txns, TxnStep{TS: ev.TS, Lane: ev.Lane, Hop: ev.A})
-				cvOnly = true
 			}
-		}
-		if !cvOnly {
-			continue // pure semaphore-level flow
 		}
 		if !d.HasRoot {
 			d.RootTS = first
@@ -428,7 +415,7 @@ func parseChrome(data []byte) ([]Event, error) {
 			e.Lane = r.Args.Node
 			e.A = r.Args.Hop
 			e.B = wakeConsumerCode(r.Args.By)
-		case KindTxn, KindSemHop:
+		case KindTxn:
 			e.A = r.Args.Hop
 		default:
 			continue
@@ -471,8 +458,6 @@ func parseFlight(data []byte) ([]Event, error) {
 			e.Kind = KindConsume
 		case "cv.wake.txn":
 			e.Kind = KindTxn
-		case "sem.handoff":
-			e.Kind = KindSemHop
 		default:
 			continue
 		}

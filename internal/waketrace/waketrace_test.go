@@ -236,15 +236,3 @@ func TestCheckCatchesCorruption(t *testing.T) {
 		t.Errorf("clean flow flagged: %v", problems)
 	}
 }
-
-// Pure semaphore-level flows (sem.handoff) must not pollute the condvar
-// DAG set.
-func TestSemOnlyFlowsSkipped(t *testing.T) {
-	dags := waketrace.Build([]waketrace.Event{
-		{TS: 0, Kind: waketrace.KindSemHop, Lane: 3, Flow: 11, A: 0},
-		{TS: 1, Kind: waketrace.KindSemHop, Lane: 4, Flow: 11, A: 1},
-	})
-	if len(dags) != 0 {
-		t.Fatalf("sem-only flow produced %d condvar DAGs", len(dags))
-	}
-}

@@ -14,7 +14,8 @@
 #
 # `./verify.sh -short` skips the time-heavy black-box/crash gates (the
 # blackbox oracle soak, the injected-bug negative gate, the SIGKILL
-# crash round and the regression-seed replay) for a quick pre-push run.
+# crash round, the regression-seed replay and the nested benchmark
+# module's vet + smoke test) for a quick pre-push run.
 set -eu
 
 SHORT=0
@@ -32,12 +33,11 @@ step "tests (race detector)"
 go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The striped sem lanes, the epoch-batched commit clock and the condvar
-# wake path all branch on GOMAXPROCS (lane count, scatter, spin budget),
-# so a single-core host silently skips their multicore schedules. Re-run
-# the three fabric packages with four Ps forced — the race detector sees
-# the cross-lane and cross-shard interleavings even when the host has
-# one CPU.
+# The semaphore's spin gate, the epoch-batched commit clock and the
+# condvar wake fan-out all branch on GOMAXPROCS, so a single-core host
+# silently skips their multicore schedules. Re-run the three fabric
+# packages with four Ps forced — the race detector sees the spin-phase
+# and cross-shard interleavings even when the host has one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
 
 step "tests (runtime sanitizer on: -tags stmsan)"
@@ -78,7 +78,6 @@ step "broadcast wake smoke (chained hand-off batch over 64+ waiters)"
 # NotifyAll batch completes and every waiter resumes (the benchmark
 # b.Fatals on a short wake count), not a host-dependent latency bar.
 go test -run '^$' -bench 'BenchmarkBroadcastWake/w64' -benchtime 5x .
-go test -run '^$' -bench 'BenchmarkSemBatchPost' -benchtime 5x .
 
 step "modelcheck (bounded exhaustive interleavings)"
 go run ./cmd/modelcheck -waiters 2 -notifyone 1
@@ -130,6 +129,12 @@ if [ "$SHORT" -eq 0 ]; then
 	step "regression seeds (replay recorded past-failure seeds)"
 	go test -run TestRegressionSeeds ./cmd/cvstress
 	rm -f "$CVSTRESS"
+
+	step "benchmark module (vet + smoke test)"
+	# benchmark/ is a module of its own, so the root ./... patterns never
+	# reach it; this is the one gate that notices when an API it calls
+	# (internal/sem, core, facility, stm, syncx, parsec, obs) shrinks.
+	(cd benchmark && go vet . && go test .)
 else
 	step "skipping blackbox/crash gates (-short)"
 fi
