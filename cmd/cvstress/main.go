@@ -477,9 +477,10 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 	}
 	code = worseCode(code, runSemChaos(goroutines, seed, rate, dur))
 	// -trace: dump the ring for offline analysis and validate the wake
-	// chains in-run. The ring keeps the last N events, so flows that
-	// began before the window lack their root — those are truncation,
-	// not corruption, and are skipped (cvtrace -check does the same).
+	// chains in-run. Each trace shard keeps its last N events, so flows
+	// that began at or before the retention horizon may lack their root
+	// or some hops — those are truncation, not corruption, and are
+	// skipped (cvtrace -check does the same from the dumped horizon).
 	detail := map[string]any{"seed": seed, "faultrate": rate, "goroutines": goroutines}
 	if tracePath != "" {
 		tr := reg.Tracer()
@@ -499,7 +500,7 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 		} else {
 			detail["trace"] = tracePath
 			complete, truncated := waketrace.SplitTruncated(
-				waketrace.Build(waketrace.FromObs(tr.Events())))
+				waketrace.Build(waketrace.FromObs(tr.Events())), tr.Horizon())
 			if problems := waketrace.Check(complete); len(problems) != 0 {
 				for _, p := range problems {
 					fmt.Fprintln(os.Stderr, "cvstress: wake-chain violation:", p)

@@ -12,9 +12,10 @@
 // With -check, cvtrace only runs the structural self-validation (every
 // non-root hop has a parent, depths are consistent, consumes match the
 // batch) and exits non-zero on any violation — the verify.sh gate.
-// Bounded captures retain the last N events, so flows that began before
-// the window lack their root; those are skipped (and counted) unless
-// -strict treats them as violations too.
+// Bounded captures retain the last N events per trace shard, so flows
+// that began at or before the dump's retention horizon may lack their
+// root or some hops; those are skipped (and counted) unless -strict
+// treats the capture as complete.
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 	stall := flag.Duration("stall", time.Millisecond, "flag hops whose post-to-consume gap exceeds this (0 disables)")
 	top := flag.Int("top", 10, "slowest-hop attribution entries")
 	check := flag.Bool("check", false, "structural self-validation only; exit 1 on any violation")
-	strict := flag.Bool("strict", false, "treat window-truncated flows (no root in the retained window) as violations instead of skipping them")
+	strict := flag.Bool("strict", false, "treat window-truncated flows (begun at or before the dump's retention horizon) as violations instead of skipping them")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cvtrace [flags] <dump.json>\n\nAnalyze causal wake-propagation traces (Chrome trace or flight dump).\n\n")
 		flag.PrintDefaults()
@@ -43,18 +44,19 @@ func main() {
 	}
 	path := flag.Arg(0)
 
-	evs, err := waketrace.LoadFile(path)
+	evs, horizon, err := waketrace.LoadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cvtrace: %v\n", err)
 		os.Exit(1)
 	}
 	dags := waketrace.Build(evs)
-	// Bounded captures (trace rings, flight recorders) evict oldest-first,
-	// so flows that began before the retention window lack their root;
-	// skip those unless -strict says the capture was complete.
+	// Bounded captures (trace rings, flight recorders) evict their oldest
+	// events, so flows that began at or before the retention horizon may
+	// be missing parts; skip those unless -strict says the capture was
+	// complete.
 	var truncated []*waketrace.DAG
 	if !*strict {
-		dags, truncated = waketrace.SplitTruncated(dags)
+		dags, truncated = waketrace.SplitTruncated(dags, horizon)
 	}
 
 	if *check {
@@ -74,7 +76,7 @@ func main() {
 		return
 	}
 	if len(truncated) > 0 {
-		fmt.Fprintf(os.Stderr, "cvtrace: %d flow(s) began before the retention window; analyzing the %d complete one(s)\n", len(truncated), len(dags))
+		fmt.Fprintf(os.Stderr, "cvtrace: %d flow(s) began before the retention horizon; analyzing the %d complete one(s)\n", len(truncated), len(dags))
 	}
 
 	rep := waketrace.Analyze(dags, waketrace.Options{

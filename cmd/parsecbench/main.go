@@ -20,14 +20,9 @@
 //	-metrics                    print the per-trial metrics snapshot as JSON
 //	-trace out.json             record a Chrome trace_event file of the run
 //	-tracebuf N                 trace ring-buffer capacity in events
-//	-resultdir dir              per-run JSON results directory ("" disables)
 //	-introspect addr            serve /debug/cv/* live endpoints while running
 //	-wakefanout N               NotifyAll chained-wake fan-out (0 = default)
-//	-serialwake                 ablation: serial broadcast wake loop
 //	-profile                    enable STM contention attribution
-//	-sweep "1,2,4"              trajectory mode: run the matrix once per
-//	                            GOMAXPROCS value, write a BENCH_*.json doc
-//	-benchout path              sweep output path (default BENCH_<host>_<date>.json)
 //
 // Examples:
 //
@@ -35,19 +30,14 @@
 //	parsecbench -machine haswell               # Figure 2 data + Figure 3(b)
 //	parsecbench -bench dedup -threads 4        # just the dedup anomaly
 //	parsecbench -trace t.json -metrics         # trace + metrics JSON
-//	parsecbench -preset test -sweep 1,2        # trajectory document
-//	                                           # (compare with cmd/benchdiff)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -72,14 +62,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "emit the per-trial metrics snapshot as JSON instead of tables")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the run's event lifecycle")
 	traceBuf := flag.Int("tracebuf", 1<<20, "trace ring-buffer capacity in events")
-	resultDir := flag.String("resultdir", "results", "directory for per-run JSON result files (\"\" disables)")
 	introspectAddr := flag.String("introspect", "", "serve /debug/cv/* live-introspection endpoints on this address (e.g. 127.0.0.1:6070)")
 	quiet := flag.Bool("quiet", false, "suppress live progress")
 	wakeFanout := flag.Int("wakefanout", 0, "NotifyAll wake fan-out (chains started by the notifier; 0 = default pacing)")
-	serialWake := flag.Bool("serialwake", false, "ablation: disable the chained wake batch and post every broadcast waiter serially from the commit handler")
 	profile := flag.Bool("profile", false, "enable STM contention attribution (per-Var conflict counters; auto-on with -introspect)")
-	sweepList := flag.String("sweep", "", "trajectory mode: comma-separated GOMAXPROCS list (e.g. \"1,2,4\"); writes a BENCH_*.json document and exits")
-	benchOut := flag.String("benchout", "", "trajectory output path (default BENCH_<host>_<date>.json in the current directory)")
 	flag.Parse()
 
 	effScale := *scale
@@ -124,17 +110,15 @@ func main() {
 	}
 
 	cfg := harness.SweepConfig{
-		Benchmarks: benches,
-		Machine:    m,
-		MaxThreads: *threads,
-		Trials:     *trials,
-		Warmup:     *warmup,
-		Scale:      effScale,
-		Seed:       *seed,
-		// The per-run result files carry the full per-trial snapshots, so
-		// collection is on whenever either JSON output is wanted.
-		CollectMetrics: *metrics || *resultDir != "",
-		CVOpts:         core.Options{WakeFanout: *wakeFanout, SerialWake: *serialWake},
+		Benchmarks:     benches,
+		Machine:        m,
+		MaxThreads:     *threads,
+		Trials:         *trials,
+		Warmup:         *warmup,
+		Scale:          effScale,
+		Seed:           *seed,
+		CollectMetrics: *metrics,
+		CVOpts:         core.Options{WakeFanout: *wakeFanout},
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr
@@ -169,22 +153,7 @@ func main() {
 		stm.SetProfiling(true)
 	}
 
-	if *sweepList != "" {
-		out := *benchOut
-		if out == "" {
-			host, _ := os.Hostname()
-			out = bench.DefaultFilename(host, time.Now().UTC())
-		}
-		if err := runSweep(cfg, *sweepList, out, cfg.Progress); err != nil {
-			fmt.Fprintln(os.Stderr, "parsecbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	sw := harness.Run(cfg)
-	meta := bench.Collect()
-	sw.Meta = &meta
 
 	if *tracePath != "" {
 		cfg.Tracer.Disable()
@@ -215,15 +184,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "parsecbench: analyze: go run ./cmd/cvtrace %s\n", *tracePath)
 	}
-	if *resultDir != "" {
-		path, err := writeResult(sw, *resultDir, *machine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "parsecbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "parsecbench: wrote results to %s\n", path)
-	}
-
 	switch {
 	case *csv:
 		sw.WriteCSV(os.Stdout)
@@ -251,23 +211,4 @@ func writeTrace(tr *obs.Tracer, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeResult saves the sweep's metrics JSON under dir as
-// bench-<machine>-<timestamp>.json and returns the path.
-func writeResult(sw *harness.Sweep, dir, machine string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("bench-%s-%s.json",
-		machine, time.Now().UTC().Format("20060102T150405Z")))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := sw.WriteMetricsJSON(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
 }

@@ -10,13 +10,9 @@
 // other internal packages. See README.md for the tour, DESIGN.md for the
 // system inventory, and EXPERIMENTS.md for paper-vs-measured results.
 //
-// The benchmarks in bench_test.go regenerate every table and figure in the
-// paper's evaluation:
+// The paper's tables and figures, and every performance number:
 //
-//	go test -bench=Fig1 -benchmem .     # Figure 1 (STM machine)
-//	go test -bench=Fig2 -benchmem .     # Figure 2 (simulated HTM machine)
-//	go test -bench=Fig3 .               # Figure 3 (geomean speedups)
-//	go test -bench=Ablation .           # design-choice ablations
-//	go run ./cmd/parsecbench            # the full sweep, formatted like the paper
+//	go run ./cmd/parsecbench            # Figures 1-3, formatted like the paper
 //	go run ./cmd/table1                 # Table 1
+//	bash benchmark/run.sh               # the repository benchmark (benchmark/README.md)
 package repro

@@ -52,8 +52,9 @@ func collectAll(t *testing.T, done []chan struct{}, what string) {
 }
 
 // A batched NotifyAll must wake every waiter exactly once — conservation
-// across every fan-out, including the pure chain (fanout 1) and the
-// serial-wake ablation — and leave the queue and depth gauge empty.
+// across every fan-out, from the pure chain (fanout 1) to a fan-out
+// wider than the batch (the notifier posts every waiter itself) — and
+// leave the queue and depth gauge empty.
 func TestNotifyAllBatchedConservation(t *testing.T) {
 	const waiters = 64
 	cases := []struct {
@@ -64,7 +65,6 @@ func TestNotifyAllBatchedConservation(t *testing.T) {
 		{"fanout 1 (pure chain)", Options{WakeFanout: 1}},
 		{"fanout 3", Options{WakeFanout: 3}},
 		{"fanout > batch", Options{WakeFanout: waiters * 2}},
-		{"serial wake", Options{SerialWake: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -43,27 +43,14 @@ const DefaultWakeFanout = 8
 type Options struct {
 	// Policy selects the NotifyOne victim discipline. Default FIFO.
 	Policy Policy
-	// NoNodePool disables the per-wait node pool (every Wait allocates a
-	// fresh node + semaphore). For the ablation benchmark.
-	NoNodePool bool
-	// ImmediatePost makes notifiers signal the victim's semaphore
-	// immediately instead of deferring it to commit via an onCommit
-	// handler. This is UNSAFE in the paper's hardware-TM setting (the
-	// semaphore operation is a syscall that aborts the transaction) and
-	// allows wake-ups from transactions that later abort; it exists only
-	// so the ablation benchmark can measure what the deferral costs.
-	ImmediatePost bool
 	// WakeFanout is the number of waiters a committed NotifyAll/NotifyN
 	// unparks itself; the rest are unparked in chains, each woken waiter
 	// unparking its successor. Zero means auto: DefaultWakeFanout, or a
 	// direct post of the whole batch when GOMAXPROCS is 1 (chains cost
-	// scheduling hops that only parallelism wins back). Ignored when
-	// SerialWake is set.
+	// scheduling hops that only parallelism wins back). A fan-out at or
+	// above the batch size is the serial wake loop: the notifier posts
+	// every waiter itself.
 	WakeFanout int
-	// SerialWake restores the pre-batching behavior: the committing
-	// notifier unparks every dequeued waiter itself, one semaphore post
-	// at a time. For the broadcast ablation benchmark.
-	SerialWake bool
 }
 
 // CVStats aggregates condition-variable activity.
@@ -337,18 +324,12 @@ func (cv *CondVar) faultWindow(p fault.Point, lane uint64) {
 }
 
 func (cv *CondVar) acquireNode() *Node {
-	if cv.opts.NoNodePool {
-		return cv.newNode()
-	}
 	return cv.pool.Get().(*Node)
 }
 
-// sanitizeOn reports whether the runtime sanitizer applies to this
-// condvar. ImmediatePost deliberately breaks the commit-deferral
-// protocol the checks encode (that is what the ablation measures), so it
-// disables them.
+// sanitizeOn reports whether the runtime sanitizer's condvar checks run.
 func (cv *CondVar) sanitizeOn() bool {
-	return cv.e.DebugChecks() && !cv.opts.ImmediatePost
+	return cv.e.DebugChecks()
 }
 
 func (cv *CondVar) releaseNode(n *Node) {
@@ -365,9 +346,6 @@ func (cv *CondVar) releaseNode(n *Node) {
 	n.batch.Store(nil)
 	n.wakeID.Store(0)
 	n.wakeHop.Store(0)
-	if cv.opts.NoNodePool {
-		return
-	}
 	n.tag.StoreDirect(nil) // cvlint:ignore directstore woken node is owner-private (Section 3.3)
 	cv.pool.Put(n)
 }
@@ -768,8 +746,8 @@ func (cv *CondVar) wakeNode(n *Node, depth int64, wk wakeCtx) {
 
 // notifyCommitted is the committed side of a single-node notification:
 // queue-depth bookkeeping plus the wakeNode post. It runs exactly once
-// per real dequeue — from the notifier's commit handler, or directly on
-// the immediate-post ablation path.
+// per real dequeue — from the notifier's commit handler, or directly
+// for a naked/lock-based notifier.
 func (cv *CondVar) notifyCommitted(n *Node) {
 	d := cv.depth.Load()
 	cv.depth.Dec()
@@ -777,7 +755,7 @@ func (cv *CondVar) notifyCommitted(n *Node) {
 		cv.st.QueueDepth.Observe(d)
 	}
 	// Mint the causal wake id here — the moment the notify became real
-	// (the commit handler fired, or the immediate-post ablation path ran).
+	// (the commit handler fired, or a non-transactional notifier dequeued).
 	wk := wakeCtx{id: cv.e.NextWakeID()}
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.EmitFlow(cv.id, obs.EvWakeRoot, wk.id, 1, int64(cv.id))
@@ -824,16 +802,6 @@ func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	wakeID := cv.e.NextWakeID()
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
-	}
-	if cv.opts.SerialWake {
-		// Ablation: the legacy serial wake loop, one post per waiter on
-		// the notifier's goroutine (still measured by the batch clock).
-		// Every wake is notifier-posted, so every hop index is 0.
-		for i, n := range nodes {
-			n.batch.Store(wb)
-			cv.wakeNode(n, d-int64(i), wakeCtx{id: wakeID})
-		}
-		return
 	}
 	fan := cv.opts.WakeFanout
 	if fan <= 0 {
@@ -931,10 +899,7 @@ func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64, hop int64) {
 // outermost transaction when one is live (Algorithm 5 line 9), or
 // immediately for naked/lock-based callers (tx == nil).
 func (cv *CondVar) notifyPost(tx *stm.Tx, n *Node) {
-	if tx == nil || cv.opts.ImmediatePost {
-		if tx != nil && cv.opts.ImmediatePost {
-			tx.Syscall() // a real HTM would abort here; make the sim do so
-		}
+	if tx == nil {
 		if tr := cv.e.Tracer(); tr.Enabled() {
 			tr.Emit(n.id, obs.EvCVNotify, int64(n.id), int64(cv.id))
 		}
@@ -1003,8 +968,7 @@ func (cv *CondVar) NotifyOne(tx *stm.Tx) bool {
 // notifyBatch is the shared dequeue body of NotifyAll and NotifyN:
 // unlink up to max waiters (max < 0 means all) and schedule one commit
 // handler that wakes the whole batch via wakeCommitted's chained
-// hand-off. On the immediate-post ablation path each node is posted
-// in-body through notifyPost instead. It returns the number dequeued.
+// hand-off. It returns the number dequeued.
 func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 	count := 0
 	body := func(tx *stm.Tx) {
@@ -1024,17 +988,13 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 		// Every next-link access happens inside the transaction
 		// (Section 3.3's race-freedom argument).
 		for sn != nil && (max < 0 || count < max) {
-			if cv.opts.ImmediatePost {
-				cv.notifyPost(tx, sn)
-			} else {
-				// Attempt-buffered: an aborted attempt's notify leaves no
-				// trace. The node's incarnation is captured at dequeue so
-				// the committed batch can detect recycling (ABA), same as
-				// the single-node path.
-				tx.Trace(obs.EvCVNotify, int64(sn.id), int64(cv.id))
-				nodes = append(nodes, sn)
-				gens = append(gens, sn.gen.Load())
-			}
+			// Attempt-buffered: an aborted attempt's notify leaves no
+			// trace. The node's incarnation is captured at dequeue so
+			// the committed batch can detect recycling (ABA), same as
+			// the single-node path.
+			tx.Trace(obs.EvCVNotify, int64(sn.id), int64(cv.id))
+			nodes = append(nodes, sn)
+			gens = append(gens, sn.gen.Load())
 			count++
 			sn = stm.Read(tx, sn.next)
 		}
@@ -1042,9 +1002,7 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 		if sn == nil {
 			stm.Write(tx, cv.tail, nil)
 		}
-		if len(nodes) > 0 {
-			tx.OnCommit(func() { cv.wakeCommitted(nodes, gens) })
-		}
+		tx.OnCommit(func() { cv.wakeCommitted(nodes, gens) })
 	}
 	if tx != nil {
 		tx.Atomic(body)
@@ -1060,8 +1018,7 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 // The wake-ups are batched: one commit handler dequeues the whole set
 // and unparks it via chained hand-off (see wakeCommitted), so the
 // committing transaction is no longer a serial wake loop over N
-// semaphore posts. Options.WakeFanout paces the chains;
-// Options.SerialWake restores the legacy loop.
+// semaphore posts. Options.WakeFanout paces the chains.
 func (cv *CondVar) NotifyAll(tx *stm.Tx) int {
 	count := cv.notifyBatch(tx, -1)
 	if cv.st != nil {

@@ -564,55 +564,30 @@ func TestNodePoolReuse(t *testing.T) {
 	}
 }
 
-func TestNoNodePoolOption(t *testing.T) {
-	e := stm.NewEngine(stm.Config{})
-	cv := New(e, Options{NoNodePool: true})
-	var m syncx.Mutex
-	done := make(chan struct{})
-	go func() {
-		m.Lock()
-		cv.WaitLocked(&m)
-		m.Unlock()
-		close(done)
-	}()
-	waitUntil(t, "enqueue", func() bool { return cv.Len() == 1 })
-	cv.NotifyOne(nil)
-	<-done
-}
-
 func TestNoSyscallAbortsWithDeferredPost(t *testing.T) {
 	// The design claim of Algorithm 5: deferring SEMPOST to commit means
-	// a hardware transaction never performs a syscall. With the deferral
-	// disabled (ImmediatePost) the simulated HTM must observe syscall
-	// aborts instead.
-	run := func(opts Options) *stm.Engine {
-		e := stm.NewEngine(stm.Config{Algorithm: stm.AlgHTM})
-		cv := New(e, opts)
-		var m syncx.Mutex
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m.Lock()
-				cv.WaitLocked(&m)
-				m.Unlock()
-			}()
-		}
-		waitUntil(t, "4 waiters enqueued", func() bool { return cv.Len() == 4 })
-		for i := 0; i < 4; i++ {
-			e.MustAtomic(func(tx *stm.Tx) { cv.NotifyOne(tx) })
-		}
-		wg.Wait()
-		return e
+	// a hardware transaction never performs a syscall. (That a syscall
+	// inside one does abort it is stm's TestHTMSyscallAbortsToSerial.)
+	e := stm.NewEngine(stm.Config{Algorithm: stm.AlgHTM})
+	cv := New(e, Options{})
+	var m syncx.Mutex
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.Lock()
+			cv.WaitLocked(&m)
+			m.Unlock()
+		}()
 	}
-	e := run(Options{})
+	waitUntil(t, "4 waiters enqueued", func() bool { return cv.Len() == 4 })
+	for i := 0; i < 4; i++ {
+		e.MustAtomic(func(tx *stm.Tx) { cv.NotifyOne(tx) })
+	}
+	wg.Wait()
 	if got := e.Stats.SyscallAborts.Load(); got != 0 {
 		t.Fatalf("deferred post caused %d syscall aborts, want 0", got)
-	}
-	e = run(Options{ImmediatePost: true})
-	if got := e.Stats.SyscallAborts.Load(); got == 0 {
-		t.Fatal("immediate post caused no syscall aborts on HTM")
 	}
 }
 

@@ -260,10 +260,17 @@ func TestLostWakeupWindowSurvived(t *testing.T) {
 // must never lose the wake-up either, even when the waiter's timeout
 // expires inside the widened window — the timeout loses the race and
 // the wait reports notified.
+//
+// Ordering: the waiter's deadline (200 ms) is two hundred polls of
+// waitUntil away, so it cannot expire before the notifier has seen the
+// waiter enqueued and committed the dequeue; the injected stall is drawn
+// from [Delay/2, Delay], entirely above the deadline, so the deadline
+// always expires while the post is still held back.
 func TestNotifyWindowDelay(t *testing.T) {
+	const timeout = 200 * time.Millisecond
 	e := stm.NewEngine(stm.Config{})
 	in := fault.New(0xBEEF).Set(fault.CVNotify,
-		fault.Rule{Rate: 1.0, Action: fault.ActDelay, Delay: 4 * time.Millisecond})
+		fault.Rule{Rate: 1.0, Action: fault.ActDelay, Delay: 3 * timeout})
 	e.SetFault(in)
 	cv := New(e, Options{})
 	in.Arm()
@@ -273,7 +280,7 @@ func TestNotifyWindowDelay(t *testing.T) {
 	res := make(chan bool, 1)
 	go func() {
 		m.Lock()
-		ok := cv.WaitLockedTimeout(&m, 2*time.Millisecond)
+		ok := cv.WaitLockedTimeout(&m, timeout)
 		m.Unlock()
 		res <- ok
 	}()

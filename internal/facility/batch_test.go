@@ -33,14 +33,14 @@ func TestTaskQueueSubmitBatch(t *testing.T) {
 
 // Wide-broadcast regression: a 64-party barrier (64 waiters released by
 // one broadcast per round) must cycle correctly under the batched wake
-// path at several fan-outs, including the pure chain and the serial
-// ablation.
+// path at several fan-outs, including the pure chain and a fan-out
+// wider than the batch (the notifier posts every waiter itself).
 func TestBarrierWideBroadcast(t *testing.T) {
 	fanouts := []core.Options{
-		{},                 // default fan-out
-		{WakeFanout: 1},    // pure chain
-		{WakeFanout: 4},    // paced
-		{SerialWake: true}, // legacy serial loop
+		{},                // default fan-out
+		{WakeFanout: 1},   // pure chain
+		{WakeFanout: 4},   // paced
+		{WakeFanout: 128}, // wider than the 64-waiter batch: no chain
 	}
 	for _, opts := range fanouts {
 		opts := opts

@@ -230,20 +230,3 @@ func TestSnapshotAndPointNames(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkAtDisabled(b *testing.B) {
-	in := New(1).SetAll(Rule{Rate: 1, Action: ActAbort})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		in.At(PreCommit)
-	}
-}
-
-func BenchmarkAtArmed(b *testing.B) {
-	in := New(1).SetAll(Rule{Rate: 0.1, Action: ActAbort})
-	in.Arm()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		in.At(PreCommit)
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/facility"
 	"repro/internal/fault"
@@ -39,20 +38,13 @@ type SweepConfig struct {
 	Seed       uint64
 	Progress   io.Writer // optional live progress log
 
-	// TopThreadsOnly restricts each benchmark to its highest thread count
-	// instead of the full 1..MaxThreads curve. The trajectory sweep
-	// (parsecbench -sweep) uses this: it varies GOMAXPROCS across runs and
-	// wants one saturated cell per (benchmark, system, procs), not the
-	// whole figure grid at every procs value.
-	TopThreadsOnly bool
-
 	// CollectMetrics attaches fresh TM/condvar instrument sinks to every
 	// timed trial and keeps a per-trial snapshot in Cell.Trials (the data
 	// WriteMetricsJSON serializes). Histograms are cheap (atomic adds),
 	// but collection also allocates per trial, so it is opt-in.
 	CollectMetrics bool
 	// CVOpts configures every TM condvar the sweep's runs create (wake
-	// fan-out pacing, the serial-wake ablation, notify policy).
+	// fan-out pacing, notify policy).
 	CVOpts core.Options
 	// Tracer, when non-nil, records the event lifecycle of every trial
 	// (warm-ups included) into one shared ring buffer.
@@ -112,11 +104,6 @@ type Cell struct {
 type Sweep struct {
 	Config SweepConfig
 	Cells  []Cell
-
-	// Meta, when set by the caller (parsecbench stamps bench.Collect()
-	// here), rides into WriteMetricsJSON's document so archived result
-	// files identify the environment that produced them.
-	Meta *bench.RunMeta
 }
 
 // Run executes the sweep.
@@ -124,12 +111,8 @@ func Run(cfg SweepConfig) *Sweep {
 	cfg = cfg.withDefaults()
 	sw := &Sweep{Config: cfg}
 	for _, b := range cfg.Benchmarks {
-		threads := b.Threads(cfg.MaxThreads)
-		if cfg.TopThreadsOnly && len(threads) > 1 {
-			threads = threads[len(threads)-1:]
-		}
 		for _, sys := range cfg.Systems {
-			for _, th := range threads {
+			for _, th := range b.Threads(cfg.MaxThreads) {
 				cell := runCell(cfg, b, sys, th)
 				sw.Cells = append(sw.Cells, cell)
 				if cfg.Progress != nil {

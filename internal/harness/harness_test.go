@@ -76,35 +76,6 @@ func TestSweepGrid(t *testing.T) {
 	}
 }
 
-// TestTopThreadsOnly: the trajectory sweep wants one saturated cell per
-// benchmark, not the whole thread curve.
-func TestTopThreadsOnly(t *testing.T) {
-	b := &fastBench{
-		name: "fast",
-		durs: map[facility.Kind]time.Duration{
-			facility.LockPthread: time.Millisecond,
-			facility.LockTM:      time.Millisecond,
-			facility.Txn:         time.Millisecond,
-		},
-	}
-	sw := Run(SweepConfig{
-		Benchmarks:     []parsec.Benchmark{b},
-		MaxThreads:     2,
-		Trials:         1,
-		Scale:          0.1,
-		TopThreadsOnly: true,
-	})
-	// 1 bench × 3 systems × only the top thread count.
-	if got := len(sw.Cells); got != 3 {
-		t.Fatalf("cells = %d, want 3", got)
-	}
-	for _, c := range sw.Cells {
-		if c.Threads != 2 {
-			t.Fatalf("cell at threads=%d, want only the top count 2", c.Threads)
-		}
-	}
-}
-
 func TestSpeedupsAndGeomean(t *testing.T) {
 	sw := newFastSweep(t)
 	sp := sw.Speedups()

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 )
 
@@ -59,13 +58,12 @@ type metricsCell struct {
 
 // metricsDoc is the JSON shape of a whole sweep.
 type metricsDoc struct {
-	Machine string         `json:"machine"`
-	Scale   float64        `json:"scale"`
-	Seed    uint64         `json:"seed"`
-	Trials  int            `json:"trials"`
-	Warmup  int            `json:"warmup"`
-	Meta    *bench.RunMeta `json:"meta,omitempty"`
-	Cells   []metricsCell  `json:"cells"`
+	Machine string        `json:"machine"`
+	Scale   float64       `json:"scale"`
+	Seed    uint64        `json:"seed"`
+	Trials  int           `json:"trials"`
+	Warmup  int           `json:"warmup"`
+	Cells   []metricsCell `json:"cells"`
 }
 
 // WriteMetricsJSON serializes the sweep — cell aggregates plus, when the
@@ -78,7 +76,6 @@ func (s *Sweep) WriteMetricsJSON(w io.Writer) error {
 		Seed:    s.Config.Seed,
 		Trials:  s.Config.Trials,
 		Warmup:  s.Config.Warmup,
-		Meta:    s.Meta,
 	}
 	for _, c := range s.Cells {
 		doc.Cells = append(doc.Cells, metricsCell{

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/facility"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -103,27 +102,6 @@ func TestWriteMetricsJSON(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMetricsJSONCarriesRunMeta: a Meta stamped on the Sweep rides into
-// the document so archived results identify their environment.
-func TestMetricsJSONCarriesRunMeta(t *testing.T) {
-	sw := newFastSweep(t)
-	m := bench.Collect()
-	sw.Meta = &m
-	var buf bytes.Buffer
-	if err := sw.WriteMetricsJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Meta *bench.RunMeta `json:"meta"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Meta == nil || doc.Meta.GoVersion == "" || doc.Meta.NumCPU <= 0 {
-		t.Fatalf("meta missing from document: %+v", doc.Meta)
 	}
 }
 

@@ -31,9 +31,13 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
+// chromeDoc carries, beside the spec's keys, the tracer's retention
+// horizon (Tracer.Horizon, nanoseconds; viewers ignore unknown keys) so
+// offline analyzers can tell a flow the ring cut short from a broken one.
 type chromeDoc struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	HorizonNS       int64         `json:"retentionHorizonNs,omitempty"`
 }
 
 // chromeArgs names the A/B arguments per event type for the viewer.
@@ -127,6 +131,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	doc := chromeDoc{
 		TraceEvents:     make([]chromeEvent, 0, len(events)),
 		DisplayTimeUnit: "ns",
+		HorizonNS:       t.Horizon(),
 	}
 	for _, ev := range events {
 		ce := chromeEvent{

@@ -26,14 +26,16 @@ type FlightEvent struct {
 }
 
 // Dump is the flight-recorder record: why it was taken, the last N trace
-// events leading up to it, and a full registry snapshot at the moment of
-// the trigger.
+// events leading up to it (and the retention horizon before which events
+// are missing), and a full registry snapshot at the moment of the
+// trigger.
 type Dump struct {
-	Reason      string            `json:"reason"`
-	Detail      map[string]any    `json:"detail,omitempty"`
-	WrittenAt   time.Time         `json:"written_at"`
-	TraceEvents []FlightEvent     `json:"trace_events"`
-	Registry    registry.Snapshot `json:"registry"`
+	Reason         string            `json:"reason"`
+	Detail         map[string]any    `json:"detail,omitempty"`
+	WrittenAt      time.Time         `json:"written_at"`
+	TraceEvents    []FlightEvent     `json:"trace_events"`
+	TraceHorizonNS int64             `json:"trace_horizon_ns,omitempty"`
+	Registry       registry.Snapshot `json:"registry"`
 }
 
 // Recorder captures flight dumps: on Trigger it drains the registry's
@@ -82,12 +84,14 @@ func (rec *Recorder) Trigger(reason string, detail map[string]any) (string, erro
 	rec.last = now
 	rec.trials++
 
+	evs, horizon := tailEvents(rec.reg.Tracer(), rec.lastN)
 	d := Dump{
-		Reason:      reason,
-		Detail:      detail,
-		WrittenAt:   now,
-		TraceEvents: tailEvents(rec.reg.Tracer(), rec.lastN),
-		Registry:    rec.reg.TakeSnapshot(),
+		Reason:         reason,
+		Detail:         detail,
+		WrittenAt:      now,
+		TraceEvents:    evs,
+		TraceHorizonNS: horizon,
+		Registry:       rec.reg.TakeSnapshot(),
 	}
 	name := fmt.Sprintf("cvflight-%s-%s.json", sanitizeReason(reason), now.Format("20060102-150405.000000000"))
 	path := filepath.Join(rec.dir, name)
@@ -122,10 +126,13 @@ func (rec *Recorder) Triggers() int {
 }
 
 // tailEvents drains tr and keeps the newest n events (Events is sorted
-// by timestamp). Nil-safe.
-func tailEvents(tr *obs.Tracer, n int) []FlightEvent {
+// by timestamp), returning them with the retention horizon: the newest
+// timestamp dropped here or already overwritten in the ring. Nil-safe.
+func tailEvents(tr *obs.Tracer, n int) ([]FlightEvent, int64) {
 	evs := tr.Events()
+	horizon := tr.Horizon()
 	if len(evs) > n {
+		horizon = max(horizon, evs[len(evs)-n-1].TS)
 		evs = evs[len(evs)-n:]
 	}
 	out := make([]FlightEvent, len(evs))
@@ -135,7 +142,7 @@ func tailEvents(tr *obs.Tracer, n int) []FlightEvent {
 			Lane: ev.Lane, A: ev.A, B: ev.B, Flow: ev.Flow,
 		}
 	}
-	return out
+	return out, horizon
 }
 
 // sanitizeReason keeps dump filenames shell-friendly.

@@ -83,8 +83,14 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	if got, want := tr.Emitted(), uint64(workers*perW); got != want {
 		t.Fatalf("Emitted = %d, want %d", got, want)
 	}
-	if len(tr.Events()) == 0 {
+	evs := tr.Events()
+	if len(evs) == 0 {
 		t.Fatal("no events retained")
+	}
+	// Lane 1's shard wrapped many times under four writers: the horizon
+	// is some evicted event's stamp, so it lies inside the capture.
+	if h := tr.Horizon(); h <= 0 || h > evs[len(evs)-1].TS {
+		t.Fatalf("Horizon = %d, want within (0, %d]", h, evs[len(evs)-1].TS)
 	}
 }
 

@@ -40,13 +40,3 @@ func TestRegisteredHistogramObserveNoAlloc(t *testing.T) {
 		t.Fatalf("Histogram.Observe after registration allocates %.1f/op", allocs)
 	}
 }
-
-func BenchmarkRegisteredCounterInc(b *testing.B) {
-	r := New()
-	var c stats.Counter
-	r.RegisterCounter("x_total", "", nil, c.Load)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}

@@ -190,11 +190,13 @@ type slot struct {
 	flow atomic.Uint64
 }
 
-// shard is one independently appended ring.
+// shard is one independently appended ring. lost is the newest timestamp
+// among the events this ring has overwritten (zero until it wraps).
 type shard struct {
-	pos atomic.Uint64
-	_   [56]byte // keep each shard's cursor on its own cache line
-	buf []slot
+	pos  atomic.Uint64
+	lost atomic.Int64
+	_    [48]byte // keep each shard's cursor on its own cache line
+	buf  []slot
 }
 
 const numShards = 16 // power of two; lanes hash across these
@@ -286,6 +288,16 @@ func (t *Tracer) record(ev Event) {
 	sh := &t.shards[ev.Lane&(numShards-1)]
 	n := sh.pos.Add(1)
 	s := &sh.buf[(n-1)&uint64(len(sh.buf)-1)]
+	if n > uint64(len(sh.buf)) {
+		// Overwriting: remember the newest timestamp lost (Horizon).
+		old := s.ts.Load()
+		for {
+			cur := sh.lost.Load()
+			if old <= cur || sh.lost.CompareAndSwap(cur, old) {
+				break
+			}
+		}
+	}
 	s.ts.Store(ev.TS)
 	s.dur.Store(ev.Dur)
 	s.typ.Store(int64(ev.Type))
@@ -307,6 +319,25 @@ func (t *Tracer) Emitted() uint64 {
 		n += t.shards[i].pos.Load()
 	}
 	return n
+}
+
+// Horizon returns the capture's retention horizon: the newest timestamp
+// among the events wrap-around has overwritten, or zero when nothing was
+// lost. The shards wrap independently, so a busy lane loses events that
+// a quiet lane's contemporaries survive; anything that started at or
+// before the horizon may be missing parts, anything after it is whole.
+// Safe on nil.
+func (t *Tracer) Horizon() int64 {
+	if t == nil {
+		return 0
+	}
+	var h int64
+	for i := range t.shards {
+		if l := t.shards[i].lost.Load(); l > h {
+			h = l
+		}
+	}
+	return h
 }
 
 // Events returns the retained events sorted by timestamp. Call it after
@@ -352,6 +383,7 @@ func (t *Tracer) Reset() {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.pos.Store(0)
+		sh.lost.Store(0)
 		for j := range sh.buf {
 			sh.buf[j].seq.Store(0)
 			sh.buf[j].typ.Store(0)

@@ -296,28 +296,3 @@ func TestBinaryAsMutex(t *testing.T) {
 		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
 	}
 }
-
-func BenchmarkUncontendedPostWait(b *testing.B) {
-	s := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Wait()
-		s.Post()
-	}
-}
-
-func BenchmarkHandOff(b *testing.B) {
-	s := NewBinary()
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < b.N; i++ {
-			s.Wait()
-		}
-		close(done)
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Post()
-	}
-	<-done
-}

@@ -24,7 +24,7 @@ func withProfiling(t *testing.T, on bool) {
 
 // TestProfilingDisabledNoAllocCommit is the overhead guard for the hot
 // path: with attribution off, a read-write transaction must not
-// allocate at all — same bar as the tracer's BenchmarkTraceDisabled.
+// allocate at all — same bar as the tracer's TestTraceDisabledNoAlloc.
 func TestProfilingDisabledNoAllocCommit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")

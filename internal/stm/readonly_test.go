@@ -126,35 +126,3 @@ func TestAtomicReadSerialFallbackStillReadOnly(t *testing.T) {
 		t.Fatalf("runs = %d, want 2", runs)
 	}
 }
-
-func BenchmarkReadOnlyVsUpdate(b *testing.B) {
-	e := NewEngine(Config{})
-	vars := make([]*Var[int], 8)
-	for i := range vars {
-		vars[i] = NewVar(e, i)
-	}
-	b.Run("AtomicRead", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.AtomicRead(func(tx *Tx) {
-				s := 0
-				for _, v := range vars {
-					s += Read(tx, v)
-				}
-				_ = s
-			})
-		}
-	})
-	b.Run("Atomic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.MustAtomic(func(tx *Tx) {
-				s := 0
-				for _, v := range vars {
-					s += Read(tx, v)
-				}
-				_ = s
-			})
-		}
-	})
-}

@@ -315,16 +315,21 @@ func Check(dags []*DAG) []string {
 
 // SplitTruncated partitions flows into window-complete and
 // window-truncated. Trace rings and flight recorders retain the last N
-// events, evicting oldest-first — and a flow's root is its oldest event
-// (the commit handler mints the wakeID before the first post), so a
-// flow that kept its root kept everything, while a rootless flow merely
-// started before the retention window. Analyzers over bounded captures
-// should Check only the complete set and report the truncated count;
-// over a full capture a rootless flow is real corruption, which strict
-// checking (Check over the unsplit set) still flags.
-func SplitTruncated(dags []*DAG) (complete, truncated []*DAG) {
+// events, but not as one queue: obs.Tracer is sixteen rings sharded by
+// lane, each evicting its own oldest, so a flow can keep its root in a
+// quiet shard and lose hops from a busy one. horizon is the capture's
+// retention horizon (obs.Tracer.Horizon, or what the dump recorded): the
+// newest timestamp among the evicted events, zero when nothing was lost.
+// A flow's root is its oldest event (the commit handler mints the wakeID
+// before the first post), so a flow whose root is missing or stamped at
+// or before the horizon may have lost events, and one rooted after it
+// kept everything. Analyzers over bounded captures should Check only the
+// complete set — where a missing parent is real corruption — and report
+// the truncated count; strict checking (Check over the unsplit set)
+// treats the capture as whole.
+func SplitTruncated(dags []*DAG, horizon int64) (complete, truncated []*DAG) {
 	for _, d := range dags {
-		if d.HasRoot {
+		if d.HasRoot && (horizon == 0 || d.RootTS > horizon) {
 			complete = append(complete, d)
 		} else {
 			truncated = append(truncated, d)
@@ -335,31 +340,36 @@ func SplitTruncated(dags []*DAG) (complete, truncated []*DAG) {
 
 // LoadFile reads and parses a trace dump, auto-detecting the format: a
 // Chrome trace_event document ("traceEvents") or a flight-recorder dump
-// ("trace_events").
-func LoadFile(path string) ([]Event, error) {
+// ("trace_events"). It returns the flow events and the retention horizon
+// the dump recorded (see SplitTruncated; zero when nothing was evicted).
+func LoadFile(path string) (evs []Event, horizon int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	return Parse(data)
 }
 
 // Parse auto-detects and parses dump bytes; see LoadFile.
-func Parse(data []byte) ([]Event, error) {
+func Parse(data []byte) (evs []Event, horizon int64, err error) {
 	var probe struct {
-		Chrome []json.RawMessage `json:"traceEvents"`
-		Flight []json.RawMessage `json:"trace_events"`
+		Chrome        []json.RawMessage `json:"traceEvents"`
+		ChromeHorizon int64             `json:"retentionHorizonNs"`
+		Flight        []json.RawMessage `json:"trace_events"`
+		FlightHorizon int64             `json:"trace_horizon_ns"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("waketrace: not a JSON trace dump: %w", err)
+		return nil, 0, fmt.Errorf("waketrace: not a JSON trace dump: %w", err)
 	}
 	switch {
 	case probe.Chrome != nil:
-		return parseChrome(data)
+		evs, err = parseChrome(data)
+		return evs, probe.ChromeHorizon, err
 	case probe.Flight != nil:
-		return parseFlight(data)
+		evs, err = parseFlight(data)
+		return evs, probe.FlightHorizon, err
 	default:
-		return nil, fmt.Errorf("waketrace: neither a Chrome trace (traceEvents) nor a flight dump (trace_events)")
+		return nil, 0, fmt.Errorf("waketrace: neither a Chrome trace (traceEvents) nor a flight dump (trace_events)")
 	}
 }
 

@@ -109,7 +109,7 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := waketrace.Parse(buf.Bytes())
+	parsed, _, err := waketrace.Parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err = waketrace.Parse(dump)
+	parsed, _, err = waketrace.Parse(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +234,102 @@ func TestCheckCatchesCorruption(t *testing.T) {
 	)
 	if problems := waketrace.Check(clean); len(problems) != 0 {
 		t.Errorf("clean flow flagged: %v", problems)
+	}
+}
+
+// chainedFlow emits one two-hop wake flow straight into tr: the root on
+// the condvar's lane (shard 1), then node head posted by the notifier
+// and node head+16 (the same shard) posted by head, each consumed.
+func chainedFlow(tr *obs.Tracer, flow, head uint64) {
+	tr.EmitFlow(1, obs.EvWakeRoot, flow, 2, 1)
+	tr.EmitFlow(head, obs.EvWakeHop, flow, 0, 0)
+	tr.EmitFlow(head, obs.EvWakeEnd, flow, 0, obs.WakeByWaiter)
+	tr.EmitFlow(head+16, obs.EvWakeHop, flow, int64(head), 1)
+	tr.EmitFlow(head+16, obs.EvWakeEnd, flow, 1, obs.WakeByWaiter)
+}
+
+// TestSplitTruncatedShardedEviction: the tracer is sixteen rings sharded
+// by lane, so a busy lane can evict a flow's early hops while the flow's
+// root survives in a quiet shard. Such a flow is window-truncated (its
+// root is not newer than the retention horizon), not a violation — the
+// false "names parent M, which posted no hop" of the chaos-soak gate.
+func TestSplitTruncatedShardedEviction(t *testing.T) {
+	tr := obs.NewTracer(1024) // 16 shards × 64 slots
+	tr.Enable()
+	chainedFlow(tr, 7, 18)
+	// Shard 2 now holds four events. 62 more on a lane of the same shard
+	// wrap it by two: node 18's hop and consume go, node 34's stay.
+	for i := 0; i < 62; i++ {
+		tr.Emit(2, obs.EvSemPark, 0, 0)
+	}
+	// A second flow, begun after the last eviction, is whole.
+	chainedFlow(tr, 8, 19)
+	tr.Disable()
+
+	h := tr.Horizon()
+	if h == 0 {
+		t.Fatal("Horizon = 0 after a shard wrapped")
+	}
+	dags := waketrace.Build(waketrace.FromObs(tr.Events()))
+	if len(dags) != 2 || !dags[0].HasRoot || len(dags[0].Orphans) != 1 {
+		t.Fatalf("setup: want flow 7 rooted with one orphan hop, got %d flow(s): %+v", len(dags), dags[0])
+	}
+	if len(waketrace.Check(dags)) == 0 {
+		t.Fatal("strict check over the unsplit set saw nothing wrong")
+	}
+	complete, truncated := waketrace.SplitTruncated(dags, h)
+	if len(truncated) != 1 || truncated[0].Flow != 7 {
+		t.Fatalf("truncated = %v, want flow 7 only", truncated)
+	}
+	if len(complete) != 1 || complete[0].Flow != 8 {
+		t.Fatalf("complete = %v, want flow 8 only", complete)
+	}
+	if problems := waketrace.Check(complete); len(problems) != 0 {
+		t.Fatalf("complete set flagged: %v", problems)
+	}
+
+	// The horizon travels with the dump, so cvtrace -check agrees offline.
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	evs, dumped, err := waketrace.Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dumped != h {
+		t.Fatalf("dumped horizon = %d, want %d", dumped, h)
+	}
+	complete, truncated = waketrace.SplitTruncated(waketrace.Build(evs), dumped)
+	if len(complete) != 1 || len(truncated) != 1 || len(waketrace.Check(complete)) != 0 {
+		t.Fatalf("offline: %d complete, %d truncated, problems %v",
+			len(complete), len(truncated), waketrace.Check(complete))
+	}
+}
+
+// The negative case: the same flow with nothing evicted and its parent
+// node's events deleted by hand is inside the window, so the missing
+// parent is still reported.
+func TestSplitTruncatedKeepsRealOrphans(t *testing.T) {
+	tr := obs.NewTracer(1024)
+	tr.Enable()
+	chainedFlow(tr, 7, 18)
+	tr.Disable()
+	if h := tr.Horizon(); h != 0 {
+		t.Fatalf("Horizon = %d with nothing evicted, want 0", h)
+	}
+	var evs []waketrace.Event
+	for _, ev := range waketrace.FromObs(tr.Events()) {
+		if ev.Lane == 18 {
+			continue
+		}
+		evs = append(evs, ev)
+	}
+	complete, truncated := waketrace.SplitTruncated(waketrace.Build(evs), tr.Horizon())
+	if len(complete) != 1 || len(truncated) != 0 {
+		t.Fatalf("%d complete, %d truncated, want 1 and 0", len(complete), len(truncated))
+	}
+	if len(waketrace.Check(complete)) == 0 {
+		t.Fatal("a parent hop missing inside the retention window went unreported")
 	}
 }
