@@ -31,7 +31,7 @@
 //	                 -faultrate and -duration bound the storm. On failure
 //	                 the exact replay command is printed. -trace writes
 //	                 the run's Chrome trace, validates its causal wake
-//	                 chains in-run, and prints the cvtrace command that
+//	                 flows in-run, and prints the cvtrace command that
 //	                 analyzes it offline; failure flight dumps carry the
 //	                 trace path in their detail block.
 //
@@ -156,7 +156,7 @@ func main() {
 	duration := flag.Duration("duration", 2*time.Second, "chaos/blackbox mode: soak time per system")
 	introspectAddr := flag.String("introspect", "", "serve /debug/cv/* live-introspection endpoints on this address (e.g. 127.0.0.1:0)")
 	dumpDir := flag.String("dumpdir", "", "chaos/blackbox mode: flight-recorder dump directory (default: system temp)")
-	tracePath := flag.String("trace", "", "chaos mode: write the run's Chrome trace here and validate its wake chains (analyze with cmd/cvtrace)")
+	tracePath := flag.String("trace", "", "chaos mode: write the run's Chrome trace here and validate its wake flows (analyze with cmd/cvtrace)")
 	traceBuf := flag.Int("tracebuf", 1<<16, "chaos mode: tracer ring-buffer capacity in events")
 	stateDir := flag.String("state", "", "blackbox mode: oracle state directory (journal + periodic snapshots) for crash testing")
 	checkpoint := flag.Duration("checkpoint", 100*time.Millisecond, "blackbox mode: snapshot interval when -state is set")
@@ -477,33 +477,22 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 	}
 	code = worseCode(code, runSemChaos(goroutines, seed, rate, dur))
 	// -trace: dump the ring for offline analysis and validate the wake
-	// chains in-run. Each trace shard keeps its last N events, so flows
+	// flows in-run. Each trace shard keeps its last N events, so flows
 	// that began at or before the retention horizon may lack their root
-	// or some hops — those are truncation, not corruption, and are
+	// or some posts — those are truncation, not corruption, and are
 	// skipped (cvtrace -check does the same from the dumped horizon).
 	detail := map[string]any{"seed": seed, "faultrate": rate, "goroutines": goroutines}
 	if tracePath != "" {
 		tr := reg.Tracer()
-		if err := func() error {
-			f, err := os.Create(tracePath)
-			if err != nil {
-				return err
-			}
-			if err := tr.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}(); err != nil {
+		if err := tr.WriteChromeTraceFile(tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, "cvstress: trace write failed:", err)
 			code = worseCode(code, exitSetup)
 		} else {
 			detail["trace"] = tracePath
-			complete, truncated := waketrace.SplitTruncated(
-				waketrace.Build(waketrace.FromObs(tr.Events())), tr.Horizon())
-			if problems := waketrace.Check(complete); len(problems) != 0 {
+			complete, truncated, problems := waketrace.CheckTracer(tr)
+			if len(problems) != 0 {
 				for _, p := range problems {
-					fmt.Fprintln(os.Stderr, "cvstress: wake-chain violation:", p)
+					fmt.Fprintln(os.Stderr, "cvstress: wake-flow violation:", p)
 				}
 				code = worseCode(code, exitInvariant)
 			}
@@ -604,13 +593,13 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 
 	// Race probes on the same injected engine: the timed-wait race and
 	// the cancellation race, each holding the lost/spurious invariant.
-	cv := core.New(e, tk.CVOpts)
+	cv := core.New(e, core.Options{})
 	cv.SetStats(cvStats)
 	cv.RegisterIntrospect(reg, e.Name()+"/probe")
 	// Broadcast probe state: a separate condvar with a wide wait set, woken
-	// by single chained NotifyAll batches while the injector stalls the
+	// by single NotifyAll batches while the injector stalls the
 	// post/park/notify hook points underneath.
-	bcv := core.New(e, tk.CVOpts)
+	bcv := core.New(e, core.Options{})
 	bcv.SetStats(cvStats)
 	var bm syncx.Mutex
 	bgen := 0
@@ -679,7 +668,7 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 		// wait entered under one lock hold, so every waiter either parks
 		// before the flip (and must be in the batch) or observes the new
 		// generation and never sleeps — any waiter still parked after the
-		// broadcast is a lost wake-up in the chained hand-off.
+		// broadcast is a lost wake-up in the batch post loop.
 		if i%16 == 5 {
 			const wide = 48
 			start := bgen

@@ -2,10 +2,9 @@
 // endpoints (DESIGN.md §10): point it at a process started with
 // -introspect and it polls /debug/cv/vars, /debug/cv/waiters and
 // /debug/cv/conflicts, rendering engine health, commit/abort rates, the
-// busiest condition variables with their deepest waiters, the causal
-// wake-chain pane (chain depth, hand-off hop latency, and who consumed
-// each wake: the waiter, a timeout, or a cancellation), and the
-// hottest transactional Vars by attributed aborts.
+// busiest condition variables with their deepest waiters, the wake
+// pane (who consumed each wake: the waiter, a timeout, or a
+// cancellation), and the hottest transactional Vars by attributed aborts.
 //
 // Usage:
 //
@@ -379,48 +378,33 @@ func render(w *strings.Builder, cur, prev *sample, topN int) {
 		}
 	}
 
-	renderWakeChains(w, cur, topN)
+	renderWakes(w, cur, topN)
 	renderConflicts(w, cur, topN)
 }
 
-// renderWakeChains prints the causal wake-propagation pane: per-source
-// chain depth, hand-off hop latency and consumer attribution, read from
-// the cv_wake_chain_depth / cv_handoff_hop_ns / cv_wake_consumed_total
-// instruments (engine-level rows and any per-CV rows registered via
-// RegisterChainMetrics).
-func renderWakeChains(w *strings.Builder, cur *sample, topN int) {
-	type chainRow struct {
+// renderWakes prints the wake pane: per-source consumer attribution,
+// read from the cv_wake_consumed_total counter sets (engine-level rows
+// and any per-CV rows registered via RegisterConsumedMetrics).
+func renderWakes(w *strings.Builder, cur *sample, topN int) {
+	type wakeRow struct {
 		src                string
-		depth, hop         histVar
 		waiter, timed, cxl float64
 	}
-	rows := map[string]*chainRow{}
-	get := func(labels string) *chainRow {
+	rows := map[string]*wakeRow{}
+	for k, v := range cur.scalars {
+		name, labels := splitKey(k)
+		if name != "cv_wake_consumed_total" {
+			continue
+		}
 		src := labelValue(labels, "cv")
 		if src == "" {
 			src = labelValue(labels, "engine")
 		}
 		r := rows[src]
 		if r == nil {
-			r = &chainRow{src: src}
+			r = &wakeRow{src: src}
 			rows[src] = r
 		}
-		return r
-	}
-	for k, h := range cur.hists {
-		switch name, labels := splitKey(k); name {
-		case "cv_wake_chain_depth":
-			get(labels).depth = h
-		case "cv_handoff_hop_ns":
-			get(labels).hop = h
-		}
-	}
-	for k, v := range cur.scalars {
-		name, labels := splitKey(k)
-		if name != "cv_wake_consumed_total" {
-			continue
-		}
-		r := get(labels)
 		switch labelValue(labels, "by") {
 		case "waiter":
 			r.waiter = v
@@ -430,28 +414,26 @@ func renderWakeChains(w *strings.Builder, cur *sample, topN int) {
 			r.cxl = v
 		}
 	}
-	var out []*chainRow
+	if len(rows) == 0 {
+		return
+	}
+	out := make([]*wakeRow, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, r)
 	}
-	if len(out) == 0 {
-		return
-	}
+	total := func(r *wakeRow) float64 { return r.waiter + r.timed + r.cxl }
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].depth.Count != out[j].depth.Count {
-			return out[i].depth.Count > out[j].depth.Count
+		if total(out[i]) != total(out[j]) {
+			return total(out[i]) > total(out[j])
 		}
 		return out[i].src < out[j].src
 	})
 	if len(out) > topN {
 		out = out[:topN]
 	}
-	fmt.Fprintf(w, "\n%-24s %10s %6s %6s %12s %10s %9s %8s\n",
-		"WAKE CHAINS", "WAKES", "D-P50", "D-MAX", "HOP P99", "WAITER", "TIMEOUT", "CANCEL")
+	fmt.Fprintf(w, "\n%-24s %10s %10s %9s %8s\n", "WAKES CONSUMED", "TOTAL", "WAITER", "TIMEOUT", "CANCEL")
 	for _, r := range out {
-		fmt.Fprintf(w, "%-24s %10d %6d %6d %12s %10.0f %9.0f %8.0f\n",
-			r.src, r.depth.Count, r.depth.P50, r.depth.Max,
-			time.Duration(r.hop.P99).Round(time.Nanosecond), r.waiter, r.timed, r.cxl)
+		fmt.Fprintf(w, "%-24s %10.0f %10.0f %9.0f %8.0f\n", r.src, total(r), r.waiter, r.timed, r.cxl)
 	}
 }
 

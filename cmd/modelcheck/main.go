@@ -6,16 +6,19 @@
 //     "WaitStep2 returns false" at every linearization, and the absence of
 //     lost wake-ups in terminal states;
 //   - the IMPLEMENTATION model (Algorithms 3–6, the transactional queue of
-//     semaphores with commit-deferred SEMPOST): each semaphore receives at
-//     most one post, no waiter wakes unposted, and no notified waiter is
-//     lost.
+//     semaphores with commit-deferred SEMPOST, and the timeout/cancel
+//     loser path): each semaphore receives at most one post, no waiter
+//     wakes unposted, no notified waiter is lost, and no finished waiter
+//     leaves a permit behind.
 //
 // Usage:
 //
 //	modelcheck [-waiters N] [-notifyone N] [-notifyall N]
 //
-// With no flags, a standard battery of mixes runs. State counts grow
-// combinatorially; mixes up to 5 threads verify in well under a second.
+// With no flags, a standard battery of mixes runs, including the loser
+// mixes (timed waiters, which only the implementation model has). State
+// counts grow combinatorially; mixes up to 5 threads verify in well
+// under a second.
 package main
 
 import (
@@ -33,41 +36,45 @@ func main() {
 	flag.Parse()
 
 	if *waiters+*notifyOne+*notifyAll > 0 {
-		runMix(*waiters, *notifyOne, *notifyAll)
+		runMix(*waiters, 0, *notifyOne, *notifyAll)
 		return
 	}
 
-	battery := [][3]int{
-		{1, 1, 0}, {2, 1, 0}, {2, 2, 0}, {3, 2, 0},
-		{1, 0, 1}, {2, 0, 1}, {3, 0, 1}, {2, 0, 2},
-		{2, 1, 1}, {3, 1, 1},
+	// {live waiters, timed waiters, NotifyOnes, NotifyAlls}
+	battery := [][4]int{
+		{1, 0, 1, 0}, {2, 0, 1, 0}, {2, 0, 2, 0}, {3, 0, 2, 0},
+		{1, 0, 0, 1}, {2, 0, 0, 1}, {3, 0, 0, 1}, {2, 0, 0, 2},
+		{2, 0, 1, 1}, {3, 0, 1, 1},
+		{0, 1, 1, 0}, {1, 1, 1, 0}, {0, 2, 0, 1}, {1, 2, 0, 1},
+		{1, 1, 1, 1}, {0, 2, 2, 0},
 	}
 	for _, m := range battery {
-		runMix(m[0], m[1], m[2])
+		runMix(m[0], m[1], m[2], m[3])
 	}
 	fmt.Println("RESULT: all mixes verified")
 }
 
-func runMix(w, n1, na int) {
+// runMix checks one mix under both models. Timed waiters exist only in
+// the implementation model; the abstract model sees them as waiters that
+// never give up.
+func runMix(w, timed, n1, na int) {
 	var abs []core.Role
 	var impl []core.ImplRole
-	for i := 0; i < w; i++ {
-		abs = append(abs, core.RoleWaiter)
-		impl = append(impl, core.ImplWaiter)
+	add := func(n int, a core.Role, i core.ImplRole) {
+		for ; n > 0; n-- {
+			abs = append(abs, a)
+			impl = append(impl, i)
+		}
 	}
-	for i := 0; i < n1; i++ {
-		abs = append(abs, core.RoleNotifyOne)
-		impl = append(impl, core.ImplNotifyOne)
-	}
-	for i := 0; i < na; i++ {
-		abs = append(abs, core.RoleNotifyAll)
-		impl = append(impl, core.ImplNotifyAll)
-	}
+	add(w, core.RoleWaiter, core.ImplWaiter)
+	add(timed, core.RoleWaiter, core.ImplTimedWaiter)
+	add(n1, core.RoleNotifyOne, core.ImplNotifyOne)
+	add(na, core.RoleNotifyAll, core.ImplNotifyAll)
 
 	aRes, aErr := core.CheckModel(abs)
 	iRes, iErr := core.CheckImplModel(impl)
-	fmt.Printf("mix %dw/%dn1/%dnall: abstract %6d states, impl %6d states",
-		w, n1, na, aRes.States, iRes.States)
+	fmt.Printf("mix %dw/%dtimed/%dn1/%dnall: abstract %6d states, impl %6d states",
+		w, timed, n1, na, aRes.States, iRes.States)
 	if aErr != nil || iErr != nil {
 		fmt.Println("  VIOLATION")
 		if aErr != nil {

@@ -21,7 +21,6 @@
 //	-trace out.json             record a Chrome trace_event file of the run
 //	-tracebuf N                 trace ring-buffer capacity in events
 //	-introspect addr            serve /debug/cv/* live endpoints while running
-//	-wakefanout N               NotifyAll chained-wake fan-out (0 = default)
 //	-profile                    enable STM contention attribution
 //
 // Examples:
@@ -38,7 +37,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
@@ -64,7 +62,6 @@ func main() {
 	traceBuf := flag.Int("tracebuf", 1<<20, "trace ring-buffer capacity in events")
 	introspectAddr := flag.String("introspect", "", "serve /debug/cv/* live-introspection endpoints on this address (e.g. 127.0.0.1:6070)")
 	quiet := flag.Bool("quiet", false, "suppress live progress")
-	wakeFanout := flag.Int("wakefanout", 0, "NotifyAll wake fan-out (chains started by the notifier; 0 = default pacing)")
 	profile := flag.Bool("profile", false, "enable STM contention attribution (per-Var conflict counters; auto-on with -introspect)")
 	flag.Parse()
 
@@ -118,7 +115,6 @@ func main() {
 		Scale:          effScale,
 		Seed:           *seed,
 		CollectMetrics: *metrics,
-		CVOpts:         core.Options{WakeFanout: *wakeFanout},
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr
@@ -157,28 +153,21 @@ func main() {
 
 	if *tracePath != "" {
 		cfg.Tracer.Disable()
-		if err := writeTrace(cfg.Tracer, *tracePath); err != nil {
+		if err := cfg.Tracer.WriteChromeTraceFile(*tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, "parsecbench:", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "parsecbench: wrote trace (%d events) to %s\n",
 			cfg.Tracer.Emitted(), *tracePath)
-		// In-run causal-chain summary: reconstruct the wake DAGs straight
-		// from the ring so a broken chain is caught at the source, then
-		// point at the offline analyzer for the full critical-path report.
-		dags := waketrace.Build(waketrace.FromObs(cfg.Tracer.Events()))
-		hops, consumed, orphans := 0, 0, 0
-		for _, d := range dags {
-			hops += len(d.Hops)
-			c, _ := d.Consumed()
-			consumed += c
-			orphans += len(d.Orphans)
-		}
-		fmt.Fprintf(os.Stderr, "parsecbench: wake chains: %d flow(s), %d hop(s), %d consumed, %d orphan(s)\n",
-			len(dags), hops, consumed, orphans)
-		if problems := waketrace.Check(dags); len(problems) != 0 {
+		// In-run wake-flow check: rebuild the flows straight from the ring
+		// (those it cut short set aside) so a broken one is caught at the
+		// source, then point at the offline analyzer for the full report.
+		complete, truncated, problems := waketrace.CheckTracer(cfg.Tracer)
+		fmt.Fprintf(os.Stderr, "parsecbench: %d wake flows, %d truncated at window start\n",
+			len(complete), len(truncated))
+		if len(problems) != 0 {
 			for _, p := range problems {
-				fmt.Fprintln(os.Stderr, "parsecbench: wake-chain violation:", p)
+				fmt.Fprintln(os.Stderr, "parsecbench: wake-flow violation:", p)
 			}
 			os.Exit(1)
 		}
@@ -197,18 +186,4 @@ func main() {
 	default:
 		fmt.Print(sw.Render(figure))
 	}
-}
-
-// writeTrace exports the recorded events as a Chrome trace_event file
-// (load it at chrome://tracing or https://ui.perfetto.dev).
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -52,64 +52,49 @@ func collectAll(t *testing.T, done []chan struct{}, what string) {
 }
 
 // A batched NotifyAll must wake every waiter exactly once — conservation
-// across every fan-out, from the pure chain (fanout 1) to a fan-out
-// wider than the batch (the notifier posts every waiter itself) — and
-// leave the queue and depth gauge empty.
+// over a wide batch — and leave the queue and depth gauge empty.
 func TestNotifyAllBatchedConservation(t *testing.T) {
 	const waiters = 64
-	cases := []struct {
-		name string
-		opts Options
-	}{
-		{"default fanout", Options{}},
-		{"fanout 1 (pure chain)", Options{WakeFanout: 1}},
-		{"fanout 3", Options{WakeFanout: 3}},
-		{"fanout > batch", Options{WakeFanout: waiters * 2}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			e := stm.NewEngine(stm.Config{})
-			cv := New(e, tc.opts)
-			st := &CVStats{}
-			cv.SetStats(st)
+	e := stm.NewEngine(stm.Config{})
+	cv := New(e, Options{})
+	st := &CVStats{}
+	cv.SetStats(st)
 
-			var m syncx.Mutex
-			gen := 0
-			done := parkWaiters(t, cv, &m, &gen, waiters)
-			m.Lock()
-			gen++
-			m.Unlock()
-			if n := cv.NotifyAll(nil); n != waiters {
-				t.Fatalf("NotifyAll = %d, want %d", n, waiters)
-			}
-			collectAll(t, done, "broadcast")
-			if n := cv.Len(); n != 0 {
-				t.Errorf("Len = %d after broadcast, want 0", n)
-			}
-			if d := cv.Depth(); d != 0 {
-				t.Errorf("Depth = %d after broadcast, want 0", d)
-			}
-			snap := st.Snapshot()
-			if snap["woken"] != waiters || snap["waits"] != waiters {
-				t.Errorf("woken/waits = %d/%d, want %d/%d", snap["woken"], snap["waits"], waiters, waiters)
-			}
-			if snap["notify_alls"] != 1 {
-				t.Errorf("notify_alls = %d, want 1", snap["notify_alls"])
-			}
-			if snap["sem_posts"] != waiters {
-				t.Errorf("sem_posts = %d, want %d (exactly one post per waiter)", snap["sem_posts"], waiters)
-			}
-			h := st.Histograms()
-			if h["wake_batch"].Count != 1 || h["wake_batch"].Max != waiters {
-				t.Errorf("wake_batch = %+v, want one batch of %d", h["wake_batch"], waiters)
-			}
-			if h["broadcast_ns"].Count != 1 {
-				t.Errorf("broadcast_ns count = %d, want 1 (last wake observes the batch)", h["broadcast_ns"].Count)
-			}
-			if h["queue_depth"].Count != waiters || h["queue_depth"].Max != waiters {
-				t.Errorf("queue_depth = %+v, want %d descending observations from %d", h["queue_depth"], waiters, waiters)
-			}
-		})
+	var m syncx.Mutex
+	gen := 0
+	done := parkWaiters(t, cv, &m, &gen, waiters)
+	m.Lock()
+	gen++
+	m.Unlock()
+	if n := cv.NotifyAll(nil); n != waiters {
+		t.Fatalf("NotifyAll = %d, want %d", n, waiters)
+	}
+	collectAll(t, done, "broadcast")
+	if n := cv.Len(); n != 0 {
+		t.Errorf("Len = %d after broadcast, want 0", n)
+	}
+	if d := cv.Depth(); d != 0 {
+		t.Errorf("Depth = %d after broadcast, want 0", d)
+	}
+	snap := st.Snapshot()
+	if snap["woken"] != waiters || snap["waits"] != waiters {
+		t.Errorf("woken/waits = %d/%d, want %d/%d", snap["woken"], snap["waits"], waiters, waiters)
+	}
+	if snap["notify_alls"] != 1 {
+		t.Errorf("notify_alls = %d, want 1", snap["notify_alls"])
+	}
+	if snap["sem_posts"] != waiters {
+		t.Errorf("sem_posts = %d, want %d (exactly one post per waiter)", snap["sem_posts"], waiters)
+	}
+	h := st.Histograms()
+	if h["wake_batch"].Count != 1 || h["wake_batch"].Max != waiters {
+		t.Errorf("wake_batch = %+v, want one batch of %d", h["wake_batch"], waiters)
+	}
+	if h["broadcast_ns"].Count != 1 {
+		t.Errorf("broadcast_ns count = %d, want 1 (last wake observes the batch)", h["broadcast_ns"].Count)
+	}
+	if h["queue_depth"].Count != waiters || h["queue_depth"].Max != waiters {
+		t.Errorf("queue_depth = %+v, want %d descending observations from %d", h["queue_depth"], waiters, waiters)
 	}
 }
 
@@ -117,7 +102,7 @@ func TestNotifyAllBatchedConservation(t *testing.T) {
 // queue order and leaves the rest enqueued.
 func TestNotifyNPartialBatch(t *testing.T) {
 	e := stm.NewEngine(stm.Config{})
-	cv := New(e, Options{WakeFanout: 2})
+	cv := New(e, Options{})
 	st := &CVStats{}
 	cv.SetStats(st)
 
@@ -204,7 +189,7 @@ func TestNotifyAllBatchAbortDiscards(t *testing.T) {
 		t.Fatal("aborted broadcast observed a wake batch")
 	}
 
-	// Commit it for real: the full chain appears for every waiter.
+	// Commit it for real: notify, sempost and wake appear for every waiter.
 	m.Lock()
 	gen++
 	m.Unlock()

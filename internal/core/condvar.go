@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,26 +30,10 @@ const (
 	LIFO
 )
 
-// DefaultWakeFanout is the number of hand-off chains a committed
-// broadcast starts when Options.WakeFanout is zero. Fan-out 1 is a pure
-// chain (minimum notifier work, maximum wake-to-wake latency for the
-// tail); fan-out == batch size degenerates to the serial wake loop. 8
-// keeps the notifier's commit handler O(1)-ish while giving the chain
-// log-depth parallelism on typical core counts.
-const DefaultWakeFanout = 8
-
 // Options configures a CondVar.
 type Options struct {
 	// Policy selects the NotifyOne victim discipline. Default FIFO.
 	Policy Policy
-	// WakeFanout is the number of waiters a committed NotifyAll/NotifyN
-	// unparks itself; the rest are unparked in chains, each woken waiter
-	// unparking its successor. Zero means auto: DefaultWakeFanout, or a
-	// direct post of the whole batch when GOMAXPROCS is 1 (chains cost
-	// scheduling hops that only parallelism wins back). A fan-out at or
-	// above the batch size is the serial wake loop: the notifier posts
-	// every waiter itself.
-	WakeFanout int
 }
 
 // CVStats aggregates condition-variable activity.
@@ -74,22 +57,22 @@ type CVStats struct {
 
 	// Broadcast shape: how many waiters each committed NotifyAll/NotifyN
 	// batch dequeued, and how long the whole batch took from the commit
-	// handler starting to the last waiter resuming (the commit-to-last-
-	// wake latency the scalable wake path optimizes).
+	// handler starting to the last waiter resuming.
 	WakeBatch      obs.Histogram // waiters per committed notify batch
 	BroadcastNanos obs.Histogram // ns: batch commit → last waiter resumed
 
-	// Wake-chain shape (DESIGN.md §15): how deep each consumed wake sat
-	// in its hand-off chain (1 = posted by the notifier itself), the
-	// per-hop hand-off latency for chained hops (post → consuming
-	// waiter's resume, hop index >= 1), and which kind of waiter consumed
-	// each wake — a timeout/cancel loser that kept a raced permit still
-	// drains the chain but shows up under its own consumer label.
-	WakeChainDepth      obs.Histogram // chain position of each consumed wake (hop+1)
-	HandoffHopNanos     obs.Histogram // ns: chained hop post → consume
-	WakeConsumedWaiter  stats.Counter // wakes consumed by live waiters
-	WakeConsumedTimeout stats.Counter // wakes consumed by timed-out losers
-	WakeConsumedCancel  stats.Counter // wakes consumed by cancelled losers
+	// WakeConsumed counts consumed wakes by the kind of waiter that
+	// consumed them, indexed by the obs.WakeBy* codes (DESIGN.md §15): a
+	// timeout/cancel loser that kept a raced permit shows up under its
+	// own consumer label.
+	WakeConsumed [3]stats.Counter
+
+	// WakeChainDepth observes the constant 1 per consumed wake: every
+	// post comes from the notifier's commit handler (Algorithm 6), there
+	// is no chain. Its only reader is benchmark/run.go (the
+	// core.wake_chain_depth_p99 rung), which this tree may not edit; the
+	// next benchmark-archetype issue removes the rung and this field.
+	WakeChainDepth obs.Histogram
 
 	// Sem aggregates the node semaphores' activity (park durations live
 	// in Sem.ParkNanos). Attached to each node's semaphore lazily.
@@ -153,42 +136,27 @@ type Node struct {
 	// enqueueBody); built once per node, reused across pool recycles.
 	enqBody func(*stm.Tx)
 
-	// Chained hand-off state, set by a committed notify batch
-	// (wakeCommitted) and consumed exactly once by the woken owner in
-	// noteWake: wakeNext is the next waiter this one must unpark, batch
-	// tracks the broadcast this wake belongs to for the commit-to-last-
-	// wake histogram. Both are nil outside a batch wake.
-	wakeNext atomic.Pointer[Node]
-	batch    atomic.Pointer[wakeBatch]
+	// batch is the broadcast this wake belongs to, for the commit-to-
+	// last-wake histogram: set by a committed notify batch
+	// (wakeCommitted), consumed exactly once by the woken owner in
+	// noteWake, nil outside a batch wake.
+	batch atomic.Pointer[wakeBatch]
 
-	// Causal wake stamp (DESIGN.md §15), stored by the poster in
-	// wakeNode before the semaphore post and consumed (Swap(0)) by the
-	// woken owner in noteWake. The semaphore hand-off orders the stores
-	// before the owner's reads; atomics keep concurrent scrapers safe,
-	// exactly like the timestamps above. wakeID is the engine-scoped
-	// flow id minted by the committed notify; wakeHop is this node's
-	// 0-based position in its hand-off chain.
-	wakeID  atomic.Uint64
-	wakeHop atomic.Int64
+	// wakeID is the causal wake stamp (DESIGN.md §15): the flow id the
+	// committed notify minted, stored by wakeNode before the semaphore
+	// post and consumed (Swap(0)) by the woken owner in noteWake. The
+	// semaphore hand-off orders the store before the owner's read; the
+	// atomic keeps concurrent scrapers safe, like the timestamps above.
+	wakeID atomic.Uint64
 }
 
-// wakeCtx is the causal context a poster stamps onto the node it wakes:
-// the flow id of the committed notify, the poster's own node id (0 when
-// the poster is the notifier's commit handler), and the hop index the
-// woken node occupies in its chain.
-type wakeCtx struct {
-	id     uint64
-	parent uint64
-	hop    int64
-}
-
-// wakeBatch is the shared bookkeeping of one committed notify batch:
-// every woken waiter decrements remaining, and the last one observes
-// the batch's commit-to-last-wake latency.
+// wakeBatch is the shared bookkeeping of one committed notify batch
+// (allocated only when stats are attached): every woken waiter
+// decrements remaining, and the last one observes the batch's
+// commit-to-last-wake latency.
 type wakeBatch struct {
 	startNS   int64
 	remaining atomic.Int64
-	st        *CVStats
 }
 
 // nodeSeq hands out trace-lane ids for nodes across all condvars.
@@ -226,36 +194,27 @@ type CondVar struct {
 	// exact despite living outside the STM.
 	depth stats.Gauge
 
-	// procs is GOMAXPROCS sampled once at construction: the auto
-	// wake-fanout policy reads it on every committed broadcast, and
-	// re-sampling there put a runtime call on the commit handler's
-	// critical path (the same once-per-object rule sem.Sem applies).
-	procs int
-
 	// depthInc is the enqueue commit handler, allocated once: every
 	// Wait registers it via OnCommit, and building the closure per
 	// enqueue attempt was a measurable share of the park path's garbage.
 	depthInc func()
 
-	// Per-condvar wake-chain instruments behind RegisterChainMetrics
-	// (the named-CV view of the aggregate CVStats chain metrics).
-	// chainOn is a setup-time flag like st: when false — the default —
-	// the wake path never touches these.
-	chainOn    bool
-	chainDepth obs.Histogram
-	hopNanos   obs.Histogram
+	// Per-condvar consumed-by counters behind RegisterConsumedMetrics
+	// (the named-CV view of CVStats.WakeConsumed). consumedOn is a
+	// setup-time flag like st: when false — the default — the wake path
+	// never touches them.
+	consumedOn bool
 	consumed   [3]stats.Counter // indexed by obs.WakeBy* consumer codes
 }
 
 // New creates a condition variable whose internal transactions run on e.
 func New(e *stm.Engine, opts Options) *CondVar {
 	cv := &CondVar{
-		e:     e,
-		head:  stm.NewVar[*Node](e, nil),
-		tail:  stm.NewVar[*Node](e, nil),
-		opts:  opts,
-		id:    cvSeq.Add(1),
-		procs: runtime.GOMAXPROCS(0),
+		e:    e,
+		head: stm.NewVar[*Node](e, nil),
+		tail: stm.NewVar[*Node](e, nil),
+		opts: opts,
+		id:   cvSeq.Add(1),
 	}
 	cv.depthInc = func() { cv.depth.Inc() }
 	cv.pool.New = func() any { return cv.newNode() }
@@ -341,11 +300,9 @@ func (cv *CondVar) releaseNode(n *Node) {
 	n.gen.Add(1)
 	n.inQueue.Store(false)
 	// noteWake consumed these on every legal path; clear anyway so a
-	// recycled node never inherits a stale chain link, batch, or flow.
-	n.wakeNext.Store(nil)
+	// recycled node never inherits a stale batch or flow.
 	n.batch.Store(nil)
 	n.wakeID.Store(0)
-	n.wakeHop.Store(0)
 	n.tag.StoreDirect(nil) // cvlint:ignore directstore woken node is owner-private (Section 3.3)
 	cv.pool.Put(n)
 }
@@ -399,6 +356,71 @@ func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 	}
 }
 
+// enqueueSelf is the front half of every WAIT (Algorithm 4 lines 1–8):
+// take a node from the pool, privatize it, and insert it into the wait
+// queue — inside tx when the caller is transactional, in its own
+// transaction otherwise. The caller then ends its sync block (line 9)
+// and hands the node to park.
+func (cv *CondVar) enqueueSelf(tx *stm.Tx, tag any) *Node {
+	n := cv.acquireNode()
+	n.next.StoreDirect(nil) // line 1: the node is private here; cvlint:ignore directstore privatized (Section 3.3)
+	if tag != nil {
+		n.tag.StoreDirect(tag) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
+	}
+	cv.enqueue(tx, n) // lines 2–8
+	return n
+}
+
+// park is the back half of every WAIT (Algorithm 4 line 10 and the
+// abortable variants): sleep on the enqueued node's semaphore, settle
+// the timeout/cancel race, record the wake and return the node to the
+// pool (only its immutable id may be read afterwards). loser selects the
+// SEMWAIT: obs.WakeByWaiter sleeps until notified, obs.WakeByTimeout
+// gives up after d, obs.WakeByCancel when ctx is done. It reports the
+// consumed wake's flow id (0 when none) and whether the wait ended by
+// notification.
+//
+// Giving up races with notification: the loser unlinks itself
+// transactionally, which serializes against any in-flight notifier —
+// exactly one of them dequeues the node. If a notifier got it first its
+// post is banked or imminent (after its outer transaction commits), so
+// the notification wins: the loser consumes the post — abandoning it
+// would strand a permit in the pooled node and wake a future, unrelated
+// waiter spuriously — and the wake is attributed to the loser kind.
+func (cv *CondVar) park(n *Node, loser int64, d time.Duration, ctx context.Context) (flow uint64, notified bool) {
+	// Fault hook: the paper's lost-wakeup window — enqueued and visible
+	// to notifiers, sync block over, but not yet asleep. A notify landing
+	// here must be memorized by the semaphore, never lost.
+	cv.faultWindow(fault.CVEnqueue, n.id)
+	by, woken := obs.WakeByWaiter, true
+	switch loser {
+	case obs.WakeByTimeout:
+		woken = n.sem.WaitTimeout(d)
+	case obs.WakeByCancel:
+		woken = n.sem.WaitCtx(ctx)
+	default:
+		n.sem.Wait() // line 10: sleep until notified
+	}
+	if !woken {
+		if cv.removeNode(n) {
+			cv.releaseNode(n)
+			if cv.st != nil {
+				if loser == obs.WakeByTimeout {
+					cv.st.Timeouts.Inc()
+				} else {
+					cv.st.Cancels.Inc()
+				}
+			}
+			return 0, false
+		}
+		n.sem.Wait()
+		by = loser
+	}
+	flow = cv.noteWake(n, by)
+	cv.releaseNode(n)
+	return flow, true
+}
+
 // Wait is Algorithm 4: the continuation-passing WAIT.
 //
 // The caller must hold the synchronization context described by s (the
@@ -413,35 +435,22 @@ func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 // There are no spurious wake-ups: Wait returns only after a matching
 // NotifyOne/NotifyAll/NotifyBest posted this thread's semaphore.
 func (cv *CondVar) Wait(s syncx.Sync, cont func(syncx.Sync)) {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // line 1: the node is private here; cvlint:ignore directstore privatized (Section 3.3)
-	cv.enqueue(s.Tx(), n)   // lines 2–8
-	s.End()                 // line 9: break atomicity
-	// Fault hook: the paper's lost-wakeup window — enqueued and visible
-	// to notifiers, sync block over, but not yet asleep. A notify landing
-	// here must be memorized by the semaphore, never lost.
-	cv.faultWindow(fault.CVEnqueue, n.id)
-	n.sem.Wait() // line 10: sleep until notified
-	flow, hop := cv.noteWake(n, obs.WakeByWaiter)
-	cv.releaseNode(n)
-	if cont != nil {
-		s.Exec(cv.flowCont(flow, hop, cont)) // lines 11–13
-	}
+	cv.WaitTagged(s, nil, cont)
 }
 
 // flowCont wraps a continuation so its re-established transaction is
-// bound into the wake DAG that resumed the waiter (an EvWakeTxn flow
+// bound into the wake flow that resumed waiter node (an EvWakeTxn flow
 // step, commit-deferred via Tx.TraceFlow: an aborted continuation
 // attempt never claims its wake). When there is no flow to bind or the
 // tracer is disarmed it returns cont unchanged — no closure allocation
 // on the zero-overhead path.
-func (cv *CondVar) flowCont(flow uint64, hop int64, cont func(syncx.Sync)) func(syncx.Sync) {
+func (cv *CondVar) flowCont(flow, node uint64, cont func(syncx.Sync)) func(syncx.Sync) {
 	if flow == 0 || !cv.e.Tracer().Enabled() {
 		return cont
 	}
 	return func(s syncx.Sync) {
 		if tx := s.Tx(); tx != nil {
-			tx.TraceFlow(obs.EvWakeTxn, flow, hop, 0)
+			tx.TraceFlow(obs.EvWakeTxn, flow, int64(node), 0)
 		}
 		cont(s)
 	}
@@ -451,17 +460,11 @@ func (cv *CondVar) flowCont(flow uint64, hop int64, cont func(syncx.Sync)) func(
 // can inspect (Section 3.4's "additional parameter provided to the WAIT
 // operation to describe the predicate upon which each thread is waiting").
 func (cv *CondVar) WaitTagged(s syncx.Sync, tag any, cont func(syncx.Sync)) {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	n.tag.StoreDirect(tag)  // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	cv.enqueue(s.Tx(), n)
-	s.End()
-	cv.faultWindow(fault.CVEnqueue, n.id)
-	n.sem.Wait()
-	flow, hop := cv.noteWake(n, obs.WakeByWaiter)
-	cv.releaseNode(n)
+	n := cv.enqueueSelf(s.Tx(), tag)
+	s.End() // line 9: break atomicity
+	flow, _ := cv.park(n, obs.WakeByWaiter, 0, nil)
 	if cont != nil {
-		s.Exec(cv.flowCont(flow, hop, cont))
+		s.Exec(cv.flowCont(flow, n.id, cont)) // lines 11–13
 	}
 }
 
@@ -471,14 +474,9 @@ func (cv *CondVar) WaitTagged(s syncx.Sync, tag any, cont func(syncx.Sync)) {
 // executes its own continuation in place (Section 4.1's "remove lines
 // 12–13" variant).
 func (cv *CondVar) WaitLocked(m *syncx.Mutex) {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	cv.enqueue(nil, n)
+	n := cv.enqueueSelf(nil, nil)
 	m.Unlock()
-	cv.faultWindow(fault.CVEnqueue, n.id)
-	n.sem.Wait()
-	cv.noteWake(n, obs.WakeByWaiter)
-	cv.releaseNode(n)
+	cv.park(n, obs.WakeByWaiter, 0, nil)
 	m.Lock()
 }
 
@@ -492,36 +490,11 @@ func (cv *CondVar) WaitLocked(m *syncx.Mutex) {
 // (possibly commit-deferred) semaphore post is consumed and the wait
 // reports true. No wake-up is ever lost and no node leaks.
 func (cv *CondVar) WaitLockedTimeout(m *syncx.Mutex, d time.Duration) bool {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	cv.enqueue(nil, n)
+	n := cv.enqueueSelf(nil, nil)
 	m.Unlock()
-	cv.faultWindow(fault.CVEnqueue, n.id)
-	if n.sem.WaitTimeout(d) {
-		cv.noteWake(n, obs.WakeByWaiter)
-		cv.releaseNode(n)
-		m.Lock()
-		return true
-	}
-	// Timed out. Unlink transactionally; this serializes against any
-	// in-flight notifier: exactly one of us dequeues the node.
-	if cv.removeNode(n) {
-		cv.releaseNode(n)
-		if cv.st != nil {
-			cv.st.Timeouts.Inc()
-		}
-		m.Lock()
-		return false
-	}
-	// A notifier got the node first; its post is banked or imminent
-	// (imminent = after its outer transaction commits). Treat as
-	// notified — but attribute the consumed wake to the timed-out loser,
-	// and let noteWake keep the hand-off chain draining through it.
-	n.sem.Wait()
-	cv.noteWake(n, obs.WakeByTimeout)
-	cv.releaseNode(n)
+	_, notified := cv.park(n, obs.WakeByTimeout, d, nil)
 	m.Lock()
-	return true
+	return notified
 }
 
 // WaitLockedCtx is WaitLocked with cancellation — the abortable wait
@@ -538,37 +511,11 @@ func (cv *CondVar) WaitLockedTimeout(m *syncx.Mutex, d time.Duration) bool {
 // semaphore, and no node leaks into the recycled pool while still
 // queue-reachable (the stmsan invariants assert both).
 func (cv *CondVar) WaitLockedCtx(m *syncx.Mutex, ctx context.Context) bool {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	cv.enqueue(nil, n)
+	n := cv.enqueueSelf(nil, nil)
 	m.Unlock()
-	cv.faultWindow(fault.CVEnqueue, n.id)
-	if n.sem.WaitCtx(ctx) {
-		cv.noteWake(n, obs.WakeByWaiter)
-		cv.releaseNode(n)
-		m.Lock()
-		return true
-	}
-	// Cancelled. Unlink transactionally; this serializes against any
-	// in-flight notifier: exactly one of us dequeues the node.
-	if cv.removeNode(n) {
-		cv.releaseNode(n)
-		if cv.st != nil {
-			cv.st.Cancels.Inc()
-		}
-		m.Lock()
-		return false
-	}
-	// A notifier got the node first; its post is banked or imminent
-	// (imminent = after its outer transaction commits). Consume it —
-	// abandoning it here would strand a permit in the pooled node and
-	// wake a future, unrelated waiter spuriously. The consumed wake is
-	// attributed to the cancelled loser; its chain successor still wakes.
-	n.sem.Wait()
-	cv.noteWake(n, obs.WakeByCancel)
-	cv.releaseNode(n)
+	_, notified := cv.park(n, obs.WakeByCancel, 0, ctx)
 	m.Lock()
-	return true
+	return notified
 }
 
 // WaitCtx is the continuation-passing Wait with cancellation, for
@@ -582,31 +529,13 @@ func (cv *CondVar) WaitLockedCtx(m *syncx.Mutex, ctx context.Context) bool {
 // The cancel/notify race resolves as in WaitLockedCtx: the notification
 // wins, and its permit is always consumed.
 func (cv *CondVar) WaitCtx(s syncx.Sync, ctx context.Context, cont func(syncx.Sync)) bool {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	cv.enqueue(s.Tx(), n)
+	n := cv.enqueueSelf(s.Tx(), nil)
 	s.End()
-	cv.faultWindow(fault.CVEnqueue, n.id)
-	by := obs.WakeByWaiter
-	if !n.sem.WaitCtx(ctx) {
-		if cv.removeNode(n) {
-			cv.releaseNode(n)
-			if cv.st != nil {
-				cv.st.Cancels.Inc()
-			}
-			return false
-		}
-		// Lost the race to a notifier: treat as notified, attributed to
-		// the cancelled loser (the chain still drains through noteWake).
-		n.sem.Wait()
-		by = obs.WakeByCancel
+	flow, notified := cv.park(n, obs.WakeByCancel, 0, ctx)
+	if notified && cont != nil {
+		s.Exec(cv.flowCont(flow, n.id, cont))
 	}
-	flow, hop := cv.noteWake(n, by)
-	cv.releaseNode(n)
-	if cont != nil {
-		s.Exec(cv.flowCont(flow, hop, cont))
-	}
-	return true
+	return notified
 }
 
 // removeNode unlinks target from the wait queue, reporting whether it was
@@ -661,19 +590,13 @@ func (cv *CondVar) removeNode(target *Node) bool {
 // The re-check loop handles oblivious wake-ups (several predicates on one
 // condvar), not spurious ones — there are none.
 func (cv *CondVar) WaitTx(tx *stm.Tx) {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	cv.enqueue(tx, n)
+	n := cv.enqueueSelf(tx, nil)
 	tx.CommitEarly()
-	cv.faultWindow(fault.CVEnqueue, n.id)
-	n.sem.Wait()
-	flow, hop := cv.noteWake(n, obs.WakeByWaiter)
-	cv.releaseNode(n)
-	if flow != 0 {
-		// Bind the waiter's resumed transaction into the wake DAG. tx is
+	if flow, _ := cv.park(n, obs.WakeByWaiter, 0, nil); flow != 0 {
+		// Bind the waiter's resumed transaction into the wake flow. tx is
 		// post-CommitEarly, so TraceFlow emits directly on the txn lane —
 		// the code from here to the lexical end runs exactly once.
-		tx.TraceFlow(obs.EvWakeTxn, flow, hop, 0)
+		tx.TraceFlow(obs.EvWakeTxn, flow, int64(n.id), 0)
 	}
 }
 
@@ -699,26 +622,17 @@ func (cv *CondVar) WaitTx(tx *stm.Tx) {
 //	    if done { return }
 //	}
 func (cv *CondVar) WaitAtCommit(tx *stm.Tx) {
-	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
-	cv.enqueue(tx, n)
-	tx.OnCommit(func() {
-		cv.faultWindow(fault.CVEnqueue, n.id)
-		n.sem.Wait()
-		cv.noteWake(n, obs.WakeByWaiter)
-		cv.releaseNode(n)
-	})
+	n := cv.enqueueSelf(tx, nil)
+	tx.OnCommit(func() { cv.park(n, obs.WakeByWaiter, 0, nil) })
 }
 
 // wakeNode performs the committed post of one dequeued node: the fault
 // window, the enqueue→notify latency observation, the causal wake stamp,
 // the sempost trace event, and the semaphore post itself. depth is the
-// committed queue depth the dequeue observed (0 for chained wakes, where
-// the poster is another waiter, not the notifier). wk is the causal
-// context of this post — the committed notify's wakeID and this node's
-// hop position. Queue-depth bookkeeping belongs to the caller —
-// notifyCommitted for singles, wakeCommitted for batches.
-func (cv *CondVar) wakeNode(n *Node, depth int64, wk wakeCtx) {
+// committed queue depth the dequeue observed; wakeID is the flow id the
+// committed notify minted. Queue-depth bookkeeping belongs to the
+// caller — notifyCommitted for singles, wakeCommitted for batches.
+func (cv *CondVar) wakeNode(n *Node, depth int64, wakeID uint64) {
 	// Fault hook: stall between the committed dequeue and the semaphore
 	// post — the window in which a timed-out or cancelled waiter races a
 	// wake-up it can no longer refuse.
@@ -732,13 +646,10 @@ func (cv *CondVar) wakeNode(n *Node, depth int64, wk wakeCtx) {
 	// Stored before Post: the semaphore hand-off orders these stores
 	// before the woken waiter's reads in noteWake (DESIGN.md §15).
 	n.notifiedNS.Store(now)
-	n.wakeID.Store(wk.id)
-	n.wakeHop.Store(wk.hop)
+	n.wakeID.Store(wakeID)
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.Emit(n.id, obs.EvCVSemPost, int64(n.id), depth)
-		if wk.id != 0 {
-			tr.EmitFlow(n.id, obs.EvWakeHop, wk.id, int64(wk.parent), wk.hop)
-		}
+		tr.EmitFlow(n.id, obs.EvWakePost, wakeID, 0, 0)
 	}
 	n.inQueue.Store(false)
 	n.sem.Post()
@@ -756,35 +667,21 @@ func (cv *CondVar) notifyCommitted(n *Node) {
 	}
 	// Mint the causal wake id here — the moment the notify became real
 	// (the commit handler fired, or a non-transactional notifier dequeued).
-	wk := wakeCtx{id: cv.e.NextWakeID()}
+	wakeID := cv.e.NextWakeID()
 	if tr := cv.e.Tracer(); tr.Enabled() {
-		tr.EmitFlow(cv.id, obs.EvWakeRoot, wk.id, 1, int64(cv.id))
+		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, 1, int64(cv.id))
 	}
-	cv.wakeNode(n, d, wk)
+	cv.wakeNode(n, d, wakeID)
 }
 
-// wakeCommitted is the committed side of a batched NotifyAll/NotifyN:
-// one commit handler for the whole dequeued batch. It performs the
-// batch's depth bookkeeping and sanitizer generation checks, then
-// unparks the first WakeFanout waiters; every other waiter is unparked
-// by its predecessor (each woken waiter's noteWake posts the node
-// WakeFanout places behind it). The committing transaction therefore
-// pays O(fanout) semaphore posts instead of O(batch), and the wake wave
-// spreads across the woken goroutines themselves — the paper's deferred
-// SEMPOST (Algorithm 6) without the thundering-herd commit handler.
+// wakeCommitted is the committed side of a batched NotifyAll/NotifyN,
+// Algorithm 6's commit handler: the batch's depth bookkeeping and
+// sanitizer generation checks, then one semaphore post per dequeued
+// waiter, in queue order.
 func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
-	total := len(nodes)
-	if total == 0 {
-		return
-	}
-	if cv.sanitizeOn() {
-		for i, n := range nodes {
-			if n.gen.Load() != gens[i] {
-				panic(fmt.Sprintf(
-					"core: sanitizer: batched notification committed against a recycled condvar node (generation %d at dequeue, %d at post) — the wake-up would go to the wrong waiter (ABA)",
-					gens[i], n.gen.Load()))
-			}
-		}
+	total := len(nodes) // never 0: an empty dequeue registers no handler
+	for i, n := range nodes {
+		cv.checkGen(n, gens[i])
 	}
 	d := cv.depth.Load()
 	cv.depth.Add(-int64(total))
@@ -794,105 +691,52 @@ func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 		for i := range nodes {
 			cv.st.QueueDepth.Observe(d - int64(i))
 		}
-		wb = &wakeBatch{startNS: monoNS(), st: cv.st}
+		wb = &wakeBatch{startNS: monoNS()}
 		wb.remaining.Store(int64(total))
 	}
-	// One wakeID per committed batch: every hop of every chain this
-	// broadcast starts carries it (the flow id of the wake DAG).
+	// One wakeID per committed batch: every post of this broadcast
+	// carries it (the flow id of the wake trace).
 	wakeID := cv.e.NextWakeID()
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
 	}
-	fan := cv.opts.WakeFanout
-	if fan <= 0 {
-		fan = DefaultWakeFanout
-		if cv.procs == 1 {
-			// Chained hand-off trades notifier-side posts for wake-to-wake
-			// scheduling hops; with a single P there is no parallelism to
-			// win the hops back, so auto mode posts the batch directly.
-			fan = total
-		}
-	}
-	if fan > total {
-		fan = total
-	}
-	// Link every chain before waking any head: a woken head immediately
-	// chases its wakeNext pointers, which must all be in place.
 	for i, n := range nodes {
 		n.batch.Store(wb)
-		if i+fan < total {
-			n.wakeNext.Store(nodes[i+fan])
-		}
-	}
-	for i := 0; i < fan; i++ {
-		cv.wakeNode(nodes[i], d-int64(i), wakeCtx{id: wakeID})
+		cv.wakeNode(n, d-int64(i), wakeID)
 	}
 }
 
 // noteWake records the waiter side of a wake-up: the notify→wake latency
-// (runtime rescheduling cost), the chain-position and consumer-kind
-// instruments, and the wake trace events. It must run before
-// releaseNode, which retires the node's incarnation. by is the consumer
-// code (obs.WakeBy*): a live waiter, or a timeout/cancel loser that kept
-// a raced permit. It returns the consumed flow id and hop index so the
-// resume path can bind the waiter's next transaction into the wake DAG
-// (Wait's continuation wrapper, WaitTx's post-resume flow step).
-//
-// It is also the engine of the chained hand-off: a waiter woken as part
-// of a batch unparks its chain successor first — before its own
-// bookkeeping, continuation, or lock re-acquisition — so the wake wave
-// keeps moving even if this goroutine immediately blocks on the
-// caller's mutex. Every wake-consuming path funnels through here
-// (including timeout/cancel losers that keep a raced permit), which is
-// what guarantees a dequeued chain always drains — and why a loser's
-// successor inherits hop+1 under the same flow id.
-func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64, hop int64) {
+// (runtime rescheduling cost), the batch's commit-to-last-wake
+// observation, the consumer-kind instruments, and the wake trace events.
+// It must run before releaseNode, which retires the node's incarnation.
+// by is the consumer code (obs.WakeBy*): a live waiter, or a
+// timeout/cancel loser that kept a raced permit. It returns the consumed
+// flow id so the resume path can bind the waiter's next transaction into
+// the wake flow (Wait's continuation wrapper, WaitTx's post-resume step).
+func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64) {
 	flow = n.wakeID.Swap(0)
-	hop = n.wakeHop.Swap(0)
-	if nx := n.wakeNext.Swap(nil); nx != nil {
-		cv.wakeNode(nx, 0, wakeCtx{id: flow, parent: n.id, hop: hop + 1})
+	if wb := n.batch.Swap(nil); wb != nil && wb.remaining.Add(-1) == 0 {
+		cv.st.BroadcastNanos.Observe(monoNS() - wb.startNS)
 	}
-	if wb := n.batch.Swap(nil); wb != nil {
-		if wb.remaining.Add(-1) == 0 && wb.st != nil {
-			wb.st.BroadcastNanos.Observe(monoNS() - wb.startNS)
-		}
-	}
-	now := monoNS()
-	ns := n.notifiedNS.Load()
 	if cv.st != nil {
 		cv.st.Waits.Inc()
-		if ns != 0 {
-			cv.st.NotifyToWake.Observe(now - ns)
+		if ns := n.notifiedNS.Load(); ns != 0 {
+			cv.st.NotifyToWake.Observe(monoNS() - ns)
 		}
-		cv.st.WakeChainDepth.Observe(hop + 1)
-		if hop > 0 && ns != 0 {
-			cv.st.HandoffHopNanos.Observe(now - ns)
-		}
-		switch by {
-		case obs.WakeByTimeout:
-			cv.st.WakeConsumedTimeout.Inc()
-		case obs.WakeByCancel:
-			cv.st.WakeConsumedCancel.Inc()
-		default:
-			cv.st.WakeConsumedWaiter.Inc()
-		}
+		cv.st.WakeChainDepth.Observe(1)
+		cv.st.WakeConsumed[by].Inc()
 	}
-	if cv.chainOn {
-		cv.chainDepth.Observe(hop + 1)
-		if hop > 0 && ns != 0 {
-			cv.hopNanos.Observe(now - ns)
-		}
-		if by >= 0 && by < int64(len(cv.consumed)) {
-			cv.consumed[by].Inc()
-		}
+	if cv.consumedOn {
+		cv.consumed[by].Inc()
 	}
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.Emit(n.id, obs.EvCVWake, int64(n.id), int64(cv.id))
 		if flow != 0 {
-			tr.EmitFlow(n.id, obs.EvWakeEnd, flow, hop, by)
+			tr.EmitFlow(n.id, obs.EvWakeEnd, flow, 0, by)
 		}
 	}
-	return flow, hop
+	return flow
 }
 
 // notifyPost arranges for node's semaphore to be posted: at commit of the
@@ -914,13 +758,19 @@ func (cv *CondVar) notifyPost(tx *stm.Tx, n *Node) {
 	// re-captures against its own dequeue.
 	gen := n.gen.Load()
 	tx.OnCommit(func() {
-		if cv.sanitizeOn() && n.gen.Load() != gen {
-			panic(fmt.Sprintf(
-				"core: sanitizer: notification committed against a recycled condvar node (generation %d at dequeue, %d at post) — the wake-up would go to the wrong waiter (ABA)",
-				gen, n.gen.Load()))
-		}
+		cv.checkGen(n, gen)
 		cv.notifyCommitted(n)
 	})
+}
+
+// checkGen is the sanitizer's ABA check at commit: n must still be the
+// incarnation whose generation the dequeue captured.
+func (cv *CondVar) checkGen(n *Node, gen uint64) {
+	if cv.sanitizeOn() && n.gen.Load() != gen {
+		panic(fmt.Sprintf(
+			"core: sanitizer: notification committed against a recycled condvar node (generation %d at dequeue, %d at post) — the wake-up would go to the wrong waiter (ABA)",
+			gen, n.gen.Load()))
+	}
 }
 
 // NotifyOne is Algorithm 5: dequeue one waiter (per the Policy) and
@@ -965,17 +815,14 @@ func (cv *CondVar) NotifyOne(tx *stm.Tx) bool {
 	return found
 }
 
-// notifyBatch is the shared dequeue body of NotifyAll and NotifyN:
-// unlink up to max waiters (max < 0 means all) and schedule one commit
-// handler that wakes the whole batch via wakeCommitted's chained
-// hand-off. It returns the number dequeued.
+// notifyBatch is the shared body of NotifyAll and NotifyN: unlink up to
+// max waiters (max < 0 means all), schedule one commit handler
+// (wakeCommitted) that posts the whole batch, and count the call. It
+// returns the number dequeued.
 func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 	count := 0
 	body := func(tx *stm.Tx) {
 		count = 0
-		if max == 0 {
-			return
-		}
 		sn := stm.Read(tx, cv.head)
 		if sn == nil {
 			return
@@ -1009,26 +856,27 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 	} else {
 		cv.e.MustAtomic(body)
 	}
+	if cv.st != nil {
+		if count > 0 {
+			cv.st.NotifyAlls.Inc()
+			cv.st.Woken.Add(int64(count))
+		} else {
+			cv.st.NotifyEmpty.Inc()
+		}
+	}
 	return count
 }
 
 // NotifyAll is Algorithm 6: dequeue every waiter and schedule all their
 // wake-ups. It returns the number of waiters notified.
 //
-// The wake-ups are batched: one commit handler dequeues the whole set
-// and unparks it via chained hand-off (see wakeCommitted), so the
-// committing transaction is no longer a serial wake loop over N
-// semaphore posts. Options.WakeFanout paces the chains.
+// One transaction dequeues the whole set and registers one commit
+// handler, which posts each waiter's semaphore in queue order (see
+// wakeCommitted).
 func (cv *CondVar) NotifyAll(tx *stm.Tx) int {
 	count := cv.notifyBatch(tx, -1)
-	if cv.st != nil {
-		if count > 0 {
-			cv.st.NotifyAlls.Inc()
-			cv.st.Woken.Add(int64(count))
-			cv.st.MaxQueue.Observe(int64(count))
-		} else {
-			cv.st.NotifyEmpty.Inc()
-		}
+	if cv.st != nil && count > 0 {
+		cv.st.MaxQueue.Observe(int64(count))
 	}
 	return count
 }
@@ -1043,16 +891,7 @@ func (cv *CondVar) NotifyN(tx *stm.Tx, max int) int {
 	if max == 0 {
 		return 0
 	}
-	count := cv.notifyBatch(tx, max)
-	if cv.st != nil {
-		if count > 0 {
-			cv.st.NotifyAlls.Inc()
-			cv.st.Woken.Add(int64(count))
-		} else {
-			cv.st.NotifyEmpty.Inc()
-		}
-	}
-	return count
+	return cv.notifyBatch(tx, max)
 }
 
 // NotifyBest is the Section 3.4 extension: traverse the waiting set and

@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/registry"
 	"repro/internal/sem"
+	"repro/internal/stats"
 	"repro/internal/stm"
 )
 
@@ -49,9 +50,9 @@ func (s *CVStats) scalars() []cvScalar {
 		{"sem_posts", "node semaphore posts", registry.KindCounter, s.Sem.Posts.Load},
 		{"sem_blocks", "node semaphore waits that descheduled", registry.KindCounter, s.Sem.Blocks.Load},
 		{"sem_spin_waits", "node semaphore waits satisfied while spinning", registry.KindCounter, s.Sem.SpinWaits.Load},
-		{"wake_consumed_waiter", "wakes consumed by live waiters", registry.KindCounter, s.WakeConsumedWaiter.Load},
-		{"wake_consumed_timeout", "wakes consumed by timed-out losers", registry.KindCounter, s.WakeConsumedTimeout.Load},
-		{"wake_consumed_cancel", "wakes consumed by cancelled losers", registry.KindCounter, s.WakeConsumedCancel.Load},
+		{"wake_consumed_waiter", "wakes consumed by live waiters", registry.KindCounter, s.WakeConsumed[obs.WakeByWaiter].Load},
+		{"wake_consumed_timeout", "wakes consumed by timed-out losers", registry.KindCounter, s.WakeConsumed[obs.WakeByTimeout].Load},
+		{"wake_consumed_cancel", "wakes consumed by cancelled losers", registry.KindCounter, s.WakeConsumed[obs.WakeByCancel].Load},
 	}
 }
 
@@ -70,8 +71,6 @@ func (s *CVStats) histograms() []cvHist {
 		{"wake_batch", "waiters dequeued per committed notify batch", &s.WakeBatch},
 		{"broadcast_ns", "notify-batch commit to last waiter resumed", &s.BroadcastNanos},
 		{"sem_park_ns", "park duration of descheduled waits", &s.Sem.ParkNanos},
-		{"wake_chain_depth", "chain position of each consumed wake (1 = notifier-posted)", &s.WakeChainDepth},
-		{"handoff_hop_ns", "chained hand-off hop, post to consuming waiter's resume", &s.HandoffHopNanos},
 	}
 }
 
@@ -95,15 +94,7 @@ func (s *CVStats) RegisterMetrics(r *registry.Registry, labels registry.Labels) 
 			r.RegisterGauge("cv_"+sc.name, sc.help, labels, sc.read)
 		}
 	}
-	r.RegisterCounterSet("cv_wake_consumed_total",
-		"wakes consumed, by consumer kind (waiter, or a timeout/cancel loser keeping a raced permit)",
-		labels, func() []registry.Sample {
-			return []registry.Sample{
-				{Labels: registry.Labels{"by": "waiter"}, Value: s.WakeConsumedWaiter.Load()},
-				{Labels: registry.Labels{"by": "timeout"}, Value: s.WakeConsumedTimeout.Load()},
-				{Labels: registry.Labels{"by": "cancel"}, Value: s.WakeConsumedCancel.Load()},
-			}
-		})
+	registerConsumed(r, labels, &s.WakeConsumed)
 	for _, th := range s.histograms() {
 		name := th.name
 		// The JSON key "queue_depth" would collide with the per-condvar
@@ -177,32 +168,31 @@ func (cv *CondVar) RegisterIntrospect(r *registry.Registry, name string) {
 	r.RegisterWaiters(name, cv.WaitChain)
 }
 
-// RegisterChainMetrics enables this condvar's per-instance wake-chain
-// instruments and registers them into r labeled with the condvar's name
-// — the named-CV view of the aggregate CVStats chain metrics, so a
-// facility's "queue.notempty" chains are distinguishable from its
-// "queue.notfull" chains. A setup-time call like SetStats: it flips the
-// chainOn flag the wake path reads unsynchronized, so call it before
+// RegisterConsumedMetrics enables this condvar's per-instance
+// consumed-by counters and registers them into r labeled with the
+// condvar's name — the named-CV view of CVStats.WakeConsumed, so a
+// facility's "queue.notempty" losers are distinguishable from its
+// "queue.notfull" ones. A setup-time call like SetStats: it flips the
+// consumedOn flag the wake path reads unsynchronized, so call it before
 // the condvar is shared. No-op if r is nil or the condvar is unnamed.
-func (cv *CondVar) RegisterChainMetrics(r *registry.Registry) {
+func (cv *CondVar) RegisterConsumedMetrics(r *registry.Registry) {
 	if r == nil || cv.name == "" {
 		return
 	}
-	cv.chainOn = true
-	labels := registry.Labels{"cv": cv.name}
-	r.RegisterHistogram("cv_wake_chain_depth",
-		"chain position of each consumed wake (1 = notifier-posted)",
-		labels, cv.chainDepth.Snapshot)
-	r.RegisterHistogram("cv_handoff_hop_ns",
-		"chained hand-off hop, post to consuming waiter's resume",
-		labels, cv.hopNanos.Snapshot)
+	cv.consumedOn = true
+	registerConsumed(r, registry.Labels{"cv": cv.name}, &cv.consumed)
+}
+
+// registerConsumed registers one cv_wake_consumed_total{by=} family over
+// counters indexed by the obs.WakeBy* codes.
+func registerConsumed(r *registry.Registry, labels registry.Labels, c *[3]stats.Counter) {
 	r.RegisterCounterSet("cv_wake_consumed_total",
 		"wakes consumed, by consumer kind (waiter, or a timeout/cancel loser keeping a raced permit)",
 		labels, func() []registry.Sample {
 			return []registry.Sample{
-				{Labels: registry.Labels{"by": "waiter"}, Value: cv.consumed[obs.WakeByWaiter].Load()},
-				{Labels: registry.Labels{"by": "timeout"}, Value: cv.consumed[obs.WakeByTimeout].Load()},
-				{Labels: registry.Labels{"by": "cancel"}, Value: cv.consumed[obs.WakeByCancel].Load()},
+				{Labels: registry.Labels{"by": "waiter"}, Value: c[obs.WakeByWaiter].Load()},
+				{Labels: registry.Labels{"by": "timeout"}, Value: c[obs.WakeByTimeout].Load()},
+				{Labels: registry.Labels{"by": "cancel"}, Value: c[obs.WakeByCancel].Load()},
 			}
 		})
 }

@@ -2,14 +2,20 @@ package core
 
 import "fmt"
 
-// This file model-checks the PRACTICAL algorithm (Algorithms 3–5: the
-// transactional queue of semaphores with commit-deferred SEMPOST), the
-// companion to model.go's checker for the abstract Algorithm 2. The model
-// captures exactly the atomicity the implementation provides:
+// This file model-checks the PRACTICAL algorithm (Algorithms 3–6: the
+// transactional queue of semaphores with commit-deferred SEMPOST, plus
+// the timeout/cancel loser path of CondVar.park), the companion to
+// model.go's checker for the abstract Algorithm 2. The model captures
+// exactly the atomicity the implementation provides:
 //
 //   - a waiter's enqueue is one atomic step (its queue transaction);
 //   - SEMWAIT is a blocking step enabled when the waiter's semaphore is
 //     positive;
+//   - a timed waiter may instead give up: one atomic step (the unlink
+//     transaction, serialized against every notifier's dequeue) that
+//     either removes it from the queue — the wait ends un-notified — or
+//     finds it already dequeued, in which case it must consume the
+//     pending post (a second, blocking SEMWAIT) before finishing;
 //   - a notifier's dequeue is one atomic step (its transaction), and the
 //     SEMPOST is a SEPARATE later step (the onCommit handler), modelling
 //     the window between dequeue and wake-up;
@@ -23,9 +29,12 @@ import "fmt"
 //   - a semaphore never exceeds 1 (each node receives at most one post —
 //     the "exactly one notify per wake" half of Definition 1);
 //   - a waiter completes only after a post to its own node (no spurious
-//     wake-ups, the other half);
+//     wake-ups, the other half) or, timed, after unlinking itself;
+//   - no permit is left in a finished waiter's semaphore (a loser that
+//     abandoned its raced post would hand it to the node's next owner);
 //   - terminal no-lost-wake-ups: every waiter not woken is still in the
-//     queue and unposted (it was simply never notified).
+//     queue and unposted (it was simply never notified), and no loser
+//     is stuck waiting for a post that never comes.
 const (
 	implMaxThreads = 6
 )
@@ -47,6 +56,7 @@ const (
 	iwEnqueue = 0 // about to run the enqueue transaction
 	iwSleep   = 1 // in SEMWAIT
 	iwDone    = 2
+	iwLoser   = 3 // timed waiter gave up after a notifier dequeued it: consuming the raced post
 )
 
 // NotifyOne PCs.
@@ -69,7 +79,13 @@ const (
 	// ImplNotifyAll dequeues the whole queue and posts each semaphore
 	// (Algorithm 6); posts happen one step at a time after the dequeue.
 	ImplNotifyAll
+	// ImplTimedWaiter is a waiter that may give up while asleep
+	// (WaitLockedTimeout / WaitLockedCtx / WaitCtx): the loser path.
+	ImplTimedWaiter
 )
+
+// waits reports whether the role enqueues itself (either waiter kind).
+func (r ImplRole) waits() bool { return r == ImplWaiter || r == ImplTimedWaiter }
 
 func (r ImplRole) String() string {
 	switch r {
@@ -77,15 +93,17 @@ func (r ImplRole) String() string {
 		return "waiter"
 	case ImplNotifyOne:
 		return "notifyOne"
-	default:
+	case ImplNotifyAll:
 		return "notifyAll"
+	default:
+		return "timedWaiter"
 	}
 }
 
 // NotifyAll reuses victim as a bitmask of pending posts.
 
 // CheckImplModel exhaustively explores every interleaving of the given
-// role mix over Algorithms 3–5 and verifies the wake-up pairing
+// role mix over Algorithms 3–6 and verifies the wake-up pairing
 // invariants. It returns exploration statistics or the first violation.
 func CheckImplModel(roles []ImplRole) (ModelResult, error) {
 	if len(roles) > implMaxThreads {
@@ -130,12 +148,19 @@ func CheckImplModel(roles []ImplRole) (ModelResult, error) {
 	return res, nil
 }
 
+// unlink removes queue slot k, closing the gap.
+func (s *implState) unlink(k int8) {
+	copy(s.queue[k:], s.queue[k+1:s.qlen])
+	s.queue[s.qlen-1] = -1
+	s.qlen--
+}
+
 func implSuccessors(roles []ImplRole, s implState) []implState {
 	var out []implState
 	for i, r := range roles {
 		bit := uint8(1) << uint(i)
 		switch r {
-		case ImplWaiter:
+		case ImplWaiter, ImplTimedWaiter:
 			switch s.pc[i] {
 			case iwEnqueue: // the enqueue transaction commits
 				n := s
@@ -143,11 +168,26 @@ func implSuccessors(roles []ImplRole, s implState) []implState {
 				n.qlen++
 				n.pc[i] = iwSleep
 				out = append(out, n)
-			case iwSleep: // SEMWAIT: enabled only with a permit
+			case iwSleep, iwLoser: // SEMWAIT: enabled only with a permit
 				if s.sem&bit != 0 {
 					n := s
 					n.sem &^= bit
 					n.pc[i] = iwDone
+					out = append(out, n)
+				}
+				if r == ImplTimedWaiter && s.pc[i] == iwSleep {
+					// Give up: the unlink transaction commits. Still
+					// queued → removed, the wait ends un-notified;
+					// already dequeued → the notification wins.
+					n := s
+					n.pc[i] = iwLoser
+					for k := int8(0); k < s.qlen; k++ {
+						if s.queue[k] == int8(i) {
+							n.unlink(k)
+							n.pc[i] = iwDone
+							break
+						}
+					}
 					out = append(out, n)
 				}
 			}
@@ -159,9 +199,7 @@ func implSuccessors(roles []ImplRole, s implState) []implState {
 					// Dequeue transaction commits (FIFO policy).
 					n := s
 					n.victim[i] = n.queue[0]
-					copy(n.queue[:], n.queue[1:n.qlen])
-					n.queue[n.qlen-1] = -1
-					n.qlen--
+					n.unlink(0)
 					n.pc[i] = inPost
 					out = append(out, n)
 				} else {
@@ -221,7 +259,7 @@ func checkImplInvariants(roles []ImplRole, s implState) error {
 	seen := uint8(0)
 	for k := int8(0); k < s.qlen; k++ {
 		w := s.queue[k]
-		if w < 0 || int(w) >= len(roles) || roles[w] != ImplWaiter {
+		if w < 0 || int(w) >= len(roles) || !roles[w].waits() {
 			return fmt.Errorf("queue slot %d holds invalid waiter %d", k, w)
 		}
 		wb := uint8(1) << uint8(w)
@@ -241,12 +279,12 @@ func checkImplInvariants(roles []ImplRole, s implState) error {
 	// A permit only ever targets a sleeping (or about-to-consume) waiter;
 	// a done waiter has consumed its single permit.
 	for i, r := range roles {
-		if r != ImplWaiter {
+		if !r.waits() {
 			continue
 		}
 		bit := uint8(1) << uint(i)
 		if s.sem&bit != 0 && s.pc[i] == iwDone {
-			return fmt.Errorf("waiter %d done but its semaphore still holds a permit (double post)", i)
+			return fmt.Errorf("waiter %d done but its semaphore still holds a permit (double post, or a loser abandoned its raced post)", i)
 		}
 		if s.sem&bit != 0 && s.pc[i] == iwEnqueue {
 			return fmt.Errorf("waiter %d posted before ever enqueueing", i)
@@ -256,7 +294,7 @@ func checkImplInvariants(roles []ImplRole, s implState) error {
 	for i, r := range roles {
 		if r == ImplNotifyOne && s.pc[i] == inPost {
 			v := s.victim[i]
-			if v < 0 || int(v) >= len(roles) || roles[v] != ImplWaiter {
+			if v < 0 || int(v) >= len(roles) || !roles[v].waits() {
 				return fmt.Errorf("notifier %d holds invalid victim %d", i, v)
 			}
 			if s.pc[v] == iwEnqueue {
@@ -271,7 +309,10 @@ func checkImplTerminal(roles []ImplRole, s implState) error {
 	for i, r := range roles {
 		bit := uint8(1) << uint(i)
 		switch r {
-		case ImplWaiter:
+		case ImplWaiter, ImplTimedWaiter:
+			if s.pc[i] == iwLoser {
+				return fmt.Errorf("terminal: loser %d dequeued but never posted — lost wake-up", i)
+			}
 			if s.pc[i] == iwSleep {
 				// Stuck asleep is legal ONLY if never notified: still in
 				// the queue, no permit pending.

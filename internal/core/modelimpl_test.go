@@ -17,7 +17,13 @@ func TestImplModelMixes(t *testing.T) {
 		{"3w_2n1", []ImplRole{ImplWaiter, ImplWaiter, ImplWaiter, ImplNotifyOne, ImplNotifyOne}},
 		{"3w_1n1_1nall", []ImplRole{ImplWaiter, ImplWaiter, ImplWaiter, ImplNotifyOne, ImplNotifyAll}},
 		{"2w_2nall", []ImplRole{ImplWaiter, ImplWaiter, ImplNotifyAll, ImplNotifyAll}},
-		{"waiters_only", []ImplRole{ImplWaiter, ImplWaiter}},
+		{"1t_1n1", []ImplRole{ImplTimedWaiter, ImplNotifyOne}},
+		{"1t_1w_1n1", []ImplRole{ImplTimedWaiter, ImplWaiter, ImplNotifyOne}},
+		{"2t_1nall", []ImplRole{ImplTimedWaiter, ImplTimedWaiter, ImplNotifyAll}},
+		{"2t_1w_1nall", []ImplRole{ImplTimedWaiter, ImplTimedWaiter, ImplWaiter, ImplNotifyAll}},
+		{"1t_1w_1n1_1nall", []ImplRole{ImplTimedWaiter, ImplWaiter, ImplNotifyOne, ImplNotifyAll}},
+		{"2t_2n1", []ImplRole{ImplTimedWaiter, ImplTimedWaiter, ImplNotifyOne, ImplNotifyOne}},
+		{"waiters_only", []ImplRole{ImplWaiter, ImplTimedWaiter}},
 		{"notifiers_only", []ImplRole{ImplNotifyOne, ImplNotifyAll}},
 	}
 	for _, m := range mixes {
@@ -44,8 +50,24 @@ func TestImplModelRejectsTooManyThreads(t *testing.T) {
 
 func TestImplRoleString(t *testing.T) {
 	if ImplWaiter.String() != "waiter" || ImplNotifyOne.String() != "notifyOne" ||
-		ImplNotifyAll.String() != "notifyAll" {
+		ImplNotifyAll.String() != "notifyAll" || ImplTimedWaiter.String() != "timedWaiter" {
 		t.Fatal("ImplRole.String mismatch")
+	}
+}
+
+// The loser invariants have teeth: a finished loser that left its raced
+// post behind, and a loser still waiting when nothing can run, are both
+// rejected.
+func TestImplModelLoserInvariants(t *testing.T) {
+	roles := []ImplRole{ImplTimedWaiter, ImplNotifyOne}
+	var s implState
+	s.pc[0], s.pc[1], s.sem = iwDone, inDone, 1
+	if checkImplInvariants(roles, s) == nil {
+		t.Error("a permit left in a finished loser's semaphore went unreported")
+	}
+	s.pc[0], s.sem = iwLoser, 0
+	if checkImplTerminal(roles, s) == nil {
+		t.Error("a loser stuck without its post went unreported")
 	}
 }
 
@@ -60,7 +82,7 @@ func FuzzImplModel(f *testing.F) {
 		}
 		roles := make([]ImplRole, len(raw))
 		for i, b := range raw {
-			roles[i] = ImplRole(b % 3)
+			roles[i] = ImplRole(b % 4)
 		}
 		if _, err := CheckImplModel(roles); err != nil {
 			t.Fatalf("mix %v: %v", roles, err)

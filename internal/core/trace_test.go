@@ -81,7 +81,7 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	// The causal wake-flow events (DESIGN.md §15) obey the same
 	// discipline: the wakeID is minted in the commit handler, so an
 	// aborted notify never starts a flow.
-	if got[obs.EvWakeRoot] != 0 || got[obs.EvWakeHop] != 0 || got[obs.EvWakeEnd] != 0 {
+	if got[obs.EvWakeRoot] != 0 || got[obs.EvWakePost] != 0 || got[obs.EvWakeEnd] != 0 {
 		t.Fatalf("aborted notify leaked wake-flow events: %v", got)
 	}
 	if got[obs.EvTxnAbort] == 0 {
@@ -104,9 +104,9 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 		}
 	}
 	// The committed notify minted exactly one wake flow: one root (the
-	// commit handler), one notifier-posted hop, one consume by a live
-	// waiter — all carrying the same non-zero wakeID.
-	for _, want := range []obs.EventType{obs.EvWakeRoot, obs.EvWakeHop, obs.EvWakeEnd} {
+	// commit handler), one post, one consume by a live waiter — all
+	// carrying the same non-zero wakeID.
+	for _, want := range []obs.EventType{obs.EvWakeRoot, obs.EvWakePost, obs.EvWakeEnd} {
 		if got[want] != 1 {
 			t.Errorf("%s count = %d, want 1 (all: %v)", want, got[want], got)
 		}
@@ -114,7 +114,7 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	var flowID uint64
 	for _, ev := range tr.Events() {
 		switch ev.Type {
-		case obs.EvWakeRoot, obs.EvWakeHop, obs.EvWakeEnd:
+		case obs.EvWakeRoot, obs.EvWakePost, obs.EvWakeEnd:
 			if ev.Flow == 0 {
 				t.Errorf("%s carries zero flow id", ev.Type)
 			}
@@ -122,9 +122,6 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 				flowID = ev.Flow
 			} else if ev.Flow != flowID {
 				t.Errorf("%s flow %d != first flow %d", ev.Type, ev.Flow, flowID)
-			}
-			if ev.Type == obs.EvWakeHop && (ev.A != 0 || ev.B != 0) {
-				t.Errorf("single notify hop: parent %d hop %d, want notifier-posted (0, 0)", ev.A, ev.B)
 			}
 			if ev.Type == obs.EvWakeEnd && ev.B != obs.WakeByWaiter {
 				t.Errorf("consume by %s, want waiter", obs.WakeConsumerName(ev.B))
@@ -181,9 +178,6 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	}
 	if snap["wake_consumed_waiter"] != 1 || snap["wake_consumed_timeout"] != 0 || snap["wake_consumed_cancel"] != 0 {
 		t.Errorf("wake consumer attribution = %v", snap)
-	}
-	if h["wake_chain_depth"].Count != 1 || h["wake_chain_depth"].Max != 1 {
-		t.Errorf("wake_chain_depth = %+v, want one observation of depth 1", h["wake_chain_depth"])
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // SubmitBatch runs every task exactly once under all three systems,
@@ -31,22 +29,12 @@ func TestTaskQueueSubmitBatch(t *testing.T) {
 	})
 }
 
-// Wide-broadcast regression: a 64-party barrier (64 waiters released by
+// Wide-broadcast regression: a barrier (parties-1 waiters released by
 // one broadcast per round) must cycle correctly under the batched wake
-// path at several fan-outs, including the pure chain and a fan-out
-// wider than the batch (the notifier posts every waiter itself).
+// path at several batch widths, from a single waiter to 63.
 func TestBarrierWideBroadcast(t *testing.T) {
-	fanouts := []core.Options{
-		{},                // default fan-out
-		{WakeFanout: 1},   // pure chain
-		{WakeFanout: 4},   // paced
-		{WakeFanout: 128}, // wider than the 64-waiter batch: no chain
-	}
-	for _, opts := range fanouts {
-		opts := opts
+	for _, parties := range []int{64, 17, 8, 2} {
 		forEachKind(t, func(t *testing.T, tk *Toolkit) {
-			tk.CVOpts = opts
-			const parties = 64
 			const rounds = 5
 			b := NewBarrier(tk, parties)
 			var phase [rounds]atomic.Int64
@@ -60,7 +48,7 @@ func TestBarrierWideBroadcast(t *testing.T) {
 						b.Arrive()
 						// Everyone must have finished round r before anyone
 						// proceeds past the barrier.
-						if got := phase[r].Load(); got != parties {
+						if got := phase[r].Load(); got != int64(parties) {
 							t.Errorf("round %d: crossed barrier with %d/%d arrivals", r, got, parties)
 							return
 						}

@@ -38,7 +38,7 @@ type Cond interface {
 	Wait(m *syncx.Mutex)
 	Signal()
 	// SignalN wakes up to n waiters. The TM condvar dequeues them as one
-	// batch (a single transaction + chained hand-off); the baseline
+	// batch (a single transaction, one commit handler); the baseline
 	// signals serially.
 	SignalN(n int)
 	Broadcast()
@@ -103,7 +103,6 @@ type Toolkit struct {
 	Kind     Kind
 	Engine   *stm.Engine
 	Spurious *pthreadcv.SpuriousInjector
-	CVOpts   core.Options // options for TM condvars (policy, ablations)
 
 	// CVStats, when non-nil, is attached to every TM condvar the toolkit
 	// hands out, aggregating wait/notify activity and wait-latency
@@ -170,7 +169,7 @@ func (tk *Toolkit) NewCondVar() *core.CondVar {
 	if tk.Engine == nil {
 		panic("facility: NewCondVar requires an engine")
 	}
-	cv := core.New(tk.Engine, tk.CVOpts)
+	cv := core.New(tk.Engine, core.Options{})
 	if tk.CVStats != nil {
 		cv.SetStats(tk.CVStats)
 	}
@@ -219,15 +218,12 @@ func (tk *Toolkit) NewCondNamed(name string) Cond {
 // toolkit's Label prefix, so conflict tables and traces show
 // "taskq.workAvail" instead of a bare creation site. When the toolkit
 // has an introspection registry, the named condvar also gets its
-// per-instance wake-chain instruments (cv_wake_chain_depth,
-// cv_handoff_hop_ns, cv_wake_consumed_total labeled cv=<name>) — the
-// chain metrics only make sense once the condvar has a name to label
-// them with.
+// per-instance consumed-by counters (cv_wake_consumed_total labeled
+// cv=<name>), which only make sense once the condvar has a name to
+// label them with.
 func (tk *Toolkit) NewCondVarNamed(name string) *core.CondVar {
 	cv := tk.NewCondVar().SetName(tk.label(name))
-	if tk.Introspect != nil {
-		cv.RegisterChainMetrics(tk.Introspect)
-	}
+	cv.RegisterConsumedMetrics(tk.Introspect) // no-op without a registry
 	return cv
 }
 

@@ -6,46 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/pthreadcv"
-	"repro/internal/stm"
 	"repro/internal/syncx"
 )
-
-// TestToolkitCVOptsPlumbed: condvar options set on the toolkit (e.g. the
-// LIFO ablation policy) must reach the condvars it builds.
-func TestToolkitCVOptsPlumbed(t *testing.T) {
-	tk := &Toolkit{
-		Kind:   LockTM,
-		Engine: stm.NewEngine(stm.Config{}),
-		CVOpts: core.Options{Policy: core.LIFO},
-	}
-	c := tk.NewCond().(*core.LockCond)
-	var m syncx.Mutex
-	order := make(chan int, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		go func() {
-			m.Lock()
-			c.Wait(&m)
-			m.Unlock()
-			order <- i
-		}()
-		deadline := time.Now().Add(10 * time.Second)
-		for c.Waiters() != i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("waiter %d never parked", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	for want := 2; want >= 0; want-- { // LIFO: newest first
-		c.Signal()
-		if got := <-order; got != want {
-			t.Fatalf("LIFO policy not plumbed: woke %d, want %d", got, want)
-		}
-	}
-}
 
 // TestToolkitSpuriousInjectorPlumbed: the injector set on the toolkit
 // must reach the pthread condvars and force spurious wake-ups.

@@ -43,9 +43,6 @@ type SweepConfig struct {
 	// WriteMetricsJSON serializes). Histograms are cheap (atomic adds),
 	// but collection also allocates per trial, so it is opt-in.
 	CollectMetrics bool
-	// CVOpts configures every TM condvar the sweep's runs create (wake
-	// fan-out pacing, notify policy).
-	CVOpts core.Options
 	// Tracer, when non-nil, records the event lifecycle of every trial
 	// (warm-ups included) into one shared ring buffer.
 	Tracer *obs.Tracer
@@ -135,7 +132,6 @@ func runCell(cfg SweepConfig, b parsec.Benchmark, sys facility.Kind, threads int
 		Tracer:   cfg.Tracer,
 		Fault:    cfg.Fault,
 		Registry: cfg.Registry,
-		CVOpts:   cfg.CVOpts,
 	}
 	for i := 0; i < cfg.Warmup; i++ {
 		b.Run(rc)

@@ -20,7 +20,7 @@ func badTrace(e *stm.Engine, tr *obs.Tracer) {
 
 func badFlowTrace(e *stm.Engine, tr *obs.Tracer) {
 	e.MustAtomic(func(tx *stm.Tx) {
-		tr.EmitFlow(1, obs.EvWakeHop, 7, 0, 0) // want "obs.Tracer.EmitFlow"
-		tx.TraceFlow(obs.EvWakeTxn, 7, 0, 0)   // ok: buffered in the attempt
+		tr.EmitFlow(1, obs.EvWakePost, 7, 0, 0) // want "obs.Tracer.EmitFlow"
+		tx.TraceFlow(obs.EvWakeTxn, 7, 0, 0)    // ok: buffered in the attempt
 	})
 }

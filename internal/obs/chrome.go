@@ -3,14 +3,15 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 )
 
 // Chrome trace_event exporter: renders the retained events in the JSON
 // Object Format of the Trace Event specification ({"traceEvents": [...]}),
 // which chrome://tracing and Perfetto both load directly. Span events
-// (Dur > 0) become complete ("X") events; wake-chain events carrying a
-// Flow id become flow events ("s"/"t"/"f" sharing one name and id, the
-// spec's flow-binding rule) so a broadcast's wake DAG renders as arrows
+// (Dur > 0) become complete ("X") events; wake events carrying a Flow
+// id become flow events ("s"/"t"/"f" sharing one name and id, the
+// spec's flow-binding rule) so a broadcast's wake-ups render as arrows
 // across lanes; everything else becomes a thread-scoped instant ("i").
 // Lanes map to tids, so one transaction's or one waiter's events share a
 // track.
@@ -51,62 +52,53 @@ func chromeArgs(ev Event) map[string]any {
 		return map[string]any{"handlers": ev.A}
 	case EvCVEnqueue, EvCVNotify, EvCVWake:
 		// B carries the condvar id (0 from pre-attribution emitters), so
-		// a cv.notify → sem.unpark chain names the condvar that caused
-		// it. Named condvars (CondVar.SetName) resolve to their name.
-		args := map[string]any{"node": ev.A}
-		if ev.B != 0 {
-			if name := EntityName(uint64(ev.B)); name != "" {
-				args["cv"] = name
-			} else {
-				args["cv_id"] = ev.B
-			}
-		}
-		return args
+		// a cv.notify → sem.unpark chain names the condvar that caused it.
+		return cvArg(map[string]any{"node": ev.A}, ev.B)
 	case EvCVSemPost:
 		return map[string]any{"node": ev.A, "queue_depth": ev.B}
 	case EvSemUnpark:
 		return map[string]any{"lane": ev.A}
 	case EvWakeRoot:
-		args := map[string]any{"kind": "root", "batch": ev.A}
-		if ev.B != 0 {
-			if name := EntityName(uint64(ev.B)); name != "" {
-				args["cv"] = name
-			} else {
-				args["cv_id"] = ev.B
-			}
-		}
-		return args
-	case EvWakeHop:
-		return map[string]any{"kind": "hop", "node": ev.Lane, "parent": ev.A, "hop": ev.B}
+		return cvArg(map[string]any{"kind": "root", "batch": ev.A}, ev.B)
+	case EvWakePost:
+		return map[string]any{"kind": "post", "node": ev.Lane}
 	case EvWakeEnd:
-		return map[string]any{"kind": "consume", "node": ev.Lane, "hop": ev.A, "by": WakeConsumerName(ev.B)}
+		return map[string]any{"kind": "consume", "node": ev.Lane, "by": WakeConsumerName(ev.B)}
 	case EvWakeTxn:
-		return map[string]any{"kind": "txn", "txn": ev.Lane, "hop": ev.A}
+		return map[string]any{"kind": "txn", "txn": ev.Lane, "node": ev.A}
 	default:
 		return nil
 	}
 }
 
-// flowPhase maps a flow-carrying event to its Chrome flow phase. Flow
-// events bind by (name, cat, id), so every phase of one wake DAG shares
-// the name "cv.wake"; the event-specific detail lives in args. terminal
-// marks an EvWakeEnd whose node forwarded no successor — the end of its
-// chain — which becomes the flow-finish phase.
-func flowPhase(ev Event, terminal bool) (name, ph, bp string, ok bool) {
-	switch ev.Type {
+// cvArg adds the condvar an event belongs to: its name when it was named
+// (CondVar.SetName), else its id; nothing for id 0.
+func cvArg(args map[string]any, id int64) map[string]any {
+	if name := EntityName(uint64(id)); name != "" {
+		args["cv"] = name
+	} else if id != 0 {
+		args["cv_id"] = id
+	}
+	return args
+}
+
+// flowPhase maps a flow-carrying event type to its Chrome flow phase
+// ("" for every other type). Flow events bind by (name, cat, id), so
+// every phase of one wake flow shares the name "cv.wake"; the
+// event-specific detail lives in args. Each consume ends its post's
+// arrow, so it is a flow-finish.
+func flowPhase(t EventType) (ph, bp string) {
+	switch t {
 	case EvWakeRoot:
-		return "cv.wake", "s", "", true
-	case EvWakeHop, EvWakeTxn:
-		return "cv.wake", "t", "", true
+		return "s", ""
+	case EvWakePost, EvWakeTxn:
+		return "t", ""
 	case EvWakeEnd:
-		if terminal {
-			// bp:"e" binds the finish to the enclosing slice rather than
-			// the next one, per the spec's flow-end recommendation.
-			return "cv.wake", "f", "e", true
-		}
-		return "cv.wake", "t", "", true
+		// bp:"e" binds the finish to the enclosing slice rather than
+		// the next one, per the spec's flow-end recommendation.
+		return "f", "e"
 	default:
-		return "", "", "", false
+		return "", ""
 	}
 }
 
@@ -114,20 +106,6 @@ func flowPhase(ev Event, terminal bool) (name, ph, bp string, ok bool) {
 // Call after emitters have quiesced. Safe on nil (writes an empty trace).
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
-	// Pre-pass for flow termination: a consume is terminal for its chain
-	// iff no hop of the same flow names its node as parent (the node
-	// forwarded nobody). Terminal consumes render as flow-finish.
-	forwarders := make(map[uint64]map[int64]bool)
-	for _, ev := range events {
-		if ev.Type == EvWakeHop && ev.Flow != 0 {
-			m := forwarders[ev.Flow]
-			if m == nil {
-				m = make(map[int64]bool)
-				forwarders[ev.Flow] = m
-			}
-			m[ev.A] = true
-		}
-	}
 	doc := chromeDoc{
 		TraceEvents:     make([]chromeEvent, 0, len(events)),
 		DisplayTimeUnit: "ns",
@@ -142,9 +120,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			TID:  ev.Lane % (1 << 31), // keep tids in JSON-safe integer range
 			Args: chromeArgs(ev),
 		}
-		terminal := ev.Type == EvWakeEnd && !forwarders[ev.Flow][int64(ev.Lane)]
-		if name, ph, bp, isFlow := flowPhase(ev, terminal); ev.Flow != 0 && isFlow {
-			ce.Name, ce.Ph, ce.BP, ce.ID = name, ph, bp, ev.Flow
+		if ph, bp := flowPhase(ev.Type); ev.Flow != 0 && ph != "" {
+			ce.Name, ce.Ph, ce.BP, ce.ID = "cv.wake", ph, bp, ev.Flow
 		} else if ev.Dur > 0 {
 			ce.Ph = "X"
 			ce.Dur = float64(ev.Dur) / 1e3
@@ -156,4 +133,18 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
+}
+
+// WriteChromeTraceFile writes the Chrome trace to a new file at path
+// (load it at chrome://tracing or https://ui.perfetto.dev).
+func (t *Tracer) WriteChromeTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

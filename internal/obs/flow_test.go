@@ -8,19 +8,19 @@ import (
 
 // The Flow field survives the ring (store/load round-trip) and selects
 // the flow-event rendering in the Chrome exporter: shared name
-// "cv.wake", phases s (root) / t (hop, mid-chain consume) / f+bp:e
-// (terminal consume), all bound by the wakeID.
+// "cv.wake", phases s (root) / t (post, txn) / f+bp:e (consume), all
+// bound by the wakeID.
 func TestFlowEventsRoundTripAndChromePhases(t *testing.T) {
 	tr := NewTracer(1024)
 	tr.Enable()
 	const flow = 77
-	// A two-hop chain: root → node 10 (forwards) → node 11 (terminal).
+	// A two-waiter broadcast: root → posts to nodes 10 and 11 → consumes.
 	tr.EmitFlow(1, EvWakeRoot, flow, 2, 1)
-	tr.EmitFlow(10, EvWakeHop, flow, 0, 0)
+	tr.EmitFlow(10, EvWakePost, flow, 0, 0)
+	tr.EmitFlow(11, EvWakePost, flow, 0, 0)
 	tr.EmitFlow(10, EvWakeEnd, flow, 0, WakeByWaiter)
-	tr.EmitFlow(11, EvWakeHop, flow, 10, 1)
-	tr.EmitFlow(11, EvWakeEnd, flow, 1, WakeByTimeout)
-	tr.EmitFlow(500, EvWakeTxn, flow, 1, 0)
+	tr.EmitFlow(11, EvWakeEnd, flow, 0, WakeByTimeout)
+	tr.EmitFlow(500, EvWakeTxn, flow, 11, 0)
 	tr.Disable()
 
 	evs := tr.Events()
@@ -59,23 +59,12 @@ func TestFlowEventsRoundTripAndChromePhases(t *testing.T) {
 		}
 		kind, _ := ce.Args["kind"].(string)
 		phases[kind] = append(phases[kind], ce.Ph)
-		// Node 10 forwarded a successor, so its consume is a mid-chain
-		// step; node 11's is terminal (flow-finish with bp:e).
-		if kind == "consume" {
-			switch ce.Args["node"].(float64) {
-			case 10:
-				if ce.Ph != "t" {
-					t.Errorf("forwarding node's consume ph = %q, want t", ce.Ph)
-				}
-			case 11:
-				if ce.Ph != "f" || ce.BP != "e" {
-					t.Errorf("terminal consume ph/bp = %q/%q, want f/e", ce.Ph, ce.BP)
-				}
-			}
+		if kind == "consume" && (ce.Ph != "f" || ce.BP != "e") {
+			t.Errorf("consume ph/bp = %q/%q, want f/e", ce.Ph, ce.BP)
 		}
 	}
 	want := map[string][]string{
-		"root": {"s"}, "hop": {"t", "t"}, "consume": {"t", "f"}, "txn": {"t"},
+		"root": {"s"}, "post": {"t", "t"}, "consume": {"f", "f"}, "txn": {"t"},
 	}
 	for kind, w := range want {
 		if len(phases[kind]) != len(w) {

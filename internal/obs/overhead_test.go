@@ -38,19 +38,19 @@ func TestTraceEnabledNoAlloc(t *testing.T) {
 func TestEmitFlowNoAlloc(t *testing.T) {
 	tr := NewTracer(1024)
 	if a := testing.AllocsPerRun(1000, func() {
-		tr.EmitFlow(1, EvWakeHop, 42, 1, 2)
+		tr.EmitFlow(1, EvWakePost, 42, 1, 2)
 	}); a != 0 {
 		t.Errorf("disabled EmitFlow allocates %.1f times per op", a)
 	}
 	var nilTr *Tracer
 	if a := testing.AllocsPerRun(1000, func() {
-		nilTr.EmitFlow(1, EvWakeHop, 42, 1, 2)
+		nilTr.EmitFlow(1, EvWakePost, 42, 1, 2)
 	}); a != 0 {
 		t.Errorf("nil EmitFlow allocates %.1f times per op", a)
 	}
 	tr.Enable()
 	if a := testing.AllocsPerRun(1000, func() {
-		tr.EmitFlow(1, EvWakeHop, 42, 1, 2)
+		tr.EmitFlow(1, EvWakePost, 42, 1, 2)
 	}); a != 0 {
 		t.Errorf("enabled EmitFlow allocates %.1f times per op", a)
 	}

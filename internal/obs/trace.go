@@ -35,12 +35,12 @@ const (
 	EvHealth      // engine health transition; A = new state, B = old state
 
 	// Causal wake-propagation events (DESIGN.md §15). All four carry the
-	// engine-scoped wakeID in Event.Flow, binding a committed notify to
-	// every hop of its hand-off chain and to the waiters that consumed it.
+	// process-scoped wakeID in Event.Flow, binding a committed notify to
+	// each semaphore post it made and to the waiters that consumed them.
 	EvWakeRoot // committed notify minted a wakeID; Lane = cv id, A = batch size, B = cv id
-	EvWakeHop  // chain hop posted; Lane = node id, A = poster's node id (0 = the notifier), B = hop index
-	EvWakeEnd  // wake consumed; Lane = node id, A = hop index, B = consumer code (WakeBy*)
-	EvWakeTxn  // woken waiter's next commit; Lane = txn id, A = hop index
+	EvWakePost // dequeued waiter posted by the commit handler; Lane = node id
+	EvWakeEnd  // wake consumed; Lane = node id, B = consumer code (WakeBy*)
+	EvWakeTxn  // woken waiter's next commit; Lane = txn id, A = the waiter's node id
 )
 
 // String returns the exporter-facing event name.
@@ -76,8 +76,8 @@ func (t EventType) String() string {
 		return "stm.health"
 	case EvWakeRoot:
 		return "cv.wake.root"
-	case EvWakeHop:
-		return "cv.wake.hop"
+	case EvWakePost:
+		return "cv.wake.post"
 	case EvWakeEnd:
 		return "cv.wake.consume"
 	case EvWakeTxn:
@@ -116,10 +116,9 @@ const (
 )
 
 // Consumer codes carried in the B argument of EvWakeEnd events: which
-// kind of waiter ultimately consumed a chained wake. A timeout/cancel
-// loser that keeps a raced permit still drains the chain — it forwards
-// its successor — but the wake itself went to a waiter that had already
-// given up, which is exactly the signal cv_wake_consumed_total surfaces.
+// kind of waiter consumed a wake. A timeout/cancel loser that keeps a
+// raced permit reports notified, but the wake went to a waiter that had
+// already given up, which is the signal cv_wake_consumed_total surfaces.
 const (
 	WakeByWaiter int64 = iota
 	WakeByTimeout
@@ -164,8 +163,8 @@ func AbortReasonName(r int64) string {
 // id, a condvar node id, a semaphore — so related events line up in the
 // viewer. A and B are type-specific arguments. A non-zero Flow is the
 // causal-flow id (the wakeID of DESIGN.md §15) binding events of one
-// wake DAG across lanes; the Chrome exporter renders such events as flow
-// events so the DAG is visible in existing dumps.
+// wake flow across lanes; the Chrome exporter renders such events as flow
+// events so the wake-ups show as arrows in existing dumps.
 type Event struct {
 	TS   int64
 	Dur  int64
@@ -266,7 +265,7 @@ func (t *Tracer) Emit(lane uint64, typ EventType, a, b int64) {
 // EmitFlow records an instant event stamped now and tagged with a causal
 // flow id (a wakeID). Like Emit it is the direct-emission path for code
 // running outside any transaction attempt — commit handlers and woken
-// waiters, where the wake chain lives. Inside an optimistic transaction
+// waiters, where the wake flow lives. Inside an optimistic transaction
 // body use stm.Tx.TraceFlow, which buffers with the attempt. Safe on nil.
 func (t *Tracer) EmitFlow(lane uint64, typ EventType, flow uint64, a, b int64) {
 	if !t.Enabled() {

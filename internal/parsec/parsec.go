@@ -78,9 +78,6 @@ type Config struct {
 	// CVStats, when non-nil, aggregates condvar activity and wait-latency
 	// histograms across all the run's TM condvars.
 	CVStats *core.CVStats
-	// CVOpts configures every TM condvar the run creates (wake fan-out,
-	// serial-wake ablation, policy; no-op on the pthread system).
-	CVOpts core.Options
 	// Fault, when non-nil, is attached to the run's engine so chaos
 	// sweeps can inject deterministic faults into the benchmark's
 	// transactions and condvars (no-op on the pthread system).
@@ -117,7 +114,7 @@ func (c Config) scaled(base int) int {
 
 // toolkit builds the facility toolkit (and engine, when needed) for a run.
 func (c Config) toolkit() *facility.Toolkit {
-	tk := &facility.Toolkit{Kind: c.System, CVStats: c.CVStats, CVOpts: c.CVOpts}
+	tk := &facility.Toolkit{Kind: c.System, CVStats: c.CVStats}
 	if c.System != facility.LockPthread {
 		tk.Engine = stm.NewEngine(stm.Config{
 			Algorithm: c.Machine.Algorithm(),

@@ -316,12 +316,12 @@ func (e *Engine) Now() uint64 { return e.clock.Load() }
 // tracer (and one trace file) routinely spans several engines — the
 // benchmark harness builds a fresh engine per cell, cvstress soaks two
 // kinds back to back — and per-engine counters would collide flow ids
-// across them, merging unrelated wake DAGs in the analyzer.
+// across them, merging unrelated wake flows in the analyzer.
 var wakeSeq atomic.Uint64
 
 // NextWakeID mints the next causal wake id (DESIGN.md §15): allocated
-// by a committed notify's handler, stamped onto every hand-off hop of
-// the resulting wake chain, and carried in trace events' Flow field.
+// by a committed notify's handler, stamped onto every waiter it posts,
+// and carried in trace events' Flow field.
 // Monotonic across the process and never zero (zero means "no flow").
 func (e *Engine) NextWakeID() uint64 { return wakeSeq.Add(1) }
 

@@ -49,7 +49,7 @@ func (tx *Tx) Trace(typ obs.EventType, a, b int64) {
 }
 
 // TraceFlow is Trace for causal-flow events: the event carries flow (a
-// wakeID) in its Flow field, binding this transaction into the wake DAG
+// wakeID) in its Flow field, binding this transaction into the wake flow
 // that resumed it. Like Trace it is commit-deferred — buffered with the
 // optimistic attempt and discarded on abort — so an aborted continuation
 // never claims its wake in the trace. In serial transactions and after

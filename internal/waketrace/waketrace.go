@@ -1,16 +1,15 @@
-// Package waketrace reconstructs causal wake-propagation DAGs
-// (DESIGN.md §15) from trace output: the offline half of the wake-chain
-// observability stack. It loads either a Chrome trace_event dump (what
-// parsecbench -trace and obs.WriteChromeTrace produce) or a
-// flight-recorder snapshot (introspect.Recorder dumps), normalizes the
-// flow-tagged events, groups them per wakeID, and derives the reports
-// cmd/cvtrace prints: critical path per broadcast, slowest-hop
-// attribution, fan-out shape, stall detection, and the structural
-// self-checks behind cvtrace -check.
+// Package waketrace reconstructs causal wake flows (DESIGN.md §15) from
+// trace output: the offline half of the wake-trace observability stack.
+// It loads either a Chrome trace_event dump (what parsecbench -trace and
+// obs.WriteChromeTrace produce) or a flight-recorder snapshot
+// (introspect.Recorder dumps), normalizes the flow-tagged events, groups
+// them per wakeID, and derives the reports cmd/cvtrace prints: the last
+// wake per broadcast, post-to-consume latency, stall detection, and the
+// structural self-checks behind cvtrace -check.
 //
-// The package is also usable in-run: FromObs converts a live tracer's
-// retained events directly, which is how parsecbench and cvstress
-// analyze their own broadcasts without a round-trip through JSON.
+// The package is also usable in-run: CheckTracer validates a live
+// tracer's retained events directly, which is how parsecbench and
+// cvstress check their own broadcasts without a round-trip through JSON.
 package waketrace
 
 import (
@@ -26,131 +25,108 @@ import (
 // and the obs event types one-to-one.
 const (
 	KindRoot    = "root"    // committed notify minted the flow (obs.EvWakeRoot)
-	KindHop     = "hop"     // chain hop posted (obs.EvWakeHop)
+	KindPost    = "post"    // commit handler posted a dequeued waiter (obs.EvWakePost)
 	KindConsume = "consume" // wake consumed by a waiter (obs.EvWakeEnd)
 	KindTxn     = "txn"     // woken waiter's next transaction (obs.EvWakeTxn)
 )
 
+// kindOf maps the obs event names (what flight dumps record) to kinds.
+var kindOf = map[string]string{
+	obs.EvWakeRoot.String(): KindRoot,
+	obs.EvWakePost.String(): KindPost,
+	obs.EvWakeEnd.String():  KindConsume,
+	obs.EvWakeTxn.String():  KindTxn,
+}
+
 // Event is one normalized flow-tagged trace record. Field meaning per
 // kind mirrors the obs event contract: root carries the batch size in A
 // and the condvar id in B (CV resolves the name when the dump had one);
-// hop carries the poster's node id in A (0 = the notifier's commit
-// handler) and the hop index in B; consume carries the hop index in A
-// and the consumer code in B; txn carries the hop index in A.
+// consume carries the consumer code in B; txn carries the waiter's node
+// id in A.
 type Event struct {
 	TS   int64  // nanoseconds, dump-relative
 	Kind string // Kind* constant
-	Lane uint64 // node id (hop/consume), cv id (root), txn id (txn)
+	Lane uint64 // node id (post/consume), cv id (root), txn id (txn)
 	Flow uint64 // the wakeID; never zero for events in this package
 	A    int64
 	B    int64
 	CV   string // root only: condvar name, when attributed
 }
 
-// Hop is one node's position in a reconstructed wake DAG: the hand-off
-// that posted it, the consume that retired it, and the children it
-// posted in turn.
-type Hop struct {
-	Node     uint64 `json:"node"`
-	Parent   int64  `json:"parent"` // poster's node id; 0 = notifier-posted
-	Index    int64  `json:"hop"`    // 0-based chain position
-	PostTS   int64  `json:"post_ts_ns"`
-	Consumed bool   `json:"consumed"`
-	ConsTS   int64  `json:"consume_ts_ns,omitempty"`
-	By       string `json:"by,omitempty"` // waiter | timeout | cancel
-
-	Children []*Hop `json:"-"`
+// Wake is one dequeued waiter's share of a flow: the commit handler's
+// post and the consume that retired it. A well-formed wake has exactly
+// one post and at most one consume.
+type Wake struct {
+	Node     uint64
+	Posts    int
+	PostTS   int64
+	Consumes int
+	ConsTS   int64
+	By       string // waiter | timeout | cancel
 }
 
-// Latency is the hop's post→consume latency, or -1 if never consumed.
-func (h *Hop) Latency() int64 {
-	if !h.Consumed {
+// Latency is the wake's post→consume latency, or -1 if never consumed.
+func (w *Wake) Latency() int64 {
+	if w.Consumes == 0 {
 		return -1
 	}
-	return h.ConsTS - h.PostTS
+	return w.ConsTS - w.PostTS
 }
 
 // TxnStep is one EvWakeTxn binding: a woken waiter's next transaction
-// claiming its place in the DAG.
+// claiming its place in the flow.
 type TxnStep struct {
-	TS   int64  `json:"ts_ns"`
-	Lane uint64 `json:"txn"`
-	Hop  int64  `json:"hop"`
+	Lane uint64 // the transaction's id
+	Node uint64 // the waiter it resumed
 }
 
-// DAG is one reconstructed wake flow: everything a single committed
-// notify caused.
-type DAG struct {
-	Flow    uint64 `json:"flow"`
-	CV      string `json:"cv,omitempty"`
-	Batch   int64  `json:"batch"` // batch size the root announced (0 = root missing)
-	RootTS  int64  `json:"root_ts_ns"`
-	HasRoot bool   `json:"has_root"`
+// Flow is one reconstructed wake flow: everything a single committed
+// notify caused — root → one post per dequeued node → one consume per
+// post → optional txn steps.
+type Flow struct {
+	ID      uint64
+	CV      string
+	Batch   int64 // batch size the root announced (0 = root missing)
+	RootTS  int64
+	HasRoot bool
 
-	Hops    map[uint64]*Hop `json:"-"`
-	Roots   []*Hop          `json:"-"` // notifier-posted hops (parent 0)
-	Orphans []*Hop          `json:"-"` // hops whose named parent posted no hop in this flow
-	Txns    []TxnStep       `json:"-"`
+	Wakes map[uint64]*Wake // by node id
+	Txns  []TxnStep
 }
 
-// MaxDepth returns the largest 1-based chain depth among consumed hops
-// (the quantity cv_wake_chain_depth observes), or 0 with no consumes.
-func (d *DAG) MaxDepth() int64 {
-	var m int64
-	for _, h := range d.Hops {
-		if h.Consumed && h.Index+1 > m {
-			m = h.Index + 1
-		}
+// wake returns node's entry, creating it on first sight.
+func (f *Flow) wake(node uint64) *Wake {
+	w := f.Wakes[node]
+	if w == nil {
+		w = &Wake{Node: node}
+		f.Wakes[node] = w
 	}
-	return m
+	return w
 }
 
-// Consumed counts consumed hops, total and by consumer kind.
-func (d *DAG) Consumed() (total int, by map[string]int) {
+// Consumed counts consumed wakes, total and by consumer kind.
+func (f *Flow) Consumed() (total int, by map[string]int) {
 	by = map[string]int{}
-	for _, h := range d.Hops {
-		if h.Consumed {
+	for _, w := range f.Wakes {
+		if w.Consumes > 0 {
 			total++
-			by[h.By]++
+			by[w.By]++
 		}
 	}
 	return total, by
 }
 
-// CriticalPath returns the root→leaf chain whose final consume is
-// latest relative to the DAG's start — the path that bounds the
-// broadcast's commit-to-last-wake latency — ordered root first. Empty
-// when nothing was consumed.
-func (d *DAG) CriticalPath() []*Hop {
-	var leaf *Hop
-	for _, h := range d.Hops {
-		if !h.Consumed {
-			continue
-		}
-		if leaf == nil || h.ConsTS > leaf.ConsTS {
-			leaf = h
+// Last returns the wake whose consume is latest — the one that bounds
+// the broadcast's commit-to-last-wake latency — or nil when nothing was
+// consumed.
+func (f *Flow) Last() *Wake {
+	var last *Wake
+	for _, w := range f.Wakes {
+		if w.Consumes > 0 && (last == nil || w.ConsTS > last.ConsTS) {
+			last = w
 		}
 	}
-	if leaf == nil {
-		return nil
-	}
-	// Walk parent links back to a root. Guard against cycles (corrupt
-	// dumps) with a visited set.
-	var rev []*Hop
-	seen := map[uint64]bool{}
-	for h := leaf; h != nil && !seen[h.Node]; {
-		seen[h.Node] = true
-		rev = append(rev, h)
-		if h.Parent == 0 {
-			break
-		}
-		h = d.Hops[uint64(h.Parent)]
-	}
-	path := make([]*Hop, len(rev))
-	for i, h := range rev {
-		path[len(rev)-1-i] = h
-	}
-	return path
+	return last
 }
 
 // FromObs normalizes a live tracer's retained events (obs.Tracer.Events)
@@ -162,151 +138,87 @@ func FromObs(evs []obs.Event) []Event {
 		if ev.Flow == 0 {
 			continue
 		}
-		e := Event{TS: ev.TS, Lane: ev.Lane, Flow: ev.Flow, A: ev.A, B: ev.B}
-		switch ev.Type {
-		case obs.EvWakeRoot:
-			e.Kind = KindRoot
-			if name := obs.EntityName(uint64(ev.B)); name != "" {
-				e.CV = name
-			}
-		case obs.EvWakeHop:
-			e.Kind = KindHop
-		case obs.EvWakeEnd:
-			e.Kind = KindConsume
-		case obs.EvWakeTxn:
-			e.Kind = KindTxn
-		default:
+		e := Event{TS: ev.TS, Kind: kindOf[ev.Type.String()], Lane: ev.Lane, Flow: ev.Flow, A: ev.A, B: ev.B}
+		if e.Kind == "" {
 			continue
+		}
+		if e.Kind == KindRoot {
+			e.CV = obs.EntityName(uint64(ev.B))
 		}
 		out = append(out, e)
 	}
 	return out
 }
 
-// Build groups flow events per wakeID and reconstructs each flow's DAG,
+// Build groups flow events per wakeID and reconstructs each flow,
 // returned sorted by root (or earliest-event) timestamp.
-func Build(evs []Event) []*DAG {
-	byFlow := map[uint64][]Event{}
+func Build(evs []Event) []*Flow {
+	byID := map[uint64]*Flow{}
+	var flows []*Flow
 	for _, ev := range evs {
-		if ev.Flow == 0 {
-			continue
+		f := byID[ev.Flow]
+		if f == nil {
+			f = &Flow{ID: ev.Flow, RootTS: ev.TS, Wakes: map[uint64]*Wake{}}
+			byID[ev.Flow] = f
+			flows = append(flows, f)
 		}
-		byFlow[ev.Flow] = append(byFlow[ev.Flow], ev)
+		if !f.HasRoot && ev.TS < f.RootTS {
+			f.RootTS = ev.TS // rootless flow: anchor at its earliest event
+		}
+		switch ev.Kind {
+		case KindRoot:
+			f.HasRoot, f.RootTS, f.Batch, f.CV = true, ev.TS, ev.A, ev.CV
+		case KindPost:
+			w := f.wake(ev.Lane)
+			w.Posts++
+			w.PostTS = ev.TS
+		case KindConsume:
+			w := f.wake(ev.Lane)
+			w.Consumes++
+			w.ConsTS = ev.TS
+			w.By = obs.WakeConsumerName(ev.B)
+		case KindTxn:
+			f.Txns = append(f.Txns, TxnStep{Lane: ev.Lane, Node: uint64(ev.A)})
+		}
 	}
-	var dags []*DAG
-	for flow, fe := range byFlow {
-		d := &DAG{Flow: flow, Hops: map[uint64]*Hop{}}
-		first := int64(-1)
-		for _, ev := range fe {
-			if first < 0 || ev.TS < first {
-				first = ev.TS
-			}
-			switch ev.Kind {
-			case KindRoot:
-				d.HasRoot = true
-				d.RootTS = ev.TS
-				d.Batch = ev.A
-				d.CV = ev.CV
-			case KindHop:
-				h := d.Hops[ev.Lane]
-				if h == nil {
-					h = &Hop{Node: ev.Lane}
-					d.Hops[ev.Lane] = h
-				}
-				h.Parent = ev.A
-				h.Index = ev.B
-				h.PostTS = ev.TS
-			case KindConsume:
-				h := d.Hops[ev.Lane]
-				if h == nil {
-					h = &Hop{Node: ev.Lane, Index: ev.A, PostTS: ev.TS}
-					d.Hops[ev.Lane] = h
-				}
-				h.Consumed = true
-				h.ConsTS = ev.TS
-				h.By = obs.WakeConsumerName(ev.B)
-			case KindTxn:
-				d.Txns = append(d.Txns, TxnStep{TS: ev.TS, Lane: ev.Lane, Hop: ev.A})
-			}
+	sort.Slice(flows, func(i, j int) bool {
+		if flows[i].RootTS != flows[j].RootTS {
+			return flows[i].RootTS < flows[j].RootTS
 		}
-		if !d.HasRoot {
-			d.RootTS = first
-		}
-		for _, h := range d.Hops {
-			if h.Parent == 0 {
-				d.Roots = append(d.Roots, h)
-				continue
-			}
-			if p := d.Hops[uint64(h.Parent)]; p != nil {
-				p.Children = append(p.Children, h)
-			} else {
-				d.Orphans = append(d.Orphans, h)
-			}
-		}
-		sortHops(d.Roots)
-		sortHops(d.Orphans)
-		for _, h := range d.Hops {
-			sortHops(h.Children)
-		}
-		sort.Slice(d.Txns, func(i, j int) bool { return d.Txns[i].TS < d.Txns[j].TS })
-		dags = append(dags, d)
-	}
-	sort.Slice(dags, func(i, j int) bool {
-		if dags[i].RootTS != dags[j].RootTS {
-			return dags[i].RootTS < dags[j].RootTS
-		}
-		return dags[i].Flow < dags[j].Flow
+		return flows[i].ID < flows[j].ID
 	})
-	return dags
-}
-
-func sortHops(hs []*Hop) {
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].PostTS != hs[j].PostTS {
-			return hs[i].PostTS < hs[j].PostTS
-		}
-		return hs[i].Node < hs[j].Node
-	})
+	return flows
 }
 
 // Check runs the structural self-validation behind cvtrace -check and
 // returns one message per violation (empty = clean):
 //
-//   - every flow with hops has its root event (the mint was traced)
-//   - every non-root hop's parent posted a hop in the same flow
-//   - every child hop's index is its parent's plus one
-//   - notifier-posted hops carry index 0
-//   - consumed hops never exceed the batch size the root announced
-//   - every txn step's hop index matches some consumed hop
-func Check(dags []*DAG) []string {
+//   - every flow has its root event (the mint was traced)
+//   - every node in a flow was posted exactly once and consumed at most
+//     once (a consume with no post is a wake nobody sent)
+//   - the nodes posted or consuming never exceed the batch size the root
+//     announced (so neither posts nor consumes do)
+//   - every txn step names a node that consumed a wake in its flow
+func Check(flows []*Flow) []string {
 	var bad []string
-	for _, d := range dags {
-		if !d.HasRoot {
-			bad = append(bad, fmt.Sprintf("flow %d: %d hop(s) but no root event (ring wrap-around? undersized trace buffer)", d.Flow, len(d.Hops)))
+	for _, f := range flows {
+		if !f.HasRoot {
+			bad = append(bad, fmt.Sprintf("flow %d: %d wake(s) but no root event (ring wrap-around? undersized trace buffer)", f.ID, len(f.Wakes)))
 		}
-		for _, h := range d.Orphans {
-			bad = append(bad, fmt.Sprintf("flow %d: node %d names parent %d, which posted no hop in this flow", d.Flow, h.Node, h.Parent))
-		}
-		consumedIdx := map[int64]bool{}
-		for _, h := range d.Hops {
-			if h.Parent == 0 && h.Index != 0 {
-				bad = append(bad, fmt.Sprintf("flow %d: notifier-posted node %d carries hop index %d, want 0", d.Flow, h.Node, h.Index))
+		for _, w := range f.Wakes {
+			if w.Posts == 0 {
+				bad = append(bad, fmt.Sprintf("flow %d: node %d consumed a wake nobody posted in this flow", f.ID, w.Node))
 			}
-			if h.Consumed {
-				consumedIdx[h.Index] = true
-			}
-			for _, c := range h.Children {
-				if c.Index != h.Index+1 {
-					bad = append(bad, fmt.Sprintf("flow %d: node %d at hop %d posted node %d at hop %d, want %d", d.Flow, h.Node, h.Index, c.Node, c.Index, h.Index+1))
-				}
+			if w.Posts > 1 || w.Consumes > 1 {
+				bad = append(bad, fmt.Sprintf("flow %d: node %d posted %d time(s) and consumed %d, want one post and at most one consume", f.ID, w.Node, w.Posts, w.Consumes))
 			}
 		}
-		if total, _ := d.Consumed(); d.HasRoot && int64(total) > d.Batch {
-			bad = append(bad, fmt.Sprintf("flow %d: %d consumed wakes exceed announced batch %d", d.Flow, total, d.Batch))
+		if f.HasRoot && int64(len(f.Wakes)) > f.Batch {
+			bad = append(bad, fmt.Sprintf("flow %d: %d node(s) posted or consuming exceed announced batch %d", f.ID, len(f.Wakes), f.Batch))
 		}
-		for _, t := range d.Txns {
-			if !consumedIdx[t.Hop] {
-				bad = append(bad, fmt.Sprintf("flow %d: txn %d claims hop %d, but no consumed hop has that index", d.Flow, t.Lane, t.Hop))
+		for _, t := range f.Txns {
+			if w := f.Wakes[t.Node]; w == nil || w.Consumes == 0 {
+				bad = append(bad, fmt.Sprintf("flow %d: txn %d claims node %d, which consumed no wake in this flow", f.ID, t.Lane, t.Node))
 			}
 		}
 	}
@@ -317,25 +229,33 @@ func Check(dags []*DAG) []string {
 // window-truncated. Trace rings and flight recorders retain the last N
 // events, but not as one queue: obs.Tracer is sixteen rings sharded by
 // lane, each evicting its own oldest, so a flow can keep its root in a
-// quiet shard and lose hops from a busy one. horizon is the capture's
+// quiet shard and lose posts from a busy one. horizon is the capture's
 // retention horizon (obs.Tracer.Horizon, or what the dump recorded): the
 // newest timestamp among the evicted events, zero when nothing was lost.
 // A flow's root is its oldest event (the commit handler mints the wakeID
 // before the first post), so a flow whose root is missing or stamped at
 // or before the horizon may have lost events, and one rooted after it
 // kept everything. Analyzers over bounded captures should Check only the
-// complete set — where a missing parent is real corruption — and report
+// complete set — where a missing post is real corruption — and report
 // the truncated count; strict checking (Check over the unsplit set)
 // treats the capture as whole.
-func SplitTruncated(dags []*DAG, horizon int64) (complete, truncated []*DAG) {
-	for _, d := range dags {
-		if d.HasRoot && (horizon == 0 || d.RootTS > horizon) {
-			complete = append(complete, d)
+func SplitTruncated(flows []*Flow, horizon int64) (complete, truncated []*Flow) {
+	for _, f := range flows {
+		if f.HasRoot && (horizon == 0 || f.RootTS > horizon) {
+			complete = append(complete, f)
 		} else {
-			truncated = append(truncated, d)
+			truncated = append(truncated, f)
 		}
 	}
 	return complete, truncated
+}
+
+// CheckTracer is the in-run gate behind parsecbench -trace and cvstress
+// -trace: rebuild the flows a quiesced tracer retained, set aside the
+// ones its ring cut short, and Check the rest.
+func CheckTracer(tr *obs.Tracer) (complete, truncated []*Flow, problems []string) {
+	complete, truncated = SplitTruncated(Build(FromObs(tr.Events())), tr.Horizon())
+	return complete, truncated, Check(complete)
 }
 
 // LoadFile reads and parses a trace dump, auto-detecting the format: a
@@ -382,15 +302,12 @@ type chromeRecord struct {
 	TID  uint64  `json:"tid"`
 	ID   uint64  `json:"id"`
 	Args struct {
-		Kind   string          `json:"kind"`
-		Batch  int64           `json:"batch"`
-		CV     string          `json:"cv"`
-		CVID   int64           `json:"cv_id"`
-		Node   uint64          `json:"node"`
-		Parent int64           `json:"parent"`
-		Hop    int64           `json:"hop"`
-		By     string          `json:"by"`
-		Txn    json.RawMessage `json:"txn"`
+		Kind  string `json:"kind"`
+		Batch int64  `json:"batch"`
+		CV    string `json:"cv"`
+		CVID  int64  `json:"cv_id"`
+		Node  uint64 `json:"node"`
+		By    string `json:"by"`
 	} `json:"args"`
 }
 
@@ -414,19 +331,13 @@ func parseChrome(data []byte) ([]Event, error) {
 		}
 		switch r.Args.Kind {
 		case KindRoot:
-			e.A = r.Args.Batch
-			e.B = r.Args.CVID
-			e.CV = r.Args.CV
-		case KindHop:
+			e.A, e.B, e.CV = r.Args.Batch, r.Args.CVID, r.Args.CV
+		case KindPost:
 			e.Lane = r.Args.Node
-			e.A = r.Args.Parent
-			e.B = r.Args.Hop
 		case KindConsume:
-			e.Lane = r.Args.Node
-			e.A = r.Args.Hop
-			e.B = wakeConsumerCode(r.Args.By)
+			e.Lane, e.B = r.Args.Node, wakeConsumerCode(r.Args.By)
 		case KindTxn:
-			e.A = r.Args.Hop
+			e.A = int64(r.Args.Node)
 		default:
 			continue
 		}
@@ -455,34 +366,19 @@ func parseFlight(data []byte) ([]Event, error) {
 	}
 	var out []Event
 	for _, r := range doc.TraceEvents {
-		if r.Flow == 0 {
-			continue
+		if kind := kindOf[r.Type]; r.Flow != 0 && kind != "" {
+			out = append(out, Event{TS: r.TS, Kind: kind, Lane: r.Lane, Flow: r.Flow, A: r.A, B: r.B})
 		}
-		e := Event{TS: r.TS, Lane: r.Lane, Flow: r.Flow, A: r.A, B: r.B}
-		switch r.Type {
-		case "cv.wake.root":
-			e.Kind = KindRoot
-		case "cv.wake.hop":
-			e.Kind = KindHop
-		case "cv.wake.consume":
-			e.Kind = KindConsume
-		case "cv.wake.txn":
-			e.Kind = KindTxn
-		default:
-			continue
-		}
-		out = append(out, e)
 	}
 	return out, nil
 }
 
+// wakeConsumerCode inverts obs.WakeConsumerName (waiter when unknown).
 func wakeConsumerCode(name string) int64 {
-	switch name {
-	case "timeout":
-		return obs.WakeByTimeout
-	case "cancel":
-		return obs.WakeByCancel
-	default:
-		return obs.WakeByWaiter
+	for by := obs.WakeByTimeout; by <= obs.WakeByCancel; by++ {
+		if obs.WakeConsumerName(by) == name {
+			return by
+		}
 	}
+	return obs.WakeByWaiter
 }

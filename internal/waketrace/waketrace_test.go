@@ -15,14 +15,14 @@ import (
 
 // broadcast runs a real 128-waiter broadcast under a tracer and returns
 // the quiesced tracer — the acceptance scenario of the wake-tracing
-// work: every wake DAG reconstructs with no orphan hops.
+// work: the wake flow reconstructs whole, every post consumed.
 func broadcast(t *testing.T, waiters int) *obs.Tracer {
 	t.Helper()
 	e := stm.NewEngine(stm.Config{})
 	tr := obs.NewTracer(1 << 16)
 	e.SetTracer(tr)
 	tr.Enable()
-	cv := core.New(e, core.Options{WakeFanout: 8}).SetName("bench.cv")
+	cv := core.New(e, core.Options{}).SetName("bench.cv")
 
 	var m syncx.Mutex
 	done := make(chan struct{}, waiters)
@@ -55,46 +55,34 @@ func broadcast(t *testing.T, waiters int) *obs.Tracer {
 	return tr
 }
 
-func checkDAGs(t *testing.T, dags []*waketrace.DAG, waiters int, via string) {
+func checkFlows(t *testing.T, flows []*waketrace.Flow, waiters int, via string) {
 	t.Helper()
-	if problems := waketrace.Check(dags); len(problems) != 0 {
+	if problems := waketrace.Check(flows); len(problems) != 0 {
 		t.Fatalf("%s: structural check failed: %v", via, problems)
 	}
-	if len(dags) != 1 {
-		t.Fatalf("%s: reconstructed %d flows, want 1", via, len(dags))
+	if len(flows) != 1 {
+		t.Fatalf("%s: reconstructed %d flows, want 1", via, len(flows))
 	}
-	d := dags[0]
-	if d.Batch != int64(waiters) {
-		t.Errorf("%s: root batch %d, want %d", via, d.Batch, waiters)
+	f := flows[0]
+	if f.Batch != int64(waiters) {
+		t.Errorf("%s: root batch %d, want %d", via, f.Batch, waiters)
 	}
-	if len(d.Hops) != waiters {
-		t.Errorf("%s: %d hops, want %d", via, len(d.Hops), waiters)
+	if len(f.Wakes) != waiters {
+		t.Errorf("%s: %d posted nodes, want %d", via, len(f.Wakes), waiters)
 	}
-	if len(d.Orphans) != 0 {
-		t.Errorf("%s: %d orphan hops, want 0", via, len(d.Orphans))
-	}
-	total, by := d.Consumed()
+	total, by := f.Consumed()
 	if total != waiters || by["waiter"] != waiters {
 		t.Errorf("%s: consumed %d (%v), want %d all by waiter", via, total, by, waiters)
 	}
-	// 128 waiters at fan-out 8 = 8 chains of 16: max depth 16 when the
-	// runtime is parallel, or 1 when GOMAXPROCS is 1 (auto direct post is
-	// overridden here by the explicit fanout, so depth is exact).
-	if want := int64(waiters / 8); d.MaxDepth() != want {
-		t.Errorf("%s: max depth %d, want %d (8 chains over %d waiters)", via, d.MaxDepth(), want, waiters)
-	}
-	if len(d.Roots) != 8 {
-		t.Errorf("%s: %d notifier-posted heads, want 8", via, len(d.Roots))
-	}
-	if d.CV != "bench.cv" {
-		t.Errorf("%s: cv name %q, want bench.cv", via, d.CV)
+	if f.CV != "bench.cv" {
+		t.Errorf("%s: cv name %q, want bench.cv", via, f.CV)
 	}
 }
 
 // TestBroadcastDAGRoundTrip reconstructs a 128-waiter broadcast's wake
-// DAG three ways — straight from the live tracer, through the Chrome
+// flow three ways — straight from the live tracer, through the Chrome
 // trace exporter, and through a flight-dump shaped document — and
-// demands the identical, orphan-free shape from each.
+// demands the identical shape from each.
 func TestBroadcastDAGRoundTrip(t *testing.T) {
 	const waiters = 128
 	tr := broadcast(t, waiters)
@@ -102,7 +90,7 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 
 	// 1. Live path (what parsecbench/cvstress use in-run).
 	live := waketrace.Build(waketrace.FromObs(evs))
-	checkDAGs(t, live, waiters, "FromObs")
+	checkFlows(t, live, waiters, "FromObs")
 
 	// 2. Chrome export → parse (what cvtrace sees after -trace).
 	var buf bytes.Buffer
@@ -114,7 +102,7 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	chrome := waketrace.Build(parsed)
-	checkDAGs(t, chrome, waiters, "chrome")
+	checkFlows(t, chrome, waiters, "chrome")
 
 	// 3. Flight-dump shape (what cvtrace sees pointed at cvflight-*.json).
 	// Chrome loses the cv name only if unnamed; the flight path carries
@@ -145,25 +133,16 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 	if len(flight) == 1 {
 		flight[0].CV = "bench.cv" // names don't travel through raw dumps; see above
 	}
-	checkDAGs(t, flight, waiters, "flight")
+	checkFlows(t, flight, waiters, "flight")
 
 	// The analysis over the reconstructed DAG is internally consistent.
-	rep := waketrace.Analyze(live, waketrace.Options{TopHops: 5})
-	if rep.Flows != 1 || rep.Consumed != waiters || rep.Orphans != 0 {
-		t.Errorf("report: %d flows, %d consumed, %d orphans", rep.Flows, rep.Consumed, rep.Orphans)
+	rep := waketrace.Analyze(live, waketrace.Options{})
+	if rep.Flows != 1 || rep.Posts != waiters || rep.Consumed != waiters {
+		t.Errorf("report: %d flows, %d posts, %d consumed", rep.Flows, rep.Posts, rep.Consumed)
 	}
-	if got := rep.PerFlow[0]; got.SpanNS <= 0 || len(got.CriticalPath) == 0 {
-		t.Errorf("critical path missing: span %d, %d steps", got.SpanNS, len(got.CriticalPath))
-	}
-	if len(rep.Slowest) != 5 {
-		t.Errorf("slowest-hop table has %d entries, want 5", len(rep.Slowest))
-	}
-	depthSum := 0
-	for _, c := range rep.DepthDist {
-		depthSum += c
-	}
-	if depthSum != waiters {
-		t.Errorf("depth distribution covers %d wakes, want %d", depthSum, waiters)
+	if got := rep.PerFlow[0]; got.LastNode == 0 || got.SpanNS != got.LastPostNS+got.LastLatencyNS {
+		t.Errorf("last wake: node %d, span %d != post %d + latency %d",
+			got.LastNode, got.SpanNS, got.LastPostNS, got.LastLatencyNS)
 	}
 	var text bytes.Buffer
 	if err := rep.WriteText(&text); err != nil {
@@ -184,107 +163,114 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 // TestCheckCatchesCorruption: hand-built violations must each trip the
 // structural validator.
 func TestCheckCatchesCorruption(t *testing.T) {
-	mk := func(evs ...waketrace.Event) []*waketrace.DAG {
+	mk := func(evs ...waketrace.Event) []*waketrace.Flow {
 		return waketrace.Build(evs)
 	}
-	root := waketrace.Event{TS: 0, Kind: waketrace.KindRoot, Lane: 1, Flow: 7, A: 2}
+	ev := func(ts int64, kind string, lane uint64, a int64) waketrace.Event {
+		return waketrace.Event{TS: ts, Kind: kind, Lane: lane, Flow: 7, A: a}
+	}
+	root := ev(0, waketrace.KindRoot, 1, 2)
 
 	cases := []struct {
-		name string
-		dags []*waketrace.DAG
+		name  string
+		flows []*waketrace.Flow
 	}{
-		{"orphan hop", mk(root,
-			waketrace.Event{TS: 1, Kind: waketrace.KindHop, Lane: 10, Flow: 7, A: 99, B: 1},
+		{"consume without a post", mk(root,
+			ev(1, waketrace.KindConsume, 10, 0),
 		)},
 		{"missing root", mk(
-			waketrace.Event{TS: 1, Kind: waketrace.KindHop, Lane: 10, Flow: 7, A: 0, B: 0},
+			ev(1, waketrace.KindPost, 10, 0),
 		)},
-		{"bad child index", mk(root,
-			waketrace.Event{TS: 1, Kind: waketrace.KindHop, Lane: 10, Flow: 7, A: 0, B: 0},
-			waketrace.Event{TS: 2, Kind: waketrace.KindHop, Lane: 11, Flow: 7, A: 10, B: 5},
+		{"node posted twice", mk(root,
+			ev(1, waketrace.KindPost, 10, 0),
+			ev(2, waketrace.KindPost, 10, 0),
 		)},
-		{"nonzero root hop index", mk(root,
-			waketrace.Event{TS: 1, Kind: waketrace.KindHop, Lane: 10, Flow: 7, A: 0, B: 3},
+		{"node consumed twice", mk(root,
+			ev(1, waketrace.KindPost, 10, 0),
+			ev(2, waketrace.KindConsume, 10, 0),
+			ev(3, waketrace.KindConsume, 10, 0),
 		)},
-		{"consumes exceed batch", mk(
-			waketrace.Event{TS: 0, Kind: waketrace.KindRoot, Lane: 1, Flow: 7, A: 1},
-			waketrace.Event{TS: 1, Kind: waketrace.KindHop, Lane: 10, Flow: 7, A: 0, B: 0},
-			waketrace.Event{TS: 2, Kind: waketrace.KindHop, Lane: 11, Flow: 7, A: 10, B: 1},
-			waketrace.Event{TS: 3, Kind: waketrace.KindConsume, Lane: 10, Flow: 7, A: 0},
-			waketrace.Event{TS: 4, Kind: waketrace.KindConsume, Lane: 11, Flow: 7, A: 1},
+		{"posts exceed batch", mk(
+			ev(0, waketrace.KindRoot, 1, 1),
+			ev(1, waketrace.KindPost, 10, 0),
+			ev(2, waketrace.KindPost, 11, 0),
+			ev(3, waketrace.KindConsume, 10, 0),
+			ev(4, waketrace.KindConsume, 11, 0),
 		)},
-		{"txn without consumed hop", mk(root,
-			waketrace.Event{TS: 1, Kind: waketrace.KindHop, Lane: 10, Flow: 7, A: 0, B: 0},
-			waketrace.Event{TS: 2, Kind: waketrace.KindConsume, Lane: 10, Flow: 7, A: 0},
-			waketrace.Event{TS: 3, Kind: waketrace.KindTxn, Lane: 500, Flow: 7, A: 9},
+		{"txn without a consumed node", mk(root,
+			ev(1, waketrace.KindPost, 10, 0),
+			ev(2, waketrace.KindConsume, 10, 0),
+			ev(3, waketrace.KindTxn, 500, 9),
 		)},
 	}
 	for _, tc := range cases {
-		if problems := waketrace.Check(tc.dags); len(problems) == 0 {
+		if problems := waketrace.Check(tc.flows); len(problems) == 0 {
 			t.Errorf("%s: validator saw nothing wrong", tc.name)
 		}
 	}
 
-	// And a clean single-notify flow passes.
-	clean := mk(
-		waketrace.Event{TS: 0, Kind: waketrace.KindRoot, Lane: 1, Flow: 9, A: 1},
-		waketrace.Event{TS: 1, Kind: waketrace.KindHop, Lane: 10, Flow: 9, A: 0, B: 0},
-		waketrace.Event{TS: 2, Kind: waketrace.KindConsume, Lane: 10, Flow: 9, A: 0},
-		waketrace.Event{TS: 3, Kind: waketrace.KindTxn, Lane: 500, Flow: 9, A: 0},
+	// And a clean flow — one wake consumed and resumed, one still in
+	// flight — passes.
+	clean := mk(root,
+		ev(1, waketrace.KindPost, 10, 0),
+		ev(2, waketrace.KindPost, 11, 0),
+		ev(3, waketrace.KindConsume, 10, 0),
+		ev(4, waketrace.KindTxn, 500, 10),
 	)
 	if problems := waketrace.Check(clean); len(problems) != 0 {
 		t.Errorf("clean flow flagged: %v", problems)
 	}
 }
 
-// chainedFlow emits one two-hop wake flow straight into tr: the root on
-// the condvar's lane (shard 1), then node head posted by the notifier
-// and node head+16 (the same shard) posted by head, each consumed.
-func chainedFlow(tr *obs.Tracer, flow, head uint64) {
+// batchFlow emits one two-waiter wake flow straight into tr: the root on
+// the condvar's lane (shard 1), then nodes first and first+16 (one
+// shard) posted and consumed.
+func batchFlow(tr *obs.Tracer, flow, first uint64) {
 	tr.EmitFlow(1, obs.EvWakeRoot, flow, 2, 1)
-	tr.EmitFlow(head, obs.EvWakeHop, flow, 0, 0)
-	tr.EmitFlow(head, obs.EvWakeEnd, flow, 0, obs.WakeByWaiter)
-	tr.EmitFlow(head+16, obs.EvWakeHop, flow, int64(head), 1)
-	tr.EmitFlow(head+16, obs.EvWakeEnd, flow, 1, obs.WakeByWaiter)
+	for _, node := range []uint64{first, first + 16} {
+		tr.EmitFlow(node, obs.EvWakePost, flow, 0, 0)
+		tr.EmitFlow(node, obs.EvWakeEnd, flow, 0, obs.WakeByWaiter)
+	}
 }
 
 // TestSplitTruncatedShardedEviction: the tracer is sixteen rings sharded
-// by lane, so a busy lane can evict a flow's early hops while the flow's
+// by lane, so a busy lane can evict a flow's early posts while the flow's
 // root survives in a quiet shard. Such a flow is window-truncated (its
-// root is not newer than the retention horizon), not a violation — the
-// false "names parent M, which posted no hop" of the chaos-soak gate.
+// root is not newer than the retention horizon), not a violation — and
+// the in-run gate (CheckTracer, what parsecbench -trace and cvstress
+// -trace run) passes a wrapped ring while reporting the truncated count.
 func TestSplitTruncatedShardedEviction(t *testing.T) {
 	tr := obs.NewTracer(1024) // 16 shards × 64 slots
 	tr.Enable()
-	chainedFlow(tr, 7, 18)
-	// Shard 2 now holds four events. 62 more on a lane of the same shard
-	// wrap it by two: node 18's hop and consume go, node 34's stay.
-	for i := 0; i < 62; i++ {
+	batchFlow(tr, 7, 18)
+	// Shard 2 now holds four events. 61 more on a lane of the same shard
+	// wrap it by one: node 18's post goes, its consume stays.
+	for i := 0; i < 61; i++ {
 		tr.Emit(2, obs.EvSemPark, 0, 0)
 	}
 	// A second flow, begun after the last eviction, is whole.
-	chainedFlow(tr, 8, 19)
+	batchFlow(tr, 8, 19)
 	tr.Disable()
 
 	h := tr.Horizon()
 	if h == 0 {
 		t.Fatal("Horizon = 0 after a shard wrapped")
 	}
-	dags := waketrace.Build(waketrace.FromObs(tr.Events()))
-	if len(dags) != 2 || !dags[0].HasRoot || len(dags[0].Orphans) != 1 {
-		t.Fatalf("setup: want flow 7 rooted with one orphan hop, got %d flow(s): %+v", len(dags), dags[0])
+	flows := waketrace.Build(waketrace.FromObs(tr.Events()))
+	if len(flows) != 2 || !flows[0].HasRoot || flows[0].Wakes[18].Posts != 0 {
+		t.Fatalf("setup: want flow 7 rooted with node 18's post evicted, got %d flow(s): %+v", len(flows), flows[0])
 	}
-	if len(waketrace.Check(dags)) == 0 {
+	if len(waketrace.Check(flows)) == 0 {
 		t.Fatal("strict check over the unsplit set saw nothing wrong")
 	}
-	complete, truncated := waketrace.SplitTruncated(dags, h)
-	if len(truncated) != 1 || truncated[0].Flow != 7 {
+	complete, truncated, problems := waketrace.CheckTracer(tr)
+	if len(truncated) != 1 || truncated[0].ID != 7 {
 		t.Fatalf("truncated = %v, want flow 7 only", truncated)
 	}
-	if len(complete) != 1 || complete[0].Flow != 8 {
+	if len(complete) != 1 || complete[0].ID != 8 {
 		t.Fatalf("complete = %v, want flow 8 only", complete)
 	}
-	if problems := waketrace.Check(complete); len(problems) != 0 {
+	if len(problems) != 0 {
 		t.Fatalf("complete set flagged: %v", problems)
 	}
 
@@ -307,29 +293,25 @@ func TestSplitTruncatedShardedEviction(t *testing.T) {
 	}
 }
 
-// The negative case: the same flow with nothing evicted and its parent
-// node's events deleted by hand is inside the window, so the missing
-// parent is still reported.
+// The negative case: a consume nobody posted, emitted with nothing
+// evicted, is inside the window — a genuinely corrupted complete flow —
+// so the in-run gate still reports it.
 func TestSplitTruncatedKeepsRealOrphans(t *testing.T) {
 	tr := obs.NewTracer(1024)
 	tr.Enable()
-	chainedFlow(tr, 7, 18)
+	tr.EmitFlow(1, obs.EvWakeRoot, 7, 2, 1)
+	tr.EmitFlow(34, obs.EvWakePost, 7, 0, 0)
+	tr.EmitFlow(34, obs.EvWakeEnd, 7, 0, obs.WakeByWaiter)
+	tr.EmitFlow(18, obs.EvWakeEnd, 7, 0, obs.WakeByWaiter) // orphan: no post
 	tr.Disable()
 	if h := tr.Horizon(); h != 0 {
 		t.Fatalf("Horizon = %d with nothing evicted, want 0", h)
 	}
-	var evs []waketrace.Event
-	for _, ev := range waketrace.FromObs(tr.Events()) {
-		if ev.Lane == 18 {
-			continue
-		}
-		evs = append(evs, ev)
-	}
-	complete, truncated := waketrace.SplitTruncated(waketrace.Build(evs), tr.Horizon())
+	complete, truncated, problems := waketrace.CheckTracer(tr)
 	if len(complete) != 1 || len(truncated) != 0 {
 		t.Fatalf("%d complete, %d truncated, want 1 and 0", len(complete), len(truncated))
 	}
-	if len(waketrace.Check(complete)) == 0 {
-		t.Fatal("a parent hop missing inside the retention window went unreported")
+	if len(problems) == 0 {
+		t.Fatal("a post missing inside the retention window went unreported")
 	}
 }

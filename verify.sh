@@ -4,9 +4,9 @@
 # test suite under the race detector, a second stm/core pass with the
 # runtime sanitizer compiled on (-tags stmsan), the cvlint static misuse
 # analyzers over the whole module, a vet of the nested benchmark module,
-# two bounded exhaustive model-checking runs, a causal wake-trace gate
+# the bounded exhaustive model-checking battery, a causal wake-trace gate
 # (the chaos soak dumps its event ring and cvtrace -check revalidates
-# every wake DAG offline), and a live-introspection smoke gate that
+# every wake flow offline), and a live-introspection smoke gate that
 # scrapes the /debug/cv/* endpoints during a chaos soak. It checks
 # behaviour only; performance numbers come from `bash benchmark/run.sh`.
 #
@@ -38,11 +38,12 @@ step "tests (race detector)"
 go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The semaphore's spin gate, the epoch-batched commit clock and the
-# condvar wake fan-out all branch on GOMAXPROCS, so a single-core host
-# silently skips their multicore schedules. Re-run the three fabric
-# packages with four Ps forced — the race detector sees the spin-phase
-# and cross-shard interleavings even when the host has one CPU.
+# The semaphore's spin gate and the epoch-batched commit clock branch on
+# GOMAXPROCS, so a single-core host silently skips their multicore
+# schedules, and the condvar's batch post loop only overlaps its woken
+# waiters with more than one P. Re-run the three fabric packages with
+# four Ps forced — the race detector sees the spin-phase and cross-shard
+# interleavings even when the host has one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
 
 step "tests (runtime sanitizer on: -tags stmsan)"
@@ -62,33 +63,34 @@ step "tracer overhead guard (disabled path must not allocate)"
 go test -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc|TestParkLabelGateNoAlloc' ./internal/obs
 go test -run 'NoAlloc' ./internal/obs/registry
 go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./internal/stm
-# The wake-chain stamps (wakeID mint + hop stores + consumer attribution)
-# ride the notify→post→wake hot path unconditionally; with the tracer
+# The causal wake stamp (wakeID mint + node stamp + consumer attribution)
+# rides the notify→post→wake hot path unconditionally; with the tracer
 # disarmed the whole cycle must stay allocation-free, bounding the
-# chain-tracing overhead on a broadcast to the atomic stores.
-go test -run 'TestWakeChainDisarmedNoAlloc' ./internal/core
+# wake-tracing overhead on a broadcast to the atomic stores.
+go test -run 'TestWakeStampDisarmedNoAlloc' ./internal/core
 # The pooled park path: a Wait that parks and is woken must recycle its
 # waiter node and channel — 0 allocs/op once the pool is warm. Must run
 # race-free: race shadow state adds a deterministic allocation per park
 # (the test skips itself under -race, so this line is the real gate).
 go test -run 'TestWaitPooledNoAlloc' ./internal/sem
 
-step "broadcast wake smoke (chained hand-off batch over 64 waiters)"
-# A wide NotifyAll batch wakes every waiter exactly once at every
-# fan-out, from the pure chain to wider than the batch.
+step "broadcast wake smoke (one committed batch over 64 waiters)"
+# A wide NotifyAll batch — one dequeue transaction, one commit handler,
+# one post per waiter — wakes every waiter exactly once.
 go test -run TestNotifyAllBatchedConservation ./internal/core
 
-step "modelcheck (bounded exhaustive interleavings)"
-go run ./cmd/modelcheck -waiters 2 -notifyone 1
-go run ./cmd/modelcheck -waiters 2 -notifyall 1
+step "modelcheck (bounded exhaustive interleavings, standard battery)"
+# No flags = the whole battery, including the timeout/cancel loser mixes
+# (timed waiters racing NotifyOne and NotifyAll).
+go run ./cmd/modelcheck
 
 step "chaos soak (deterministic fault injection, fixed seed)"
 go test -race ./internal/fault
 # The soak doubles as the causal wake-trace gate: -trace dumps the run's
-# event ring (and fails the run on any in-run wake-chain violation), then
+# event ring (and fails the run on any in-run wake-flow violation), then
 # cvtrace -check revalidates the dump offline — every committed notify's
-# wake DAG must reconstruct with no orphan hops (flows that began at or
-# before the ring's retention horizon are skipped, not failed).
+# wake flow must reconstruct with a post behind every consume (flows that
+# began at or before the ring's retention horizon are skipped, not failed).
 go run ./cmd/cvstress -mode chaos -seed 3405691582 -faultrate 0.25 -duration 2s \
 	-trace /tmp/chaos_trace.$$
 go run ./cmd/cvtrace -check /tmp/chaos_trace.$$
