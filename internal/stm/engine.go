@@ -71,14 +71,6 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// ClockEpochBlock is the number of commit timestamps a clock shard
-	// claims from the global version counter per refill (epoch.go).
-	// Default 64; 1 disables batching (every commit bumps the global
-	// counter directly, the classic TL2 discipline). AlgHTM always runs
-	// unbatched: a hardware attempt cannot extend its snapshot, so the
-	// batched clock's watermark lag would turn into extra aborts.
-	ClockEpochBlock int
-
 	// StormWindow is the number of attempt outcomes per abort-storm
 	// watchdog window. Default 256. StormHigh and StormLow are the
 	// hysteresis thresholds on the windowed abort rate: a window at or
@@ -121,15 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 100 * time.Microsecond
-	}
-	if c.ClockEpochBlock <= 0 {
-		c.ClockEpochBlock = defaultEpochBlock
-	}
-	if c.ClockEpochBlock > epochRemMask {
-		c.ClockEpochBlock = epochRemMask
-	}
-	if c.Algorithm == AlgHTM {
-		c.ClockEpochBlock = 1
 	}
 	if c.StormWindow <= 0 {
 		c.StormWindow = 256
@@ -226,18 +209,15 @@ func (s *TMStats) AbortRate() float64 {
 // belong to the engine that created them, and transactions only
 // synchronize with transactions on the same engine.
 type Engine struct {
-	cfg      Config
+	cfg Config
+	// clock is TL2's global version clock: every writing commit stamps
+	// its orecs with clock.Add(1), drawn after its write set is locked,
+	// and every snapshot is clock.Load().
 	clock    atomic.Uint64
 	txid     atomic.Uint64
 	varSeq   atomic.Uint64
 	orecs    []orec
 	orecMask uint64
-
-	// epoch is the batched version clock's per-shard timestamp caches
-	// (epoch.go); nil when ClockEpochBlock is 1. epochK is the
-	// effective block size.
-	epoch  []epochShard
-	epochK uint64
 
 	// serialGate is the lock-elision gate: every optimistic attempt
 	// holds the read side; a serial (irrevocable) transaction holds the
@@ -294,7 +274,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e.rngState.Store(seed)
 	e.debug.Store(debugDefault)
-	e.initEpoch()
 	return e
 }
 
@@ -304,12 +283,10 @@ func (e *Engine) Config() Config { return e.cfg }
 // Name returns the engine's label.
 func (e *Engine) Name() string { return e.cfg.Name }
 
-// Now returns the top of claimed timestamp space, an upper bound on
-// every commit timestamp issued so far. With the epoch-batched clock
-// (Config.ClockEpochBlock > 1) the bound is not tight: shards hold
-// claimed-but-undrawn timestamps, so Now() may run up to
-// shards×ClockEpochBlock ahead of the newest committed version. It is
-// monotonic and strictly diagnostic — no engine decision reads it.
+// Now returns the global version clock: the newest commit timestamp
+// issued so far (0 on a fresh engine). Every Atomic commit — optimistic
+// or serial — and every write-through rollback that published values
+// advances it by exactly one; AtomicRead commits leave it alone.
 func (e *Engine) Now() uint64 { return e.clock.Load() }
 
 // wakeSeq mints causal wake ids. Process-global, not per-engine: one
@@ -341,7 +318,7 @@ func (e *Engine) newTx(attempt int) *Tx {
 		tx = &Tx{e: e}
 	}
 	tx.id = e.txid.Add(1)
-	tx.start = e.readStamp()
+	tx.start = e.clock.Load()
 	tx.mode = m
 	tx.attempt = attempt
 	tx.status = txActive
@@ -532,7 +509,7 @@ func (e *Engine) runSerial(fn func(*Tx), attempts int) error {
 	tx := &Tx{
 		e:       e,
 		id:      e.txid.Add(1),
-		start:   e.readStamp(),
+		start:   e.clock.Load(),
 		mode:    modeSerial,
 		status:  txActive,
 		attempt: attempts,
@@ -551,30 +528,36 @@ func (e *Engine) runSerial(fn func(*Tx), attempts int) error {
 	fn(tx)
 
 	if tx.status == txActive {
-		// Serial stores are in place; bump the clock so optimistic
-		// readers that observed pre-serial versions revalidate. The
-		// bump claims one timestamp off the top of claimed space, so
-		// it can never overlap an epoch shard's outstanding block —
-		// later refills start above it (epoch.go).
-		e.clock.Add(1)
-		tx.status = txCommitted
-		tx.releaseSerial()
-		// Serial writes bypass orecs, so specific retry watchers cannot
-		// be targeted; wake them all (spurious re-runs are legal).
-		if e.retryWatchersActive() {
-			e.wakeAllRetriers()
-		}
-		if attempts > 0 {
-			// A serial-fallback episode: the whole window during which
-			// this transaction excluded all optimism.
-			e.Stats.SerialNanos.Observe(time.Since(tx.began).Nanoseconds())
-		}
-		tx.noteCommitted(obs.EvTxnSerial)
-		tx.runCommitHandlers()
-		e.Stats.Commits.Inc()
-		e.Stats.SerialCommits.Inc()
+		tx.commitSerial(obs.EvTxnSerial)
 	}
 	return nil
+}
+
+// commitSerial commits an irrevocable transaction, whose stores are
+// already in place. It draws one timestamp and stamps every orec the
+// transaction wrote with it, so a retrier whose read set predates the
+// commit sees those orecs move — whether it registers before (woken
+// here) or after (its registration check sees the new version) — then
+// releases the serial gate and runs the commit handlers.
+func (tx *Tx) commitSerial(ev obs.EventType) {
+	e := tx.e
+	wv := e.clock.Add(1)
+	for i := range tx.owned {
+		tx.owned[i].o.release(wv)
+	}
+	tx.status = txCommitted
+	tx.releaseSerial()
+	tx.wakeWatchersForOwned()
+	tx.owned = tx.owned[:0]
+	if tx.attempt > 0 {
+		// A serial-fallback episode: the whole window during which
+		// this transaction excluded all optimism.
+		e.Stats.SerialNanos.Observe(time.Since(tx.began).Nanoseconds())
+	}
+	tx.noteCommitted(ev)
+	tx.runCommitHandlers()
+	e.Stats.Commits.Inc()
+	e.Stats.SerialCommits.Inc()
 }
 
 // CommitEarly commits the transaction now, in the middle of the atomic
@@ -593,21 +576,7 @@ func (e *Engine) runSerial(fn func(*Tx), attempts int) error {
 func (tx *Tx) CommitEarly() {
 	tx.ensureActive("CommitEarly")
 	if tx.mode == modeSerial {
-		if tx.e.clockBumpNeeded() {
-			tx.e.clock.Add(1)
-		}
-		tx.status = txCommitted
-		tx.releaseSerial()
-		if tx.e.retryWatchersActive() {
-			tx.e.wakeAllRetriers()
-		}
-		if tx.attempt > 0 {
-			tx.e.Stats.SerialNanos.Observe(time.Since(tx.began).Nanoseconds())
-		}
-		tx.noteCommitted(obs.EvTxnEarlyCommit)
-		tx.runCommitHandlers()
-		tx.e.Stats.Commits.Inc()
-		tx.e.Stats.SerialCommits.Inc()
+		tx.commitSerial(obs.EvTxnEarlyCommit)
 		tx.e.Stats.EarlyCommits.Inc()
 		return
 	}
@@ -621,10 +590,6 @@ func (tx *Tx) CommitEarly() {
 	tx.e.Stats.Commits.Inc()
 	tx.e.Stats.EarlyCommits.Inc()
 }
-
-// clockBumpNeeded reports whether a serial commit should advance the
-// global clock (always true; kept as a hook for finer policies).
-func (e *Engine) clockBumpNeeded() bool { return true }
 
 // backoff sleeps a randomized, exponentially growing interval. The first
 // couple of retries just yield, which is usually enough on small

@@ -140,26 +140,6 @@ func (e *Engine) wakeOrec(o *orec) {
 	h.mu.Unlock()
 }
 
-// wakeAllRetriers conservatively wakes every sleeping retrier. Serial
-// (irrevocable) transactions write Vars directly without touching orecs,
-// so their commits cannot target specific watchers; waking everyone keeps
-// retry correct in their presence (a woken retrier that finds its
-// predicate still false simply retries again — Harris retry tolerates
-// spurious re-execution by construction).
-func (e *Engine) wakeAllRetriers() {
-	h := &e.retry
-	h.mu.Lock()
-	for _, list := range h.watchers {
-		for _, w := range list {
-			if !w.fired.Swap(true) {
-				w.s.Post()
-				e.Stats.RetryWakes.Inc()
-			}
-		}
-	}
-	h.mu.Unlock()
-}
-
 // retryWatchersActive reports whether any retrier is sleeping (commit-path
 // gate).
 func (e *Engine) retryWatchersActive() bool {

@@ -155,8 +155,9 @@ func TestRetryMultipleWaitersAllWake(t *testing.T) {
 }
 
 func TestRetryWokenBySerialCommit(t *testing.T) {
-	// Serial transactions bypass orecs; retry correctness relies on the
-	// conservative wake-all.
+	// Serial transactions write in place without locking orecs; their
+	// commit stamps the orecs they wrote and wakes those orecs' watchers,
+	// exactly as an optimistic commit does.
 	e := newTestEngine(AlgWriteThrough)
 	flag := NewVar(e, false)
 	woke := make(chan struct{})
@@ -180,6 +181,40 @@ func TestRetryWokenBySerialCommit(t *testing.T) {
 	case <-woke:
 	case <-time.After(10 * time.Second):
 		t.Fatal("serial commit did not wake the retrier")
+	}
+}
+
+// A commit that lands after a retrier's rollback but before it registers
+// in waitForChange must be seen by the registration check, serial or
+// not: the retrier then sleeps on nothing that could ever post it.
+func TestRetrySerialCommitInRegistrationWindow(t *testing.T) {
+	writers := map[string]func(*Engine, func(*Tx)) error{
+		"optimistic": (*Engine).Atomic,
+		"serial":     (*Engine).AtomicRelaxed,
+	}
+	for name, write := range writers {
+		t.Run(name, func(t *testing.T) {
+			e := newTestEngine(AlgWriteThrough)
+			flag := NewVar(e, false)
+			var reads []readEntry
+			e.MustAtomic(func(tx *Tx) {
+				_ = Read(tx, flag)
+				reads = append(reads[:0], tx.reads...)
+			})
+			if err := write(e, func(tx *Tx) { Write(tx, flag, true) }); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				e.waitForChange(reads)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatal("waitForChange slept through a commit that changed its read set")
+			}
+		})
 	}
 }
 

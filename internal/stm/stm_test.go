@@ -599,6 +599,87 @@ func TestSnapshotExtension(t *testing.T) {
 	}
 }
 
+// A goroutine's snapshot always covers its own last commit, so read-
+// modify-write commits with no other writer never extend.
+func TestOwnCommitsNeverExtend(t *testing.T) {
+	e := NewEngine(Config{})
+	v := NewVar(e, 0)
+	for i := 0; i < 1000; i++ {
+		e.MustAtomic(func(tx *Tx) { Write(tx, v, Read(tx, v)+1) })
+	}
+	if n := e.Stats.Extensions.Load(); n != 0 {
+		t.Fatalf("%d snapshot extensions, want 0", n)
+	}
+}
+
+// Now is the newest timestamp issued: each update commit advances the
+// clock by one and stamps what it wrote with the new value.
+func TestNowIsNewestStamp(t *testing.T) {
+	forEachAlg(t, func(t *testing.T, e *Engine) {
+		v := NewVar(e, 0)
+		for k := uint64(1); k <= 5; k++ {
+			e.MustAtomic(func(tx *Tx) { Write(tx, v, Read(tx, v)+1) })
+			if got := e.Now(); got != k {
+				t.Fatalf("after %d commits Now() = %d", k, got)
+			}
+			if got := versionOf(v.base.o.load()); got != k {
+				t.Fatalf("after %d commits the orec carries version %d", k, got)
+			}
+		}
+	})
+}
+
+// Serial commits interleaved with optimistic ones on one pair of Vars:
+// every update survives and no snapshot is ever torn, on both software
+// algorithms.
+func TestSerialOptimisticInterleave(t *testing.T) {
+	for _, alg := range []Algorithm{AlgWriteThrough, AlgWriteBack} {
+		e := newTestEngine(alg)
+		a := NewVar(e, 0)
+		b := NewVar(e, 0)
+		const workers, per = 6, 300
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					add := func(tx *Tx) {
+						// The invariant a == b holds transactionally;
+						// a torn snapshot shows up as a skewed pair.
+						av, bv := Read(tx, a), Read(tx, b)
+						if av != bv {
+							t.Errorf("torn snapshot: a=%d b=%d", av, bv)
+						}
+						Write(tx, a, av+1)
+						Write(tx, b, bv+1)
+					}
+					if i%13 == 0 {
+						if err := e.AtomicRelaxed(add); err != nil {
+							t.Errorf("relaxed: %v", err)
+						}
+					} else if err := e.Atomic(add); err != nil {
+						t.Errorf("atomic: %v", err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		want := workers * per
+		e.MustAtomic(func(tx *Tx) {
+			if av, bv := Read(tx, a), Read(tx, b); av != want || bv != want {
+				t.Errorf("%s: a=%d b=%d after %d increments", alg, av, bv, want)
+			}
+		})
+		if top := e.Now(); top < uint64(want) {
+			t.Errorf("%s: Now() = %d below %d commits", alg, top, want)
+		}
+	}
+}
+
 func TestConcurrentCounter(t *testing.T) {
 	forEachAlg(t, func(t *testing.T, e *Engine) {
 		v := NewVar(e, 0)

@@ -69,7 +69,8 @@ type writeEntry struct {
 }
 
 // ownedEntry records an orec this transaction locked and its pre-lock
-// version.
+// version, or an orec a serial transaction wrote (prev unused: a serial
+// commit always stamps it).
 type ownedEntry struct {
 	o    *orec
 	prev uint64
@@ -283,15 +284,13 @@ func (tx *Tx) readShared(b *varBase) any {
 			if tx.mode == modeHTM || !tx.extend() {
 				tx.abortConflictOn(b)
 			}
-			// Extension succeeded: accept this read as logged below.
-			// The prior reads were unchanged through the extension
-			// instant, so all of them coexisted with (val, w1) at the
-			// moment of the consistent w1==w2 pair above — the snapshot
-			// is consistent even if w1 still exceeds the new start.
-			// (Under the epoch-batched clock the watermark can lag a
-			// freshly drawn version indefinitely; looping until
-			// version ≤ start would spin, so acceptance is load-bearing
-			// there, not just an optimization.)
+			// Extension succeeded: accept this read as logged below
+			// rather than re-loop. The prior reads were unchanged
+			// through the extension instant, so all of them coexisted
+			// with (val, w1) at the moment of the consistent w1==w2
+			// pair above. (w1's version was drawn before this read saw
+			// it unlocked and extend loaded the clock after, so it is
+			// now ≤ start: a re-loop would only read the pair again.)
 		}
 		tx.reads = append(tx.reads, readEntry{o, versionOf(w1), b})
 		tx.noteAccess()
@@ -300,11 +299,11 @@ func (tx *Tx) readShared(b *varBase) any {
 }
 
 // extend revalidates every logged read and, if all still hold, advances
-// the snapshot to the clock's read watermark (epoch.go). Reports
-// success. The watermark is sampled before validation: the reads are
-// then known unchanged at some instant at or after the new snapshot.
+// the snapshot to the current clock. Reports success. The clock is
+// loaded before validation: the reads are then known unchanged at some
+// instant at or after the new snapshot.
 func (tx *Tx) extend() bool {
-	now := tx.e.readStamp()
+	now := tx.e.clock.Load()
 	for _, r := range tx.reads {
 		w := r.o.load()
 		if isLocked(w) {
@@ -457,8 +456,9 @@ func (tx *Tx) tryCommit() bool {
 			return false
 		}
 		// Write set locked since encounter time, so the stamp is drawn
-		// after locking — the ordering the epoch watermark relies on.
-		wv := tx.e.commitStamp(tx.id)
+		// after locking: a reader whose snapshot is ≥ wv loaded the
+		// clock after these orecs were locked.
+		wv := tx.e.clock.Add(1)
 		for i := range tx.owned {
 			tx.owned[i].o.release(wv)
 		}
@@ -498,7 +498,7 @@ func (tx *Tx) tryCommit() bool {
 			return false
 		}
 		// Every write orec is held by now: the stamp postdates the locks.
-		wv := tx.e.commitStamp(tx.id)
+		wv := tx.e.clock.Add(1)
 		for i := range tx.writes {
 			tx.writes[i].b.val.Store(tx.writes[i].v)
 		}
@@ -539,10 +539,6 @@ func (tx *Tx) rollback(cause abortCause) {
 		if tx.mode == modeWriteThrough {
 			// Concurrent readers may have observed intermediate
 			// values; publish a fresh version to invalidate them.
-			// Deliberately a direct global-clock claim, not a shard
-			// draw: the restored locations must carry a version above
-			// every reader watermark, and the fresh top is (uniquely)
-			// above all outstanding epoch blocks.
 			wv := tx.e.clock.Add(1)
 			for i := range tx.owned {
 				tx.owned[i].o.release(wv)

@@ -137,6 +137,12 @@ func Write[T any](tx *Tx, v *Var[T], x T) {
 	switch tx.mode {
 	case modeSerial:
 		b.val.Store(box[T]{x})
+		// No lock needed: the serial gate excludes every other
+		// transaction. commitSerial stamps the orec and wakes its
+		// retry watchers.
+		if !tx.ownsOrec(b.o) {
+			tx.owned = append(tx.owned, ownedEntry{o: b.o})
+		}
 	case modeWriteBack, modeHTM:
 		tx.bufferWrite(b, box[T]{x})
 	default: // modeWriteThrough

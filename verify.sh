@@ -38,12 +38,12 @@ step "tests (race detector)"
 go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The semaphore's spin gate and the epoch-batched commit clock branch on
-# GOMAXPROCS, so a single-core host silently skips their multicore
-# schedules, and the condvar's batch post loop only overlaps its woken
-# waiters with more than one P. Re-run the three fabric packages with
-# four Ps forced — the race detector sees the spin-phase and cross-shard
-# interleavings even when the host has one CPU.
+# The semaphore's spin gate branches on GOMAXPROCS, so a single-core host
+# silently skips its multicore schedules, and the condvar's batch post
+# loop only overlaps its woken waiters with more than one P. Re-run the
+# three fabric packages with four Ps forced — the race detector sees the
+# spin-phase and concurrent-commit interleavings even when the host has
+# one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
 
 step "tests (runtime sanitizer on: -tags stmsan)"
