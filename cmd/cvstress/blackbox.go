@@ -127,7 +127,7 @@ func runBlackbox(cfg blackboxConfig) int {
 	code := exitOK
 	parked := 0
 	for _, kind := range []facility.Kind{facility.LockTM, facility.Txn} {
-		c, w := runBlackboxKind(kind, orc, incarnation, cfg, reg, rec)
+		c, w := runBlackboxKind(kind, orc, incarnation, cfg, reg)
 		code = worseCode(code, c)
 		parked += w
 	}
@@ -175,7 +175,7 @@ func runBlackbox(cfg blackboxConfig) int {
 
 // runBlackboxKind soaks one system and returns (exit code, parked
 // waiters left behind after the drain).
-func runBlackboxKind(kind facility.Kind, orc *oracle.Oracle, incarnation uint64, cfg blackboxConfig, reg *registry.Registry, rec *introspect.Recorder) (int, int) {
+func runBlackboxKind(kind facility.Kind, orc *oracle.Oracle, incarnation uint64, cfg blackboxConfig, reg *registry.Registry) (int, int) {
 	e := stm.NewEngine(stm.Config{Name: "bb/" + kind.Short()})
 	var in *fault.Injector
 	if cfg.faultrate > 0 {
@@ -188,7 +188,6 @@ func runBlackboxKind(kind facility.Kind, orc *oracle.Oracle, incarnation uint64,
 		defer in.Disarm()
 	}
 	e.SetTracer(reg.Tracer())
-	introspect.ArmHealthDump(e, rec)
 	label := "bb" + kind.Short()
 	tk := &facility.Toolkit{Kind: kind, Engine: e, Label: label, Journal: orc}
 

@@ -473,7 +473,7 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 	rec := introspect.NewRecorder(dumpDir, reg, 4096)
 	code := exitOK
 	for _, kind := range []facility.Kind{facility.LockTM, facility.Txn} {
-		code = worseCode(code, runChaosKind(kind, goroutines, seed, rate, dur, reg, rec))
+		code = worseCode(code, runChaosKind(kind, goroutines, seed, rate, dur, reg))
 	}
 	code = worseCode(code, runSemChaos(goroutines, seed, rate, dur))
 	// -trace: dump the ring for offline analysis and validate the wake
@@ -512,7 +512,7 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 	return code
 }
 
-func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64, dur time.Duration, reg *registry.Registry, rec *introspect.Recorder) int {
+func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64, dur time.Duration, reg *registry.Registry) int {
 	e := stm.NewEngine(stm.Config{Name: "chaos/" + kind.Short()})
 	in := chaosRules(seed, rate)
 	e.SetFault(in)
@@ -521,7 +521,6 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 	e.SetTracer(reg.Tracer())
 	e.RegisterMetrics(reg)
 	in.RegisterMetrics(reg, registry.Labels{"engine": e.Name()})
-	introspect.ArmHealthDump(e, rec)
 	cvStats := &core.CVStats{}
 	cvStats.RegisterMetrics(reg, registry.Labels{"engine": e.Name()})
 	tk := &facility.Toolkit{Kind: kind, Engine: e, CVStats: cvStats,
@@ -716,10 +715,10 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 	conserved := produced.Load() == consumed.Load() &&
 		prodSum.Load() == consSum.Load() && prodSq.Load() == consSq.Load()
 	kindOK := conserved && lost == 0 && spurious == 0 && bstuck == 0
-	fmt.Printf("%-22s: %d items conserved=%v | timed=%d cancel=%d (cancelled=%d) lost=%d spurious=%d | broadcasts=%d woke=%d stuck=%d | faults=%d health=%v commits=%d aborts=%d serial=%d\n",
+	fmt.Printf("%-22s: %d items conserved=%v | timed=%d cancel=%d (cancelled=%d) lost=%d spurious=%d | broadcasts=%d woke=%d stuck=%d | faults=%d commits=%d aborts=%d serial=%d\n",
 		kind, produced.Load(), conserved, races, cancelRaces, cancels, lost, spurious,
 		broadcasts, bwoken, bstuck,
-		in.FiredTotal(), e.Health(), e.Stats.Commits.Load(), e.Stats.Aborts.Load(), e.Stats.SerialCommits.Load())
+		in.FiredTotal(), e.Stats.Commits.Load(), e.Stats.Aborts.Load(), e.Stats.SerialCommits.Load())
 	if !drained {
 		fmt.Printf("%-22s: STUCK in queue drain (consumed %d of %d produced)\n",
 			kind, consumed.Load(), produced.Load())

@@ -1,10 +1,10 @@
 // Command cvtop is a terminal viewer for the live-introspection
 // endpoints (DESIGN.md §10): point it at a process started with
 // -introspect and it polls /debug/cv/vars, /debug/cv/waiters and
-// /debug/cv/conflicts, rendering engine health, commit/abort rates, the
-// busiest condition variables with their deepest waiters, the wake
-// pane (who consumed each wake: the waiter, a timeout, or a
-// cancellation), and the hottest transactional Vars by attributed aborts.
+// /debug/cv/conflicts, rendering per-engine commit/abort rates, the
+// busiest condition variables with their deepest waiters, the wake pane
+// (who consumed each wake: the waiter, a timeout, or a cancellation),
+// and the hottest transactional Vars by attributed aborts.
 //
 // Usage:
 //
@@ -265,20 +265,6 @@ type engineRow struct {
 	name                     string
 	labels                   string
 	commits, aborts, serials float64
-	health                   float64
-}
-
-func healthName(v float64) string {
-	switch int(v) {
-	case 0:
-		return "healthy"
-	case 1:
-		return "degraded"
-	case 2:
-		return "serial"
-	default:
-		return "?"
-	}
 }
 
 func render(w *strings.Builder, cur, prev *sample, topN int) {
@@ -308,8 +294,6 @@ func render(w *strings.Builder, cur, prev *sample, topN int) {
 			row.aborts = v
 		case "stm_serial_commits_total":
 			row.serials = v
-		case "stm_health":
-			row.health = v
 		}
 	}
 	var rows []*engineRow
@@ -318,7 +302,7 @@ func render(w *strings.Builder, cur, prev *sample, topN int) {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	if len(rows) > 0 {
-		fmt.Fprintf(w, "\n%-24s %-9s %12s %12s %10s\n", "ENGINE", "HEALTH", "COMMITS", "ABORTS", "SERIAL")
+		fmt.Fprintf(w, "\n%-24s %12s %12s %10s\n", "ENGINE", "COMMITS", "ABORTS", "SERIAL")
 		for _, r := range rows {
 			commits, aborts := r.commits, r.aborts
 			suffix := ""
@@ -330,8 +314,8 @@ func render(w *strings.Builder, cur, prev *sample, topN int) {
 					suffix = "/s"
 				}
 			}
-			fmt.Fprintf(w, "%-24s %-9s %11.0f%s %11.0f%s %10.0f\n",
-				r.name, healthName(r.health), commits, suffix, aborts, suffix, r.serials)
+			fmt.Fprintf(w, "%-24s %11.0f%s %11.0f%s %10.0f\n",
+				r.name, commits, suffix, aborts, suffix, r.serials)
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // numBuckets is one bucket per power of two: bucket 0 holds values <= 1
@@ -67,12 +66,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 }
-
-// ObserveDuration records d in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
-
-// ObserveSince records the nanoseconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Nanoseconds()) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -217,29 +210,4 @@ func (h *Histogram) String() string {
 	fmt.Fprintf(&b, "count=%d mean=%.0f p50=%d p99=%d max=%d",
 		n, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.max.Load())
 	return b.String()
-}
-
-// Timer measures one interval into a Histogram. Usage:
-//
-//	t := obs.StartTimer(&st.CommitNanos)
-//	... work ...
-//	t.Stop()
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartTimer begins timing into h (which may be nil; Stop is then a no-op
-// beyond returning the elapsed time).
-func StartTimer(h *Histogram) Timer {
-	return Timer{h: h, start: time.Now()}
-}
-
-// Stop records the elapsed nanoseconds and returns them.
-func (t Timer) Stop() int64 {
-	d := time.Since(t.start).Nanoseconds()
-	if t.h != nil {
-		t.h.Observe(d)
-	}
-	return d
 }

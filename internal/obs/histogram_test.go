@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"testing"
-	"time"
 )
 
 func TestBucketOf(t *testing.T) {
@@ -130,23 +129,6 @@ func TestHistogramReset(t *testing.T) {
 	}
 	if s := h.Snapshot(); len(s.Buckets) != 0 {
 		t.Errorf("after Reset: buckets %+v", s.Buckets)
-	}
-}
-
-func TestTimer(t *testing.T) {
-	var h Histogram
-	tm := StartTimer(&h)
-	time.Sleep(time.Millisecond)
-	d := tm.Stop()
-	if d < int64(time.Millisecond) {
-		t.Errorf("Stop returned %d, want >= 1ms", d)
-	}
-	if h.Count() != 1 || h.Sum() != d {
-		t.Errorf("histogram after timer: count=%d sum=%d want 1/%d", h.Count(), h.Sum(), d)
-	}
-	// Nil histogram: still returns the elapsed time.
-	if d := StartTimer(nil).Stop(); d < 0 {
-		t.Errorf("nil-histogram timer returned %d", d)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/registry"
-	"repro/internal/stm"
 )
 
 // FlightEvent is one trace record in a flight dump, with the event type
@@ -159,23 +158,4 @@ func sanitizeReason(reason string) string {
 		return "dump"
 	}
 	return string(b)
-}
-
-// ArmHealthDump wires the engine's health-transition callback to the
-// recorder: entering Serial mode — the paper's abort-storm terminal
-// state — triggers a "health-serial" flight dump from a fresh goroutine
-// so the commit path that flipped the state never blocks on disk I/O.
-func ArmHealthDump(e *stm.Engine, rec *Recorder) {
-	if e == nil || rec == nil {
-		return
-	}
-	e.SetHealthCallback(func(next, old stm.Health) {
-		if next != stm.HealthSerial {
-			return
-		}
-		go rec.Trigger("health-serial", map[string]any{ //nolint:errcheck — best effort
-			"from": old.String(),
-			"to":   next.String(),
-		})
-	})
 }

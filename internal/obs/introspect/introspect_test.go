@@ -10,28 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/registry"
 	"repro/internal/stm"
 )
-
-// stormEngine returns an engine wired for a forced abort storm: 100%
-// pre-commit injection so every optimistic attempt dies and the health
-// watchdog marches Healthy → Degraded → Serial (the recipe from
-// stm.TestAbortStormWatchdog).
-func stormEngine() (*stm.Engine, *fault.Injector) {
-	e := stm.NewEngine(stm.Config{
-		Name:        "introspect-test",
-		Algorithm:   stm.AlgWriteThrough,
-		StormWindow: 16,
-		BackoffBase: time.Nanosecond,
-		BackoffMax:  time.Microsecond,
-	})
-	in := fault.New(0xABADCAFE).Set(fault.PreCommit, fault.Rule{Rate: 1.0, Action: fault.ActAbort})
-	e.SetFault(in)
-	return e, in
-}
 
 func get(t *testing.T, url string) (string, *http.Response) {
 	t.Helper()
@@ -199,49 +181,34 @@ func TestTraceEndpointWithoutTracer(t *testing.T) {
 	}
 }
 
-// TestFlightDumpOnSerial is the acceptance test for the flight recorder:
-// a forced abort storm drives the engine into Serial, the armed health
-// callback fires, and the dump on disk carries both trace events and a
-// full registry snapshot.
-func TestFlightDumpOnSerial(t *testing.T) {
+// TestFlightDumpOnTrigger is the acceptance test for the flight
+// recorder: a Trigger writes a dump whose reason and detail round-trip
+// and which carries both the tracer's events and a full registry
+// snapshot, stm counters included.
+func TestFlightDumpOnTrigger(t *testing.T) {
 	reg := registry.New()
 	tr := obs.NewTracer(1 << 12)
 	tr.Enable()
 	reg.SetTracer(tr)
 
-	e, in := stormEngine()
+	e := stm.NewEngine(stm.Config{Name: "introspect-test"})
 	e.SetTracer(tr)
 	e.RegisterMetrics(reg)
-
-	dir := t.TempDir()
-	rec := NewRecorder(dir, reg, 256)
-	ArmHealthDump(e, rec)
-
 	v := stm.NewVar(e, 0)
-	in.Arm()
-	for i := 0; i < 120 && e.Health() != stm.HealthSerial; i++ {
+	for i := 0; i < 10; i++ {
 		e.MustAtomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
 	}
-	in.Disarm()
-	if e.Health() != stm.HealthSerial {
-		t.Fatalf("storm never reached Serial: health = %v", e.Health())
+
+	rec := NewRecorder(t.TempDir(), reg, 256)
+	path, err := rec.Trigger("chaos-failure", map[string]any{"seed": 7})
+	if err != nil || path == "" {
+		t.Fatalf("Trigger = %q, %v", path, err)
+	}
+	if !strings.HasPrefix(filepath.Base(path), "cvflight-chaos-failure-") {
+		t.Errorf("dump path = %q", path)
 	}
 
-	// The dump is written from a detached goroutine; wait for it.
-	var dumps []string
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		dumps, _ = filepath.Glob(filepath.Join(dir, "cvflight-health-serial-*.json"))
-		if len(dumps) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no flight dump appeared after Serial transition")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	raw, err := os.ReadFile(dumps[0])
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,18 +216,15 @@ func TestFlightDumpOnSerial(t *testing.T) {
 	if err := json.Unmarshal(raw, &d); err != nil {
 		t.Fatalf("dump not JSON: %v", err)
 	}
-	if d.Reason != "health-serial" {
-		t.Errorf("dump reason = %q", d.Reason)
-	}
-	if d.Detail["to"] != "serial" {
-		t.Errorf("dump detail = %+v", d.Detail)
+	if d.Reason != "chaos-failure" || d.Detail["seed"] != float64(7) {
+		t.Errorf("dump reason/detail = %q %+v", d.Reason, d.Detail)
 	}
 	if len(d.TraceEvents) == 0 {
 		t.Error("dump has no trace events")
 	}
 	found := false
 	for k := range d.Registry.Scalars {
-		if strings.HasPrefix(k, "stm_aborts_total") {
+		if strings.HasPrefix(k, "stm_commits_total") {
 			found = true
 		}
 	}

@@ -101,10 +101,6 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // Registry returns the served registry.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Recorder returns the server's flight recorder, for arming extra
-// triggers (stm health transitions via ArmHealthDump).
-func (s *Server) Recorder() *Recorder { return s.rec }
-
 // Close stops the watchdog, the listener and park labeling.
 func (s *Server) Close() error {
 	if s.wd != nil {

@@ -6,8 +6,8 @@
 // latency, serial-fallback episodes — are invisible in aggregate
 // counters. This package adds the two missing instruments:
 //
-//   - Histogram: an atomic log2-bucketed histogram (with a Timer helper),
-//     cheap enough to stay enabled in benchmarks alongside stats.Counter.
+//   - Histogram: an atomic log2-bucketed histogram, cheap enough to
+//     stay enabled in benchmarks alongside stats.Counter.
 //   - Tracer: a sharded fixed-size ring-buffer event tracer recording the
 //     full transaction/condvar/semaphore lifecycle, with a Chrome
 //     trace_event JSON exporter (chrome://tracing, Perfetto).

@@ -1,11 +1,12 @@
 // Package registry is the process-wide metric registry behind the live
 // introspection stack (DESIGN.md §10). Sources — stm.TMStats counters
 // and histograms, condvar queue-depth gauges, sem park histograms, fault
-// injector counters, watchdog health — register a read closure once at
-// construction; scrapes pull through the closures on demand. The hot
-// path never touches the registry: instruments stay plain atomics, and
-// registration only stores a func pointer in a map that is walked when
-// somebody asks (/debug/cv/metrics, cvtop, a flight-recorder dump).
+// injector counters, starvation-watchdog triggers — register a read
+// closure once at construction; scrapes pull through the closures on
+// demand. The hot path never touches the registry: instruments stay
+// plain atomics, and registration only stores a func pointer in a map
+// that is walked when somebody asks (/debug/cv/metrics, cvtop, a
+// flight-recorder dump).
 //
 // Re-registering under the same name and label set replaces the source
 // (upsert). Harness trials that rebuild their engines each run simply

@@ -32,7 +32,6 @@ const (
 	EvSemUnpark // goroutine resumed; span event covering the park, A = lane
 
 	EvFaultInject // fault injector fired at a hook point; A = point, B = action
-	EvHealth      // engine health transition; A = new state, B = old state
 
 	// Causal wake-propagation events (DESIGN.md §15). All four carry the
 	// process-scoped wakeID in Event.Flow, binding a committed notify to
@@ -72,8 +71,6 @@ func (t EventType) String() string {
 		return "sem.unpark"
 	case EvFaultInject:
 		return "fault.inject"
-	case EvHealth:
-		return "stm.health"
 	case EvWakeRoot:
 		return "cv.wake.root"
 	case EvWakePost:
@@ -98,8 +95,6 @@ func (t EventType) Category() string {
 		return "cv"
 	case t == EvFaultInject:
 		return "fault"
-	case t == EvHealth:
-		return "stm"
 	default:
 		return "sem"
 	}

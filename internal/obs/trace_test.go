@@ -86,7 +86,7 @@ func TestEventNamesAndCategories(t *testing.T) {
 	all := []EventType{
 		EvTxnStart, EvTxnCommit, EvTxnAbort, EvTxnEarlyCommit, EvTxnSerial,
 		EvHandlerRun, EvCVEnqueue, EvCVNotify, EvCVSemPost, EvCVWake,
-		EvSemPark, EvSemUnpark, EvFaultInject, EvHealth,
+		EvSemPark, EvSemUnpark, EvFaultInject,
 	}
 	seen := map[string]bool{}
 	for _, ty := range all {

@@ -7,7 +7,7 @@ import (
 
 // The Max CAS loop and Counter adds must be linearizable under
 // contention; run with -race. (This pins the audit of stats.Max: a
-// torn or lost Observe would make MaxQueue/MaxAttempts lie.)
+// torn or lost Observe would make core.Stats.MaxQueue lie.)
 func TestMaxConcurrentObserve(t *testing.T) {
 	const (
 		workers = 8

@@ -8,13 +8,7 @@
 // The zero value of every type in this package is ready to use.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing atomic counter: it only ever
 // moves up (Reset excepted). For a value that must go both ways — queue
@@ -90,64 +84,3 @@ func (m *Max) Load() int64 { return m.v.Load() }
 
 // Reset clears the tracker.
 func (m *Max) Reset() { m.v.Store(0) }
-
-// Registry is a named collection of counters, useful for ad-hoc
-// instrumentation in workloads. It is safe for concurrent use.
-type Registry struct {
-	mu sync.Mutex
-	m  map[string]*Counter
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{m: make(map[string]*Counter)}
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.m[name]
-	if !ok {
-		c = &Counter{}
-		r.m[name] = c
-	}
-	return c
-}
-
-// Snapshot returns a copy of all counter values at one instant.
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.m))
-	for k, c := range r.m {
-		out[k] = c.Load()
-	}
-	return out
-}
-
-// Reset zeroes every registered counter.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.m {
-		c.Reset()
-	}
-}
-
-// String renders the registry sorted by counter name, one "name=value" pair
-// per line. Handy for debug dumps at the end of a benchmark run.
-func (r *Registry) String() string {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d\n", k, snap[k])
-	}
-	return b.String()
-}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -90,46 +89,5 @@ func TestQuickMaxIsMaximum(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(2)
-	r.Counter("b").Inc()
-	r.Counter("a").Inc() // same counter again
-	snap := r.Snapshot()
-	if snap["a"] != 3 || snap["b"] != 1 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	s := r.String()
-	if !strings.Contains(s, "a=3") || !strings.Contains(s, "b=1") {
-		t.Fatalf("String() = %q", s)
-	}
-	// Sorted output.
-	if strings.Index(s, "a=") > strings.Index(s, "b=") {
-		t.Fatalf("String() not sorted: %q", s)
-	}
-	r.Reset()
-	if got := r.Counter("a").Load(); got != 0 {
-		t.Fatalf("after Reset a = %d", got)
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Counter("shared").Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("shared").Load(); got != 4000 {
-		t.Fatalf("shared = %d, want 4000", got)
 	}
 }

@@ -5,114 +5,74 @@ import (
 	"time"
 )
 
-// TestBackoffEnvelope pins the retry-backoff contract: the pre-jitter
-// bound grows monotonically with the attempt number, never exceeds
-// BackoffMax while healthy, and the jittered sleep always lands in
-// [bound/2, bound].
-func TestBackoffEnvelope(t *testing.T) {
-	e := NewEngine(Config{
-		BackoffBase: 500 * time.Nanosecond,
-		BackoffMax:  100 * time.Microsecond,
-	})
+// The retry-backoff contract, asserted on backoffDelay and jitter
+// directly so no test depends on how long a sleep took.
 
+// TestBackoffEarlyAttemptsYield: the first two retries yield instead of
+// sleeping.
+func TestBackoffEarlyAttemptsYield(t *testing.T) {
+	for attempt := 0; attempt < 2; attempt++ {
+		if d := backoffDelay(attempt); d != 0 {
+			t.Fatalf("attempt %d: bound %v, want 0 (yield)", attempt, d)
+		}
+	}
+	if d := backoffDelay(2); d == 0 {
+		t.Fatal("attempt 2 yields; want a sleep")
+	}
+}
+
+// TestBackoffBounded: the pre-jitter bound never shrinks as attempts
+// grow and never exceeds backoffMax, however deep the retry.
+func TestBackoffBounded(t *testing.T) {
 	prev := time.Duration(0)
-	for attempt := 0; attempt < 40; attempt++ {
-		d := e.backoffDelay(attempt)
+	for _, attempt := range []int{0, 1, 2, 3, 5, 8, 12, 13, 40, 1 << 20} {
+		d := backoffDelay(attempt)
 		if d < prev {
 			t.Fatalf("attempt %d: bound %v shrank from %v", attempt, d, prev)
 		}
-		if d > e.cfg.BackoffMax {
-			t.Fatalf("attempt %d: bound %v exceeds BackoffMax %v", attempt, d, e.cfg.BackoffMax)
+		if d > backoffMax {
+			t.Fatalf("attempt %d: bound %v exceeds backoffMax %v", attempt, d, backoffMax)
 		}
 		prev = d
 	}
-	if got := e.backoffDelay(39); got != e.cfg.BackoffMax {
-		t.Fatalf("deep-retry bound = %v, want cap %v", got, e.cfg.BackoffMax)
+	if prev != backoffMax {
+		t.Fatalf("deep-retry bound = %v, want cap %v", prev, backoffMax)
 	}
-	if got := e.backoffDelay(0); got != e.cfg.BackoffBase {
-		t.Fatalf("first bound = %v, want BackoffBase %v", got, e.cfg.BackoffBase)
-	}
+}
 
-	// Jitter: backoff sleeps half + (rand % (half+1)), which must stay
-	// within [bound/2, bound] for every draw.
+// TestBackoffEnvelope: the jittered sleep lands in [d/2, d] for every
+// draw at every bound backoff sleeps.
+func TestBackoffEnvelope(t *testing.T) {
+	e := NewEngine(Config{})
 	for attempt := 2; attempt < 20; attempt++ {
-		d := e.backoffDelay(attempt)
-		half := d / 2
+		d := backoffDelay(attempt)
 		for i := 0; i < 200; i++ {
-			s := half + time.Duration(e.nextRand()%uint64(half+1))
-			if s < half || s > d {
-				t.Fatalf("attempt %d: jittered sleep %v outside [%v, %v]", attempt, s, half, d)
+			if s := e.jitter(d); s < d/2 || s > d {
+				t.Fatalf("attempt %d: jittered sleep %v outside [%v, %v]", attempt, s, d/2, d)
 			}
 		}
 	}
 }
 
-// TestBackoffWidensUnderDegradation: the watchdog's health level shifts
-// the envelope wider (4x per level) *below* the cap, and BackoffMax
-// remains a hard ceiling at every degradation level — a degraded engine
-// reaches the cap sooner, it never sleeps past it.
-func TestBackoffWidensUnderDegradation(t *testing.T) {
-	e := NewEngine(Config{
-		BackoffBase: time.Microsecond,
-		BackoffMax:  100 * time.Microsecond,
-	})
-	// Small attempt: the shift has room under the cap, so each level
-	// multiplies the bound by 4.
-	healthy := e.backoffDelay(3) // 1µs << 3 = 8µs
-	if healthy != 8*time.Microsecond {
-		t.Fatalf("healthy bound = %v, want 8µs", healthy)
-	}
-	e.wd.state.Store(int32(HealthDegraded))
-	if got := e.backoffDelay(3); got != healthy<<2 {
-		t.Fatalf("degraded bound = %v, want %v", got, healthy<<2)
-	}
-	e.wd.state.Store(int32(HealthSerial))
-	if got := e.backoffDelay(3); got != 100*time.Microsecond {
-		t.Fatalf("serial bound = %v, want the 100µs cap (8µs<<4 = 128µs clamps)", got)
-	}
-	// Deep attempt: every level is already at the cap; degradation must
-	// not push past it.
-	for _, h := range []Health{HealthHealthy, HealthDegraded, HealthSerial} {
-		e.wd.state.Store(int32(h))
-		if got := e.backoffDelay(12); got != e.cfg.BackoffMax {
-			t.Fatalf("health %v deep bound = %v, want cap %v", h, got, e.cfg.BackoffMax)
-		}
-	}
-}
-
-// TestBackoffDelayEnvelopeTable pins the full clamp/overflow envelope of
-// backoffDelay across base/max/attempt/health combinations, including
-// the giant-base overflow guard.
+// TestBackoffDelayEnvelopeTable pins backoffDelay's exact values: yield,
+// exponential growth from backoffBase, and the clamp at backoffMax.
 func TestBackoffDelayEnvelopeTable(t *testing.T) {
 	cases := []struct {
-		name    string
-		base    time.Duration
-		max     time.Duration
-		health  Health
 		attempt int
 		want    time.Duration
 	}{
-		{"first attempt healthy", time.Microsecond, 100 * time.Microsecond, HealthHealthy, 0, time.Microsecond},
-		{"exponential growth", time.Microsecond, 100 * time.Microsecond, HealthHealthy, 5, 32 * time.Microsecond},
-		{"healthy cap", time.Microsecond, 100 * time.Microsecond, HealthHealthy, 12, 100 * time.Microsecond},
-		{"degraded widens 4x", time.Microsecond, 100 * time.Microsecond, HealthDegraded, 2, 16 * time.Microsecond},
-		{"degraded clamps at max", time.Microsecond, 100 * time.Microsecond, HealthDegraded, 12, 100 * time.Microsecond},
-		{"serial widens 16x", time.Microsecond, 1000 * time.Microsecond, HealthSerial, 2, 64 * time.Microsecond},
-		{"serial clamps at max", time.Microsecond, 100 * time.Microsecond, HealthSerial, 6, 100 * time.Microsecond},
-		{"base at max", 100 * time.Microsecond, 100 * time.Microsecond, HealthSerial, 12, 100 * time.Microsecond},
-		{"base above max", time.Second, 100 * time.Microsecond, HealthHealthy, 0, 100 * time.Microsecond},
-		// A giant base whose pre-cap shift would overflow time.Duration
-		// must still come back as exactly BackoffMax.
-		{"giant base overflow guard", time.Duration(1) << 55, time.Duration(1) << 60, HealthSerial, 12, time.Duration(1) << 60},
+		{0, 0},
+		{1, 0},
+		{2, 2 * time.Microsecond},
+		{5, 16 * time.Microsecond},
+		{7, 64 * time.Microsecond},
+		{8, backoffMax}, // 500ns<<8 = 128µs clamps
+		{12, backoffMax},
+		{100, backoffMax},
 	}
 	for _, tc := range cases {
-		e := NewEngine(Config{BackoffBase: tc.base, BackoffMax: tc.max})
-		e.wd.state.Store(int32(tc.health))
-		if got := e.backoffDelay(tc.attempt); got != tc.want {
-			t.Errorf("%s: backoffDelay(%d) = %v, want %v", tc.name, tc.attempt, got, tc.want)
-		}
-		if got := e.backoffDelay(tc.attempt); got > tc.max && tc.base <= tc.max {
-			t.Errorf("%s: bound %v exceeds BackoffMax %v", tc.name, got, tc.max)
+		if got := backoffDelay(tc.attempt); got != tc.want {
+			t.Errorf("backoffDelay(%d) = %v, want %v", tc.attempt, got, tc.want)
 		}
 	}
 }
@@ -133,20 +93,5 @@ func TestEngineJitterSeedsDistinct(t *testing.T) {
 			t.Fatalf("engines %d and %d share rng seed %#x", j, i, s)
 		}
 		seen[s] = i
-	}
-}
-
-// TestBackoffEarlyAttemptsYield: the first two retries of a healthy
-// engine must not sleep a measurable interval (they yield).
-func TestBackoffEarlyAttemptsYield(t *testing.T) {
-	e := NewEngine(Config{
-		BackoffBase: 10 * time.Millisecond, // would be visible if slept
-		BackoffMax:  20 * time.Millisecond,
-	})
-	start := time.Now()
-	e.backoff(0)
-	e.backoff(1)
-	if elapsed := time.Since(start); elapsed > 5*time.Millisecond {
-		t.Fatalf("early backoff slept %v; expected a bare yield", elapsed)
 	}
 }

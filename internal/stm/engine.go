@@ -65,28 +65,16 @@ type Config struct {
 	// abort. Default 64.
 	HTMCapacity int
 
-	// BackoffBase and BackoffMax bound the randomized exponential
-	// backoff between attempts. Defaults 500ns and 100µs. The abort-storm
-	// watchdog (watchdog.go) widens this envelope while degraded.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// StormWindow is the number of attempt outcomes per abort-storm
-	// watchdog window. Default 256. StormHigh and StormLow are the
-	// hysteresis thresholds on the windowed abort rate: a window at or
-	// above StormHigh is hot (degrade; default 0.85), at or below
-	// StormLow is cool (recover one level; default 0.35), in between
-	// holds the current state. StormLatch is the number of consecutive
-	// hot windows after which a degraded engine latches
-	// serial-preference mode. Default 3.
-	StormWindow int
-	StormHigh   float64
-	StormLow    float64
-	StormLatch  int
-
 	// Name labels the engine in stats dumps.
 	Name string
 }
+
+// backoffBase and backoffMax bound the randomized exponential backoff
+// between optimistic attempts (see backoff).
+const (
+	backoffBase = 500 * time.Nanosecond
+	backoffMax  = 100 * time.Microsecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.OrecCount <= 0 {
@@ -107,24 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HTMCapacity <= 0 {
 		c.HTMCapacity = 64
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 500 * time.Nanosecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 100 * time.Microsecond
-	}
-	if c.StormWindow <= 0 {
-		c.StormWindow = 256
-	}
-	if c.StormHigh <= 0 || c.StormHigh > 1 {
-		c.StormHigh = 0.85
-	}
-	if c.StormLow <= 0 || c.StormLow >= c.StormHigh {
-		c.StormLow = 0.35
-	}
-	if c.StormLatch <= 0 {
-		c.StormLatch = 3
 	}
 	if c.Name == "" {
 		c.Name = c.Algorithm.String()
@@ -151,15 +121,6 @@ type TMStats struct {
 	RetryAborts    stats.Counter // attempts that called Retry
 	RetryWaits     stats.Counter // Retry callers that actually slept
 	RetryWakes     stats.Counter // sleeping retriers woken by commits
-	MaxAttempts    stats.Max     // worst retry count observed
-
-	// Abort-storm watchdog state (watchdog.go). Health is the current
-	// degradation state as a gauge (0 healthy, 1 degraded, 2 serial);
-	// HealthTransitions counts state changes; StormWindows counts
-	// watchdog windows that ran hot.
-	Health            stats.Gauge
-	HealthTransitions stats.Counter
-	StormWindows      stats.Counter
 
 	// Latency histograms (log2-bucketed, always on — a handful of atomic
 	// adds per observation). Counters say how many aborts happened; these
@@ -240,17 +201,10 @@ type Engine struct {
 	// detached. Set during setup via SetFault.
 	fault *fault.Injector
 
-	// wd is the abort-storm watchdog (see watchdog.go).
-	wd watchdog
-
 	// prof is the contention-attribution state (see profile.go). The
 	// zero value is ready; it only grows when Vars are named or created
 	// under the profiling gate.
 	prof engineProfile
-
-	// healthCB is invoked on published watchdog health transitions; nil
-	// when unset. Set during setup via SetHealthCallback.
-	healthCB func(next, old Health)
 
 	Stats TMStats
 }
@@ -373,22 +327,17 @@ func (e *Engine) AtomicRead(fn func(*Tx)) error {
 
 func (e *Engine) atomicImpl(fn func(*Tx), readOnly bool) error {
 	for attempt := 0; ; attempt++ {
-		// effectiveMaxRetries shrinks while the abort-storm watchdog has
-		// serial-preference latched; re-read each iteration so a storm
-		// detected mid-loop takes effect on this very transaction.
-		if attempt >= e.effectiveMaxRetries() {
+		if attempt >= e.cfg.MaxRetries {
 			e.Stats.SerialFallback.Inc()
-			e.Stats.MaxAttempts.Observe(int64(attempt))
-			return e.runSerial(fn, attempt)
+			return e.runSerial(fn, attempt, readOnly)
 		}
 		done, fallback, retrySet, err := e.attemptOnce(fn, attempt, readOnly)
 		if done {
-			e.Stats.MaxAttempts.Observe(int64(attempt))
 			return err
 		}
 		if fallback {
 			e.Stats.SerialFallback.Inc()
-			return e.runSerial(fn, attempt+1)
+			return e.runSerial(fn, attempt+1, readOnly)
 		}
 		if retrySet != nil {
 			// Harris retry: sleep until the read set changes, then
@@ -417,7 +366,7 @@ func (e *Engine) MustAtomic(fn func(*Tx)) {
 // dedup's scaling in Section 5.4.
 func (e *Engine) AtomicRelaxed(fn func(*Tx)) error {
 	e.Stats.RelaxedTxns.Inc()
-	return e.runSerial(fn, 0)
+	return e.runSerial(fn, 0, false)
 }
 
 // attemptOnce runs one optimistic attempt. done reports the transaction
@@ -502,18 +451,21 @@ func (tx *Tx) releaseSerial() {
 
 // runSerial executes fn irrevocably under the global lock. attempts is
 // the number of optimistic attempts that preceded the fallback (0 for
-// AtomicRelaxed, which never tried optimistically).
-func (e *Engine) runSerial(fn func(*Tx), attempts int) error {
+// AtomicRelaxed, which never tried optimistically). readOnly carries
+// AtomicRead's contract into the fallback: Write still panics, and the
+// commit leaves the clock alone.
+func (e *Engine) runSerial(fn func(*Tx), attempts int, readOnly bool) error {
 	e.serialGate.Lock()
 	e.Stats.Starts.Inc()
 	tx := &Tx{
-		e:       e,
-		id:      e.txid.Add(1),
-		start:   e.clock.Load(),
-		mode:    modeSerial,
-		status:  txActive,
-		attempt: attempts,
-		began:   time.Now(),
+		e:        e,
+		id:       e.txid.Add(1),
+		start:    e.clock.Load(),
+		mode:     modeSerial,
+		status:   txActive,
+		attempt:  attempts,
+		readOnly: readOnly,
+		began:    time.Now(),
 	}
 	tx.serialHeld = true
 	defer func() {
@@ -538,12 +490,16 @@ func (e *Engine) runSerial(fn func(*Tx), attempts int) error {
 // transaction wrote with it, so a retrier whose read set predates the
 // commit sees those orecs move — whether it registers before (woken
 // here) or after (its registration check sees the new version) — then
-// releases the serial gate and runs the commit handlers.
+// releases the serial gate and runs the commit handlers. A read-only
+// (AtomicRead) transaction wrote nothing and, like its optimistic
+// commit, draws no timestamp.
 func (tx *Tx) commitSerial(ev obs.EventType) {
 	e := tx.e
-	wv := e.clock.Add(1)
-	for i := range tx.owned {
-		tx.owned[i].o.release(wv)
+	if !tx.readOnly {
+		wv := e.clock.Add(1)
+		for i := range tx.owned {
+			tx.owned[i].o.release(wv)
+		}
 	}
 	tx.status = txCommitted
 	tx.releaseSerial()
@@ -591,43 +547,32 @@ func (tx *Tx) CommitEarly() {
 	tx.e.Stats.EarlyCommits.Inc()
 }
 
-// backoff sleeps a randomized, exponentially growing interval. The first
-// couple of retries just yield, which is usually enough on small
-// transactions — unless the watchdog has degraded the engine, in which
-// case every retry pays the (widened) delay to shed contention.
+// backoff waits out a conflict before the next optimistic attempt: the
+// first two retries just yield, which is usually enough on small
+// transactions; later ones sleep a jittered backoffDelay.
 func (e *Engine) backoff(attempt int) {
-	if attempt < 2 && e.Health() == HealthHealthy {
-		// Cheap yield; most conflicts clear immediately.
+	d := backoffDelay(attempt)
+	if d == 0 {
 		runtime.Gosched()
 		return
 	}
-	d := e.backoffDelay(attempt)
-	half := d / 2
-	j := time.Duration(e.nextRand() % uint64(half+1))
-	time.Sleep(half + j)
+	time.Sleep(e.jitter(d))
 }
 
-// backoffDelay is the pre-jitter delay bound for a retry: exponential in
-// the attempt number from BackoffBase, widened by the watchdog's current
-// degradation level, and capped at BackoffMax. The cap is applied after
-// the degradation shift — BackoffMax is a hard ceiling the watchdog may
-// reach sooner, never exceed — and the combined shift is overflow-guarded
-// for large user-set bases. backoff sleeps a uniformly jittered duration
-// in [bound/2, bound].
-func (e *Engine) backoffDelay(attempt int) time.Duration {
-	bound := e.cfg.BackoffMax
-	d := e.cfg.BackoffBase
-	if d >= bound {
-		return bound
+// backoffDelay is the pre-jitter delay bound for a retry: 0 (yield) on
+// attempts 0 and 1, otherwise exponential in the attempt number from
+// backoffBase, capped at backoffMax.
+func backoffDelay(attempt int) time.Duration {
+	if attempt < 2 {
+		return 0
 	}
-	shift := uint(min(attempt, 12)) + e.backoffShift()
-	// d < bound here, so d << shift caps out iff shift is huge or
-	// d > bound>>shift; comparing against the down-shifted bound avoids
-	// overflowing d itself.
-	if shift >= 63 || d > bound>>shift {
-		return bound
-	}
-	return d << shift
+	return min(backoffBase<<min(attempt, 12), backoffMax)
+}
+
+// jitter draws a sleep uniformly from [d/2, d].
+func (e *Engine) jitter(d time.Duration) time.Duration {
+	half := d / 2
+	return half + time.Duration(e.nextRand()%uint64(half+1))
 }
 
 // nextRand is a lock-free xorshift64 shared by backoff jitter.

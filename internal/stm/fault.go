@@ -11,9 +11,9 @@ import (
 // and pre-commit — so tests and chaos soaks can provoke conflict
 // storms, simulated HTM capacity overflows, and adversarially timed
 // windows on demand. Serial (irrevocable) transactions are never
-// injected: the fallback's unconditional forward progress is exactly
-// what the abort-storm watchdog (watchdog.go) leans on, and injecting
-// it would turn a provoked storm into a livelock.
+// injected: the fallback's unconditional forward progress is what ends
+// a provoked storm once a transaction has spent MaxRetries optimistic
+// attempts, and injecting it would turn that storm into a livelock.
 
 // SetFault attaches a fault injector to the engine (nil detaches). Like
 // SetTracer it is intended for setup: attach before the engine is

@@ -143,19 +143,6 @@ type errTestStm string
 
 func (e errTestStm) Error() string { return string(e) }
 
-// TestBackoffBounded verifies backoff sleeps stay under the configured
-// maximum (plus scheduling slop).
-func TestBackoffBounded(t *testing.T) {
-	e := NewEngine(Config{BackoffBase: time.Microsecond, BackoffMax: 2 * time.Millisecond})
-	start := time.Now()
-	for a := 0; a < 20; a++ {
-		e.backoff(a)
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("20 backoffs took %v", d)
-	}
-}
-
 func TestNextRandNonZeroAndVarying(t *testing.T) {
 	e := NewEngine(Config{})
 	a := e.nextRand()

@@ -8,42 +8,36 @@ import (
 // This file is the engine's face toward the live-introspection stack
 // (DESIGN.md §10): one source-of-truth table over TMStats that backs
 // Snapshot, Histograms and RegisterMetrics — so the JSON export and the
-// registry expose the same key set by construction — plus the health
-// callback hook the flight recorder arms.
+// registry expose the same key set by construction.
 
-// tmScalar is one TMStats counter/gauge row.
+// tmScalar is one TMStats counter row.
 type tmScalar struct {
 	name string
 	help string
-	kind registry.Kind
 	read func() int64
 }
 
 // scalars lists every scalar instrument in TMStats. The reflection test
 // in stats_keys_test.go pins this table complete: one row per
-// stats.Counter/Gauge/Max field.
+// stats.Counter field.
 func (s *TMStats) scalars() []tmScalar {
 	return []tmScalar{
-		{"starts", "transaction attempts begun", registry.KindCounter, s.Starts.Load},
-		{"commits", "outermost commits (incl. serial)", registry.KindCounter, s.Commits.Load},
-		{"aborts", "attempts rolled back", registry.KindCounter, s.Aborts.Load},
-		{"conflict_aborts", "aborts caused by orec conflicts", registry.KindCounter, s.ConflictAborts.Load},
-		{"capacity_aborts", "HTM read/write-set overflow aborts", registry.KindCounter, s.CapacityAborts.Load},
-		{"syscall_aborts", "HTM aborts due to Tx.Syscall", registry.KindCounter, s.SyscallAborts.Load},
-		{"explicit_aborts", "Tx.Cancel aborts", registry.KindCounter, s.ExplicitAborts.Load},
-		{"early_commits", "Tx.CommitEarly (the condvar WAIT path)", registry.KindCounter, s.EarlyCommits.Load},
-		{"serial_commits", "commits executed irrevocably", registry.KindCounter, s.SerialCommits.Load},
-		{"serial_fallback", "optimistic-to-serial transitions", registry.KindCounter, s.SerialFallback.Load},
-		{"relaxed_txns", "AtomicRelaxed invocations", registry.KindCounter, s.RelaxedTxns.Load},
-		{"extensions", "successful snapshot extensions", registry.KindCounter, s.Extensions.Load},
-		{"handlers_run", "onCommit handlers executed", registry.KindCounter, s.HandlersRun.Load},
-		{"retry_aborts", "attempts that called Retry", registry.KindCounter, s.RetryAborts.Load},
-		{"retry_waits", "Retry callers that actually slept", registry.KindCounter, s.RetryWaits.Load},
-		{"retry_wakes", "sleeping retriers woken by commits", registry.KindCounter, s.RetryWakes.Load},
-		{"max_attempts", "worst retry count observed", registry.KindGauge, s.MaxAttempts.Load},
-		{"health", "degradation state (0 healthy, 1 degraded, 2 serial)", registry.KindGauge, s.Health.Load},
-		{"health_changes", "abort-storm watchdog state transitions", registry.KindCounter, s.HealthTransitions.Load},
-		{"storm_windows", "watchdog windows that ran hot", registry.KindCounter, s.StormWindows.Load},
+		{"starts", "transaction attempts begun", s.Starts.Load},
+		{"commits", "outermost commits (incl. serial)", s.Commits.Load},
+		{"aborts", "attempts rolled back", s.Aborts.Load},
+		{"conflict_aborts", "aborts caused by orec conflicts", s.ConflictAborts.Load},
+		{"capacity_aborts", "HTM read/write-set overflow aborts", s.CapacityAborts.Load},
+		{"syscall_aborts", "HTM aborts due to Tx.Syscall", s.SyscallAborts.Load},
+		{"explicit_aborts", "Tx.Cancel aborts", s.ExplicitAborts.Load},
+		{"early_commits", "Tx.CommitEarly (the condvar WAIT path)", s.EarlyCommits.Load},
+		{"serial_commits", "commits executed irrevocably", s.SerialCommits.Load},
+		{"serial_fallback", "optimistic-to-serial transitions", s.SerialFallback.Load},
+		{"relaxed_txns", "AtomicRelaxed invocations", s.RelaxedTxns.Load},
+		{"extensions", "successful snapshot extensions", s.Extensions.Load},
+		{"handlers_run", "onCommit handlers executed", s.HandlersRun.Load},
+		{"retry_aborts", "attempts that called Retry", s.RetryAborts.Load},
+		{"retry_waits", "Retry callers that actually slept", s.RetryWaits.Load},
+		{"retry_wakes", "sleeping retriers woken by commits", s.RetryWakes.Load},
 	}
 }
 
@@ -66,23 +60,18 @@ func (s *TMStats) histograms() []tmHist {
 }
 
 // RegisterMetrics registers every engine instrument into r under the
-// engine's name label: counters as stm_<name>_total, gauges as
-// stm_<name>, histograms as stm_<name>. Call once at construction (or
-// per run against a long-lived registry — re-registration replaces the
-// previous run's sources). Registration is pull-only: the hot path
-// keeps its plain atomics and never sees the registry.
+// engine's name label: counters as stm_<name>_total, histograms as
+// stm_<name>. Call once at construction (or per run against a
+// long-lived registry — re-registration replaces the previous run's
+// sources). Registration is pull-only: the hot path keeps its plain
+// atomics and never sees the registry.
 func (e *Engine) RegisterMetrics(r *registry.Registry) {
 	if r == nil {
 		return
 	}
 	labels := registry.Labels{"engine": e.cfg.Name, "algorithm": e.cfg.Algorithm.String()}
 	for _, sc := range e.Stats.scalars() {
-		switch sc.kind {
-		case registry.KindCounter:
-			r.RegisterCounter("stm_"+sc.name+"_total", sc.help, labels, sc.read)
-		default:
-			r.RegisterGauge("stm_"+sc.name, sc.help, labels, sc.read)
-		}
+		r.RegisterCounter("stm_"+sc.name+"_total", sc.help, labels, sc.read)
 	}
 	for _, th := range e.Stats.histograms() {
 		r.RegisterHistogram("stm_"+th.name, th.help, labels, th.h.Snapshot)
@@ -96,11 +85,3 @@ func (e *Engine) RegisterMetrics(r *registry.Registry) {
 		labels, e.conflictSamples)
 	r.RegisterConflicts(e.cfg.Name, e.ConflictProfile)
 }
-
-// SetHealthCallback installs a hook invoked after every published
-// watchdog health transition, with the new and old states. The callback
-// runs on the transaction goroutine that rolled the hot window — keep
-// it brief, or hand off (the flight recorder's arm does exactly that).
-// Like SetTracer it is a setup-time call: attach before sharing the
-// engine.
-func (e *Engine) SetHealthCallback(fn func(next, old Health)) { e.healthCB = fn }

@@ -106,9 +106,13 @@ func TestAtomicReadWithRetry(t *testing.T) {
 	<-done
 }
 
+// TestAtomicReadSerialFallbackStillReadOnly: once an AtomicRead has used
+// up MaxRetries, the serial fallback keeps the read-only contract — its
+// commit leaves the clock alone and a Write inside it panics.
 func TestAtomicReadSerialFallbackStillReadOnly(t *testing.T) {
 	e := NewEngine(Config{MaxRetries: 1})
 	v := NewVar(e, 7)
+	before := e.Now()
 	runs := 0
 	err := e.AtomicRead(func(tx *Tx) {
 		runs++
@@ -124,5 +128,25 @@ func TestAtomicReadSerialFallbackStillReadOnly(t *testing.T) {
 	}
 	if runs != 2 {
 		t.Fatalf("runs = %d, want 2", runs)
+	}
+	if got := e.Now(); got != before {
+		t.Fatalf("serial read-only commit moved the clock from %d to %d", before, got)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Write inside AtomicRead's serial fallback did not panic")
+			}
+		}()
+		e.AtomicRead(func(tx *Tx) {
+			if !tx.Serial() {
+				tx.Restart()
+			}
+			Write(tx, v, 8)
+		})
+	}()
+	if got := v.LoadDirect(); got != 7 {
+		t.Fatalf("v = %d after a Write in a read-only fallback, want 7", got)
 	}
 }

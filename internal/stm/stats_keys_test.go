@@ -10,10 +10,10 @@ import (
 
 // The metrics-export contract: Snapshot()/Histograms() keys must be
 // STABLE (dashboards and the results JSON key on them) and COMPLETE
-// (every instrument field of TMStats appears — PR 3 once grew the
-// struct without growing Snapshot, which is how the watchdog counters
-// briefly went dark). Completeness is pinned by reflection over the
-// struct; stability by a golden key list.
+// (every instrument field of TMStats appears; a struct that grows
+// without growing Snapshot leaves the new counter dark). Completeness
+// is pinned by reflection over the struct; stability by a golden key
+// list.
 
 // snapshotKeys is the frozen key set. Adding an instrument to TMStats
 // requires a row in the introspect.go table AND a key here — a
@@ -21,9 +21,8 @@ import (
 var snapshotKeys = []string{
 	"aborts", "capacity_aborts", "commits", "conflict_aborts",
 	"early_commits", "explicit_aborts", "extensions", "handlers_run",
-	"health", "health_changes", "max_attempts", "relaxed_txns",
-	"retry_aborts", "retry_waits", "retry_wakes", "serial_commits",
-	"serial_fallback", "starts", "storm_windows", "syscall_aborts",
+	"relaxed_txns", "retry_aborts", "retry_waits", "retry_wakes",
+	"serial_commits", "serial_fallback", "starts", "syscall_aborts",
 }
 
 var histogramKeys = []string{"abort_ns", "attempts", "commit_ns", "serial_ns"}
@@ -93,9 +92,6 @@ func TestRegisterMetricsMirrorsSnapshot(t *testing.T) {
 	}
 	for _, k := range snapshotKeys {
 		name := "stm_" + k + "_total"
-		if k == "health" || k == "max_attempts" {
-			name = "stm_" + k
-		}
 		if _, ok := find(name); !ok {
 			t.Errorf("registry missing %s for snapshot key %q", name, k)
 		}
@@ -107,19 +103,5 @@ func TestRegisterMetricsMirrorsSnapshot(t *testing.T) {
 	}
 	if got, _ := find("stm_commits_total"); got != int64(1) {
 		t.Errorf("registered commit counter reads %v, want 1", got)
-	}
-}
-
-func TestHealthCallbackOnTransition(t *testing.T) {
-	e := NewEngine(Config{StormWindow: 4})
-	var transitions []Health
-	e.SetHealthCallback(func(next, old Health) { transitions = append(transitions, next) })
-	// Roll hot windows directly: 4 aborted outcomes fill one window at
-	// 100% abort rate, driving Healthy → Degraded → (latch) → Serial.
-	for len(transitions) < 2 {
-		e.healthNote(true)
-	}
-	if transitions[0] != HealthDegraded || transitions[1] != HealthSerial {
-		t.Fatalf("transition sequence %v, want [degraded serial]", transitions)
 	}
 }

@@ -87,11 +87,6 @@ func (tx *Tx) flushTrace(tr *obs.Tracer) {
 // flush of the attempt's buffered events plus a span event covering the
 // whole attempt. ev selects the span type (commit, early-commit, serial).
 func (tx *Tx) noteCommitted(ev obs.EventType) {
-	// Every commit — optimistic, early, or serial — is a cool outcome
-	// for the abort-storm watchdog; serial commits under latched
-	// serial-preference are what pull a stormed engine back down once
-	// injection or contention stops.
-	tx.e.healthNote(false)
 	st := &tx.e.Stats
 	var dns int64
 	if !tx.began.IsZero() {
@@ -131,11 +126,6 @@ func traceReason(c abortCause) int64 {
 // abort: latency histogram always, plus the terminal abort span (with
 // reason) when tracing — the only trace an aborted attempt leaves.
 func (tx *Tx) noteAborted(cause abortCause) {
-	// Only contention-shaped aborts feed the abort-storm watchdog;
-	// cancels, Harris retries and HTM syscall aborts are not storms.
-	if cause == causeConflict || cause == causeCapacity {
-		tx.e.healthNote(true)
-	}
 	tx.pend = tx.pend[:0]
 	var dns int64
 	if !tx.began.IsZero() {

@@ -15,8 +15,8 @@
 #
 # `./verify.sh -short` skips the time-heavy black-box/crash gates (the
 # blackbox oracle soak, the injected-bug negative gate, the SIGKILL
-# crash round, the regression-seed replay and the nested benchmark
-# module's smoke test) for a quick pre-push run.
+# crash round, the regression-seed replay, the stm flake gate and the
+# nested benchmark module's smoke test) for a quick pre-push run.
 set -eu
 
 SHORT=0
@@ -130,6 +130,21 @@ if [ "$SHORT" -eq 0 ]; then
 	step "regression seeds (replay recorded past-failure seeds)"
 	go test -run TestRegressionSeeds ./cmd/cvstress
 	rm -f "$CVSTRESS"
+
+	step "flake gate (stm tests five times at GOMAXPROCS 1, 2 and 4 beside a CPU hog)"
+	# A busy loop steals one CPU for the whole gate, so tests that lean on
+	# scheduling (backoff, retry wake-ups, the serial fallback) see the
+	# preemption of a loaded host; a test that passes only on an idle one
+	# fails here. The trap stops the hog however the gate ends.
+	sh -c 'while :; do :; done' &
+	HOGPID=$!
+	trap 'kill $HOGPID 2>/dev/null' EXIT
+	trap 'exit 130' INT TERM
+	for procs in 1 2 4; do
+		GOMAXPROCS=$procs go test -count=5 ./internal/stm
+	done
+	kill $HOGPID
+	trap - EXIT INT TERM
 
 	step "benchmark module (smoke test)"
 	(cd benchmark && go test .)
