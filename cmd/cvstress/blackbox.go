@@ -122,7 +122,7 @@ func runBlackbox(cfg blackboxConfig) int {
 		tr.Enable()
 		reg.SetTracer(tr)
 	}
-	rec := introspect.NewRecorder(cfg.dumpDir, reg, 4096)
+	rec := introspect.NewRecorder(cfg.dumpDir, reg)
 
 	code := exitOK
 	parked := 0

@@ -176,7 +176,7 @@ func main() {
 	}()
 
 	if *introspectAddr != "" {
-		srv, err := introspect.Start(introspect.Options{Addr: *introspectAddr, DumpDir: *dumpDir})
+		srv, err := introspect.Start(introspect.Options{Addr: *introspectAddr})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cvstress:", err)
 			os.Exit(exitSetup)
@@ -470,7 +470,7 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 	// the deliberately-contended chaos.hot probe below must rank first on
 	// /debug/cv/conflicts (the verify.sh attribution smoke asserts it).
 	stm.SetProfiling(true)
-	rec := introspect.NewRecorder(dumpDir, reg, 4096)
+	rec := introspect.NewRecorder(dumpDir, reg)
 	code := exitOK
 	for _, kind := range []facility.Kind{facility.LockTM, facility.Txn} {
 		code = worseCode(code, runChaosKind(kind, goroutines, seed, rate, dur, reg))

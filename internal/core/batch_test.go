@@ -52,7 +52,7 @@ func collectAll(t *testing.T, done []chan struct{}, what string) {
 }
 
 // A batched NotifyAll must wake every waiter exactly once — conservation
-// over a wide batch — and leave the queue and depth gauge empty.
+// over a wide batch — and leave the queue empty.
 func TestNotifyAllBatchedConservation(t *testing.T) {
 	const waiters = 64
 	e := stm.NewEngine(stm.Config{})
@@ -73,9 +73,6 @@ func TestNotifyAllBatchedConservation(t *testing.T) {
 	if n := cv.Len(); n != 0 {
 		t.Errorf("Len = %d after broadcast, want 0", n)
 	}
-	if d := cv.Depth(); d != 0 {
-		t.Errorf("Depth = %d after broadcast, want 0", d)
-	}
 	snap := st.Snapshot()
 	if snap["woken"] != waiters || snap["waits"] != waiters {
 		t.Errorf("woken/waits = %d/%d, want %d/%d", snap["woken"], snap["waits"], waiters, waiters)
@@ -86,15 +83,8 @@ func TestNotifyAllBatchedConservation(t *testing.T) {
 	if snap["sem_posts"] != waiters {
 		t.Errorf("sem_posts = %d, want %d (exactly one post per waiter)", snap["sem_posts"], waiters)
 	}
-	h := st.Histograms()
-	if h["wake_batch"].Count != 1 || h["wake_batch"].Max != waiters {
-		t.Errorf("wake_batch = %+v, want one batch of %d", h["wake_batch"], waiters)
-	}
-	if h["broadcast_ns"].Count != 1 {
-		t.Errorf("broadcast_ns count = %d, want 1 (last wake observes the batch)", h["broadcast_ns"].Count)
-	}
-	if h["queue_depth"].Count != waiters || h["queue_depth"].Max != waiters {
-		t.Errorf("queue_depth = %+v, want %d descending observations from %d", h["queue_depth"], waiters, waiters)
+	if h := st.Histograms()["broadcast_ns"]; h.Count != 1 {
+		t.Errorf("broadcast_ns count = %d, want 1 (last wake observes the batch)", h.Count)
 	}
 }
 
@@ -132,9 +122,6 @@ func TestNotifyNPartialBatch(t *testing.T) {
 	if n := cv.Len(); n != 2 {
 		t.Fatalf("Len = %d after NotifyN(4), want 2", n)
 	}
-	if d := cv.Depth(); d != 2 {
-		t.Fatalf("Depth = %d after NotifyN(4), want 2", d)
-	}
 	if n := cv.NotifyN(nil, -1); n != 2 {
 		t.Fatalf("NotifyN(-1) = %d, want 2", n)
 	}
@@ -143,9 +130,8 @@ func TestNotifyNPartialBatch(t *testing.T) {
 	if snap["woken"] != 6 {
 		t.Errorf("woken = %d, want 6", snap["woken"])
 	}
-	h := st.Histograms()
-	if h["wake_batch"].Count != 2 {
-		t.Errorf("wake_batch count = %d, want 2 batches", h["wake_batch"].Count)
+	if h := st.Histograms()["broadcast_ns"]; h.Count != 2 {
+		t.Errorf("broadcast_ns count = %d, want 2 batches", h.Count)
 	}
 }
 
@@ -178,15 +164,12 @@ func TestNotifyAllBatchAbortDiscards(t *testing.T) {
 	if n := cv.Len(); n != 3 {
 		t.Fatalf("Len = %d after aborted broadcast, want 3", n)
 	}
-	if d := cv.Depth(); d != 3 {
-		t.Fatalf("Depth = %d after aborted broadcast, want 3", d)
-	}
 	got := traceCounts(tr)
 	if got[obs.EvCVNotify] != 0 || got[obs.EvCVSemPost] != 0 {
 		t.Fatalf("aborted broadcast leaked notify events: %v", got)
 	}
-	if st.Histograms()["wake_batch"].Count != 0 {
-		t.Fatal("aborted broadcast observed a wake batch")
+	if n := st.Snapshot()["sem_posts"]; n != 0 {
+		t.Fatalf("aborted broadcast posted %d semaphores", n)
 	}
 
 	// Commit it for real: notify, sempost and wake appear for every waiter.

@@ -52,11 +52,11 @@ func testBatchLoserKeepsPermit(t *testing.T, wantBy int64,
 		}()
 	}
 	startLive()
-	waitUntil(t, "A enqueued", func() bool { return cv.Depth() == 1 })
+	waitUntil(t, "A enqueued", func() bool { return cv.Len() == 1 })
 	startLoser(cv, &m, loser)
-	waitUntil(t, "B enqueued", func() bool { return cv.Depth() == 2 })
+	waitUntil(t, "B enqueued", func() bool { return cv.Len() == 2 })
 	startLive()
-	waitUntil(t, "C enqueued", func() bool { return cv.Depth() == 3 })
+	waitUntil(t, "C enqueued", func() bool { return cv.Len() == 3 })
 
 	in.Arm()
 	defer in.Disarm()

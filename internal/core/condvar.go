@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sem"
-	"repro/internal/stats"
 	"repro/internal/stm"
 	"repro/internal/syncx"
 )
@@ -38,14 +37,13 @@ type Options struct {
 
 // CVStats aggregates condition-variable activity.
 type CVStats struct {
-	Waits       stats.Counter // completed WAIT operations
-	NotifyOnes  stats.Counter // NotifyOne calls that woke someone
-	NotifyAlls  stats.Counter // NotifyAll calls that woke >= 1 thread
-	NotifyEmpty stats.Counter // notifies that found an empty queue
-	Woken       stats.Counter // total threads woken
-	Timeouts    stats.Counter // timed waits that expired un-notified
-	Cancels     stats.Counter // context waits that ended cancelled
-	MaxQueue    stats.Max     // deepest queue observed by a notifier
+	Waits       obs.Counter // completed WAIT operations
+	NotifyOnes  obs.Counter // NotifyOne calls that woke someone
+	NotifyAlls  obs.Counter // NotifyAll calls that woke >= 1 thread
+	NotifyEmpty obs.Counter // notifies that found an empty queue
+	Woken       obs.Counter // total threads woken
+	Timeouts    obs.Counter // timed waits that expired un-notified
+	Cancels     obs.Counter // context waits that ended cancelled
 
 	// Wait latency, split at the committed SEMPOST — the two halves the
 	// paper's end-to-end numbers cannot separate: how long a waiter sat
@@ -53,19 +51,16 @@ type CVStats struct {
 	// long the runtime then took to get the woken goroutine running again.
 	EnqueueToNotify obs.Histogram // ns: enqueue → notifier's committed post
 	NotifyToWake    obs.Histogram // ns: committed post → waiter resumed
-	QueueDepth      obs.Histogram // committed queue depth seen at each dequeue
 
-	// Broadcast shape: how many waiters each committed NotifyAll/NotifyN
-	// batch dequeued, and how long the whole batch took from the commit
-	// handler starting to the last waiter resuming.
-	WakeBatch      obs.Histogram // waiters per committed notify batch
+	// BroadcastNanos is how long each committed NotifyAll/NotifyN batch
+	// took from the commit handler starting to the last waiter resuming.
 	BroadcastNanos obs.Histogram // ns: batch commit → last waiter resumed
 
 	// WakeConsumed counts consumed wakes by the kind of waiter that
 	// consumed them, indexed by the obs.WakeBy* codes (DESIGN.md §15): a
 	// timeout/cancel loser that kept a raced permit shows up under its
 	// own consumer label.
-	WakeConsumed [3]stats.Counter
+	WakeConsumed [3]obs.Counter
 
 	// WakeChainDepth observes the constant 1 per consumed wake: every
 	// post comes from the notifier's commit handler (Algorithm 6), there
@@ -188,23 +183,12 @@ type CondVar struct {
 	id   uint64
 	name string
 
-	// depth tracks the committed queue depth: incremented by each
-	// enqueue's commit, decremented by each committed dequeue (notify or
-	// timeout unlink). Transactional aborts never touch it, so it is
-	// exact despite living outside the STM.
-	depth stats.Gauge
-
-	// depthInc is the enqueue commit handler, allocated once: every
-	// Wait registers it via OnCommit, and building the closure per
-	// enqueue attempt was a measurable share of the park path's garbage.
-	depthInc func()
-
 	// Per-condvar consumed-by counters behind RegisterConsumedMetrics
 	// (the named-CV view of CVStats.WakeConsumed). consumedOn is a
 	// setup-time flag like st: when false — the default — the wake path
 	// never touches them.
 	consumedOn bool
-	consumed   [3]stats.Counter // indexed by obs.WakeBy* consumer codes
+	consumed   [3]obs.Counter // indexed by obs.WakeBy* consumer codes
 }
 
 // New creates a condition variable whose internal transactions run on e.
@@ -216,7 +200,6 @@ func New(e *stm.Engine, opts Options) *CondVar {
 		opts: opts,
 		id:   cvSeq.Add(1),
 	}
-	cv.depthInc = func() { cv.depth.Inc() }
 	cv.pool.New = func() any { return cv.newNode() }
 	return cv
 }
@@ -330,12 +313,12 @@ func (cv *CondVar) enqueue(tx *stm.Tx, n *Node) {
 
 // enqueueBody is the transactional insert of one node, bound into the
 // node's cached enqBody closure at newNode so the park path does not
-// rebuild it (or the depth handler) on every Wait.
+// rebuild it on every Wait. Like Algorithm 4 it registers no commit
+// handler.
 func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 	// Attempt-buffered: an aborted attempt's enqueue never shows in
-	// the trace; the committed depth gauge moves only at commit.
+	// the trace.
 	tx.Trace(obs.EvCVEnqueue, int64(n.id), int64(cv.id))
-	tx.OnCommit(cv.depthInc)
 	switch cv.opts.Policy {
 	case LIFO:
 		h := stm.Read(tx, cv.head)
@@ -539,7 +522,8 @@ func (cv *CondVar) WaitCtx(s syncx.Sync, ctx context.Context, cont func(syncx.Sy
 }
 
 // removeNode unlinks target from the wait queue, reporting whether it was
-// still enqueued.
+// still enqueued. It always runs its own top-level transaction, so the
+// unlink is committed by the time MustAtomic returns.
 func (cv *CondVar) removeNode(target *Node) bool {
 	found := false
 	cv.e.MustAtomic(func(tx *stm.Tx) {
@@ -557,18 +541,14 @@ func (cv *CondVar) removeNode(target *Node) bool {
 					stm.Write(tx, cv.tail, prev)
 				}
 				found = true
-				// The unlink becomes real only if this transaction
-				// commits; clear the reachability flag (and the
-				// committed depth gauge) at that point.
-				tx.OnCommit(func() {
-					target.inQueue.Store(false)
-					cv.depth.Dec()
-				})
 				return
 			}
 			prev = n
 		}
 	})
+	if found {
+		target.inQueue.Store(false)
+	}
 	return found
 }
 
@@ -628,11 +608,9 @@ func (cv *CondVar) WaitAtCommit(tx *stm.Tx) {
 
 // wakeNode performs the committed post of one dequeued node: the fault
 // window, the enqueue→notify latency observation, the causal wake stamp,
-// the sempost trace event, and the semaphore post itself. depth is the
-// committed queue depth the dequeue observed; wakeID is the flow id the
-// committed notify minted. Queue-depth bookkeeping belongs to the
-// caller — notifyCommitted for singles, wakeCommitted for batches.
-func (cv *CondVar) wakeNode(n *Node, depth int64, wakeID uint64) {
+// the sempost trace event, and the semaphore post itself. wakeID is the
+// flow id the committed notify minted.
+func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 	// Fault hook: stall between the committed dequeue and the semaphore
 	// post — the window in which a timed-out or cancelled waiter races a
 	// wake-up it can no longer refuse.
@@ -648,7 +626,7 @@ func (cv *CondVar) wakeNode(n *Node, depth int64, wakeID uint64) {
 	n.notifiedNS.Store(now)
 	n.wakeID.Store(wakeID)
 	if tr := cv.e.Tracer(); tr.Enabled() {
-		tr.Emit(n.id, obs.EvCVSemPost, int64(n.id), depth)
+		tr.Emit(n.id, obs.EvCVSemPost, int64(n.id), 0)
 		tr.EmitFlow(n.id, obs.EvWakePost, wakeID, 0, 0)
 	}
 	n.inQueue.Store(false)
@@ -656,41 +634,29 @@ func (cv *CondVar) wakeNode(n *Node, depth int64, wakeID uint64) {
 }
 
 // notifyCommitted is the committed side of a single-node notification:
-// queue-depth bookkeeping plus the wakeNode post. It runs exactly once
-// per real dequeue — from the notifier's commit handler, or directly
-// for a naked/lock-based notifier.
+// the wake flow's root plus the wakeNode post. It runs exactly once per
+// real dequeue — from the notifier's commit handler, or directly for a
+// naked/lock-based notifier.
 func (cv *CondVar) notifyCommitted(n *Node) {
-	d := cv.depth.Load()
-	cv.depth.Dec()
-	if cv.st != nil {
-		cv.st.QueueDepth.Observe(d)
-	}
 	// Mint the causal wake id here — the moment the notify became real
 	// (the commit handler fired, or a non-transactional notifier dequeued).
 	wakeID := cv.e.NextWakeID()
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, 1, int64(cv.id))
 	}
-	cv.wakeNode(n, d, wakeID)
+	cv.wakeNode(n, wakeID)
 }
 
 // wakeCommitted is the committed side of a batched NotifyAll/NotifyN,
-// Algorithm 6's commit handler: the batch's depth bookkeeping and
-// sanitizer generation checks, then one semaphore post per dequeued
-// waiter, in queue order.
+// Algorithm 6's commit handler: the batch's sanitizer generation
+// checks, then one semaphore post per dequeued waiter, in queue order.
 func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	total := len(nodes) // never 0: an empty dequeue registers no handler
 	for i, n := range nodes {
 		cv.checkGen(n, gens[i])
 	}
-	d := cv.depth.Load()
-	cv.depth.Add(-int64(total))
 	var wb *wakeBatch
 	if cv.st != nil {
-		cv.st.WakeBatch.Observe(int64(total))
-		for i := range nodes {
-			cv.st.QueueDepth.Observe(d - int64(i))
-		}
 		wb = &wakeBatch{startNS: monoNS()}
 		wb.remaining.Store(int64(total))
 	}
@@ -700,9 +666,9 @@ func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
 	}
-	for i, n := range nodes {
+	for _, n := range nodes {
 		n.batch.Store(wb)
-		cv.wakeNode(n, d-int64(i), wakeID)
+		cv.wakeNode(n, wakeID)
 	}
 }
 
@@ -874,19 +840,15 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 // handler, which posts each waiter's semaphore in queue order (see
 // wakeCommitted).
 func (cv *CondVar) NotifyAll(tx *stm.Tx) int {
-	count := cv.notifyBatch(tx, -1)
-	if cv.st != nil && count > 0 {
-		cv.st.MaxQueue.Observe(int64(count))
-	}
-	return count
+	return cv.notifyBatch(tx, -1)
 }
 
 // NotifyN dequeues and wakes at most max waiters (in queue order) as one
 // batch, leaving the rest enqueued — a paced partial broadcast for
 // callers that know how much new capacity a state change created (e.g.
 // a task queue that just received k items). It returns the number of
-// waiters notified. NotifyN(tx, -1) behaves as NotifyAll without the
-// max-queue observation; max == 0 is a no-op.
+// waiters notified. NotifyN(tx, -1) behaves as NotifyAll; max == 0 is a
+// no-op.
 func (cv *CondVar) NotifyN(tx *stm.Tx, max int) int {
 	if max == 0 {
 		return 0
@@ -903,15 +865,12 @@ func (cv *CondVar) NotifyN(tx *stm.Tx, max int) int {
 // kernel state, which is why the oblivious NotifyAll pattern exists.
 func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
 	found := false
-	depth := 0
 	body := func(tx *stm.Tx) {
 		found = false
 		var best, bestPrev *Node
 		bestScore := int64(-1)
 		var prev *Node
-		depth = 0
 		for n := stm.Read(tx, cv.head); n != nil; n = stm.Read(tx, n.next) {
-			depth++
 			if s := score(stm.Read(tx, n.tag)); s > bestScore {
 				best, bestPrev, bestScore = n, prev, s
 			}
@@ -939,10 +898,6 @@ func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
 		cv.e.MustAtomic(body)
 	}
 	if cv.st != nil {
-		// Observed here, after the block committed: the body's depth count
-		// on an aborted attempt may come from an inconsistent snapshot,
-		// and Max never shrinks, so a bogus observation would stick.
-		cv.st.MaxQueue.Observe(int64(depth))
 		if found {
 			cv.st.NotifyOnes.Inc()
 			cv.st.Woken.Inc()
@@ -953,16 +908,12 @@ func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
 	return found
 }
 
-// Depth returns the committed queue depth, maintained by the enqueue and
-// dequeue commit handlers. Unlike Len it costs one atomic load and never
-// runs a transaction.
-func (cv *CondVar) Depth() int64 { return cv.depth.Load() }
-
-// Len returns the current number of enqueued waiters (its own
-// transaction; for diagnostics and tests).
+// Len returns the current number of enqueued waiters, counted by walking
+// the queue in its own read-only transaction (for diagnostics, tests and
+// the cv_queue_depth scrape).
 func (cv *CondVar) Len() int {
 	n := 0
-	cv.e.MustAtomic(func(tx *stm.Tx) {
+	_ = cv.e.AtomicRead(func(tx *stm.Tx) {
 		n = 0
 		for c := stm.Read(tx, cv.head); c != nil; c = stm.Read(tx, c.next) {
 			n++

@@ -39,10 +39,10 @@ func TestWaitLockedCtxCancelled(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("cancelled waiter stuck")
 		}
-		// The node must have been unlinked and retired: empty queue, zero
-		// committed depth, and no ghost for a later notify to find.
-		if cv.Len() != 0 || cv.Depth() != 0 {
-			t.Fatalf("queue len=%d depth=%d after cancel, want 0/0", cv.Len(), cv.Depth())
+		// The node must have been unlinked and retired: empty queue and
+		// no ghost for a later notify to find.
+		if n := cv.Len(); n != 0 {
+			t.Fatalf("queue len=%d after cancel, want 0", n)
 		}
 		if cv.NotifyOne(nil) {
 			t.Fatal("notify found a ghost waiter")
@@ -116,8 +116,8 @@ func TestWaitLockedCtxRaceNeverLeaks(t *testing.T) {
 		if found.Load() != ok {
 			t.Fatalf("iter %d: notifier found=%v but wait returned %v", i, found.Load(), ok)
 		}
-		if cv.Len() != 0 || cv.Depth() != 0 {
-			t.Fatalf("iter %d: queue len=%d depth=%d after settle", i, cv.Len(), cv.Depth())
+		if n := cv.Len(); n != 0 {
+			t.Fatalf("iter %d: queue len=%d after settle", i, n)
 		}
 		// Spurious-wake probe: a fresh short timed wait (reusing the
 		// pooled node) must expire, not wake on a stranded permit.
@@ -170,8 +170,8 @@ func TestWaitCtxCPS(t *testing.T) {
 		if ok := <-res; ok || contRan.Load() {
 			t.Fatalf("cancelled WaitCtx: ok=%v contRan=%v", ok, contRan.Load())
 		}
-		if cv.Len() != 0 || cv.Depth() != 0 {
-			t.Fatalf("queue len=%d depth=%d after cancel", cv.Len(), cv.Depth())
+		if n := cv.Len(); n != 0 {
+			t.Fatalf("queue len=%d after cancel", n)
 		}
 	})
 }
@@ -230,7 +230,7 @@ func TestLostWakeupWindowSurvived(t *testing.T) {
 			}()
 			// The committed enqueue (Depth) precedes the injected stall, so
 			// this notify lands inside the enqueue→park window.
-			waitUntil(t, "enqueue", func() bool { return cv.Depth() == 1 })
+			waitUntil(t, "enqueue", func() bool { return cv.Len() == 1 })
 			if !cv.NotifyOne(nil) {
 				t.Fatalf("round %d: notifier missed the enqueued waiter", i)
 			}
@@ -284,7 +284,7 @@ func TestNotifyWindowDelay(t *testing.T) {
 		m.Unlock()
 		res <- ok
 	}()
-	waitUntil(t, "enqueue", func() bool { return cv.Depth() == 1 })
+	waitUntil(t, "enqueue", func() bool { return cv.Len() == 1 })
 	// The dequeue commits now; the injected stall holds the post back
 	// past the waiter's deadline.
 	if !cv.NotifyOne(nil) {

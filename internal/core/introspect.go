@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/registry"
 	"repro/internal/sem"
-	"repro/internal/stats"
 	"repro/internal/stm"
 )
 
@@ -27,11 +26,10 @@ var epoch = time.Now()
 // mean "unset".
 func monoNS() int64 { return time.Since(epoch).Nanoseconds() }
 
-// cvScalar is one CVStats counter/gauge row.
+// cvScalar is one CVStats counter row.
 type cvScalar struct {
 	name string
 	help string
-	kind registry.Kind
 	read func() int64
 }
 
@@ -39,20 +37,19 @@ type cvScalar struct {
 // two semaphore aggregates the JSON snapshot has always carried.
 func (s *CVStats) scalars() []cvScalar {
 	return []cvScalar{
-		{"waits", "completed WAIT operations", registry.KindCounter, s.Waits.Load},
-		{"notify_ones", "NotifyOne calls that woke someone", registry.KindCounter, s.NotifyOnes.Load},
-		{"notify_alls", "NotifyAll calls that woke at least one thread", registry.KindCounter, s.NotifyAlls.Load},
-		{"notify_empty", "notifies that found an empty queue", registry.KindCounter, s.NotifyEmpty.Load},
-		{"woken", "total threads woken", registry.KindCounter, s.Woken.Load},
-		{"timeouts", "timed waits that expired un-notified", registry.KindCounter, s.Timeouts.Load},
-		{"cancels", "context waits that ended cancelled", registry.KindCounter, s.Cancels.Load},
-		{"max_queue", "deepest queue observed by a notifier", registry.KindGauge, s.MaxQueue.Load},
-		{"sem_posts", "node semaphore posts", registry.KindCounter, s.Sem.Posts.Load},
-		{"sem_blocks", "node semaphore waits that descheduled", registry.KindCounter, s.Sem.Blocks.Load},
-		{"sem_spin_waits", "node semaphore waits satisfied while spinning", registry.KindCounter, s.Sem.SpinWaits.Load},
-		{"wake_consumed_waiter", "wakes consumed by live waiters", registry.KindCounter, s.WakeConsumed[obs.WakeByWaiter].Load},
-		{"wake_consumed_timeout", "wakes consumed by timed-out losers", registry.KindCounter, s.WakeConsumed[obs.WakeByTimeout].Load},
-		{"wake_consumed_cancel", "wakes consumed by cancelled losers", registry.KindCounter, s.WakeConsumed[obs.WakeByCancel].Load},
+		{"waits", "completed WAIT operations", s.Waits.Load},
+		{"notify_ones", "NotifyOne calls that woke someone", s.NotifyOnes.Load},
+		{"notify_alls", "NotifyAll calls that woke at least one thread", s.NotifyAlls.Load},
+		{"notify_empty", "notifies that found an empty queue", s.NotifyEmpty.Load},
+		{"woken", "total threads woken", s.Woken.Load},
+		{"timeouts", "timed waits that expired un-notified", s.Timeouts.Load},
+		{"cancels", "context waits that ended cancelled", s.Cancels.Load},
+		{"sem_posts", "node semaphore posts", s.Sem.Posts.Load},
+		{"sem_blocks", "node semaphore waits that descheduled", s.Sem.Blocks.Load},
+		{"sem_spin_waits", "node semaphore waits satisfied while spinning", s.Sem.SpinWaits.Load},
+		{"wake_consumed_waiter", "wakes consumed by live waiters", s.WakeConsumed[obs.WakeByWaiter].Load},
+		{"wake_consumed_timeout", "wakes consumed by timed-out losers", s.WakeConsumed[obs.WakeByTimeout].Load},
+		{"wake_consumed_cancel", "wakes consumed by cancelled losers", s.WakeConsumed[obs.WakeByCancel].Load},
 	}
 }
 
@@ -67,16 +64,13 @@ func (s *CVStats) histograms() []cvHist {
 	return []cvHist{
 		{"enqueue_to_notify_ns", "enqueue to the notifier's committed post", &s.EnqueueToNotify},
 		{"notify_to_wake_ns", "committed post to the waiter resuming", &s.NotifyToWake},
-		{"queue_depth", "committed queue depth seen at each dequeue", &s.QueueDepth},
-		{"wake_batch", "waiters dequeued per committed notify batch", &s.WakeBatch},
 		{"broadcast_ns", "notify-batch commit to last waiter resumed", &s.BroadcastNanos},
 		{"sem_park_ns", "park duration of descheduled waits", &s.Sem.ParkNanos},
 	}
 }
 
 // RegisterMetrics registers every CVStats instrument into r under the
-// given labels: counters as cv_<name>_total, the max-queue gauge as
-// cv_max_queue, histograms as cv_<name>.
+// given labels: counters as cv_<name>_total, histograms as cv_<name>.
 func (s *CVStats) RegisterMetrics(r *registry.Registry, labels registry.Labels) {
 	if r == nil {
 		return
@@ -87,28 +81,16 @@ func (s *CVStats) RegisterMetrics(r *registry.Registry, labels registry.Labels) 
 		if sc.name == "wake_consumed_waiter" || sc.name == "wake_consumed_timeout" || sc.name == "wake_consumed_cancel" {
 			continue
 		}
-		switch sc.kind {
-		case registry.KindCounter:
-			r.RegisterCounter("cv_"+sc.name+"_total", sc.help, labels, sc.read)
-		default:
-			r.RegisterGauge("cv_"+sc.name, sc.help, labels, sc.read)
-		}
+		r.RegisterCounter("cv_"+sc.name+"_total", sc.help, labels, sc.read)
 	}
 	registerConsumed(r, labels, &s.WakeConsumed)
 	for _, th := range s.histograms() {
-		name := th.name
-		// The JSON key "queue_depth" would collide with the per-condvar
-		// cv_queue_depth gauge (one exposition family cannot carry two
-		// types); the registry name says what the histogram measures.
-		if name == "queue_depth" {
-			name = "dequeue_depth"
-		}
-		r.RegisterHistogram("cv_"+name, th.help, labels, th.h.Snapshot)
+		r.RegisterHistogram("cv_"+th.name, th.help, labels, th.h.Snapshot)
 	}
 }
 
 // maxWaitChain bounds one WaitChain walk; a queue deeper than this is
-// truncated in the dump (the depth gauge still tells the whole story).
+// truncated in the dump (the cv_queue_depth walk still counts it all).
 const maxWaitChain = 4096
 
 // WaitChain returns the current wait queue as registry Waiters: node
@@ -158,13 +140,15 @@ func (cv *CondVar) WaitChain() []registry.Waiter {
 }
 
 // RegisterIntrospect registers the condvar's live sources into r under
-// name: the committed queue-depth gauge and the wait-chain source.
+// name: the queue-depth gauge and the wait-chain source. Both walk the
+// queue in a read-only transaction at scrape time; the wait path keeps
+// no count of its own.
 func (cv *CondVar) RegisterIntrospect(r *registry.Registry, name string) {
 	if r == nil {
 		return
 	}
-	r.RegisterGauge("cv_queue_depth", "committed condvar wait-queue depth",
-		registry.Labels{"cv": name}, cv.depth.Load)
+	r.RegisterGauge("cv_queue_depth", "condvar wait-queue depth, walked at scrape time",
+		registry.Labels{"cv": name}, func() int64 { return int64(cv.Len()) })
 	r.RegisterWaiters(name, cv.WaitChain)
 }
 
@@ -185,7 +169,7 @@ func (cv *CondVar) RegisterConsumedMetrics(r *registry.Registry) {
 
 // registerConsumed registers one cv_wake_consumed_total{by=} family over
 // counters indexed by the obs.WakeBy* codes.
-func registerConsumed(r *registry.Registry, labels registry.Labels, c *[3]stats.Counter) {
+func registerConsumed(r *registry.Registry, labels registry.Labels, c *[3]obs.Counter) {
 	r.RegisterCounterSet("cv_wake_consumed_total",
 		"wakes consumed, by consumer kind (waiter, or a timeout/cancel loser keeping a raced permit)",
 		labels, func() []registry.Sample {

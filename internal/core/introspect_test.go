@@ -15,7 +15,7 @@ import (
 // cvSnapshotKeys freezes the CVStats export key set (same contract as
 // the TMStats test in internal/stm).
 var cvSnapshotKeys = []string{
-	"cancels", "max_queue", "notify_alls", "notify_empty", "notify_ones",
+	"cancels", "notify_alls", "notify_empty", "notify_ones",
 	"sem_blocks", "sem_posts", "sem_spin_waits", "timeouts", "waits",
 	"wake_consumed_cancel", "wake_consumed_timeout", "wake_consumed_waiter",
 	"woken",
@@ -23,7 +23,7 @@ var cvSnapshotKeys = []string{
 
 var cvHistogramKeys = []string{
 	"broadcast_ns", "enqueue_to_notify_ns", "notify_to_wake_ns",
-	"queue_depth", "sem_park_ns", "wake_batch",
+	"sem_park_ns",
 }
 
 func TestCVStatsSnapshotStableAndComplete(t *testing.T) {
@@ -45,9 +45,9 @@ func TestCVStatsSnapshotStableAndComplete(t *testing.T) {
 	typ := reflect.TypeOf(CVStats{})
 	for i := 0; i < typ.NumField(); i++ {
 		switch typ.Field(i).Type.String() {
-		case "stats.Counter", "stats.Gauge", "stats.Max":
+		case "obs.Counter":
 			direct++
-		case "[3]stats.Counter": // WakeConsumed, one row per consumer code
+		case "[3]obs.Counter": // WakeConsumed, one row per consumer code
 			direct += 3
 		}
 	}
@@ -127,7 +127,7 @@ func TestWaitChainAndRegisterIntrospect(t *testing.T) {
 		}
 	}
 	if depth := r.Vars()[`cv_queue_depth{cv="test-cv"}`]; depth != int64(2) {
-		t.Errorf("registered depth gauge reads %v, want 2", depth)
+		t.Errorf("registered cv_queue_depth reads %v, want 2", depth)
 	}
 
 	cv.NotifyAll(nil)
@@ -146,11 +146,8 @@ func TestCVStatsRegisterMetrics(t *testing.T) {
 	for _, k := range cvSnapshotKeys {
 		name := "cv_" + k + "_total"
 		key := name + `{engine="x"}`
-		switch {
-		case k == "max_queue":
-			name = "cv_" + k
-			key = name + `{engine="x"}`
-		case k == "wake_consumed_waiter", k == "wake_consumed_timeout", k == "wake_consumed_cancel":
+		switch k {
+		case "wake_consumed_waiter", "wake_consumed_timeout", "wake_consumed_cancel":
 			// Exported as one labeled family, by= carrying the consumer kind.
 			name = "cv_wake_consumed_total"
 			by := k[len("wake_consumed_"):]
@@ -161,9 +158,6 @@ func TestCVStatsRegisterMetrics(t *testing.T) {
 		}
 	}
 	for _, k := range cvHistogramKeys {
-		if k == "queue_depth" {
-			k = "dequeue_depth" // renamed in the registry to avoid the gauge collision
-		}
 		if _, ok := vars["cv_"+k+`{engine="x"}`]; !ok {
 			t.Errorf("registry missing histogram cv_%s", k)
 		}

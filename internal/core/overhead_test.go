@@ -25,10 +25,32 @@ func TestWakeStampDisarmedNoAlloc(t *testing.T) {
 		n.enqueuedNS.Store(monoNS())
 		// The full committed-notify hot path: mint a wakeID, stamp the
 		// node, post, consume the banked permit, attribute the wake.
-		cv.wakeNode(n, 0, cv.e.NextWakeID())
+		cv.wakeNode(n, cv.e.NextWakeID())
 		n.sem.Wait()
 		cv.noteWake(n, obs.WakeByWaiter)
 	}); a != 0 {
 		t.Errorf("disarmed wake-stamp cycle allocates %.1f times per op", a)
+	}
+}
+
+// A timeout or cancel loser that wins the unlink pays for removeNode's
+// transaction and nothing else: the unlink registers no commit handler
+// (inQueue is cleared after the top-level transaction returns), so once
+// the engine's transaction pool is warm an enqueue+unlink cycle
+// allocates nothing.
+func TestLoserUnlinkNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow state allocates")
+	}
+	e := stm.NewEngine(stm.Config{})
+	cv := New(e, Options{})
+	n := cv.acquireNode()
+	if a := testing.AllocsPerRun(1000, func() {
+		cv.enqueue(nil, n)
+		if !cv.removeNode(n) {
+			t.Fatal("removeNode did not find the enqueued node")
+		}
+	}); a != 0 {
+		t.Errorf("enqueue+unlink cycle allocates %.1f times per op", a)
 	}
 }

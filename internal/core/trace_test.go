@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/registry"
 	"repro/internal/stm"
 	"repro/internal/syncx"
 )
@@ -65,9 +66,6 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	// and the trace shows no notify-side events.
 	if n := cv.Len(); n != 1 {
 		t.Fatalf("after aborted notify: Len = %d, want 1", n)
-	}
-	if cv.Depth() != 1 {
-		t.Fatalf("after aborted notify: Depth = %d, want 1", cv.Depth())
 	}
 	select {
 	case <-done:
@@ -128,8 +126,8 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 			}
 		}
 	}
-	if cv.Depth() != 0 {
-		t.Errorf("final Depth = %d, want 0", cv.Depth())
+	if n := cv.Len(); n != 0 {
+		t.Errorf("final Len = %d, want 0", n)
 	}
 
 	// The exported Chrome trace reflects the same discipline: exactly one
@@ -163,9 +161,6 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	if h["notify_to_wake_ns"].Count != 1 {
 		t.Errorf("notify_to_wake_ns count = %d, want 1", h["notify_to_wake_ns"].Count)
 	}
-	if h["queue_depth"].Count != 1 || h["queue_depth"].Max != 1 {
-		t.Errorf("queue_depth = %+v, want one observation of depth 1", h["queue_depth"])
-	}
 	if h["sem_park_ns"].Count != 1 {
 		t.Errorf("sem_park_ns count = %d, want 1 (waiter parked once)", h["sem_park_ns"].Count)
 	}
@@ -181,22 +176,75 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	}
 }
 
-// The committed depth gauge follows enqueues, notifies and timeout
-// unlinks, and ignores aborted transactions.
+// The cv_queue_depth registry row walks the queue at scrape time, so it
+// equals the parked-waiter count after an aborted enqueue, an aborted
+// notify, a timeout unlink and a partial NotifyN.
 func TestDepthGauge(t *testing.T) {
 	e := stm.NewEngine(stm.Config{Algorithm: stm.AlgWriteThrough})
 	cv := New(e, Options{})
+	r := registry.New()
+	cv.RegisterIntrospect(r, "depth")
+	row := func() int64 {
+		v, ok := r.Vars()[`cv_queue_depth{cv="depth"}`].(int64)
+		if !ok {
+			t.Fatal("cv_queue_depth row missing")
+		}
+		return v
+	}
+	check := func(what string, want int) {
+		t.Helper()
+		if got := row(); got != int64(want) || len(cv.WaitChain()) != want {
+			t.Fatalf("%s: cv_queue_depth = %d, wait chain %d, want %d", what, got, len(cv.WaitChain()), want)
+		}
+	}
+	check("idle", 0)
+
+	// Aborted enqueue: the insert rolls back with its transaction.
+	n := cv.acquireNode()
+	if err := e.Atomic(func(tx *stm.Tx) {
+		cv.enqueue(tx, n)
+		tx.Cancel(errAbortProvoked)
+	}); err == nil {
+		t.Fatal("doomed enqueue committed")
+	}
+	check("aborted enqueue", 0)
 
 	var m syncx.Mutex
+	gen := 0
+	done := parkWaiters(t, cv, &m, &gen, 3)
+	check("three parked", 3)
+
+	// Aborted notify: the dequeue rolls back, nobody is posted.
+	if err := e.Atomic(func(tx *stm.Tx) {
+		// cvlint:ignore nakednotify the notify is doomed: its rollback is the subject
+		cv.NotifyOne(tx)
+		tx.Cancel(errAbortProvoked)
+	}); err == nil {
+		t.Fatal("doomed notify committed")
+	}
+	check("aborted notify", 3)
+
+	// Timeout unlink: a fourth waiter gives up and removes itself.
 	m.Lock()
-	ok := cv.WaitLockedTimeout(&m, 20*time.Millisecond)
-	m.Unlock()
-	if ok {
+	if cv.WaitLockedTimeout(&m, 20*time.Millisecond) {
 		t.Fatal("timed wait reported notified with no notifier")
 	}
-	if cv.Depth() != 0 {
-		t.Fatalf("Depth after timeout unlink = %d, want 0", cv.Depth())
+	m.Unlock()
+	check("timeout unlink", 3)
+
+	// Partial NotifyN: two of the three leave, one stays parked.
+	m.Lock()
+	gen++
+	m.Unlock()
+	if k := cv.NotifyN(nil, 2); k != 2 {
+		t.Fatalf("NotifyN(2) = %d", k)
 	}
+	collectAll(t, done[:2], "paced")
+	check("partial NotifyN", 1)
+
+	cv.NotifyAll(nil)
+	collectAll(t, done[2:], "drain")
+	check("drained", 0)
 }
 
 // CVStats.Snapshot and Histograms must expose every documented key, so the
@@ -204,13 +252,13 @@ func TestDepthGauge(t *testing.T) {
 func TestCVStatsKeys(t *testing.T) {
 	st := &CVStats{}
 	snap := st.Snapshot()
-	for _, k := range []string{"waits", "notify_ones", "notify_alls", "notify_empty", "woken", "timeouts", "max_queue", "sem_posts", "sem_blocks"} {
+	for _, k := range []string{"waits", "notify_ones", "notify_alls", "notify_empty", "woken", "timeouts", "sem_posts", "sem_blocks"} {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("Snapshot missing %q (have %s)", k, strings.Join(keysOf(snap), ","))
 		}
 	}
 	h := st.Histograms()
-	for _, k := range []string{"enqueue_to_notify_ns", "notify_to_wake_ns", "queue_depth", "sem_park_ns"} {
+	for _, k := range []string{"enqueue_to_notify_ns", "notify_to_wake_ns", "sem_park_ns"} {
 		if _, ok := h[k]; !ok {
 			t.Errorf("Histograms missing %q", k)
 		}

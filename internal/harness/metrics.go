@@ -29,8 +29,8 @@ type TrialMetrics struct {
 
 	// CV holds the condvar counter snapshot (waits, notifies, ...),
 	// CVHist the wait-latency split (enqueue_to_notify_ns,
-	// notify_to_wake_ns), the committed queue-depth distribution and the
-	// semaphore park times (sem_park_ns).
+	// notify_to_wake_ns), the broadcast commit-to-last-wake time
+	// (broadcast_ns) and the semaphore park times (sem_park_ns).
 	CV     map[string]int64                 `json:"cv,omitempty"`
 	CVHist map[string]obs.HistogramSnapshot `json:"cv_hist,omitempty"`
 

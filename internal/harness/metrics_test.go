@@ -87,7 +87,7 @@ func TestWriteMetricsJSON(t *testing.T) {
 			}
 			// Wait-latency histograms with real buckets (fluidanimate's
 			// barrier guarantees waits at >= 2 threads).
-			for _, k := range []string{"enqueue_to_notify_ns", "notify_to_wake_ns", "queue_depth", "sem_park_ns"} {
+			for _, k := range []string{"enqueue_to_notify_ns", "notify_to_wake_ns", "sem_park_ns"} {
 				if _, ok := trial.CVHist[k]; !ok {
 					t.Errorf("cv_hist missing %q", k)
 				}

@@ -13,8 +13,8 @@ import (
 // write to it may have made a parked waiter's predicate true, and owes
 // the condvar a NotifyOne/NotifyAll — otherwise the waiter sleeps until
 // an unrelated wake happens to come along, or forever. This is the
-// static complement of the runtime starvation watchdog (PR 4): the
-// watchdog sees the stuck waiter in production, this check sees the
+// static complement of the live wait-chain dump (/debug/cv/waiters):
+// the dump shows the stuck waiter at run time, this check finds the
 // writer that forgot to signal at lint time.
 //
 // The analysis is interprocedural both ways (DESIGN.md §12): predicate

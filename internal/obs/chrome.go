@@ -55,7 +55,7 @@ func chromeArgs(ev Event) map[string]any {
 		// a cv.notify → sem.unpark chain names the condvar that caused it.
 		return cvArg(map[string]any{"node": ev.A}, ev.B)
 	case EvCVSemPost:
-		return map[string]any{"node": ev.A, "queue_depth": ev.B}
+		return map[string]any{"node": ev.A}
 	case EvSemUnpark:
 		return map[string]any{"lane": ev.A}
 	case EvWakeRoot:

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -15,8 +17,8 @@ const numBuckets = 64
 
 // Histogram is an atomic log2-bucketed histogram. Observe is a handful of
 // uncontended-in-practice atomic adds, cheap enough to leave enabled in
-// benchmarks, in the spirit of stats.Counter. The zero value is ready to
-// use; all methods are safe for concurrent use.
+// benchmarks, like Counter. The zero value is ready to use; all methods
+// are safe for concurrent use.
 //
 // Log2 buckets give ~2x relative resolution over the full int64 range with
 // a fixed footprint — the right trade for latency distributions, where the
@@ -178,7 +180,8 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Merge adds other's buckets into s (for aggregating trials).
+// Merge adds other's buckets into s (for aggregating trials). Buckets
+// stay in ascending Lo order, the order Quantile walks them in.
 func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
 	s.Count += other.Count
 	s.Sum += other.Sum
@@ -186,16 +189,13 @@ func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
 		s.Max = other.Max
 	}
 	for _, b := range other.Buckets {
-		found := false
-		for i := range s.Buckets {
-			if s.Buckets[i].Lo == b.Lo {
-				s.Buckets[i].N += b.N
-				found = true
-				break
-			}
-		}
-		if !found {
-			s.Buckets = append(s.Buckets, b)
+		i, found := slices.BinarySearchFunc(s.Buckets, b.Lo, func(x Bucket, lo int64) int {
+			return cmp.Compare(x.Lo, lo)
+		})
+		if found {
+			s.Buckets[i].N += b.N
+		} else {
+			s.Buckets = slices.Insert(s.Buckets, i, b)
 		}
 	}
 }

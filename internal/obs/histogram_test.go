@@ -120,6 +120,28 @@ func TestHistogramSnapshotAndMerge(t *testing.T) {
 	}
 }
 
+// Merging a snapshot whose buckets lie below every bucket already held
+// must keep the buckets in Lo order: Quantile walks them in slice order,
+// so a low bucket appended at the end would read as the top of the
+// distribution.
+func TestHistogramMergeKeepsBucketOrder(t *testing.T) {
+	var hi, lo Histogram
+	for i := 0; i < 10; i++ {
+		hi.Observe(1000)
+		lo.Observe(5)
+	}
+	s := hi.Snapshot()
+	s.Merge(lo.Snapshot())
+	for i := 1; i < len(s.Buckets); i++ {
+		if s.Buckets[i-1].Lo >= s.Buckets[i].Lo {
+			t.Fatalf("merged buckets out of Lo order: %+v", s.Buckets)
+		}
+	}
+	if p10, p90 := s.Quantile(0.10), s.Quantile(0.90); p10 != 5 || p90 != 724 {
+		t.Errorf("merged p10/p90 = %d/%d, want 5/724", p10, p90)
+	}
+}
+
 func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(42)

@@ -37,11 +37,14 @@ type Dump struct {
 	Registry       registry.Snapshot `json:"registry"`
 }
 
+// flightEvents bounds the trace tail kept in each dump.
+const flightEvents = 4096
+
 // Recorder captures flight dumps: on Trigger it drains the registry's
-// tracer, snapshots every registered metric and waiter, and writes the
-// whole thing atomically (temp file + rename) into its directory.
-// Triggers closer together than MinGap are dropped so a stuck workload
-// cannot flood the disk.
+// tracer, keeps the newest flightEvents events, snapshots every
+// registered metric and waiter, and writes the whole thing atomically
+// (temp file + rename) into its directory. Triggers closer together
+// than MinGap are dropped so a failing workload cannot flood the disk.
 type Recorder struct {
 	// MinGap is the minimum spacing between written dumps; closer
 	// triggers return ("", nil). Default one second.
@@ -49,27 +52,20 @@ type Recorder struct {
 
 	dir    string
 	reg    *registry.Registry
-	lastN  int
 	mu     sync.Mutex
 	last   time.Time
 	trials int
 }
 
-// NewRecorder returns a recorder dumping into dir ("" = os.TempDir),
-// keeping the last lastN trace events per dump (<=0 = 4096). The tracer
-// is read from reg at trigger time, so attaching one later still works.
-func NewRecorder(dir string, reg *registry.Registry, lastN int) *Recorder {
+// NewRecorder returns a recorder dumping into dir ("" = os.TempDir).
+// The tracer is read from reg at trigger time, so attaching one later
+// still works.
+func NewRecorder(dir string, reg *registry.Registry) *Recorder {
 	if dir == "" {
 		dir = os.TempDir()
 	}
-	if lastN <= 0 {
-		lastN = 4096
-	}
-	return &Recorder{MinGap: time.Second, dir: dir, reg: reg, lastN: lastN}
+	return &Recorder{MinGap: time.Second, dir: dir, reg: reg}
 }
-
-// Dir returns the dump directory.
-func (rec *Recorder) Dir() string { return rec.dir }
 
 // Trigger writes a flight dump and returns its path. A trigger inside
 // MinGap of the previous written dump is dropped and returns ("", nil).
@@ -83,7 +79,7 @@ func (rec *Recorder) Trigger(reason string, detail map[string]any) (string, erro
 	rec.last = now
 	rec.trials++
 
-	evs, horizon := tailEvents(rec.reg.Tracer(), rec.lastN)
+	evs, horizon := tailEvents(rec.reg.Tracer(), flightEvents)
 	d := Dump{
 		Reason:         reason,
 		Detail:         detail,

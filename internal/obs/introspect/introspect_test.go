@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/registry"
@@ -199,7 +198,7 @@ func TestFlightDumpOnTrigger(t *testing.T) {
 		e.MustAtomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
 	}
 
-	rec := NewRecorder(t.TempDir(), reg, 256)
+	rec := NewRecorder(t.TempDir(), reg)
 	path, err := rec.Trigger("chaos-failure", map[string]any{"seed": 7})
 	if err != nil || path == "" {
 		t.Fatalf("Trigger = %q, %v", path, err)
@@ -235,7 +234,7 @@ func TestFlightDumpOnTrigger(t *testing.T) {
 
 func TestRecorderRateLimit(t *testing.T) {
 	reg := registry.New()
-	rec := NewRecorder(t.TempDir(), reg, 16)
+	rec := NewRecorder(t.TempDir(), reg)
 	p1, err := rec.Trigger("x", nil)
 	if err != nil || p1 == "" {
 		t.Fatalf("first trigger: %q, %v", p1, err)
@@ -246,82 +245,5 @@ func TestRecorderRateLimit(t *testing.T) {
 	}
 	if rec.Triggers() != 1 {
 		t.Errorf("trigger count = %d", rec.Triggers())
-	}
-}
-
-func TestWatchdogDetectsStarvation(t *testing.T) {
-	reg := registry.New()
-	stuck := []registry.Waiter{{Source: "cv0", Node: 1, EnqueueAgeNS: 9e9, ParkAgeNS: 8e9}}
-	reg.RegisterWaiters("cv0", func() []registry.Waiter { return stuck })
-	rec := NewRecorder(t.TempDir(), reg, 16)
-
-	// Drive one scan directly (the ticker path is timing-dependent).
-	wd := &Watchdog{reg: reg, rec: rec, threshold: time.Second}
-	var gotStuck []registry.Waiter
-	var gotPath string
-	wd.onStarve = func(s []registry.Waiter, p string) { gotStuck, gotPath = s, p }
-	wd.scan()
-
-	if len(gotStuck) != 1 || gotStuck[0].Node != 1 {
-		t.Fatalf("scan found %+v", gotStuck)
-	}
-	if gotPath == "" {
-		t.Fatal("no dump written for starvation")
-	}
-	raw, err := os.ReadFile(gotPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d Dump
-	if err := json.Unmarshal(raw, &d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Reason != "starvation" {
-		t.Errorf("dump reason = %q", d.Reason)
-	}
-	if wd.triggers.Load() != 1 {
-		t.Errorf("trigger counter = %d", wd.triggers.Load())
-	}
-
-	// An un-starved registry must not trigger: fresh watchdog, fresh
-	// recorder, waiter ages under the threshold.
-	stuck = []registry.Waiter{{Source: "cv0", Node: 1, ParkAgeNS: 10}}
-	rec2 := NewRecorder(t.TempDir(), reg, 16)
-	wd2 := &Watchdog{reg: reg, rec: rec2, threshold: time.Second}
-	wd2.scan()
-	if wd2.triggers.Load() != 0 {
-		t.Error("watchdog triggered on healthy waiters")
-	}
-}
-
-func TestStartWatchdogLifecycle(t *testing.T) {
-	reg := registry.New()
-	reg.RegisterWaiters("cv0", func() []registry.Waiter {
-		return []registry.Waiter{{Node: 1, ParkAgeNS: time.Hour.Nanoseconds()}}
-	})
-	rec := NewRecorder(t.TempDir(), reg, 16)
-	s, err := Start(Options{
-		Addr:                "127.0.0.1:0",
-		Registry:            reg,
-		StarvationThreshold: time.Millisecond,
-		StarvationInterval:  time.Millisecond, // floored to 10ms
-		DumpDir:             rec.Dir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.wd.triggers.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("running watchdog never triggered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	body, _ := get(t, s.URL()+"/debug/cv/metrics")
-	if !strings.Contains(body, "introspect_starvation_triggers_total") {
-		t.Error("watchdog counter not exported")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

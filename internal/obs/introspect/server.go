@@ -2,9 +2,10 @@
 // stack (DESIGN.md §10): an HTTP server over a registry.Registry
 // exposing /debug/cv/metrics (Prometheus text exposition),
 // /debug/cv/vars (flat expvar-style JSON), /debug/cv/waiters (live
-// wait-chain dump) and /debug/cv/trace (Chrome trace_event drain of the
-// attached tracer), plus the starvation watchdog and the flight
-// recorder those endpoints feed.
+// wait-chain dump), /debug/cv/conflicts (abort attribution) and
+// /debug/cv/trace (Chrome trace_event drain of the attached tracer),
+// plus the flight recorder that snapshots the same registry when a
+// soak fails.
 //
 // Nothing in this package touches a hot path. A process that never
 // calls Start pays exactly the instruments it already had; while a
@@ -34,20 +35,6 @@ type Options struct {
 	// Registry is the metric registry to serve; nil selects
 	// registry.Default.
 	Registry *registry.Registry
-
-	// StarvationThreshold arms the starvation watchdog: a waiter parked
-	// longer than this triggers a flight-recorder dump. Zero (the
-	// default) leaves the watchdog off.
-	StarvationThreshold time.Duration
-	// StarvationInterval is the watchdog poll period; defaults to
-	// StarvationThreshold/4 (min 10ms).
-	StarvationInterval time.Duration
-
-	// DumpDir is where flight-recorder dumps land; "" means the OS temp
-	// directory.
-	DumpDir string
-	// FlightEvents bounds the trace tail in each dump; default 4096.
-	FlightEvents int
 }
 
 // Server is a running introspection endpoint.
@@ -55,8 +42,6 @@ type Server struct {
 	reg *registry.Registry
 	ln  net.Listener
 	srv *http.Server
-	rec *Recorder
-	wd  *Watchdog
 }
 
 // Start listens on opts.Addr and serves the /debug/cv/* endpoints. It
@@ -71,11 +56,7 @@ func Start(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("introspect: listen %s: %w", opts.Addr, err)
 	}
-	s := &Server{
-		reg: reg,
-		ln:  ln,
-		rec: NewRecorder(opts.DumpDir, reg, opts.FlightEvents),
-	}
+	s := &Server{reg: reg, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/cv/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/cv/vars", s.handleVars)
@@ -86,9 +67,6 @@ func Start(opts Options) (*Server, error) {
 	go s.srv.Serve(ln) //nolint:errcheck — Serve always returns on Close
 
 	obs.SetParkLabels(true)
-	if opts.StarvationThreshold > 0 {
-		s.wd = StartWatchdog(reg, s.rec, opts.StarvationThreshold, opts.StarvationInterval)
-	}
 	return s, nil
 }
 
@@ -101,11 +79,8 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // Registry returns the served registry.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Close stops the watchdog, the listener and park labeling.
+// Close stops the listener and park labeling.
 func (s *Server) Close() error {
-	if s.wd != nil {
-		s.wd.Close()
-	}
 	obs.SetParkLabels(false)
 	return s.srv.Close()
 }

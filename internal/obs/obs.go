@@ -1,13 +1,17 @@
-// Package obs is the observability layer of the repository: latency
-// histograms and a low-overhead event tracer for the STM/condvar stack.
+// Package obs is the observability layer of the repository: counters,
+// latency histograms and a low-overhead event tracer for the STM/condvar
+// stack.
 //
 // The paper's evaluation (Section 5) reasons from end-to-end wall clock;
 // the quantities that explain those numbers — abort storms, wake-up
 // latency, serial-fallback episodes — are invisible in aggregate
-// counters. This package adds the two missing instruments:
+// counters. This package holds those counters and adds the two missing
+// instruments:
 //
+//   - Counter: the monotonically increasing atomic counter every layer's
+//     stats structs are built from.
 //   - Histogram: an atomic log2-bucketed histogram, cheap enough to
-//     stay enabled in benchmarks alongside stats.Counter.
+//     stay enabled in benchmarks alongside Counter.
 //   - Tracer: a sharded fixed-size ring-buffer event tracer recording the
 //     full transaction/condvar/semaphore lifecycle, with a Chrome
 //     trace_event JSON exporter (chrome://tracing, Perfetto).

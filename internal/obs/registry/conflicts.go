@@ -46,15 +46,6 @@ func (r *Registry) RegisterCounterSet(name, help string, labels Labels, read fun
 	r.mu.Unlock()
 }
 
-// UnregisterCounterSet removes the counter set registered under name and
-// base labels, if any.
-func (r *Registry) UnregisterCounterSet(name string, labels Labels) {
-	key := name + renderLabels(labels)
-	r.mu.Lock()
-	delete(r.sets, key)
-	r.mu.Unlock()
-}
-
 // setsSorted snapshots the set sources sorted by name then base labels,
 // so each family's samples render consecutively across sources.
 func (r *Registry) setsSorted() []*setSource {
@@ -122,13 +113,6 @@ func (r *Registry) RegisterConflicts(source string, read ConflictSource) {
 	}
 	r.mu.Lock()
 	r.conflicts[source] = read
-	r.mu.Unlock()
-}
-
-// UnregisterConflicts removes a conflict-table source.
-func (r *Registry) UnregisterConflicts(source string) {
-	r.mu.Lock()
-	delete(r.conflicts, source)
 	r.mu.Unlock()
 }
 

@@ -68,7 +68,7 @@ func TestCounterSetEmptySkipped(t *testing.T) {
 }
 
 // TestCounterSetUpsertAndVars: re-registering under the same base key
-// replaces the source, Vars includes the samples, Unregister removes.
+// replaces the source and Vars includes the samples.
 func TestCounterSetUpsertAndVars(t *testing.T) {
 	r := New()
 	base := Labels{"engine": "e1"}
@@ -81,12 +81,6 @@ func TestCounterSetUpsertAndVars(t *testing.T) {
 	vars := r.Vars()
 	if got := vars[`s_total{engine="e1",var="a"}`]; got != int64(9) {
 		t.Fatalf("upsert kept stale closure: vars = %v", vars)
-	}
-	r.UnregisterCounterSet("s_total", base)
-	for k := range r.Vars() {
-		if strings.HasPrefix(k, "s_total") {
-			t.Fatalf("UnregisterCounterSet left %q", k)
-		}
 	}
 }
 
@@ -107,10 +101,6 @@ func TestConflictsTables(t *testing.T) {
 	if len(tables) != 1 || len(tables["busy"]) != 1 || tables["busy"][0].Var != "q.items" {
 		t.Fatalf("tables = %+v", tables)
 	}
-	r.UnregisterConflicts("busy")
-	if len(r.Conflicts(1)) != 0 {
-		t.Fatal("UnregisterConflicts left a table")
-	}
 }
 
 // TestConflictsInSnapshot: conflict tables ride into TakeSnapshot (and
@@ -129,8 +119,8 @@ func TestConflictsInSnapshot(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpsertAndScrape hammers registration, unregistration
-// and every scrape surface at once — the writer race test the -race
+// TestConcurrentUpsertAndScrape hammers re-registration and every
+// scrape surface at once — the writer race test the -race
 // gate runs. Failures here are data races or panics, not assertions.
 func TestConcurrentUpsertAndScrape(t *testing.T) {
 	r := New()
@@ -157,10 +147,6 @@ func TestConcurrentUpsertAndScrape(t *testing.T) {
 					return []ConflictVar{{Var: "x", Total: v}}
 				})
 				r.RegisterCounter("race_commits_total", "", base, func() int64 { return v })
-				if i%8 == 7 {
-					r.UnregisterCounterSet("race_total", base)
-					r.UnregisterConflicts(base["engine"])
-				}
 			}
 		}()
 	}

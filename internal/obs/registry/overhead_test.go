@@ -1,22 +1,22 @@
 package registry
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // The zero-cost-when-off invariant (ISSUE 4 / DESIGN.md §10): putting an
 // instrument in the registry must not change what its hot-path
 // operations cost. Registration stores a read closure; the instrument
-// itself stays a plain atomic, so Inc/Set/Observe allocate nothing and
+// itself stays a plain atomic, so Inc/Store/Observe allocate nothing and
 // the disabled introspection stack adds at most one atomic load
 // (obs.ParkLabelsEnabled, guarded in internal/obs/overhead_test.go).
 
 func TestRegisteredCounterIncNoAlloc(t *testing.T) {
 	r := New()
-	var c stats.Counter
+	var c obs.Counter
 	r.RegisterCounter("x_total", "", nil, c.Load)
 	if allocs := testing.AllocsPerRun(1000, c.Inc); allocs != 0 {
 		t.Fatalf("Counter.Inc after registration allocates %.1f/op", allocs)
@@ -25,10 +25,10 @@ func TestRegisteredCounterIncNoAlloc(t *testing.T) {
 
 func TestRegisteredGaugeSetNoAlloc(t *testing.T) {
 	r := New()
-	var g stats.Gauge
+	var g atomic.Int64
 	r.RegisterGauge("x", "", nil, g.Load)
-	if allocs := testing.AllocsPerRun(1000, func() { g.Set(7) }); allocs != 0 {
-		t.Fatalf("Gauge.Set after registration allocates %.1f/op", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { g.Store(7) }); allocs != 0 {
+		t.Fatalf("gauge Store after registration allocates %.1f/op", allocs)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package registry is the process-wide metric registry behind the live
 // introspection stack (DESIGN.md §10). Sources — stm.TMStats counters
 // and histograms, condvar queue-depth gauges, sem park histograms, fault
-// injector counters, starvation-watchdog triggers — register a read
+// injector counters — register a read
 // closure once at construction; scrapes pull through the closures on
 // demand. The hot path never touches the registry: instruments stay
 // plain atomics, and registration only stores a func pointer in a map
@@ -160,13 +160,6 @@ func (r *Registry) Unregister(name string, labels Labels) {
 	r.mu.Lock()
 	delete(r.scalars, key)
 	delete(r.hists, key)
-	r.mu.Unlock()
-}
-
-// UnregisterWaiters removes a wait-chain source.
-func (r *Registry) UnregisterWaiters(source string) {
-	r.mu.Lock()
-	delete(r.waiters, source)
 	r.mu.Unlock()
 }
 

@@ -128,10 +128,6 @@ func TestWaitersSourceNaming(t *testing.T) {
 	if ws[0].Source != "a-cv" || ws[1].Source != "b-cv" {
 		t.Fatalf("waiters not sorted by source with Source filled: %+v", ws)
 	}
-	r.UnregisterWaiters("a-cv")
-	if got := r.Waiters(); len(got) != 1 || got[0].Source != "b-cv" {
-		t.Fatalf("UnregisterWaiters: %+v", got)
-	}
 }
 
 func TestTakeSnapshot(t *testing.T) {

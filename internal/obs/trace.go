@@ -25,7 +25,7 @@ const (
 
 	EvCVEnqueue // waiter enqueued (Algorithm 4 lines 2-8); A = node id
 	EvCVNotify  // notifier dequeued a waiter (Algorithm 5); A = node id
-	EvCVSemPost // deferred SEMPOST executed at commit; A = node id, B = queue depth
+	EvCVSemPost // deferred SEMPOST executed at commit; A = node id
 	EvCVWake    // woken waiter resumed after its SEMWAIT; A = node id
 
 	EvSemPark   // goroutine about to deschedule in sem.Wait

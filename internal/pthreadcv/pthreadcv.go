@@ -24,17 +24,17 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/obs"
 	"repro/internal/syncx"
 )
 
 // Stats aggregates condvar activity.
 type Stats struct {
-	Waits         stats.Counter
-	Signals       stats.Counter
-	Broadcasts    stats.Counter
-	EmptySignals  stats.Counter // Signal/Broadcast that found no waiter
-	SpuriousWakes stats.Counter // waits that returned without a signal
+	Waits         obs.Counter
+	Signals       obs.Counter
+	Broadcasts    obs.Counter
+	EmptySignals  obs.Counter // Signal/Broadcast that found no waiter
+	SpuriousWakes obs.Counter // waits that returned without a signal
 }
 
 // SpuriousInjector makes a Cond return spuriously from Wait with

@@ -24,23 +24,6 @@ func parkAge(now, t time.Time) time.Duration {
 	return 0
 }
 
-// WaiterAges returns how long each currently parked goroutine has been
-// waiting, longest-parked first (the queue is FIFO, so that is list
-// order).
-func (s *Sem) WaiterAges() []time.Duration {
-	if s.n.Load() == 0 {
-		return nil
-	}
-	now := time.Now()
-	var out []time.Duration
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for w := s.head; w != nil; w = w.next {
-		out = append(out, parkAge(now, w.parkedAt))
-	}
-	return out
-}
-
 // OldestParkAge returns the park age of the longest-waiting goroutine
 // (the head of the queue) and whether anyone is parked at all.
 func (s *Sem) OldestParkAge() (time.Duration, bool) {

@@ -5,7 +5,9 @@ import (
 	"time"
 )
 
-func TestWaiterAges(t *testing.T) {
+// OldestParkAge reports the head waiter's park age while anyone is
+// parked, and nothing once every waiter has been released.
+func TestOldestParkAge(t *testing.T) {
 	s := NewBinary()
 	if _, ok := s.OldestParkAge(); ok {
 		t.Fatal("OldestParkAge reports a waiter on an idle semaphore")
@@ -20,21 +22,6 @@ func TestWaiterAges(t *testing.T) {
 	waitUntil(t, func() bool { return s.Waiters() == 3 })
 	time.Sleep(5 * time.Millisecond)
 
-	ages := s.WaiterAges()
-	if len(ages) != 3 {
-		t.Fatalf("WaiterAges returned %d entries, want 3", len(ages))
-	}
-	for i, a := range ages {
-		if a <= 0 {
-			t.Errorf("waiter %d has non-positive park age %v", i, a)
-		}
-	}
-	// FIFO: the head is the longest-parked, so ages must not increase.
-	for i := 1; i < len(ages); i++ {
-		if ages[i] > ages[i-1] {
-			t.Errorf("ages out of FIFO order: %v", ages)
-		}
-	}
 	oldest, ok := s.OldestParkAge()
 	if !ok || oldest <= 0 {
 		t.Fatalf("OldestParkAge = %v, %v", oldest, ok)
@@ -60,9 +47,6 @@ func TestWaiterAgeClamped(t *testing.T) {
 	w.parkedAt = time.Now().Add(time.Hour) // hostile: park "begins" in the future
 	s.mu.Unlock()
 
-	if ages := s.WaiterAges(); len(ages) != 1 || ages[0] != 0 {
-		t.Fatalf("WaiterAges = %v, want [0]", ages)
-	}
 	if oldest, ok := s.OldestParkAge(); !ok || oldest != 0 {
 		t.Fatalf("OldestParkAge = %v, %v, want 0, true", oldest, ok)
 	}

@@ -54,19 +54,18 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // Stats aggregates semaphore activity. All fields are atomic counters and
 // may be read while the semaphore is in use.
 type Stats struct {
-	Posts     stats.Counter // total successful Post operations
-	Waits     stats.Counter // total completed Wait/TryWait-success operations
-	FastWaits stats.Counter // Waits satisfied without blocking
-	Blocks    stats.Counter // Waits that had to deschedule the caller
-	SpinWaits stats.Counter // Waits satisfied during the bounded spin phase (no park)
-	Timeouts  stats.Counter // WaitTimeout expirations
-	Cancels   stats.Counter // WaitCtx cancellations
+	Posts     obs.Counter // total successful Post operations
+	Waits     obs.Counter // total completed Wait/TryWait-success operations
+	FastWaits obs.Counter // Waits satisfied without blocking
+	Blocks    obs.Counter // Waits that had to deschedule the caller
+	SpinWaits obs.Counter // Waits satisfied during the bounded spin phase (no park)
+	Timeouts  obs.Counter // WaitTimeout expirations
+	Cancels   obs.Counter // WaitCtx cancellations
 
 	// ParkNanos distributes the park duration of Waits that had to
 	// deschedule the caller (fast-path and spin-phase Waits are not
@@ -82,7 +81,7 @@ type waiter struct {
 
 	// parkedAt is the monotonic park-start timestamp, stamped under the
 	// semaphore lock by enqueue and read under the same lock by
-	// WaiterAges/OldestParkAge — the live park-age source behind
+	// OldestParkAge — the live park-age source behind
 	// /debug/cv/waiters.
 	parkedAt time.Time
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // Algorithm selects the TM algorithm an Engine runs.
@@ -105,22 +104,22 @@ func (c Config) withDefaults() Config {
 // TMStats aggregates engine activity. All fields are safe to read
 // concurrently.
 type TMStats struct {
-	Starts         stats.Counter // transaction attempts begun
-	Commits        stats.Counter // outermost commits (incl. serial)
-	Aborts         stats.Counter // attempts rolled back
-	ConflictAborts stats.Counter
-	CapacityAborts stats.Counter // HTM read/write-set overflow
-	SyscallAborts  stats.Counter // HTM abort due to Tx.Syscall
-	ExplicitAborts stats.Counter // Tx.Cancel
-	EarlyCommits   stats.Counter // Tx.CommitEarly (the condvar WAIT path)
-	SerialCommits  stats.Counter // commits executed irrevocably
-	SerialFallback stats.Counter // optimistic → serial transitions
-	RelaxedTxns    stats.Counter // AtomicRelaxed invocations
-	Extensions     stats.Counter // successful snapshot extensions
-	HandlersRun    stats.Counter // onCommit handlers executed
-	RetryAborts    stats.Counter // attempts that called Retry
-	RetryWaits     stats.Counter // Retry callers that actually slept
-	RetryWakes     stats.Counter // sleeping retriers woken by commits
+	Starts         obs.Counter // transaction attempts begun
+	Commits        obs.Counter // outermost commits (incl. serial)
+	Aborts         obs.Counter // attempts rolled back
+	ConflictAborts obs.Counter
+	CapacityAborts obs.Counter // HTM read/write-set overflow
+	SyscallAborts  obs.Counter // HTM abort due to Tx.Syscall
+	ExplicitAborts obs.Counter // Tx.Cancel
+	EarlyCommits   obs.Counter // Tx.CommitEarly (the condvar WAIT path)
+	SerialCommits  obs.Counter // commits executed irrevocably
+	SerialFallback obs.Counter // optimistic → serial transitions
+	RelaxedTxns    obs.Counter // AtomicRelaxed invocations
+	Extensions     obs.Counter // successful snapshot extensions
+	HandlersRun    obs.Counter // onCommit handlers executed
+	RetryAborts    obs.Counter // attempts that called Retry
+	RetryWaits     obs.Counter // Retry callers that actually slept
+	RetryWakes     obs.Counter // sleeping retriers woken by commits
 
 	// Latency histograms (log2-bucketed, always on — a handful of atomic
 	// adds per observation). Counters say how many aborts happened; these

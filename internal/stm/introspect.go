@@ -19,7 +19,7 @@ type tmScalar struct {
 
 // scalars lists every scalar instrument in TMStats. The reflection test
 // in stats_keys_test.go pins this table complete: one row per
-// stats.Counter field.
+// obs.Counter field.
 func (s *TMStats) scalars() []tmScalar {
 	return []tmScalar{
 		{"starts", "transaction attempts begun", s.Starts.Load},

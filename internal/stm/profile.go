@@ -8,8 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/obs/registry"
-	"repro/internal/stats"
 )
 
 // Contention attribution (DESIGN.md §13): per-Var conflict counters and
@@ -30,7 +30,7 @@ import (
 //     bodies, after the attempt is already torn down) against per-Var
 //     counter cells. There is no global table and no lock on the record
 //     path: the "sharding" is structural — every Var carries its own
-//     reason-indexed stats.Counter array, and per-label cells live in a
+//     reason-indexed obs.Counter array, and per-label cells live in a
 //     per-Var sync.Map, so concurrent aborts on different Vars (or
 //     different labels of one Var) never contend on shared cache lines.
 //     The steady-state record path is lock-free and allocation-free;
@@ -62,7 +62,7 @@ var abortCauseNames = [numAbortCauses]string{
 // labelCell is the per-(Var, transaction-label) slice of the
 // attribution table: one counter per abort reason.
 type labelCell struct {
-	aborts [numAbortCauses]stats.Counter
+	aborts [numAbortCauses]obs.Counter
 }
 
 // varMeta is the attribution identity and counters of one Var. It is
@@ -82,8 +82,8 @@ type varMeta struct {
 	// locked-orec hits and version-ahead revalidations — including ones
 	// a successful snapshot extension survives. aborts counts attempts
 	// actually torn down with this Var identified as the conflictor.
-	encounters stats.Counter
-	aborts     [numAbortCauses]stats.Counter
+	encounters obs.Counter
+	aborts     [numAbortCauses]obs.Counter
 
 	// labels maps transaction label → *labelCell. Populated lazily on
 	// the first abort under each label; reads on the steady-state

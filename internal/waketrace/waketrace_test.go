@@ -35,9 +35,9 @@ func broadcast(t *testing.T, waiters int) *obs.Tracer {
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for cv.Depth() != int64(waiters) {
+	for cv.Len() != waiters {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters enqueued", cv.Depth(), waiters)
+			t.Fatalf("only %d of %d waiters enqueued", cv.Len(), waiters)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -15,8 +15,8 @@
 #
 # `./verify.sh -short` skips the time-heavy black-box/crash gates (the
 # blackbox oracle soak, the injected-bug negative gate, the SIGKILL
-# crash round, the regression-seed replay, the stm flake gate and the
-# nested benchmark module's smoke test) for a quick pre-push run.
+# crash round, the regression-seed replay, the stm/sem/core flake gate
+# and the nested benchmark module's smoke test) for a quick pre-push run.
 set -eu
 
 SHORT=0
@@ -67,7 +67,9 @@ go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./int
 # rides the notify→post→wake hot path unconditionally; with the tracer
 # disarmed the whole cycle must stay allocation-free, bounding the
 # wake-tracing overhead on a broadcast to the atomic stores.
-go test -run 'TestWakeStampDisarmedNoAlloc' ./internal/core
+# A timeout/cancel loser's unlink registers no commit handler, so the
+# enqueue+unlink cycle is allocation-free too.
+go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc' ./internal/core
 # The pooled park path: a Wait that parks and is woken must recycle its
 # waiter node and channel — 0 allocs/op once the pool is warm. Must run
 # race-free: race shadow state adds a deterministic allocation per park
@@ -131,17 +133,18 @@ if [ "$SHORT" -eq 0 ]; then
 	go test -run TestRegressionSeeds ./cmd/cvstress
 	rm -f "$CVSTRESS"
 
-	step "flake gate (stm tests five times at GOMAXPROCS 1, 2 and 4 beside a CPU hog)"
+	step "flake gate (stm, sem and core tests five times at GOMAXPROCS 1, 2 and 4 beside a CPU hog)"
 	# A busy loop steals one CPU for the whole gate, so tests that lean on
-	# scheduling (backoff, retry wake-ups, the serial fallback) see the
-	# preemption of a loaded host; a test that passes only on an idle one
-	# fails here. The trap stops the hog however the gate ends.
+	# scheduling (backoff, retry wake-ups, the serial fallback, the spin
+	# gate, timeout/cancel losers racing notifiers) see the preemption of
+	# a loaded host; a test that passes only on an idle one fails here.
+	# The trap stops the hog however the gate ends.
 	sh -c 'while :; do :; done' &
 	HOGPID=$!
 	trap 'kill $HOGPID 2>/dev/null' EXIT
 	trap 'exit 130' INT TERM
 	for procs in 1 2 4; do
-		GOMAXPROCS=$procs go test -count=5 ./internal/stm
+		GOMAXPROCS=$procs go test -count=5 ./internal/stm ./internal/sem ./internal/core
 	done
 	kill $HOGPID
 	trap - EXIT INT TERM
