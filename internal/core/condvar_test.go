@@ -10,7 +10,7 @@ import (
 	"repro/internal/syncx"
 )
 
-var testAlgorithms = []stm.Algorithm{stm.AlgWriteThrough, stm.AlgWriteBack, stm.AlgHTM}
+var testAlgorithms = []stm.Algorithm{stm.AlgWriteThrough, stm.AlgHTM}
 
 func forEachEngine(t *testing.T, f func(t *testing.T, e *stm.Engine)) {
 	t.Helper()

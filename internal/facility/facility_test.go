@@ -29,9 +29,6 @@ func forEachKind(t *testing.T, f func(t *testing.T, tk *Toolkit)) {
 		{"TMParsec-wt", func() *Toolkit {
 			return &Toolkit{Kind: Txn, Engine: stm.NewEngine(stm.Config{Algorithm: stm.AlgWriteThrough})}
 		}},
-		{"TMParsec-wb", func() *Toolkit {
-			return &Toolkit{Kind: Txn, Engine: stm.NewEngine(stm.Config{Algorithm: stm.AlgWriteBack})}
-		}},
 		{"TMParsec-htm", func() *Toolkit {
 			return &Toolkit{Kind: Txn, Engine: stm.NewEngine(stm.Config{Algorithm: stm.AlgHTM})}
 		}},

@@ -40,8 +40,7 @@ const (
 	// forward-progress guarantee is load-bearing for degradation).
 	TxBegin Point = iota
 	// OrecAcquire fires when an attempt tries to lock an ownership
-	// record (encounter-time in write-through, commit-time in
-	// write-back/HTM).
+	// record (encounter-time in write-through, commit-time in HTM).
 	OrecAcquire
 	// PreCommit fires at the top of an optimistic attempt's commit,
 	// before validation.

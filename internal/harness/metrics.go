@@ -4,8 +4,8 @@ package harness
 // condvar instruments (counters plus log2-bucketed latency histograms from
 // internal/obs), serialized as one JSON document per sweep. This is the
 // companion to WriteCSV for questions the cell aggregates cannot answer —
-// abort-reason mixes, wait-latency distributions, attempts-to-commit
-// shapes — without re-running the sweep.
+// abort-reason mixes, wait-latency and commit-latency distributions —
+// without re-running the sweep.
 
 import (
 	"encoding/json"
@@ -22,8 +22,8 @@ type TrialMetrics struct {
 	ElapsedNS int64 `json:"elapsed_ns"`
 
 	// TM holds the engine counter snapshot (commits, aborts and their
-	// reason split, serial fallbacks, ...), TMHist the engine latency
-	// histograms (commit_ns, abort_ns, serial_ns, attempts).
+	// reason split, serial fallbacks, ...), TMHist the engine's one
+	// latency histogram (commit_ns).
 	TM     map[string]int64                 `json:"tm,omitempty"`
 	TMHist map[string]obs.HistogramSnapshot `json:"tm_hist,omitempty"`
 

@@ -1,7 +1,7 @@
 // Package stm is a word-based software transactional memory for Go, built
 // as the substrate for the transaction-friendly condition variables of
-// Wang, Liu and Spear (SPAA 2014). It stands in for the two TM systems the
-// paper evaluates on:
+// Wang, Liu and Spear (SPAA 2014). It runs two algorithms, one for each
+// TM system the paper evaluates on:
 //
 //   - GCC 4.9's libitm "ml_wt" algorithm (multi-lock, write-through):
 //     reproduced by AlgWriteThrough — encounter-time orec locking with an
@@ -11,10 +11,15 @@
 //     aborts on (simulated) system calls, and a global-lock serial
 //     fallback, which is how real lock-elision runtimes behave.
 //
-// A third algorithm, AlgWriteBack (commit-time locking with a redo log,
-// TL2-style), is provided because the paper's Section 4.2 discusses how
-// WAIT's early commit interacts differently with redo- and undo-logging
-// runtimes; having both lets the tests exercise that discussion.
+// AlgWriteThrough keeps an undo log and AlgHTM a redo log (its buffered
+// writes are published at commit), so the tests exercise both sides of
+// Section 4.2's discussion of how WAIT's early commit interacts with redo-
+// and undo-logging runtimes.
+//
+// Both run on TL2's global version clock. A commit that wrote draws one
+// stamp from it after locking its write set; a commit that wrote nothing
+// commits at its snapshot — no lock, no stamp, no revalidation — because
+// every read was checked against the snapshot when it was made.
 //
 // # Programming model
 //

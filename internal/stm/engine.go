@@ -18,10 +18,6 @@ const (
 	// the shape of GCC libitm's ml_wt, which the paper uses on its
 	// "Westmere" STM machine.
 	AlgWriteThrough Algorithm = iota
-	// AlgWriteBack is commit-time orec locking with a redo log
-	// (TL2-style). Provided for the Section 4.2 redo-vs-undo discussion
-	// and for ablation benchmarks.
-	AlgWriteBack
 	// AlgHTM simulates a best-effort hardware TM with lock-elision
 	// fallback — the shape of the paper's "Haswell" machine. Capacity
 	// overflows, conflicts and system calls abort the hardware attempt;
@@ -34,8 +30,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case AlgWriteThrough:
 		return "ml_wt"
-	case AlgWriteBack:
-		return "tl2_wb"
 	case AlgHTM:
 		return "htm"
 	default:
@@ -55,7 +49,7 @@ type Config struct {
 	OrecCount int
 
 	// MaxRetries is the number of optimistic attempts before the serial
-	// (global-lock) fallback. Default 16 for software algorithms, 6 for
+	// (global-lock) fallback. Default 16 for write-through, 6 for
 	// HTM.
 	MaxRetries int
 
@@ -104,7 +98,6 @@ func (c Config) withDefaults() Config {
 // TMStats aggregates engine activity. All fields are safe to read
 // concurrently.
 type TMStats struct {
-	Starts         obs.Counter // transaction attempts begun
 	Commits        obs.Counter // outermost commits (incl. serial)
 	Aborts         obs.Counter // attempts rolled back
 	ConflictAborts obs.Counter
@@ -121,15 +114,10 @@ type TMStats struct {
 	RetryWaits     obs.Counter // Retry callers that actually slept
 	RetryWakes     obs.Counter // sleeping retriers woken by commits
 
-	// Latency histograms (log2-bucketed, always on — a handful of atomic
-	// adds per observation). Counters say how many aborts happened; these
-	// say how long attempts ran and how many tries a commit took, the
-	// quantities that dominate TM performance (PAPERS.md, "On the Cost of
-	// Concurrency in Transactional Memory").
-	CommitNanos obs.Histogram // wall time of attempts that committed
-	AbortNanos  obs.Histogram // wall time wasted by attempts that aborted
-	SerialNanos obs.Histogram // duration of serial-fallback episodes
-	Attempts    obs.Histogram // attempts per committed transaction (1 = first try)
+	// CommitNanos is the wall time of attempts that committed
+	// (log2-bucketed, always on): the benchmark's stm.commit_p50_ns and
+	// commit_p99_ns rungs read it.
+	CommitNanos obs.Histogram
 }
 
 // Snapshot returns all counters at one instant, keyed by name — handy for
@@ -156,23 +144,15 @@ func (s *TMStats) Histograms() map[string]obs.HistogramSnapshot {
 	return out
 }
 
-// AbortRate returns aborts / starts, or 0 with no activity.
-func (s *TMStats) AbortRate() float64 {
-	st := s.Starts.Load()
-	if st == 0 {
-		return 0
-	}
-	return float64(s.Aborts.Load()) / float64(st)
-}
-
 // Engine is a transactional-memory runtime. Engines are independent: Vars
 // belong to the engine that created them, and transactions only
 // synchronize with transactions on the same engine.
 type Engine struct {
 	cfg Config
-	// clock is TL2's global version clock: every writing commit stamps
-	// its orecs with clock.Add(1), drawn after its write set is locked,
-	// and every snapshot is clock.Load().
+	// clock is TL2's global version clock: every commit that wrote
+	// stamps its orecs with clock.Add(1), drawn after its write set is
+	// locked; a commit that wrote nothing draws no stamp; every snapshot
+	// is clock.Load().
 	clock    atomic.Uint64
 	txid     atomic.Uint64
 	varSeq   atomic.Uint64
@@ -237,9 +217,11 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Name() string { return e.cfg.Name }
 
 // Now returns the global version clock: the newest commit timestamp
-// issued so far (0 on a fresh engine). Every Atomic commit — optimistic
-// or serial — and every write-through rollback that published values
-// advances it by exactly one; AtomicRead commits leave it alone.
+// issued so far (0 on a fresh engine). A commit draws a stamp only if it
+// wrote: every such commit — optimistic or serial — and every
+// write-through rollback that published values advances the clock by
+// exactly one, while a commit that wrote nothing (an AtomicRead, or an
+// Atomic whose body only read) leaves it alone.
 func (e *Engine) Now() uint64 { return e.clock.Load() }
 
 // wakeSeq mints causal wake ids. Process-global, not per-engine: one
@@ -256,16 +238,10 @@ var wakeSeq atomic.Uint64
 func (e *Engine) NextWakeID() uint64 { return wakeSeq.Add(1) }
 
 func (e *Engine) newTx(attempt int) *Tx {
-	var m mode
-	switch e.cfg.Algorithm {
-	case AlgWriteBack:
-		m = modeWriteBack
-	case AlgHTM:
+	m := modeWriteThrough
+	if e.cfg.Algorithm == AlgHTM {
 		m = modeHTM
-	default:
-		m = modeWriteThrough
 	}
-	e.Stats.Starts.Inc()
 	tx, _ := e.txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{e: e}
@@ -315,11 +291,13 @@ func (e *Engine) Atomic(fn func(*Tx)) error {
 	return e.atomicImpl(fn, false)
 }
 
-// AtomicRead executes fn as a read-only transaction. Reads are validated
-// as usual, but commit acquires no locks and does not advance the global
-// clock, so read-only transactions never make other transactions abort.
-// Any Write inside fn panics. Retry, Cancel, nesting and the serial
-// fallback behave as in Atomic.
+// AtomicRead executes fn as a read-only transaction: any Write inside fn
+// panics. That contract is all it adds to Atomic. Its commit, like every
+// commit that wrote nothing, takes no lock, draws no stamp from the
+// global clock and revalidates nothing (each read was checked against
+// the snapshot when it was made), so it never makes another transaction
+// abort. Retry, Cancel, nesting and the serial fallback behave as in
+// Atomic.
 func (e *Engine) AtomicRead(fn func(*Tx)) error {
 	return e.atomicImpl(fn, true)
 }
@@ -386,8 +364,12 @@ func (e *Engine) attemptOnce(fn func(*Tx), attempt int, readOnly bool) (done, fa
 		sig, ok := r.(abortSignal)
 		if !ok {
 			// A panic from user code: roll back so shared state is
-			// clean, then propagate.
-			tx.rollback(causeConflict)
+			// clean, then propagate. After CommitEarly the attempt is
+			// committed and published, so there is nothing to undo
+			// and it is no abort.
+			if tx.status != txCommitted {
+				tx.rollback(causeConflict)
+			}
 			tx.releaseGate()
 			panic(r)
 		}
@@ -451,11 +433,9 @@ func (tx *Tx) releaseSerial() {
 // runSerial executes fn irrevocably under the global lock. attempts is
 // the number of optimistic attempts that preceded the fallback (0 for
 // AtomicRelaxed, which never tried optimistically). readOnly carries
-// AtomicRead's contract into the fallback: Write still panics, and the
-// commit leaves the clock alone.
+// AtomicRead's contract into the fallback: Write still panics.
 func (e *Engine) runSerial(fn func(*Tx), attempts int, readOnly bool) error {
 	e.serialGate.Lock()
-	e.Stats.Starts.Inc()
 	tx := &Tx{
 		e:        e,
 		id:       e.txid.Add(1),
@@ -485,16 +465,15 @@ func (e *Engine) runSerial(fn func(*Tx), attempts int, readOnly bool) error {
 }
 
 // commitSerial commits an irrevocable transaction, whose stores are
-// already in place. It draws one timestamp and stamps every orec the
-// transaction wrote with it, so a retrier whose read set predates the
-// commit sees those orecs move — whether it registers before (woken
-// here) or after (its registration check sees the new version) — then
-// releases the serial gate and runs the commit handlers. A read-only
-// (AtomicRead) transaction wrote nothing and, like its optimistic
-// commit, draws no timestamp.
+// already in place. If it wrote, it draws one timestamp and stamps every
+// orec it wrote with it, so a retrier whose read set predates the commit
+// sees those orecs move — whether it registers before (woken here) or
+// after (its registration check sees the new version); like an
+// optimistic commit, one that wrote nothing draws no timestamp. It then
+// releases the serial gate and runs the commit handlers.
 func (tx *Tx) commitSerial(ev obs.EventType) {
 	e := tx.e
-	if !tx.readOnly {
+	if len(tx.owned) > 0 {
 		wv := e.clock.Add(1)
 		for i := range tx.owned {
 			tx.owned[i].o.release(wv)
@@ -504,11 +483,6 @@ func (tx *Tx) commitSerial(ev obs.EventType) {
 	tx.releaseSerial()
 	tx.wakeWatchersForOwned()
 	tx.owned = tx.owned[:0]
-	if tx.attempt > 0 {
-		// A serial-fallback episode: the whole window during which
-		// this transaction excluded all optimism.
-		e.Stats.SerialNanos.Observe(time.Since(tx.began).Nanoseconds())
-	}
 	tx.noteCommitted(ev)
 	tx.runCommitHandlers()
 	e.Stats.Commits.Inc()

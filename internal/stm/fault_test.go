@@ -43,28 +43,34 @@ func TestStormFallsBackAfterMaxRetries(t *testing.T) {
 	if got := s.Aborts.Load(); got != txns*retries {
 		t.Errorf("Aborts = %d, want %d (MaxRetries %d per transaction)", got, txns*retries, retries)
 	}
-	if got := s.Attempts.Max(); got != retries+1 {
-		t.Errorf("Attempts.Max = %d, want MaxRetries+1 = %d", got, retries+1)
-	}
-
-	injects := 0
+	injects, serial := 0, 0
 	for _, ev := range tr.Events() {
-		if ev.Type != obs.EvFaultInject {
-			continue
-		}
-		injects++
-		if ev.A != int64(fault.PreCommit) {
-			t.Fatalf("fault.inject at unexpected point %d", ev.A)
+		switch ev.Type {
+		case obs.EvFaultInject:
+			injects++
+			if ev.A != int64(fault.PreCommit) {
+				t.Fatalf("fault.inject at unexpected point %d", ev.A)
+			}
+		case obs.EvTxnSerial:
+			// A is the 1-based attempt number: MaxRetries optimistic
+			// attempts, then the serial one.
+			serial++
+			if ev.A != retries+1 {
+				t.Errorf("txn.serial span A = %d, want MaxRetries+1 = %d", ev.A, retries+1)
+			}
 		}
 	}
 	if injects == 0 {
 		t.Fatal("no fault.inject events on the trace")
 	}
+	if serial != txns {
+		t.Errorf("%d txn.serial spans on the trace, want %d", serial, txns)
+	}
 }
 
 // TestFaultHooksByAlgorithm exercises each injected abort path: TxBegin
 // capacity aborts, encounter-time (write-through) and commit-time
-// (write-back) orec-acquire conflicts. Every engine must keep forward
+// (HTM's redo log) orec-acquire conflicts. Every engine must keep forward
 // progress via the (never-injected) serial fallback.
 func TestFaultHooksByAlgorithm(t *testing.T) {
 	cases := []struct {
@@ -86,7 +92,7 @@ func TestFaultHooksByAlgorithm(t *testing.T) {
 					t.Error("no conflict aborts recorded")
 				}
 			}},
-		{"orec-writeback", AlgWriteBack, fault.OrecAcquire, fault.ActAbort,
+		{"orec-htm", AlgHTM, fault.OrecAcquire, fault.ActAbort,
 			func(t *testing.T, s *TMStats) {
 				if s.ConflictAborts.Load() == 0 {
 					t.Error("no conflict aborts recorded")

@@ -22,7 +22,6 @@ type tmScalar struct {
 // obs.Counter field.
 func (s *TMStats) scalars() []tmScalar {
 	return []tmScalar{
-		{"starts", "transaction attempts begun", s.Starts.Load},
 		{"commits", "outermost commits (incl. serial)", s.Commits.Load},
 		{"aborts", "attempts rolled back", s.Aborts.Load},
 		{"conflict_aborts", "aborts caused by orec conflicts", s.ConflictAborts.Load},
@@ -53,9 +52,6 @@ type tmHist struct {
 func (s *TMStats) histograms() []tmHist {
 	return []tmHist{
 		{"commit_ns", "wall time of attempts that committed", &s.CommitNanos},
-		{"abort_ns", "wall time wasted by attempts that aborted", &s.AbortNanos},
-		{"serial_ns", "duration of serial-fallback episodes", &s.SerialNanos},
-		{"attempts", "attempts per committed transaction (1 = first try)", &s.Attempts},
 	}
 }
 

@@ -34,15 +34,34 @@ func TestAtomicReadWritePanics(t *testing.T) {
 	})
 }
 
+// TestAtomicReadDoesNotAdvanceClock: a commit that wrote nothing draws
+// no stamp, whether AtomicRead forbade writes or an Atomic body simply
+// made none — the clock and the read Var's orec word stay put.
 func TestAtomicReadDoesNotAdvanceClock(t *testing.T) {
-	e := newTestEngine(AlgWriteThrough)
-	v := NewVar(e, 0)
-	before := e.Now()
-	for i := 0; i < 10; i++ {
-		e.AtomicRead(func(tx *Tx) { _ = Read(tx, v) })
-	}
-	if got := e.Now(); got != before {
-		t.Fatalf("clock moved from %d to %d on read-only commits", before, got)
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine, fn func(*Tx)) error
+	}{
+		{"AtomicRead", (*Engine).AtomicRead},
+		{"Atomic", (*Engine).Atomic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(AlgWriteThrough)
+			v := NewVar(e, 0)
+			e.MustAtomic(func(tx *Tx) { Write(tx, v, 1) })
+			before, word := e.Now(), v.base.o.load()
+			for i := 0; i < 10; i++ {
+				if err := tc.run(e, func(tx *Tx) { _ = Read(tx, v) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := e.Now(); got != before {
+				t.Fatalf("clock moved from %d to %d on read-only commits", before, got)
+			}
+			if got := v.base.o.load(); got != word {
+				t.Fatalf("orec word moved from %#x to %#x on read-only commits", word, got)
+			}
+		})
 	}
 }
 

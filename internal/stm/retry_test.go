@@ -7,8 +7,10 @@ import (
 	"time"
 )
 
+// TestRetryBlocksUntilWrite runs on software only: Retry panics on HTM
+// (TestRetryPanicsOnHTM).
 func TestRetryBlocksUntilWrite(t *testing.T) {
-	for _, a := range []Algorithm{AlgWriteThrough, AlgWriteBack} {
+	for _, a := range []Algorithm{AlgWriteThrough} {
 		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			e := newTestEngine(a)

@@ -22,10 +22,10 @@ var snapshotKeys = []string{
 	"aborts", "capacity_aborts", "commits", "conflict_aborts",
 	"early_commits", "explicit_aborts", "extensions", "handlers_run",
 	"relaxed_txns", "retry_aborts", "retry_waits", "retry_wakes",
-	"serial_commits", "serial_fallback", "starts", "syscall_aborts",
+	"serial_commits", "serial_fallback", "syscall_aborts",
 }
 
-var histogramKeys = []string{"abort_ns", "attempts", "commit_ns", "serial_ns"}
+var histogramKeys = []string{"commit_ns"}
 
 // countFieldsOfType walks TMStats and counts fields whose type name is
 // one of the instrument types.

@@ -11,7 +11,7 @@ import (
 
 // allAlgorithms enumerates the engines under test; most behavioural tests
 // run against every algorithm.
-var allAlgorithms = []Algorithm{AlgWriteThrough, AlgWriteBack, AlgHTM}
+var allAlgorithms = []Algorithm{AlgWriteThrough, AlgHTM}
 
 func newTestEngine(a Algorithm) *Engine {
 	return NewEngine(Config{Algorithm: a, Name: "test-" + a.String()})
@@ -330,7 +330,7 @@ func TestCommitEarlyPublishesAndKillsTx(t *testing.T) {
 // fail validation, checking that the whole first half re-executes — the
 // paper's punctuated-transaction retry semantics.
 func TestCommitEarlyConflictRetries(t *testing.T) {
-	for _, a := range []Algorithm{AlgWriteThrough, AlgWriteBack} {
+	for _, a := range allAlgorithms {
 		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			e := NewEngine(Config{Algorithm: a, OrecCount: 1 << 16})
@@ -519,50 +519,78 @@ func TestHTMSyscallAbortsToSerial(t *testing.T) {
 }
 
 func TestSyscallNoopOnSoftware(t *testing.T) {
-	for _, a := range []Algorithm{AlgWriteThrough, AlgWriteBack} {
-		e := newTestEngine(a)
-		runs := 0
-		e.MustAtomic(func(tx *Tx) {
-			runs++
-			tx.Syscall()
-		})
-		if runs != 1 {
-			t.Fatalf("%v: runs = %d, want 1", a, runs)
-		}
+	e := newTestEngine(AlgWriteThrough)
+	runs := 0
+	e.MustAtomic(func(tx *Tx) {
+		runs++
+		tx.Syscall()
+	})
+	if runs != 1 {
+		t.Fatalf("runs = %d, want 1", runs)
 	}
 }
 
+// TestUserPanicPropagatesAndReleasesGate: a panic from the atomic
+// function propagates and leaks no gate. Before an early commit the
+// attempt rolls back as an abort; after one it stays committed — its
+// write is published, its OnAbort handlers never run and no abort is
+// counted.
 func TestUserPanicPropagatesAndReleasesGate(t *testing.T) {
 	forEachAlg(t, func(t *testing.T, e *Engine) {
-		v := NewVar(e, 0)
-		func() {
-			defer func() {
-				if r := recover(); r != "user boom" {
-					t.Fatalf("recovered %v", r)
+		for _, tc := range []struct {
+			name        string
+			commitEarly bool
+			want        int
+		}{
+			{"before-commit", false, 0},
+			{"after-commit-early", true, 9},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				v := NewVar(e, 0)
+				aborts := e.Stats.Aborts.Load()
+				onAbort := false
+				func() {
+					defer func() {
+						if r := recover(); r != "user boom" {
+							t.Fatalf("recovered %v", r)
+						}
+					}()
+					e.MustAtomic(func(tx *Tx) {
+						tx.OnAbort(func() { onAbort = true })
+						Write(tx, v, 9)
+						if tc.commitEarly {
+							tx.CommitEarly()
+						}
+						panic("user boom")
+					})
+				}()
+				if got := v.LoadDirect(); got != tc.want {
+					t.Fatalf("v = %d, want %d", got, tc.want)
 				}
-			}()
-			e.MustAtomic(func(tx *Tx) {
-				Write(tx, v, 9)
-				panic("user boom")
+				wantAborts := int64(1)
+				if tc.commitEarly {
+					wantAborts = 0
+				}
+				if got := e.Stats.Aborts.Load() - aborts; got != wantAborts || onAbort != (wantAborts == 1) {
+					t.Fatalf("OnAbort ran %v and %d aborts counted, want %d", onAbort, got, wantAborts)
+				}
+				// The serial gate must not be leaked: a relaxed txn must proceed.
+				done := make(chan struct{})
+				go func() {
+					e.AtomicRelaxed(func(tx *Tx) {})
+					close(done)
+				}()
+				<-done
 			})
-		}()
-		if got := v.LoadDirect(); got != 0 {
-			t.Fatalf("v = %d, want 0 (rolled back before panic propagation)", got)
 		}
-		// The serial gate must not be leaked: a relaxed txn must proceed.
-		done := make(chan struct{})
-		go func() {
-			e.AtomicRelaxed(func(tx *Tx) {})
-			close(done)
-		}()
-		<-done
 	})
 }
 
 // TestSnapshotExtension drives the deterministic extension path: read A,
-// let another txn bump B's version, then write B.
+// let another txn bump B's version, then write B. Software only: HTM
+// aborts where software extends.
 func TestSnapshotExtension(t *testing.T) {
-	for _, a := range []Algorithm{AlgWriteThrough, AlgWriteBack} {
+	for _, a := range []Algorithm{AlgWriteThrough} {
 		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			e := NewEngine(Config{Algorithm: a, OrecCount: 1 << 16})
@@ -630,10 +658,10 @@ func TestNowIsNewestStamp(t *testing.T) {
 }
 
 // Serial commits interleaved with optimistic ones on one pair of Vars:
-// every update survives and no snapshot is ever torn, on both software
-// algorithms.
+// every update survives and no snapshot is ever torn, on every
+// algorithm.
 func TestSerialOptimisticInterleave(t *testing.T) {
-	for _, alg := range []Algorithm{AlgWriteThrough, AlgWriteBack} {
+	for _, alg := range allAlgorithms {
 		e := newTestEngine(alg)
 		a := NewVar(e, 0)
 		b := NewVar(e, 0)
@@ -900,17 +928,26 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 	})
 }
 
+// TestStatsCommitCount: every attempt ends in exactly one commit or one
+// abort, so Commits+Aborts counts the attempts made.
 func TestStatsCommitCount(t *testing.T) {
 	e := newTestEngine(AlgWriteThrough)
 	v := NewVar(e, 0)
+	attempts := 0
 	for i := 0; i < 10; i++ {
-		e.MustAtomic(func(tx *Tx) { Write(tx, v, i) })
+		e.MustAtomic(func(tx *Tx) {
+			attempts++
+			Write(tx, v, i)
+			if i%2 == 1 && tx.Attempt() == 0 {
+				tx.Restart()
+			}
+		})
 	}
 	if got := e.Stats.Commits.Load(); got != 10 {
 		t.Fatalf("Commits = %d, want 10", got)
 	}
-	if got := e.Stats.Starts.Load(); got < 10 {
-		t.Fatalf("Starts = %d, want >= 10", got)
+	if got := e.Stats.Commits.Load() + e.Stats.Aborts.Load(); got != int64(attempts) || attempts != 15 {
+		t.Fatalf("Commits+Aborts = %d over %d attempts, want 15 each", got, attempts)
 	}
 }
 

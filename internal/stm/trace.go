@@ -8,7 +8,7 @@ import (
 
 // This file is the STM side of the observability layer (internal/obs):
 // the commit-deferred trace-emission API and the lifecycle bookkeeping
-// that feeds the latency histograms in TMStats.
+// that feeds TMStats.CommitNanos.
 //
 // The invariant mirrors Algorithm 5's SEMPOST deferral: nothing an
 // optimistic attempt does may become observable unless the attempt
@@ -82,18 +82,17 @@ func (tx *Tx) flushTrace(tr *obs.Tracer) {
 	tx.pend = tx.pend[:0]
 }
 
-// noteCommitted records commit-side observability: the commit-latency and
-// attempts-to-commit histograms (always on), and — when tracing — the
-// flush of the attempt's buffered events plus a span event covering the
-// whole attempt. ev selects the span type (commit, early-commit, serial).
+// noteCommitted records commit-side observability: the commit-latency
+// histogram (always on), and — when tracing — the flush of the attempt's
+// buffered events plus a span event covering the whole attempt, whose A
+// is the 1-based attempt number. ev selects the span type (commit,
+// early-commit, serial).
 func (tx *Tx) noteCommitted(ev obs.EventType) {
-	st := &tx.e.Stats
 	var dns int64
 	if !tx.began.IsZero() {
 		dns = time.Since(tx.began).Nanoseconds()
-		st.CommitNanos.Observe(dns)
+		tx.e.Stats.CommitNanos.Observe(dns)
 	}
-	st.Attempts.Observe(int64(tx.attempt) + 1)
 	if tr := tx.e.tracer; tr.Enabled() {
 		tx.flushTrace(tr)
 		tr.EmitEvent(obs.Event{
@@ -122,17 +121,13 @@ func traceReason(c abortCause) int64 {
 	}
 }
 
-// noteAborted discards the attempt's buffered events and records the
-// abort: latency histogram always, plus the terminal abort span (with
-// reason) when tracing — the only trace an aborted attempt leaves.
+// noteAborted discards the attempt's buffered events and, when tracing,
+// emits the terminal abort span (with reason) — the only trace an
+// aborted attempt leaves. With no tracer armed it reads no clock.
 func (tx *Tx) noteAborted(cause abortCause) {
 	tx.pend = tx.pend[:0]
-	var dns int64
-	if !tx.began.IsZero() {
-		dns = time.Since(tx.began).Nanoseconds()
-		tx.e.Stats.AbortNanos.Observe(dns)
-	}
 	if tr := tx.e.tracer; tr.Enabled() {
+		dns := time.Since(tx.began).Nanoseconds()
 		tr.EmitEvent(obs.Event{
 			TS:   tr.Now() - dns,
 			Dur:  dns,

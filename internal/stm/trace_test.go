@@ -143,8 +143,8 @@ func TestTraceFlowCommitDeferredAndAbortDiscarded(t *testing.T) {
 	}
 }
 
-// The latency histograms in TMStats populate on both the commit and abort
-// paths, and Histograms() exposes them under stable keys.
+// The commit-latency histogram populates on commits only — an aborted
+// attempt adds nothing — and Histograms() exposes it as commit_ns.
 func TestTMStatsHistogramsPopulate(t *testing.T) {
 	e := NewEngine(Config{Algorithm: AlgWriteThrough})
 	v := NewVar(e, 0)
@@ -155,19 +155,8 @@ func TestTMStatsHistogramsPopulate(t *testing.T) {
 	_ = e.Atomic(func(tx *Tx) { tx.Cancel(sentinel) })
 
 	h := e.Stats.Histograms()
-	for _, key := range []string{"commit_ns", "abort_ns", "serial_ns", "attempts"} {
-		if _, ok := h[key]; !ok {
-			t.Errorf("Histograms() missing key %q", key)
-		}
-	}
 	if h["commit_ns"].Count != 10 {
 		t.Errorf("commit_ns count = %d, want 10", h["commit_ns"].Count)
-	}
-	if h["abort_ns"].Count != 1 {
-		t.Errorf("abort_ns count = %d, want 1", h["abort_ns"].Count)
-	}
-	if h["attempts"].Count != 10 || h["attempts"].Sum != 10 {
-		t.Errorf("attempts count=%d sum=%d, want 10/10 (all first-try)", h["attempts"].Count, h["attempts"].Sum)
 	}
 	if len(h["commit_ns"].Buckets) == 0 {
 		t.Error("commit_ns has no buckets")

@@ -13,8 +13,7 @@ type mode int
 
 const (
 	modeWriteThrough mode = iota // encounter-time locking, undo log (ml_wt)
-	modeWriteBack                // commit-time locking, redo log (TL2)
-	modeHTM                      // simulated best-effort hardware TM
+	modeHTM                      // simulated best-effort hardware TM, redo log
 	modeSerial                   // irrevocable, under the global serial lock
 )
 
@@ -47,7 +46,8 @@ type abortSignal struct {
 	err   error // for causeCancel
 }
 
-// readEntry records one transactional read for commit-time validation.
+// readEntry records one transactional read for validation (snapshot
+// extension and the commit of an attempt that wrote).
 // b rides along for contention attribution: when validation fails, the
 // failing entry names the Var that was disturbed (profile.go).
 type readEntry struct {
@@ -89,10 +89,10 @@ type Tx struct {
 	depth  int // flat-nesting depth; 0 = outermost
 
 	reads []readEntry
-	// writes is the redo buffer (write-back and HTM), kept as an ordered
-	// slice with linear lookup: transactions touch a handful of
-	// locations ("fewer than 10", Section 5.4), where a scan beats a map
-	// and allocates nothing after warm-up.
+	// writes is the redo buffer (HTM), kept as an ordered slice with
+	// linear lookup: transactions touch a handful of locations ("fewer
+	// than 10", Section 5.4), where a scan beats a map and allocates
+	// nothing after warm-up.
 	writes []writeEntry
 	undo   []undoEntry  // pre-images (write-through)
 	owned  []ownedEntry // orecs this txn holds, with pre-lock versions
@@ -104,10 +104,10 @@ type Tx struct {
 
 	gateHeld   bool // holds the serial gate's read side
 	serialHeld bool // holds the serial gate's write side (modeSerial)
-	readOnly   bool // AtomicRead: writes forbidden, lock-free commit
+	readOnly   bool // AtomicRead: Write panics
 	attempt    int
 
-	began time.Time // attempt start, for the latency histograms and trace spans
+	began time.Time // attempt start, for CommitNanos and the trace spans
 	// pend buffers trace events emitted during this attempt (Tx.Trace).
 	// They reach the tracer only if the attempt commits — the trace-level
 	// analogue of the paper's SEMPOST deferral — and are discarded by
@@ -260,10 +260,6 @@ func (tx *Tx) readShared(b *varBase) any {
 	for spin := 0; ; spin++ {
 		w1 := o.load()
 		if isLocked(w1) {
-			if tx.mode == modeWriteBack && ownerOf(w1) == tx.id {
-				// Possible only during commit, which never reads.
-				panic("stm: readShared under own commit lock")
-			}
 			b.noteEncounter()
 			tx.abortConflictOn(b)
 		}
@@ -343,7 +339,7 @@ func (tx *Tx) findWrite(b *varBase) (any, bool) {
 	return nil, false
 }
 
-// bufferWrite records a redo-log write (write-back and HTM modes).
+// bufferWrite records a redo-log write (HTM mode).
 func (tx *Tx) bufferWrite(b *varBase, boxed any) {
 	for i := range tx.writes {
 		if tx.writes[i].b == b {
@@ -423,34 +419,23 @@ func (tx *Tx) validateReads() bool {
 	return true
 }
 
-// tryCommit attempts to commit the outermost transaction. On success the
-// transaction is marked committed (handlers are NOT run here; the engine
-// runs them after releasing the serial gate's read side is unnecessary —
-// they run right after this returns). On failure the transaction has been
+// tryCommit attempts to commit an optimistic attempt (serial ones commit
+// through commitSerial). On success the transaction is marked committed;
+// the caller runs the handlers. On failure the transaction has been
 // fully rolled back and unlocked, and tryCommit reports false.
 func (tx *Tx) tryCommit() bool {
-	if tx.mode != modeSerial {
-		// Fault hook: pre-commit, before any validation or lock
-		// acquisition (an injected abort here needs only the ordinary
-		// rollback path).
-		tx.faultPanic(tx.faultAt(fault.PreCommit))
-	}
-	if tx.readOnly && tx.mode != modeSerial {
-		// Read-only fast path: no orecs to acquire, no clock bump —
-		// validating the read set is the entire commit.
-		if !tx.validateReads() {
-			tx.rollback(causeConflict)
-			return false
-		}
+	// Fault hook: pre-commit, before any validation or lock acquisition
+	// (an injected abort here needs only the ordinary rollback path).
+	tx.faultPanic(tx.faultAt(fault.PreCommit))
+	if len(tx.owned) == 0 && len(tx.writes) == 0 {
+		// Wrote nothing: commit at the snapshot. readShared checked
+		// every read against tx.start when it was made and aborted or
+		// extended on anything newer, so the reads all held together
+		// at tx.start — no lock, no stamp, no revalidation.
 		tx.status = txCommitted
 		return true
 	}
-	switch tx.mode {
-	case modeSerial:
-		tx.status = txCommitted
-		return true
-
-	case modeWriteThrough:
+	if tx.mode == modeWriteThrough {
 		if !tx.validateReads() {
 			tx.rollback(causeConflict)
 			return false
@@ -466,50 +451,48 @@ func (tx *Tx) tryCommit() bool {
 		tx.owned = tx.owned[:0]
 		tx.status = txCommitted
 		return true
-
-	default: // modeWriteBack, modeHTM
-		// Acquire all write orecs (encounter order; try-lock only).
-		for i := range tx.writes {
-			o := tx.writes[i].b.o
-			if tx.ownsOrec(o) {
-				continue
-			}
-			// Fault hook: commit-time orec acquisition. A panic here
-			// unwinds to attemptOnce's recover, whose rollback releases
-			// the orecs acquired so far to their pre-lock versions; the
-			// injected abort blames the Var whose orec was being taken.
-			if d := tx.faultAt(fault.OrecAcquire); d.Action == fault.ActAbort || d.Action == fault.ActCapacity {
-				tx.conflictB = tx.writes[i].b
-				tx.faultPanic(d)
-			}
-			w := o.load()
-			if isLocked(w) || !o.cas(w, lockWord(tx.id)) {
-				tx.writes[i].b.noteEncounter()
-				tx.conflictB = tx.writes[i].b
-				tx.releaseOwnedToPrev()
-				tx.rollback(causeConflict)
-				return false
-			}
-			tx.owned = append(tx.owned, ownedEntry{o, versionOf(w)})
+	}
+	// modeHTM: acquire all write orecs (encounter order; try-lock only).
+	for i := range tx.writes {
+		o := tx.writes[i].b.o
+		if tx.ownsOrec(o) {
+			continue
 		}
-		if !tx.validateReads() {
+		// Fault hook: commit-time orec acquisition. A panic here
+		// unwinds to attemptOnce's recover, whose rollback releases the
+		// orecs acquired so far to their pre-lock versions; the
+		// injected abort blames the Var whose orec was being taken.
+		if d := tx.faultAt(fault.OrecAcquire); d.Action == fault.ActAbort || d.Action == fault.ActCapacity {
+			tx.conflictB = tx.writes[i].b
+			tx.faultPanic(d)
+		}
+		w := o.load()
+		if isLocked(w) || !o.cas(w, lockWord(tx.id)) {
+			tx.writes[i].b.noteEncounter()
+			tx.conflictB = tx.writes[i].b
 			tx.releaseOwnedToPrev()
 			tx.rollback(causeConflict)
 			return false
 		}
-		// Every write orec is held by now: the stamp postdates the locks.
-		wv := tx.e.clock.Add(1)
-		for i := range tx.writes {
-			tx.writes[i].b.val.Store(tx.writes[i].v)
-		}
-		for i := range tx.owned {
-			tx.owned[i].o.release(wv)
-		}
-		tx.wakeWatchersForOwned()
-		tx.owned = tx.owned[:0]
-		tx.status = txCommitted
-		return true
+		tx.owned = append(tx.owned, ownedEntry{o, versionOf(w)})
 	}
+	if !tx.validateReads() {
+		tx.releaseOwnedToPrev()
+		tx.rollback(causeConflict)
+		return false
+	}
+	// Every write orec is held by now: the stamp postdates the locks.
+	wv := tx.e.clock.Add(1)
+	for i := range tx.writes {
+		tx.writes[i].b.val.Store(tx.writes[i].v)
+	}
+	for i := range tx.owned {
+		tx.owned[i].o.release(wv)
+	}
+	tx.wakeWatchersForOwned()
+	tx.owned = tx.owned[:0]
+	tx.status = txCommitted
+	return true
 }
 
 // releaseOwnedToPrev unlocks every orec this transaction holds, restoring

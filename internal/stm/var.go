@@ -111,7 +111,7 @@ func Read[T any](tx *Tx, v *Var[T]) T {
 	switch tx.mode {
 	case modeSerial:
 		return b.val.Load().(box[T]).v
-	case modeWriteBack, modeHTM:
+	case modeHTM:
 		if cur, ok := tx.findWrite(b); ok {
 			return cur.(box[T]).v
 		}
@@ -143,7 +143,7 @@ func Write[T any](tx *Tx, v *Var[T], x T) {
 		if !tx.ownsOrec(b.o) {
 			tx.owned = append(tx.owned, ownedEntry{o: b.o})
 		}
-	case modeWriteBack, modeHTM:
+	case modeHTM:
 		tx.bufferWrite(b, box[T]{x})
 	default: // modeWriteThrough
 		tx.writeThrough(b, box[T]{x})

@@ -15,8 +15,9 @@
 #
 # `./verify.sh -short` skips the time-heavy black-box/crash gates (the
 # blackbox oracle soak, the injected-bug negative gate, the SIGKILL
-# crash round, the regression-seed replay, the stm/sem/core flake gate
-# and the nested benchmark module's smoke test) for a quick pre-push run.
+# crash round, the regression-seed replay, the flake gate over every
+# package that runs transactions or parks on sem, and the nested
+# benchmark module's smoke test) for a quick pre-push run.
 set -eu
 
 SHORT=0
@@ -133,7 +134,7 @@ if [ "$SHORT" -eq 0 ]; then
 	go test -run TestRegressionSeeds ./cmd/cvstress
 	rm -f "$CVSTRESS"
 
-	step "flake gate (stm, sem and core tests five times at GOMAXPROCS 1, 2 and 4 beside a CPU hog)"
+	step "flake gate (transaction and sem packages' tests five times at GOMAXPROCS 1, 2 and 4 beside a CPU hog)"
 	# A busy loop steals one CPU for the whole gate, so tests that lean on
 	# scheduling (backoff, retry wake-ups, the serial fallback, the spin
 	# gate, timeout/cancel losers racing notifiers) see the preemption of
@@ -144,7 +145,9 @@ if [ "$SHORT" -eq 0 ]; then
 	trap 'kill $HOGPID 2>/dev/null' EXIT
 	trap 'exit 130' INT TERM
 	for procs in 1 2 4; do
-		GOMAXPROCS=$procs go test -count=5 ./internal/stm ./internal/sem ./internal/core
+		GOMAXPROCS=$procs go test -count=5 ./internal/stm ./internal/sem ./internal/core \
+			./internal/facility ./internal/syncx ./internal/monitor \
+			./internal/pthreadcv ./internal/birrellcv
 	done
 	kill $HOGPID
 	trap - EXIT INT TERM
