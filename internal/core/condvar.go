@@ -14,26 +14,10 @@ import (
 	"repro/internal/syncx"
 )
 
-// Policy selects which waiting thread a NotifyOne wakes. The paper's
-// Section 3.4 ("Deterministic Wake-Up Semantics") points out that because
-// the waiting set lives in user space, arbitrary selection policies become
-// possible; FIFO is the default, LIFO is the stack discipline Scherer &
-// Scott argue can be cache-friendlier, and NotifyBest (a separate method)
-// picks by predicate.
-type Policy int
-
-const (
-	// FIFO wakes the longest-waiting thread (Hoare's queue discipline).
-	FIFO Policy = iota
-	// LIFO wakes the most recently arrived thread.
-	LIFO
-)
-
-// Options configures a CondVar.
-type Options struct {
-	// Policy selects the NotifyOne victim discipline. Default FIFO.
-	Policy Policy
-}
+// Options configures a CondVar. It has no fields: every condvar is
+// Algorithm 4's FIFO queue. The type stays only because
+// benchmark/ladder.go passes Options{}; it goes when that call does.
+type Options struct{}
 
 // CVStats aggregates condition-variable activity.
 type CVStats struct {
@@ -69,8 +53,11 @@ type CVStats struct {
 	// next benchmark-archetype issue removes the rung and this field.
 	WakeChainDepth obs.Histogram
 
-	// Sem aggregates the node semaphores' activity (park durations live
-	// in Sem.ParkNanos). Attached to each node's semaphore lazily.
+	// Sem aggregates the node parkers' activity: Posts (one per committed
+	// wake), FastWaits (the post was already in the slot), Blocks (the
+	// waiter descheduled) and ParkNanos (how long). SpinWaits stays 0 —
+	// nothing spins. It keeps the sem.Stats type because benchmark/run.go
+	// reads it.
 	Sem sem.Stats
 }
 
@@ -101,8 +88,12 @@ func (s *CVStats) Histograms() map[string]obs.HistogramSnapshot {
 // are owned by exactly one waiting goroutine from enqueue to wake-up;
 // after the wake-up the node is private again (the privatization argument
 // of Section 3.3) and returns to the pool.
+//
+// The semaphore is wake, a capacity-1 channel: one waiter parks on it
+// and one notifier posts it once per dequeue, so the slot is empty at
+// every enqueue and the post never blocks.
 type Node struct {
-	sem  *sem.Sem
+	wake chan struct{}
 	next *stm.Var[*Node]
 	tag  *stm.Var[any] // optional predicate descriptor for NotifyBest
 
@@ -119,6 +110,9 @@ type Node struct {
 	// goroutines with no such ordering — hence atomics.
 	enqueuedNS atomic.Int64
 	notifiedNS atomic.Int64
+	// parkedNS stamps the owner's park (zero until it deschedules): the
+	// park age WaitChain reports.
+	parkedNS atomic.Int64
 
 	// Sanitizer bookkeeping (checked only when the engine's debug checks
 	// are on; see sanitize* below). inQueue tracks whether the node is
@@ -174,7 +168,6 @@ type CondVar struct {
 	e    *stm.Engine
 	head *stm.Var[*Node]
 	tail *stm.Var[*Node]
-	opts Options
 	pool sync.Pool
 	st   *CVStats
 
@@ -192,12 +185,11 @@ type CondVar struct {
 }
 
 // New creates a condition variable whose internal transactions run on e.
-func New(e *stm.Engine, opts Options) *CondVar {
+func New(e *stm.Engine, _ Options) *CondVar {
 	cv := &CondVar{
 		e:    e,
 		head: stm.NewVar[*Node](e, nil),
 		tail: stm.NewVar[*Node](e, nil),
-		opts: opts,
 		id:   cvSeq.Add(1),
 	}
 	cv.pool.New = func() any { return cv.newNode() }
@@ -229,7 +221,7 @@ func (cv *CondVar) Engine() *stm.Engine { return cv.e }
 func (cv *CondVar) newNode() *Node {
 	n := &Node{
 		id:   nodeSeq.Add(1),
-		sem:  sem.NewBinary(),
+		wake: make(chan struct{}, 1),
 		next: stm.NewVar[*Node](cv.e, nil),
 		tag:  stm.NewVar[any](cv.e, nil),
 	}
@@ -238,15 +230,6 @@ func (cv *CondVar) newNode() *Node {
 		// queue-link churn shows up as "<name>.node", not per-node sites.
 		n.next.SetName(cv.name + ".node")
 	}
-	// Nodes are created lazily (first pool Get), so stats/tracer sinks
-	// attached during condvar setup are seen here.
-	if cv.st != nil {
-		n.sem.SetStats(&cv.st.Sem)
-	}
-	if tr := cv.e.Tracer(); tr != nil {
-		n.sem.SetTrace(tr, n.id)
-	}
-	n.sem.SetFault(cv.e.Fault())
 	n.enqBody = func(tx *stm.Tx) { cv.enqueueBody(tx, n) }
 	return n
 }
@@ -275,8 +258,13 @@ func (cv *CondVar) sanitizeOn() bool {
 }
 
 func (cv *CondVar) releaseNode(n *Node) {
-	if cv.sanitizeOn() && n.inQueue.Load() {
-		panic("core: sanitizer: condvar node released while still linked in the wait queue — the queue now holds a dangling entry whose wake-up the owner will never consume")
+	if cv.sanitizeOn() {
+		if n.inQueue.Load() {
+			panic("core: sanitizer: condvar node released while still linked in the wait queue — the queue now holds a dangling entry whose wake-up the owner will never consume")
+		}
+		if len(n.wake) != 0 {
+			panic("core: sanitizer: condvar node released with a post still in its slot — the next waiter to draw it from the pool would wake spuriously")
+		}
 	}
 	// Retire this incarnation: any notification still in flight against
 	// the old one is a bug the generation check will catch.
@@ -304,6 +292,7 @@ func (cv *CondVar) enqueue(tx *stm.Tx, n *Node) {
 	}
 	n.enqueuedNS.Store(monoNS())
 	n.notifiedNS.Store(0)
+	n.parkedNS.Store(0)
 	if tx != nil {
 		tx.Atomic(n.enqBody)
 	} else {
@@ -319,24 +308,13 @@ func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 	// Attempt-buffered: an aborted attempt's enqueue never shows in
 	// the trace.
 	tx.Trace(obs.EvCVEnqueue, int64(n.id), int64(cv.id))
-	switch cv.opts.Policy {
-	case LIFO:
-		h := stm.Read(tx, cv.head)
-		stm.Write(tx, n.next, h)
+	t := stm.Read(tx, cv.tail)
+	if t == nil {
 		stm.Write(tx, cv.head, n)
-		if h == nil {
-			stm.Write(tx, cv.tail, n)
-		}
-	default: // FIFO
-		t := stm.Read(tx, cv.tail)
-		if t == nil {
-			stm.Write(tx, cv.head, n)
-			stm.Write(tx, cv.tail, n)
-		} else {
-			stm.Write(tx, t.next, n)
-			stm.Write(tx, cv.tail, n)
-		}
+	} else {
+		stm.Write(tx, t.next, n)
 	}
+	stm.Write(tx, cv.tail, n)
 }
 
 // enqueueSelf is the front half of every WAIT (Algorithm 4 lines 1–8):
@@ -363,28 +341,22 @@ func (cv *CondVar) enqueueSelf(tx *stm.Tx, tag any) *Node {
 // consumed wake's flow id (0 when none) and whether the wait ended by
 // notification.
 //
-// Giving up races with notification: the loser unlinks itself
-// transactionally, which serializes against any in-flight notifier —
-// exactly one of them dequeues the node. If a notifier got it first its
-// post is banked or imminent (after its outer transaction commits), so
-// the notification wins: the loser consumes the post — abandoning it
-// would strand a permit in the pooled node and wake a future, unrelated
-// waiter spuriously — and the wake is attributed to the loser kind.
+// Giving up races with notification, and one removeNode transaction
+// settles it: it serializes against any in-flight notifier, so exactly
+// one of them dequeues the node. If the node was still queued, the wait
+// timed out or was cancelled. Otherwise a notifier got it first and its
+// post is in the slot or imminent (after its outer transaction
+// commits), so the notification wins: the loser consumes the post —
+// abandoning it would strand it in the pooled node and wake a future,
+// unrelated waiter spuriously — and the wake is attributed to the loser
+// kind. cmd/modelcheck's ImplTimedWaiter models exactly this path.
 func (cv *CondVar) park(n *Node, loser int64, d time.Duration, ctx context.Context) (flow uint64, notified bool) {
 	// Fault hook: the paper's lost-wakeup window — enqueued and visible
 	// to notifiers, sync block over, but not yet asleep. A notify landing
-	// here must be memorized by the semaphore, never lost.
+	// here must be memorized in the node's slot, never lost.
 	cv.faultWindow(fault.CVEnqueue, n.id)
-	by, woken := obs.WakeByWaiter, true
-	switch loser {
-	case obs.WakeByTimeout:
-		woken = n.sem.WaitTimeout(d)
-	case obs.WakeByCancel:
-		woken = n.sem.WaitCtx(ctx)
-	default:
-		n.sem.Wait() // line 10: sleep until notified
-	}
-	if !woken {
+	by := obs.WakeByWaiter
+	if !cv.semWait(n, loser, d, ctx) {
 		if cv.removeNode(n) {
 			cv.releaseNode(n)
 			if cv.st != nil {
@@ -396,12 +368,85 @@ func (cv *CondVar) park(n *Node, loser int64, d time.Duration, ctx context.Conte
 			}
 			return 0, false
 		}
-		n.sem.Wait()
+		<-n.wake
 		by = loser
 	}
 	flow = cv.noteWake(n, by)
 	cv.releaseNode(n)
 	return flow, true
+}
+
+// semWait is the SEMWAIT on n's slot (Algorithm 4 line 10). It takes a
+// post already in the slot without parking; otherwise it deschedules
+// until the post arrives or, for a loser kind, d elapses or ctx is
+// done. A non-positive d or an already-done ctx gives up without
+// parking or arming a timer. It reports whether it took the post.
+func (cv *CondVar) semWait(n *Node, loser int64, d time.Duration, ctx context.Context) bool {
+	select {
+	case <-n.wake:
+		if cv.st != nil {
+			cv.st.Sem.FastWaits.Inc()
+		}
+		return true
+	default:
+	}
+	var expired <-chan time.Time
+	var done <-chan struct{}
+	switch loser {
+	case obs.WakeByTimeout:
+		if d <= 0 {
+			return false
+		}
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
+	case obs.WakeByCancel:
+		if ctx.Err() != nil {
+			return false
+		}
+		done = ctx.Done()
+	}
+
+	// The park: one clock read for the WaitChain stamp, the rest only
+	// when an instrument is attached. The label is cleared only if this
+	// park set it, so a gate that flips mid-park neither strands a label
+	// nor wipes one the goroutine set itself.
+	start := monoNS()
+	n.parkedNS.Store(start)
+	tr := cv.e.Tracer()
+	if tr.Enabled() {
+		tr.Emit(n.id, obs.EvSemPark, 0, 0)
+	}
+	labelled := obs.ParkLabelsEnabled()
+	if labelled {
+		labelParked(n.id)
+	}
+	woken := true
+	if expired == nil && done == nil {
+		<-n.wake // the untimed hot path: a plain receive, no select
+	} else {
+		select {
+		case <-n.wake:
+		case <-expired:
+			woken = false
+		case <-done:
+			woken = false
+		}
+	}
+	if labelled {
+		clearParkLabel()
+	}
+	if cv.st != nil || tr.Enabled() {
+		dur := monoNS() - start
+		if cv.st != nil {
+			cv.st.Sem.Blocks.Inc()
+			cv.st.Sem.ParkNanos.Observe(dur)
+		}
+		if tr.Enabled() {
+			tr.EmitEvent(obs.Event{TS: tr.Now() - dur, Dur: dur, Type: obs.EvSemUnpark, Lane: n.id})
+		}
+	}
+	return woken
 }
 
 // Wait is Algorithm 4: the continuation-passing WAIT.
@@ -489,10 +534,10 @@ func (cv *CondVar) WaitLockedTimeout(m *syncx.Mutex, d time.Duration) bool {
 // Cancellation races with notification exactly as WaitLockedTimeout's
 // timeout does: if a notifier dequeued this waiter before the waiter
 // could unlink itself, the notification wins — the (possibly
-// commit-deferred) semaphore post is consumed and the wait reports
-// true. No wake-up is ever lost, no permit is stranded in the node's
-// semaphore, and no node leaks into the recycled pool while still
-// queue-reachable (the stmsan invariants assert both).
+// commit-deferred) post is consumed from the node's slot and the wait
+// reports true. No wake-up is ever lost, no post is stranded in a
+// released node's slot, and no node leaks into the recycled pool while
+// still queue-reachable (releaseNode's sanitizer checks assert both).
 func (cv *CondVar) WaitLockedCtx(m *syncx.Mutex, ctx context.Context) bool {
 	n := cv.enqueueSelf(nil, nil)
 	m.Unlock()
@@ -608,8 +653,9 @@ func (cv *CondVar) WaitAtCommit(tx *stm.Tx) {
 
 // wakeNode performs the committed post of one dequeued node: the fault
 // window, the enqueue→notify latency observation, the causal wake stamp,
-// the sempost trace event, and the semaphore post itself. wakeID is the
-// flow id the committed notify minted.
+// the sempost trace event, and the post itself: one send into the node's
+// slot, which cannot block (one post per dequeue, and the slot is empty
+// at enqueue). wakeID is the flow id the committed notify minted.
 func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 	// Fault hook: stall between the committed dequeue and the semaphore
 	// post — the window in which a timed-out or cancelled waiter races a
@@ -620,8 +666,9 @@ func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 		if enq := n.enqueuedNS.Load(); enq != 0 {
 			cv.st.EnqueueToNotify.Observe(now - enq)
 		}
+		cv.st.Sem.Posts.Inc()
 	}
-	// Stored before Post: the semaphore hand-off orders these stores
+	// Stored before the send: the channel hand-off orders these stores
 	// before the woken waiter's reads in noteWake (DESIGN.md §15).
 	n.notifiedNS.Store(now)
 	n.wakeID.Store(wakeID)
@@ -630,7 +677,7 @@ func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 		tr.EmitFlow(n.id, obs.EvWakePost, wakeID, 0, 0)
 	}
 	n.inQueue.Store(false)
-	n.sem.Post()
+	n.wake <- struct{}{}
 }
 
 // notifyCommitted is the committed side of a single-node notification:
@@ -739,7 +786,7 @@ func (cv *CondVar) checkGen(n *Node, gen uint64) {
 	}
 }
 
-// NotifyOne is Algorithm 5: dequeue one waiter (per the Policy) and
+// NotifyOne is Algorithm 5: dequeue the longest-waiting waiter and
 // schedule its wake-up. Pass the live transaction when calling from one,
 // or nil from lock-based/unsynchronized code. It reports whether a waiter
 // was found.

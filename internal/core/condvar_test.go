@@ -132,7 +132,7 @@ func TestNoSpuriousWakeupsUnderStress(t *testing.T) {
 
 func TestFIFOWakeOrder(t *testing.T) {
 	e := stm.NewEngine(stm.Config{})
-	cv := New(e, Options{Policy: FIFO})
+	cv := New(e, Options{})
 	var m syncx.Mutex
 	order := make(chan int, 4)
 	for i := 0; i < 4; i++ {
@@ -149,29 +149,6 @@ func TestFIFOWakeOrder(t *testing.T) {
 		cv.NotifyOne(nil)
 		if got := <-order; got != i {
 			t.Fatalf("wake %d was goroutine %d (want FIFO)", i, got)
-		}
-	}
-}
-
-func TestLIFOWakeOrder(t *testing.T) {
-	e := stm.NewEngine(stm.Config{})
-	cv := New(e, Options{Policy: LIFO})
-	var m syncx.Mutex
-	order := make(chan int, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		go func() {
-			m.Lock()
-			cv.WaitLocked(&m)
-			m.Unlock()
-			order <- i
-		}()
-		waitUntil(t, "enqueue", func() bool { return cv.Len() == i+1 })
-	}
-	for i := 3; i >= 0; i-- {
-		cv.NotifyOne(nil)
-		if got := <-order; got != i {
-			t.Fatalf("expected LIFO wake of %d, got %d", i, got)
 		}
 	}
 }

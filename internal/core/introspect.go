@@ -1,20 +1,23 @@
 package core
 
 import (
+	"context"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/registry"
-	"repro/internal/sem"
 	"repro/internal/stm"
 )
 
 // This file is the condvar's face toward the live-introspection stack
 // (DESIGN.md §10): the CVStats instrument table backing
-// Snapshot/Histograms/RegisterMetrics, and the per-condvar wait-chain
-// source behind /debug/cv/waiters. Nothing here runs unless a scraper
-// asks; the wait path is untouched.
+// Snapshot/Histograms/RegisterMetrics, the per-condvar wait-chain
+// source behind /debug/cv/waiters, and the park-time goroutine labels.
+// Nothing here runs unless a scraper asks, except the labels, which the
+// park applies only behind obs.ParkLabelsEnabled (one atomic load when
+// off, checked by TestParkLabelGateNoAlloc in internal/obs).
 
 // epoch anchors the Node timestamps: monotonic nanoseconds since
 // process-local time zero fit an atomic.Int64, which plain time.Time
@@ -46,7 +49,6 @@ func (s *CVStats) scalars() []cvScalar {
 		{"cancels", "context waits that ended cancelled", s.Cancels.Load},
 		{"sem_posts", "node semaphore posts", s.Sem.Posts.Load},
 		{"sem_blocks", "node semaphore waits that descheduled", s.Sem.Blocks.Load},
-		{"sem_spin_waits", "node semaphore waits satisfied while spinning", s.Sem.SpinWaits.Load},
 		{"wake_consumed_waiter", "wakes consumed by live waiters", s.WakeConsumed[obs.WakeByWaiter].Load},
 		{"wake_consumed_timeout", "wakes consumed by timed-out losers", s.WakeConsumed[obs.WakeByTimeout].Load},
 		{"wake_consumed_cancel", "wakes consumed by cancelled losers", s.WakeConsumed[obs.WakeByCancel].Load},
@@ -96,8 +98,8 @@ const maxWaitChain = 4096
 // WaitChain returns the current wait queue as registry Waiters: node
 // ids, enqueue ages, and park ages. The queue is walked in a read-only
 // transaction (so a torn list is never observed); the node pointers are
-// then inspected outside it through atomics and the semaphore lock, so
-// a node released concurrently yields stale-but-safe values. ParkAgeNS
+// then inspected outside it through their atomic stamps, so a node
+// released concurrently yields stale-but-safe values. ParkAgeNS
 // is -1 for a waiter that is enqueued but not yet descheduled — the
 // paper's lost-wakeup window, made visible.
 func (cv *CondVar) WaitChain() []registry.Waiter {
@@ -121,22 +123,35 @@ func (cv *CondVar) WaitChain() []registry.Waiter {
 				w.EnqueueAgeNS = age
 			}
 		}
-		if age, parked := n.sem.OldestParkAge(); parked {
-			// The park stamp is read after `now`, so measurement skew can
-			// push the raw park age past the enqueue age; physically a
-			// waiter always enqueues before it parks, so clamp.
-			p := age.Nanoseconds()
-			if p > w.EnqueueAgeNS {
-				p = w.EnqueueAgeNS
-			}
-			w.ParkAgeNS = p
+		if parked := n.parkedNS.Load(); parked != 0 {
+			// A park stamped after `now` was read gives a negative raw
+			// age; and a waiter always enqueues before it parks. Clamp to
+			// both.
+			w.ParkAgeNS = min(max(now-parked, 0), w.EnqueueAgeNS)
 		}
 		if labelsOn {
-			w.PprofLabel = sem.ParkLabelKey + "=" + strconv.FormatUint(n.id, 10)
+			w.PprofLabel = ParkLabelKey + "=" + strconv.FormatUint(n.id, 10)
 		}
 		out = append(out, w)
 	}
 	return out
+}
+
+// ParkLabelKey is the goroutine pprof label key parked waiters carry
+// (value: the condvar node id). Visible in goroutine profiles of a
+// process with introspection on, and echoed by /debug/cv/waiters.
+const ParkLabelKey = "cv_lane"
+
+// labelParked tags the calling goroutine with its node id so goroutine
+// profiles taken during the park attribute it to its condvar node.
+func labelParked(id uint64) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels(ParkLabelKey, strconv.FormatUint(id, 10))))
+}
+
+// clearParkLabel drops the park label once the goroutine resumes.
+func clearParkLabel() {
+	pprof.SetGoroutineLabels(context.Background())
 }
 
 // RegisterIntrospect registers the condvar's live sources into r under

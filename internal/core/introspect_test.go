@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"runtime/pprof"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -16,7 +19,7 @@ import (
 // the TMStats test in internal/stm).
 var cvSnapshotKeys = []string{
 	"cancels", "notify_alls", "notify_empty", "notify_ones",
-	"sem_blocks", "sem_posts", "sem_spin_waits", "timeouts", "waits",
+	"sem_blocks", "sem_posts", "timeouts", "waits",
 	"wake_consumed_cancel", "wake_consumed_timeout", "wake_consumed_waiter",
 	"woken",
 }
@@ -39,8 +42,8 @@ func TestCVStatsSnapshotStableAndComplete(t *testing.T) {
 	}
 
 	// Completeness: every direct scalar instrument field of CVStats must
-	// appear, plus the three sem.Stats aggregates the snapshot carries
-	// (posts, blocks, spin waits).
+	// appear, plus the two sem.Stats aggregates the snapshot carries
+	// (posts, blocks).
 	direct := 0
 	typ := reflect.TypeOf(CVStats{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -51,8 +54,8 @@ func TestCVStatsSnapshotStableAndComplete(t *testing.T) {
 			direct += 3
 		}
 	}
-	if want := direct + 3; len(snap) != want {
-		t.Errorf("Snapshot has %d keys, want %d (%d direct fields + 3 sem aggregates) — a field is missing from the introspect.go table", len(snap), want, direct)
+	if want := direct + 2; len(snap) != want {
+		t.Errorf("Snapshot has %d keys, want %d (%d direct fields + 2 sem aggregates) — a field is missing from the introspect.go table", len(snap), want, direct)
 	}
 
 	hist := s.Histograms()
@@ -71,8 +74,8 @@ func TestWaitChainAndRegisterIntrospect(t *testing.T) {
 	cv := New(e, Options{})
 	r := registry.New()
 	cv.RegisterIntrospect(r, "test-cv")
-	obs.SetParkLabels(true)
-	defer obs.SetParkLabels(false)
+	obs.HoldParkLabels()
+	defer obs.ReleaseParkLabels()
 
 	if got := cv.WaitChain(); len(got) != 0 {
 		t.Fatalf("idle condvar has wait chain %+v", got)
@@ -135,6 +138,118 @@ func TestWaitChainAndRegisterIntrospect(t *testing.T) {
 	<-done
 	if got := cv.WaitChain(); len(got) != 0 {
 		t.Fatalf("wait chain not empty after notify: %+v", got)
+	}
+}
+
+// A park stamp from a stepping clock — later than the scrape's own
+// reading — reports park age zero, never a negative age.
+func TestWaitChainParkAgeClamped(t *testing.T) {
+	cv := New(stm.NewEngine(stm.Config{}), Options{})
+	n := cv.acquireNode()
+	n.next.StoreDirect(nil)
+	cv.enqueue(nil, n)
+	n.parkedNS.Store(monoNS() + int64(time.Hour)) // hostile: the park "begins" in the future
+	chain := cv.WaitChain()
+	if len(chain) != 1 || chain[0].ParkAgeNS != 0 {
+		t.Fatalf("WaitChain = %+v, want one waiter with park age 0", chain)
+	}
+	if !cv.removeNode(n) {
+		t.Fatal("removeNode did not find the enqueued node")
+	}
+}
+
+// The head of the wait chain reports the oldest park's age while anyone
+// is parked, and the chain is empty before the first park and once every
+// waiter has been released.
+func TestWaitChainOldestParkAge(t *testing.T) {
+	cv := New(stm.NewEngine(stm.Config{}), Options{})
+	if got := cv.WaitChain(); len(got) != 0 {
+		t.Fatalf("idle condvar has wait chain %+v", got)
+	}
+	var m syncx.Mutex
+	released := make(chan struct{})
+	for i := 0; i < 3; i++ {
+		go func() {
+			m.Lock()
+			// cvlint:ignore waitloop parks one waiter one-shot to read its park age
+			cv.WaitLocked(&m)
+			m.Unlock()
+			released <- struct{}{}
+		}()
+	}
+	waitUntil(t, "three parks", func() bool {
+		c := cv.WaitChain()
+		return len(c) == 3 && c[0].ParkAgeNS >= 0 && c[1].ParkAgeNS >= 0 && c[2].ParkAgeNS >= 0
+	})
+	time.Sleep(5 * time.Millisecond)
+
+	if c := cv.WaitChain(); len(c) != 3 || c[0].ParkAgeNS <= 0 {
+		t.Fatalf("oldest park age not positive: %+v", c)
+	}
+
+	for i := 0; i < 3; i++ {
+		cv.NotifyOne(nil)
+		<-released
+	}
+	if got := cv.WaitChain(); len(got) != 0 {
+		t.Fatalf("wait chain not empty after every waiter was released: %+v", got)
+	}
+}
+
+// goroutineLabelled reports whether some goroutine carries the park
+// label of node id, per the debug=1 goroutine profile.
+func goroutineLabelled(t *testing.T, id uint64) bool {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Contains(buf.Bytes(), []byte(`"`+ParkLabelKey+`":"`+strconv.FormatUint(id, 10)+`"`))
+}
+
+// A park that labelled its goroutine clears the label on wake even if
+// labeling was switched off mid-park: the label must not outlive the
+// park and leak into every goroutine the waiter starts later.
+func TestParkLabelClearedWhenGateClosesMidPark(t *testing.T) {
+	cv := New(stm.NewEngine(stm.Config{}), Options{})
+	obs.HoldParkLabels()
+	released := false
+	defer func() {
+		if !released {
+			obs.ReleaseParkLabels()
+		}
+	}()
+
+	woken, hold := make(chan struct{}), make(chan struct{})
+	var m syncx.Mutex
+	go func() {
+		m.Lock()
+		// cvlint:ignore waitloop parks one waiter one-shot to inspect its label
+		cv.WaitLocked(&m)
+		m.Unlock()
+		close(woken)
+		<-hold // stay alive so the profile still lists this goroutine
+	}()
+	defer close(hold)
+	var id uint64
+	waitUntil(t, "park", func() bool {
+		c := cv.WaitChain()
+		if len(c) == 1 && c[0].ParkAgeNS >= 0 {
+			id = c[0].Node
+			return true
+		}
+		return false
+	})
+	if !goroutineLabelled(t, id) {
+		t.Fatalf("parked waiter carries no %s=%d label", ParkLabelKey, id)
+	}
+
+	obs.ReleaseParkLabels()
+	released = true
+	cv.NotifyOne(nil)
+	<-woken
+	if goroutineLabelled(t, id) {
+		t.Fatalf("woken waiter still carries %s=%d after labeling was switched off mid-park", ParkLabelKey, id)
 	}
 }
 

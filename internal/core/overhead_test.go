@@ -26,10 +26,52 @@ func TestWakeStampDisarmedNoAlloc(t *testing.T) {
 		// The full committed-notify hot path: mint a wakeID, stamp the
 		// node, post, consume the banked permit, attribute the wake.
 		cv.wakeNode(n, cv.e.NextWakeID())
-		n.sem.Wait()
+		<-n.wake
 		cv.noteWake(n, obs.WakeByWaiter)
 	}); a != 0 {
 		t.Errorf("disarmed wake-stamp cycle allocates %.1f times per op", a)
+	}
+}
+
+// The park itself — a post into one node's slot, a real deschedule on
+// the other's — allocates nothing once both nodes exist: two warm nodes
+// ping-pong through wakeNode and semWait with stats attached. verify.sh
+// runs this beside the wake-stamp guard.
+func TestParkNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow state allocates")
+	}
+	e := stm.NewEngine(stm.Config{})
+	cv := New(e, Options{})
+	cv.SetStats(&CVStats{})
+	ping, pong := cv.acquireNode(), cv.acquireNode()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			cv.semWait(ping, obs.WakeByWaiter, 0, nil)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cv.wakeNode(pong, 0)
+		}
+	}()
+	cycle := func() {
+		cv.wakeNode(ping, 0)
+		cv.semWait(pong, obs.WakeByWaiter, 0, nil)
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	a := testing.AllocsPerRun(1000, cycle)
+	close(stop)
+	cv.wakeNode(ping, 0)
+	<-done
+	if a != 0 {
+		t.Errorf("wakeNode+park cycle allocates %.1f times per op", a)
 	}
 }
 

@@ -42,6 +42,38 @@ func TestWaitLockedTimeoutExpires(t *testing.T) {
 	})
 }
 
+// A non-positive timeout gives up at once: the waiter enqueues, finds
+// its slot empty and unlinks itself, without descheduling — the timer is
+// armed only on the way into the park, so none is armed either.
+func TestWaitLockedTimeoutNonPositive(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    time.Duration
+	}{{"d=0", 0}, {"d<0", -time.Second}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cv := New(stm.NewEngine(stm.Config{}), Options{})
+			var st CVStats
+			cv.SetStats(&st)
+			var m syncx.Mutex
+			m.Lock()
+			// cvlint:ignore waitloop probes the give-up path one-shot by design
+			if cv.WaitLockedTimeout(&m, tc.d) {
+				t.Fatal("timed wait reported notification with no notifier")
+			}
+			m.Unlock()
+			if n := cv.Len(); n != 0 {
+				t.Fatalf("queue length = %d after giving up, want 0", n)
+			}
+			if got := st.Timeouts.Load(); got != 1 {
+				t.Fatalf("Timeouts = %d, want 1", got)
+			}
+			if b, p := st.Sem.Blocks.Load(), st.Sem.ParkNanos.Count(); b != 0 || p != 0 {
+				t.Fatalf("gave up after parking: Blocks = %d, parks observed = %d", b, p)
+			}
+		})
+	}
+}
+
 func TestWaitLockedTimeoutNotifiedInTime(t *testing.T) {
 	e := stm.NewEngine(stm.Config{})
 	cv := New(e, Options{})

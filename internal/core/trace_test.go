@@ -45,10 +45,12 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 		m.Unlock()
 		close(done)
 	}()
-	for cv.Len() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond) // let the waiter park
+	// A park stamp means the waiter is past its slot check and committed
+	// to descheduling: it will emit the park/unpark pair.
+	waitUntil(t, "park", func() bool {
+		c := cv.WaitChain()
+		return len(c) == 1 && c[0].ParkAgeNS >= 0
+	})
 
 	// The provocation: dequeue the waiter, then abort the transaction.
 	sentinel := errors.New("provoked abort")
@@ -96,9 +98,25 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	tr.Disable()
 
 	got = traceCounts(tr)
-	for _, want := range []obs.EventType{obs.EvCVEnqueue, obs.EvCVNotify, obs.EvCVSemPost, obs.EvCVWake} {
+	for _, want := range []obs.EventType{obs.EvCVEnqueue, obs.EvCVNotify, obs.EvCVSemPost, obs.EvCVWake, obs.EvSemPark, obs.EvSemUnpark} {
 		if got[want] != 1 {
 			t.Errorf("%s count = %d, want 1 (all: %v)", want, got[want], got)
+		}
+	}
+	// The park events sit on the node's lane, and the unpark is a span
+	// covering the park.
+	var lane uint64
+	for _, ev := range tr.Events() {
+		if ev.Type == obs.EvCVSemPost {
+			lane = ev.Lane
+		}
+	}
+	for _, ev := range tr.Events() {
+		if (ev.Type == obs.EvSemPark || ev.Type == obs.EvSemUnpark) && ev.Lane != lane {
+			t.Errorf("%s on lane %d, want the node's lane %d", ev.Type, ev.Lane, lane)
+		}
+		if ev.Type == obs.EvSemUnpark && ev.Dur <= 0 {
+			t.Errorf("unpark span has no duration: %+v", ev)
 		}
 	}
 	// The committed notify minted exactly one wake flow: one root (the

@@ -45,13 +45,17 @@ const (
 	// PreCommit fires at the top of an optimistic attempt's commit,
 	// before validation.
 	PreCommit
-	// SemPost fires at the start of sem.Post — a Delay here holds the
-	// committed SEMPOST back, widening the notify→wake window.
+	// SemPost fires at the start of sem.Post, for a sem.Sem with an
+	// injector attached (SetFault) — a Delay here holds the post back,
+	// widening the post→wake window. The condvar's node path does not
+	// fire it: CVNotify stalls the same window there.
 	SemPost
-	// SemPark fires just before a semaphore Wait deschedules — a Delay
-	// here widens the window in which a Post must be memorized rather
-	// than handed off, and provokes spurious-looking timeouts in
-	// WaitTimeout.
+	// SemPark fires just before a sem.Sem Wait deschedules, for a
+	// semaphore with an injector attached — a Delay here widens the
+	// window in which a Post must be memorized rather than handed off,
+	// and provokes spurious-looking timeouts in WaitTimeout. The
+	// condvar's node path does not fire it: CVEnqueue stalls the same
+	// window there.
 	SemPark
 	// CVEnqueue fires between a waiter's committed enqueue and its park
 	// — the paper's lost-wakeup window: the waiter is published and its

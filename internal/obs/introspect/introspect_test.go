@@ -109,6 +109,29 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
+// Labels stay on while any server runs: closing one of two must not
+// switch them off for the other.
+func TestParkLabelsHeldPerServer(t *testing.T) {
+	a, err := Start(Options{Addr: "127.0.0.1:0", Registry: registry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Start(Options{Addr: "127.0.0.1:0", Registry: registry.New()})
+	if err != nil {
+		a.Close()
+		t.Fatal(err)
+	}
+	a.Close()
+	a.Close() // a second Close must not release b's hold
+	if !obs.ParkLabelsEnabled() {
+		t.Error("closing one server turned park labels off while another still runs")
+	}
+	b.Close()
+	if obs.ParkLabelsEnabled() {
+		t.Error("park labels still on after every server closed")
+	}
+}
+
 // TestConflictsEndpoint validates /debug/cv/conflicts: JSON shape,
 // topk query handling, and the profiling_on flag mirroring the stm
 // gate.

@@ -10,7 +10,7 @@
 // Nothing in this package touches a hot path. A process that never
 // calls Start pays exactly the instruments it already had; while a
 // server runs, the only added steady-state cost is the park-label gate
-// (one atomic load per semaphore park, see obs.SetParkLabels).
+// (one atomic load per condvar park, see obs.HoldParkLabels).
 package introspect
 
 import (
@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -39,14 +40,15 @@ type Options struct {
 
 // Server is a running introspection endpoint.
 type Server struct {
-	reg *registry.Registry
-	ln  net.Listener
-	srv *http.Server
+	reg   *registry.Registry
+	ln    net.Listener
+	srv   *http.Server
+	close sync.Once // releases the park-label hold exactly once
 }
 
 // Start listens on opts.Addr and serves the /debug/cv/* endpoints. It
-// enables park-time goroutine labeling for the server's lifetime
-// (Close restores it).
+// holds park-time goroutine labeling on for the server's lifetime;
+// Close releases the hold, so labels stay on while any server runs.
 func Start(opts Options) (*Server, error) {
 	reg := opts.Registry
 	if reg == nil {
@@ -66,7 +68,7 @@ func Start(opts Options) (*Server, error) {
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln) //nolint:errcheck — Serve always returns on Close
 
-	obs.SetParkLabels(true)
+	obs.HoldParkLabels()
 	return s, nil
 }
 
@@ -79,9 +81,10 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // Registry returns the served registry.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Close stops the listener and park labeling.
+// Close stops the listener and releases the server's park-label hold.
+// Closing twice releases it once.
 func (s *Server) Close() error {
-	obs.SetParkLabels(false)
+	s.close.Do(obs.ReleaseParkLabels)
 	return s.srv.Close()
 }
 

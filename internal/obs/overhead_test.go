@@ -67,11 +67,13 @@ func TestHistogramObserveNoAlloc(t *testing.T) {
 }
 
 // The park-label gate guards the runtime/pprof labeling added for live
-// introspection; when labels are off — the steady state — the semaphore
+// introspection; when labels are off — the steady state — the condvar
 // park path pays exactly one atomic load and zero allocations.
-// Referenced from internal/sem/introspect.go.
+// Referenced from internal/core/introspect.go.
 func TestParkLabelGateNoAlloc(t *testing.T) {
-	SetParkLabels(false)
+	if ParkLabelsEnabled() {
+		t.Fatal("park labels on with no holder")
+	}
 	var sink bool
 	if a := testing.AllocsPerRun(1000, func() {
 		if ParkLabelsEnabled() {

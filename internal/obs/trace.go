@@ -28,8 +28,8 @@ const (
 	EvCVSemPost // deferred SEMPOST executed at commit; A = node id
 	EvCVWake    // woken waiter resumed after its SEMWAIT; A = node id
 
-	EvSemPark   // goroutine about to deschedule in sem.Wait
-	EvSemUnpark // goroutine resumed; span event covering the park, A = lane
+	EvSemPark   // condvar waiter about to deschedule on its node's slot; lane = node id
+	EvSemUnpark // condvar waiter resumed; span event covering the park, lane = node id
 
 	EvFaultInject // fault injector fired at a hook point; A = point, B = action
 

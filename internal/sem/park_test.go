@@ -3,19 +3,14 @@ package sem
 import (
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// A blocked Wait observes its park duration and emits park/unpark trace
-// events; a fast-path Wait observes nothing.
+// A blocked Wait observes its park duration; a fast-path Wait observes
+// nothing.
 func TestParkInstrumentation(t *testing.T) {
 	s := NewBinary()
 	st := &Stats{}
 	s.SetStats(st)
-	tr := obs.NewTracer(1024)
-	tr.Enable()
-	s.SetTrace(tr, 42)
 
 	// Fast path: permit banked, no park.
 	s.Post()
@@ -43,24 +38,6 @@ func TestParkInstrumentation(t *testing.T) {
 	if st.ParkNanos.Max() < int64(2*time.Millisecond) {
 		t.Errorf("park duration = %dns, want >= 2ms", st.ParkNanos.Max())
 	}
-	var park, unpark int
-	for _, ev := range tr.Events() {
-		if ev.Lane != 42 {
-			t.Errorf("event on lane %d, want 42: %+v", ev.Lane, ev)
-		}
-		switch ev.Type {
-		case obs.EvSemPark:
-			park++
-		case obs.EvSemUnpark:
-			unpark++
-			if ev.Dur <= 0 {
-				t.Errorf("unpark span has no duration: %+v", ev)
-			}
-		}
-	}
-	if park != 1 || unpark != 1 {
-		t.Errorf("park/unpark events = %d/%d, want 1/1", park, unpark)
-	}
 }
 
 // WaitTimeout observes the park on the timeout path too.
@@ -79,10 +56,9 @@ func TestParkTimeout(t *testing.T) {
 	}
 }
 
-// Without a stats sink or tracer, parkStart still stamps a time — the
-// spin-budget tuner needs the hand-off latency regardless of
-// instrumentation — but parkEnd must not observe anything, and a zero
-// t0 stays a safe no-op.
+// Without a stats sink, parkStart still stamps a time — the spin-budget
+// tuner needs the hand-off latency regardless of instrumentation — but
+// parkEnd must not observe anything, and a zero t0 stays a safe no-op.
 func TestParkStartStampsUninstrumented(t *testing.T) {
 	s := NewBinary()
 	if t0 := s.parkStart(); t0.IsZero() {

@@ -89,10 +89,12 @@ func TestLoserRaceConservation(t *testing.T) {
 	}
 }
 
-// The park fast path is allocation-free in steady state: waiter structs
-// (with their hand-off channels) are pooled, so a post/wait round-trip
-// through a real park allocates nothing. This is the overhead-gate guard
-// verify.sh runs.
+// The parking lot's park path is allocation-free in steady state:
+// waiter structs (with their hand-off channels) are pooled, so a
+// post/wait round-trip through a real park allocates nothing. This is
+// verify.sh's overhead guard for the lot that syncx.Mutex, monitor and
+// the Birrell baseline park on; core's TestParkNoAlloc guards the
+// condvar's own park.
 func TestWaitPooledNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the park path")

@@ -2,26 +2,24 @@
 //
 // The paper ("Transaction-Friendly Condition Variables", SPAA 2014)
 // represents each condition variable as a transactional queue of
-// per-thread counting semaphores (its Algorithm 3 uses POSIX sem_t).
-// This package is the Go substrate for that role: a from-scratch
-// counting semaphore with the two properties the condition-variable
-// algorithm depends on:
+// per-thread semaphores (its Algorithm 3 uses POSIX sem_t). The
+// condvar's own per-node semaphore parks one goroutine by construction
+// and is a one-slot channel in internal/core; this package is the
+// shared parking lot for many waiters — syncx.Mutex, internal/monitor
+// and the Birrell baseline — with two properties:
 //
 //  1. Memory: a Post that happens before the matching Wait is never
-//     lost — Wait consumes the permit and returns immediately. This is
-//     what makes the condvar's WAIT immune to the "missed notify" race:
-//     the waiter enqueues itself and completes its sync block *before*
-//     sleeping; if a notifier runs in that window, its SemPost is
-//     memorized by the semaphore.
+//     lost — Wait consumes the permit and returns immediately.
 //  2. Direct hand-off: a Post that finds a parked waiter hands the
 //     permit to the longest-waiting one directly (the permit never
-//     becomes visible to a barging TryWait), so combined with the
-//     condvar's queue this yields the deterministic wake-up semantics
-//     of Section 3.4.
+//     becomes visible to a barging TryWait), which yields the
+//     deterministic wake-up order of Section 3.4.
 //
-// Waiters are descheduled (parked on a channel) rather than spinning, so
-// the "Yielding" requirement of Section 3.4 holds even with heavy
-// oversubscription of goroutines over OS threads.
+// Waiters are descheduled (parked on a channel) rather than spinning
+// indefinitely, so the "Yielding" requirement of Section 3.4 holds even
+// with heavy oversubscription of goroutines over OS threads. An untimed
+// Wait polls its channel for a bounded, adaptively tuned number of
+// Gosched-separated iterations before it deschedules (DESIGN.md §11.3).
 //
 // # One queue
 //
@@ -31,17 +29,11 @@
 // finding nobody, banks the permit. Wait takes a banked permit if there
 // is one and otherwise appends itself under the same lock, so there is
 // no window between a waiter's check and its enqueue for a post to fall
-// into. Wake-up order is global FIFO at every GOMAXPROCS: vacuous for
-// the condvar's node semaphores (one waiter each), Section 3.4's
+// into. Wake-up order is global FIFO at every GOMAXPROCS — Section 3.4's
 // deterministic order for syncx.Mutex, internal/monitor and the Birrell
-// baseline. DESIGN.md §16.1 has the measurements behind this layout and
-// the result that would justify striping the queue per P.
-//
-// An untimed Wait polls its channel for a bounded, adaptively tuned
-// number of Gosched-separated iterations before it deschedules. The
-// tuner stays although a node semaphore's waiter could simply park:
-// dropping it trades throughput and CPU against tail wake latency
-// (numbers in §16.1), a decision of its own.
+// baseline, the parking lot's three callers. DESIGN.md §16.1 has the
+// measurements behind this layout and the result that would justify
+// striping the queue per P.
 package sem
 
 import (
@@ -78,12 +70,6 @@ type Stats struct {
 type waiter struct {
 	ch   chan struct{}
 	next *waiter
-
-	// parkedAt is the monotonic park-start timestamp, stamped under the
-	// semaphore lock by enqueue and read under the same lock by
-	// OldestParkAge — the live park-age source behind
-	// /debug/cv/waiters.
-	parkedAt time.Time
 }
 
 // waiterPool recycles waiter structs (and their hand-off channels) so the
@@ -147,12 +133,6 @@ type Sem struct {
 
 	st *Stats
 
-	// Optional tracer and the trace lane its events are attributed to
-	// (the owning condvar node id, when used as a per-waiter binary
-	// semaphore). Set via SetTrace; nil-safe when unset.
-	tr     *obs.Tracer
-	trLane uint64
-
 	// Optional fault injector (internal/fault). Set via SetFault;
 	// nil-safe when unset, one atomic load when disarmed.
 	flt *fault.Injector
@@ -168,20 +148,13 @@ func New(n int64) *Sem {
 	return s
 }
 
-// NewBinary returns a semaphore suitable for use as the per-thread binary
-// semaphore of the paper's Algorithm 3: it starts at zero, so the first
-// Wait blocks until the matching Post.
+// NewBinary returns a semaphore that starts at zero, so the first Wait
+// blocks until the matching Post.
 func NewBinary() *Sem { return New(0) }
 
 // SetStats attaches a stats sink; pass nil to detach. Not synchronized
 // with concurrent operations; call before sharing the semaphore.
 func (s *Sem) SetStats(st *Stats) { s.st = st }
-
-// SetTrace attaches an event tracer and the trace lane (e.g. the owning
-// condvar node id) park/unpark events are attributed to. Like SetStats
-// it is not synchronized with concurrent operations; call before
-// sharing.
-func (s *Sem) SetTrace(tr *obs.Tracer, lane uint64) { s.tr, s.trLane = tr, lane }
 
 // SetFault attaches a fault injector; pass nil to detach. Like SetStats
 // it is not synchronized with concurrent operations; call before
@@ -191,54 +164,27 @@ func (s *Sem) SetFault(in *fault.Injector) { s.flt = in }
 // faultAt draws and applies the injector's decision for hook point p.
 // Only delays are meaningful at semaphore points — there is no
 // transaction attempt to abort here — so abort-shaped decisions
-// degrade to instant no-ops (still traced as injected).
+// degrade to instant no-ops.
 func (s *Sem) faultAt(p fault.Point) {
-	d := s.flt.At(p)
-	if d.Action == fault.ActNone {
-		return
+	if d := s.flt.At(p); d.Action != fault.ActNone {
+		d.Pause()
 	}
-	s.tr.Emit(s.trLane, obs.EvFaultInject, int64(p), int64(d.Action))
-	d.Pause()
 }
 
-// parkStart stamps the beginning of a descheduled Wait, emitting the park
-// event if tracing and labeling the goroutine with its condvar lane when
-// introspection asked for it. The timestamp always carries a value:
-// besides feeding parkEnd's histogram it drives the spin-budget tuner,
-// which needs the hand-off latency even when no stats sink is attached.
-// The label gate is one atomic load when off.
-func (s *Sem) parkStart() time.Time {
-	if obs.ParkLabelsEnabled() {
-		labelParked(s.trLane)
-	}
-	t0 := time.Now()
-	if s.tr.Enabled() {
-		s.tr.Emit(s.trLane, obs.EvSemPark, 0, 0)
-	}
-	return t0
-}
+// parkStart stamps the beginning of a descheduled Wait. The timestamp
+// always carries a value: besides feeding parkEnd's histogram it drives
+// the spin-budget tuner, which needs the hand-off latency even when no
+// stats sink is attached.
+func (s *Sem) parkStart() time.Time { return time.Now() }
 
-// parkEnd records the park duration started at t0 (histogram + unpark
-// span event) and clears the park label.
+// parkEnd observes the park duration started at t0.
 func (s *Sem) parkEnd(t0 time.Time) {
-	if obs.ParkLabelsEnabled() {
-		clearParkLabel()
-	}
-	if t0.IsZero() {
+	if t0.IsZero() || s.st == nil {
 		return
 	}
-	d := time.Since(t0).Nanoseconds()
-	if d < 0 {
-		// A stepping wall clock (or a hostile t0) must not feed a
-		// negative duration into the histogram sum or the span event.
-		d = 0
-	}
-	if s.st != nil {
-		s.st.ParkNanos.Observe(d)
-	}
-	if tr := s.tr; tr.Enabled() {
-		tr.EmitEvent(obs.Event{TS: tr.Now() - d, Dur: d, Type: obs.EvSemUnpark, Lane: s.trLane})
-	}
+	// A stepping wall clock (or a hostile t0) must not feed a negative
+	// duration into the histogram sum.
+	s.st.ParkNanos.Observe(max(time.Since(t0).Nanoseconds(), 0))
 }
 
 // noteFastWait counts a Wait that was satisfied from the banked count.
@@ -266,7 +212,6 @@ func (s *Sem) tryAcquire() bool {
 
 // enqueue appends w to the waiter list. Caller holds mu.
 func (s *Sem) enqueue(w *waiter) {
-	w.parkedAt = time.Now()
 	if s.tail == nil {
 		s.head, s.tail = w, w
 	} else {

@@ -3,8 +3,6 @@ package stm
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sem"
 )
 
 // This file implements Harris-style "retry" (Harris, Marlow, Peyton Jones
@@ -52,9 +50,11 @@ func Retry(tx *Tx) {
 	panic(abortSignal{cause: causeRetry})
 }
 
-// retryWaiter is one goroutine sleeping in Retry.
+// retryWaiter is one goroutine sleeping in Retry. It parks on wake, a
+// one-slot channel; fired admits exactly one send, so the send never
+// blocks however many watched orecs change.
 type retryWaiter struct {
-	s     *sem.Sem
+	wake  chan struct{}
 	fired atomic.Bool
 }
 
@@ -79,7 +79,7 @@ func (h *retryHub) init() {
 // the hub lock — closes the race against a committer that bumps versions
 // and only then checks the count.
 func (e *Engine) waitForChange(reads []readEntry) {
-	w := &retryWaiter{s: sem.NewBinary()}
+	w := &retryWaiter{wake: make(chan struct{}, 1)}
 	h := &e.retry
 	h.mu.Lock()
 	h.init()
@@ -100,7 +100,7 @@ func (e *Engine) waitForChange(reads []readEntry) {
 
 	if !changed {
 		e.Stats.RetryWaits.Inc()
-		w.s.Wait()
+		<-w.wake
 	}
 
 	h.mu.Lock()
@@ -133,7 +133,7 @@ func (e *Engine) wakeOrec(o *orec) {
 	h.mu.Lock()
 	for _, w := range h.watchers[o] {
 		if !w.fired.Swap(true) {
-			w.s.Post()
+			w.wake <- struct{}{}
 			e.Stats.RetryWakes.Inc()
 		}
 	}

@@ -39,10 +39,12 @@ step "tests (race detector)"
 go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The semaphore's spin gate branches on GOMAXPROCS, so a single-core host
-# silently skips its multicore schedules, and the condvar's batch post
-# loop only overlaps its woken waiters with more than one P. Re-run the
-# three fabric packages with four Ps forced — the race detector sees the
+# The spin gate lives only in sem's parking lot (syncx.Mutex, monitor,
+# the Birrell baseline) and branches on GOMAXPROCS, so a single-core host
+# silently skips its multicore schedules; the condvar's nodes park on a
+# one-slot channel without spinning, and its batch post loop only
+# overlaps its woken waiters with more than one P. Re-run the three
+# fabric packages with four Ps forced — the race detector sees the
 # spin-phase and concurrent-commit interleavings even when the host has
 # one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
@@ -69,12 +71,16 @@ go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./int
 # disarmed the whole cycle must stay allocation-free, bounding the
 # wake-tracing overhead on a broadcast to the atomic stores.
 # A timeout/cancel loser's unlink registers no commit handler, so the
-# enqueue+unlink cycle is allocation-free too.
-go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc' ./internal/core
-# The pooled park path: a Wait that parks and is woken must recycle its
-# waiter node and channel — 0 allocs/op once the pool is warm. Must run
-# race-free: race shadow state adds a deterministic allocation per park
-# (the test skips itself under -race, so this line is the real gate).
+# enqueue+unlink cycle is allocation-free too. The condvar park itself —
+# a post into a node's one-slot channel and a real deschedule on it,
+# stats attached — allocates nothing on two warm nodes.
+go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc' ./internal/core
+# The parking lot's pooled park path (syncx.Mutex, monitor, the Birrell
+# baseline): a Wait that parks and is woken must recycle its waiter node
+# and channel — 0 allocs/op once the pool is warm. The core and sem
+# guards must run race-free: race shadow state adds a deterministic
+# allocation per park (both tests skip themselves under -race, so these
+# lines are the real gates).
 go test -run 'TestWaitPooledNoAlloc' ./internal/sem
 
 step "broadcast wake smoke (one committed batch over 64 waiters)"
