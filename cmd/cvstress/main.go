@@ -731,12 +731,12 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 }
 
 // runSemChaos is the sem-layer conservation probe: one shared
-// semaphore absorbs timed and cancelled waiters racing Post while the
-// injector stalls the post/park hook points underneath. Permits are
-// conserved by construction — every posted permit must surface as
-// exactly one successful wait (including timeout/cancel losers that keep
-// a raced permit) or one banked permit — and no waiter may remain parked
-// once the soak drains.
+// semaphore absorbs untimed, timed and cancelled waiters racing Post
+// while the injector stalls the post/park hook points underneath.
+// Permits are conserved by construction — every posted permit must
+// surface as exactly one successful wait (including timeout/cancel
+// losers that keep a raced permit) or one banked permit — and no
+// waiter may remain parked once the soak drains.
 func runSemChaos(goroutines int, seed uint64, rate float64, dur time.Duration) int {
 	s := sem.New(0)
 	in := chaosRules(seed, rate)
@@ -748,14 +748,28 @@ func runSemChaos(goroutines int, seed uint64, rate float64, dur time.Duration) i
 		goroutines = 4
 	}
 	deadline := time.Now().Add(dur)
-	var succ, timeouts, cancels, posted atomic.Int64
+	var succ, timeouts, cancels, posted, untimed atomic.Int64
 
-	// Waiter pool: timed and cancelled waits in equal measure, with
-	// jittered budgets so losers and winners interleave in the queue.
+	// Waiter pool: a third of the goroutines wait untimed — the spin
+	// and park path syncx.Mutex takes — and the rest split timed and
+	// cancelled waits evenly, with jittered budgets so losers and
+	// winners interleave in the queue.
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
 		wg.Add(1)
+		if g%3 == 2 {
+			untimed.Add(1)
+			go func() {
+				defer wg.Done()
+				defer untimed.Add(-1)
+				for running(deadline) {
+					s.Wait()
+					succ.Add(1)
+				}
+			}()
+			continue
+		}
 		go func() {
 			defer wg.Done()
 			for i := 0; running(deadline); i++ {
@@ -807,9 +821,21 @@ func runSemChaos(goroutines int, seed uint64, rate float64, dur time.Duration) i
 	}
 
 	pwg.Wait()
-	// Every wait in the pool is timed or cancellable, so once the posts
-	// stop the pool drains on its own — a waiter still parked past the
-	// grace period is stranded in the queue.
+	// An untimed waiter cannot give up: post one permit at a time, each
+	// counted, until every untimed goroutine has seen the deadline and
+	// returned. A permit nobody needed is banked and still balances.
+	drainBy := time.Now().Add(30 * time.Second)
+	for untimed.Load() > 0 {
+		if time.Now().After(drainBy) {
+			fmt.Printf("%-22s: STUCK draining untimed waiters (%d still parked)\n", "sem/queue", s.Waiters())
+			return exitStuck
+		}
+		s.Post()
+		posted.Add(1)
+		time.Sleep(100 * time.Microsecond)
+	}
+	// The timed and cancellable rest drain on their own — a waiter
+	// still parked past the grace period is stranded in the queue.
 	if !awaitOrStuck(30*time.Second, wg.Wait) {
 		fmt.Printf("%-22s: STUCK draining waiters (%d still parked)\n", "sem/queue", s.Waiters())
 		return exitStuck

@@ -35,15 +35,17 @@ func TestWakeStampDisarmedNoAlloc(t *testing.T) {
 
 // The park itself — a post into one node's slot, a real deschedule on
 // the other's — allocates nothing once both nodes exist: two warm nodes
-// ping-pong through wakeNode and semWait with stats attached. verify.sh
-// runs this beside the wake-stamp guard.
+// ping-pong through wakeNode and semWait with stats attached, and the
+// measured loop must have parked. verify.sh runs this beside the
+// wake-stamp guard.
 func TestParkNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector shadow state allocates")
 	}
 	e := stm.NewEngine(stm.Config{})
 	cv := New(e, Options{})
-	cv.SetStats(&CVStats{})
+	st := &CVStats{}
+	cv.SetStats(st)
 	ping, pong := cv.acquireNode(), cv.acquireNode()
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -66,12 +68,17 @@ func TestParkNoAlloc(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
+	blocks := st.Sem.Blocks.Load()
 	a := testing.AllocsPerRun(1000, cycle)
+	parked := st.Sem.Blocks.Load() - blocks
 	close(stop)
 	cv.wakeNode(ping, 0)
 	<-done
 	if a != 0 {
 		t.Errorf("wakeNode+park cycle allocates %.1f times per op", a)
+	}
+	if parked == 0 {
+		t.Error("the measured loop never parked: Sem.Blocks did not grow")
 	}
 }
 

@@ -56,14 +56,22 @@ func TestParkTimeout(t *testing.T) {
 	}
 }
 
-// Without a stats sink, parkStart still stamps a time — the spin-budget
-// tuner needs the hand-off latency regardless of instrumentation — but
-// parkEnd must not observe anything, and a zero t0 stays a safe no-op.
-func TestParkStartStampsUninstrumented(t *testing.T) {
+// Without a stats sink a park reads no clock: parkStart returns the
+// zero time, and parkEnd treats a zero t0 as a no-op. With a sink it
+// stamps.
+func TestParkStartUninstrumentedNoClock(t *testing.T) {
 	s := NewBinary()
-	if t0 := s.parkStart(); t0.IsZero() {
-		t.Fatal("parkStart returned the zero time; the spin tuner needs a stamp")
+	if t0 := s.parkStart(); !t0.IsZero() {
+		t.Fatalf("parkStart with no stats sink = %v, want the zero time", t0)
 	}
-	s.parkEnd(time.Time{})   // zero t0: must be a no-op, not a panic
-	s.parkEnd(s.parkStart()) // no sink: must observe nothing
+	s.parkEnd(time.Time{}) // zero t0: must be a no-op, not a panic
+	st := &Stats{}
+	s.SetStats(st)
+	if s.parkStart().IsZero() {
+		t.Fatal("parkStart with a stats sink returned the zero time")
+	}
+	s.parkEnd(time.Time{})
+	if n := st.ParkNanos.Count(); n != 0 {
+		t.Fatalf("parkEnd(zero) observed %d parks, want 0", n)
+	}
 }

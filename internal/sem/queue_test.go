@@ -2,6 +2,7 @@ package sem
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,40 +96,81 @@ func TestLoserRaceConservation(t *testing.T) {
 // verify.sh's overhead guard for the lot that syncx.Mutex, monitor and
 // the Birrell baseline park on; core's TestParkNoAlloc guards the
 // condvar's own park.
+//
+// Each side posts only once the other is queued, so no Wait takes a
+// banked permit. "park" samples both semaphores as single-P, so there
+// is no spin and every Wait deschedules; "spin" samples them as
+// parallel, so the head waiter polls and catches the post in its spin.
+// Both cases assert the path they measured.
 func TestWaitPooledNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the park path")
 	}
-	s1, s2 := NewBinary(), NewBinary()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			s1.Wait()
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s2.Post()
+	post := func(s *Sem) {
+		for s.Waiters() == 0 {
+			runtime.Gosched()
 		}
-	}()
-	// Warm the waiter pool: a GC triggered by earlier tests' garbage may
-	// have emptied it, and the guard is about the steady state, not the
-	// cold start.
-	for i := 0; i < 8; i++ {
-		s1.Post()
-		s2.Wait()
+		s.Post()
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s1.Post()
-		s2.Wait()
-	})
-	close(stop)
-	s1.Post()
-	<-done
-	if allocs != 0 {
-		t.Errorf("park round-trip allocates %.2f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		procs int32
+	}{{"park", 1}, {"spin", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st1, st2 Stats
+			s1, s2 := NewBinary(), NewBinary()
+			s1.SetStats(&st1)
+			s2.SetStats(&st2)
+			s1.procs.Store(tc.procs)
+			s2.procs.Store(tc.procs)
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					s1.Wait()
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					post(s2)
+				}
+			}()
+			cycle := func() {
+				post(s1)
+				s2.Wait()
+			}
+			// Warm the waiter pool: a GC triggered by earlier tests'
+			// garbage may have emptied it, and the guard is about the
+			// steady state, not the cold start.
+			for i := 0; i < 8; i++ {
+				cycle()
+			}
+			blocks, spins := st2.Blocks.Load(), st2.SpinWaits.Load()
+			allocs := testing.AllocsPerRun(100, cycle)
+			blocks, spins = st2.Blocks.Load()-blocks, st2.SpinWaits.Load()-spins
+			close(stop)
+			post(s1)
+			<-done
+			if allocs != 0 {
+				t.Errorf("%s round-trip allocates %.2f objects/op, want 0", tc.name, allocs)
+			}
+			if tc.procs > 1 {
+				if spins == 0 {
+					t.Error("no Wait in the measured loop caught its post in the spin")
+				}
+				return
+			}
+			// AllocsPerRun makes one warm-up call besides its runs.
+			if blocks != 101 {
+				t.Errorf("measured loop parked %d times, want 101", blocks)
+			}
+			for i, st := range []*Stats{&st1, &st2} {
+				if b, w := st.Blocks.Load(), st.Waits.Load(); b != w {
+					t.Errorf("side %d: %d of %d waits parked, want all", i+1, b, w)
+				}
+			}
+		})
 	}
 }

@@ -17,9 +17,11 @@
 //
 // Waiters are descheduled (parked on a channel) rather than spinning
 // indefinitely, so the "Yielding" requirement of Section 3.4 holds even
-// with heavy oversubscription of goroutines over OS threads. An untimed
-// Wait polls its channel for a bounded, adaptively tuned number of
-// Gosched-separated iterations before it deschedules (DESIGN.md §11.3).
+// with heavy oversubscription of goroutines over OS threads. Only the
+// head waiter spins: an untimed Wait that enqueues onto an empty queue
+// polls its channel for a bounded number of Gosched-separated
+// iterations before it deschedules, and one that queues behind another
+// parks at once (DESIGN.md §11.3).
 //
 // # One queue
 //
@@ -84,19 +86,12 @@ func putWaiter(w *waiter) {
 	waiterPool.Put(w)
 }
 
-// Spin-then-park tuning bounds (Dice & Kogan, "Semaphores Augmented
-// with a Waiting Array": a bounded optimistic spin before the park
-// removes the kernel round-trip when hand-offs are fast, and must decay
-// to pure parking when they are not).
-const (
-	// spinLimit caps the adaptive spin budget (poll iterations with a
-	// Gosched between them — cooperative, never a hard busy loop).
-	spinLimit = 128
-	// spinParkThreshold is the park latency under which a hand-off is
-	// considered "fast": parks shorter than this grow the spin budget,
-	// longer ones shrink it.
-	spinParkThreshold = 50 * time.Microsecond
-)
+// spinLimit is the head waiter's spin budget: channel polls with a
+// Gosched between them — cooperative, never a hard busy loop — before
+// it parks (Dice & Kogan, "Semaphores Augmented with a Waiting Array":
+// a bounded optimistic spin before the park removes the deschedule
+// round-trip when the next post is close).
+const spinLimit = 128
 
 // Sem is a counting semaphore. The zero value is a semaphore with zero
 // permits; use New to start with an initial count.
@@ -121,15 +116,9 @@ type Sem struct {
 
 	// procs is runtime.GOMAXPROCS sampled once, on first need: it gates
 	// the spin phase, so a mid-run GOMAXPROCS change cannot flip wait
-	// behaviour per call.
+	// behaviour per call. With a single P the Gosched-polled spin can
+	// never overlap a poster, so there is none.
 	procs atomic.Int32
-
-	// spin is the adaptive spin budget: how many channel polls Wait
-	// attempts before descheduling. Zero (the zero value) means park
-	// immediately; tuneSpin grows it only on evidence of fast hand-offs.
-	// Pinned to zero when procs == 1: with a single P the Gosched-polled
-	// spin can never overlap a poster.
-	spin atomic.Int32
 
 	st *Stats
 
@@ -171,11 +160,15 @@ func (s *Sem) faultAt(p fault.Point) {
 	}
 }
 
-// parkStart stamps the beginning of a descheduled Wait. The timestamp
-// always carries a value: besides feeding parkEnd's histogram it drives
-// the spin-budget tuner, which needs the hand-off latency even when no
-// stats sink is attached.
-func (s *Sem) parkStart() time.Time { return time.Now() }
+// parkStart stamps the beginning of a descheduled Wait for parkEnd's
+// histogram. With no stats sink it returns the zero time and reads no
+// clock.
+func (s *Sem) parkStart() time.Time {
+	if s.st == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
 
 // parkEnd observes the park duration started at t0.
 func (s *Sem) parkEnd(t0 time.Time) {
@@ -287,7 +280,8 @@ func (s *Sem) Post() {
 }
 
 // acquireOrEnqueue takes a banked permit if there is one and reports nil;
-// otherwise it appends a pooled waiter to the queue and returns it, and
+// otherwise it appends a pooled waiter to the queue and returns it,
+// reporting whether the queue was empty (the waiter is its head), and
 // the caller must park on its channel. The recheck under the lock is
 // what closes the lost-wake-up window: a Post banks only under the same
 // lock, so it either banked before the recheck (the permit is consumed
@@ -296,22 +290,23 @@ func (s *Sem) Post() {
 // The waiter is fetched before the lock is taken: a pool miss allocates,
 // an allocation can be made to assist the collector, and a poster must
 // never queue on mu behind that.
-func (s *Sem) acquireOrEnqueue() *waiter {
+func (s *Sem) acquireOrEnqueue() (w *waiter, head bool) {
 	if s.tryAcquire() {
 		s.noteFastWait()
-		return nil
+		return nil, false
 	}
-	w := waiterPool.Get().(*waiter)
+	w = waiterPool.Get().(*waiter)
 	s.mu.Lock()
 	if s.tryAcquire() {
 		s.mu.Unlock()
 		putWaiter(w)
 		s.noteFastWait()
-		return nil
+		return nil, false
 	}
+	head = s.tail == nil
 	s.enqueue(w)
 	s.mu.Unlock()
-	return w
+	return w, head
 }
 
 // parallel reports whether the runtime had more than one P when this
@@ -341,68 +336,18 @@ func spinWait(w *waiter, budget int32) bool {
 	return false
 }
 
-// tuneSpin adapts the spin budget to the hand-off latency a real park
-// just observed: fast hand-offs grow the budget so the next Wait can
-// catch the permit without descheduling; slow ones shrink it toward zero
-// so an idle semaphore parks outright. With a single P the budget pins
-// to zero — there even "fast" hand-offs are evidence of scheduling luck,
-// not of a spin that could have won.
-func (s *Sem) tuneSpin(parked time.Duration) {
-	if !s.parallel() {
-		s.spin.Store(0)
-		return
-	}
-	b := s.spin.Load()
-	if parked >= 0 && parked < spinParkThreshold {
-		b = b*2 + 8
-		if b > spinLimit {
-			b = spinLimit
-		}
-	} else {
-		b /= 2
-	}
-	s.spin.Store(b)
-}
-
 // Wait acquires one permit, descheduling the caller until one is
 // available. Permits are delivered in FIFO order among blocked waiters.
 //
-// Before descheduling, Wait polls its hand-off channel for the current
-// spin budget (spin-then-park): when recent hand-offs have been fast the
-// permit usually lands during the spin and the park/unpark round-trip is
-// skipped. The budget starts at zero, so a semaphore nobody posts to
-// never busy-waits.
+// A Wait that finds the queue empty is next in line for a post, so
+// before descheduling it polls its hand-off channel for spinLimit
+// Gosched-separated iterations (spin-then-park): when the post is close
+// it lands during the spin and the park/unpark round-trip is skipped.
+// A Wait queued behind another parks at once, and with a single P
+// nobody spins.
 func (s *Sem) Wait() {
-	w := s.acquireOrEnqueue()
-	if w == nil {
-		return
-	}
-	// Fault hook: stall between publishing ourselves as a waiter and
-	// descheduling — a Post landing in this window must be memorized in
-	// the handoff channel, never lost.
-	s.faultAt(fault.SemPark)
-	// The spin phase only makes sense with another P to run the poster;
-	// on a single P it would burn the rest of this goroutine's slice.
-	if budget := s.spin.Load(); budget > 0 && s.parallel() {
-		if spinWait(w, budget) {
-			putWaiter(w)
-			if s.st != nil {
-				s.st.SpinWaits.Inc()
-				s.st.Waits.Inc()
-			}
-			return
-		}
-	}
-	if s.st != nil {
-		s.st.Blocks.Inc()
-	}
-	t0 := s.parkStart()
-	<-w.ch
-	putWaiter(w)
-	s.parkEnd(t0)
-	s.tuneSpin(time.Since(t0))
-	if s.st != nil {
-		s.st.Waits.Inc()
+	if w, head := s.acquireOrEnqueue(); w != nil {
+		s.park(w, head && s.parallel(), 0, nil)
 	}
 }
 
@@ -417,33 +362,48 @@ func (s *Sem) TryWait() bool {
 	return false
 }
 
-// parkAbortable parks the enqueued waiter w until a Post hands it a
-// permit, d elapses (d > 0) or done is closed (nil never is), and
-// reports whether a permit was acquired. The notification wins: a loser
-// unlinks itself under the lock, and one that finds a Post has already
-// popped it takes the permit that is (or will be) in its channel
-// instead, so no permit is ever lost to an abandoned wait and none is
-// banked twice. There is no spin phase here.
-func (s *Sem) parkAbortable(w *waiter, d time.Duration, done <-chan struct{}) bool {
+// park blocks the enqueued waiter w until a Post hands it a permit, d
+// elapses (d > 0) or done is closed (nil never is), and reports whether
+// a permit was acquired; with neither timer nor done it is a plain
+// channel receive. If spin is set it first polls the channel for
+// spinLimit iterations. The notification wins: a loser unlinks itself
+// under the lock, and one that finds a Post has already popped it takes
+// the permit that is (or will be) in its channel instead, so no permit
+// is ever lost to an abandoned wait and none is banked twice.
+func (s *Sem) park(w *waiter, spin bool, d time.Duration, done <-chan struct{}) bool {
+	// Fault hook: stall between publishing ourselves as a waiter and
+	// descheduling — a Post landing in this window must be memorized in
+	// the handoff channel, never lost.
+	s.faultAt(fault.SemPark)
+	if spin && spinWait(w, spinLimit) {
+		putWaiter(w)
+		if s.st != nil {
+			s.st.SpinWaits.Inc()
+			s.st.Waits.Inc()
+		}
+		return true
+	}
 	if s.st != nil {
 		s.st.Blocks.Inc()
 	}
-	s.faultAt(fault.SemPark)
 	t0 := s.parkStart()
-
-	var expired <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expired = t.C
-	}
 	acquired := true
-	select {
-	case <-w.ch:
-	case <-expired:
-		acquired = s.abandon(w)
-	case <-done:
-		acquired = s.abandon(w)
+	if d <= 0 && done == nil {
+		<-w.ch
+	} else {
+		var expired <-chan time.Time
+		if d > 0 {
+			t := time.NewTimer(d)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-w.ch:
+		case <-expired:
+			acquired = s.abandon(w)
+		case <-done:
+			acquired = s.abandon(w)
+		}
 	}
 	putWaiter(w)
 	s.parkEnd(t0)
@@ -453,7 +413,7 @@ func (s *Sem) parkAbortable(w *waiter, d time.Duration, done <-chan struct{}) bo
 	return acquired
 }
 
-// abandon is the loser half of parkAbortable: it reports false if w was
+// abandon is the loser half of park: it reports false if w was
 // still queued (now unlinked, channel untouched) and true if a Post got
 // to it first, after consuming that Post's signal.
 func (s *Sem) abandon(w *waiter) bool {
@@ -480,8 +440,8 @@ func (s *Sem) WaitTimeout(d time.Duration) bool {
 			return true
 		}
 	} else {
-		w := s.acquireOrEnqueue()
-		if w == nil || s.parkAbortable(w, d, nil) {
+		w, _ := s.acquireOrEnqueue()
+		if w == nil || s.park(w, false, d, nil) {
 			return true
 		}
 	}
@@ -503,8 +463,8 @@ func (s *Sem) WaitCtx(ctx context.Context) bool {
 		return true
 	}
 	if ctx.Err() == nil {
-		w := s.acquireOrEnqueue()
-		if w == nil || s.parkAbortable(w, 0, ctx.Done()) {
+		w, _ := s.acquireOrEnqueue()
+		if w == nil || s.park(w, false, 0, ctx.Done()) {
 			return true
 		}
 	}

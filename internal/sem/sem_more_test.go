@@ -21,6 +21,8 @@ func TestTimeoutStats(t *testing.T) {
 
 func TestMixedTimedAndUntimedWaiters(t *testing.T) {
 	s := NewBinary()
+	var st Stats
+	s.SetStats(&st)
 	var timedOut, acquired atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -42,8 +44,10 @@ func TestMixedTimedAndUntimedWaiters(t *testing.T) {
 			acquired.Add(1)
 		}()
 	}
-	time.Sleep(60 * time.Millisecond) // all timed waiters expire
-	// Now wake the untimed ones.
+	// Post only once every timed waiter has given up and every untimed
+	// one is queued: a timed waiter still in its wait would take a
+	// permit and strand an untimed one.
+	waitUntil(t, func() bool { return st.Timeouts.Load() == 4 && s.Waiters() == 4 })
 	for i := 0; i < 4; i++ {
 		s.Post()
 	}

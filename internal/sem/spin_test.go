@@ -1,52 +1,20 @@
 package sem
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
-// The adaptive spin budget: deterministic tuner envelope, and the
-// regression the ISSUE asks for — a waiter with no incoming post parks
-// instead of busy-waiting, and a slow hand-off decays the budget.
-func TestSpinBudgetTuner(t *testing.T) {
-	s := NewBinary()
-	if got := s.spin.Load(); got != 0 {
-		t.Fatalf("fresh semaphore has spin budget %d, want 0", got)
-	}
-	// On a single-P runtime the budget must pin to zero regardless of
-	// hand-off latency: the Gosched-polled spin can never overlap a
-	// poster there (the ISSUE's GOMAXPROCS==1 CPU-burn fix).
-	s.procs.Store(1)
-	s.spin.Store(spinLimit)
-	s.tuneSpin(time.Microsecond)
-	if got := s.spin.Load(); got != 0 {
-		t.Fatalf("budget = %d after fast hand-off at procs==1, want pinned 0", got)
-	}
-	// With parallelism the adaptive envelope applies.
-	s.procs.Store(4)
-	// Fast hand-offs grow the budget geometrically up to the cap.
-	prev := int32(0)
-	for i := 0; i < 10; i++ {
-		s.tuneSpin(time.Microsecond)
-		b := s.spin.Load()
-		if b <= prev && prev < spinLimit {
-			t.Fatalf("budget did not grow on fast hand-off: %d -> %d", prev, b)
-		}
-		if b > spinLimit {
-			t.Fatalf("budget %d exceeds spinLimit %d", b, spinLimit)
-		}
-		prev = b
-	}
-	if prev != spinLimit {
-		t.Fatalf("budget = %d after 10 fast hand-offs, want cap %d", prev, spinLimit)
-	}
-	// Slow hand-offs halve it back to zero.
-	for i := 0; i < 10; i++ {
-		s.tuneSpin(time.Millisecond)
-	}
-	if got := s.spin.Load(); got != 0 {
-		t.Fatalf("budget = %d after sustained slow hand-offs, want 0", got)
-	}
+// spinOnOneP runs a test body on a single real P with s sampled as
+// parallel, so the head waiter's spin is enabled while the scheduling
+// order stays deterministic: a waiter that spins yields the P at every
+// poll, one that parks runs to its park without yielding.
+func spinOnOneP(t *testing.T, s *Sem) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	s.procs.Store(2)
 }
 
 // spinWait respects its budget: with no signal it returns false after a
@@ -66,37 +34,97 @@ func TestSpinWaitBounded(t *testing.T) {
 	}
 }
 
-// A waiter that spins and finds nothing must park (descheduled, not
-// burning a core), and the long park must decay the budget.
+// A head waiter with no post coming spins first, then parks: it must
+// end up descheduled, not burning a core, with its park observed.
 func TestSpinThenParkNoBusyWait(t *testing.T) {
 	s := NewBinary()
 	st := &Stats{}
 	s.SetStats(st)
-	s.spin.Store(spinLimit) // prime the budget as if hand-offs had been fast
+	spinOnOneP(t, s)
 
 	done := make(chan struct{})
 	go func() {
 		s.Wait()
 		close(done)
 	}()
-	waitUntil(t, func() bool { return s.Waiters() == 1 })
-	// No post is coming: the waiter must end up blocked in a park, not
-	// spinning. Give the spin phase ample time to exhaust, then check
-	// that the wait descheduled.
-	time.Sleep(10 * time.Millisecond)
-	if got := st.Blocks.Load(); got != 1 {
-		t.Fatalf("Blocks = %d while no post arrives, want 1 (waiter must park)", got)
+	for s.Waiters() == 0 {
+		runtime.Gosched()
 	}
+	// The waiter is queued and handed the P back from its first poll:
+	// it is spinning, not parked.
+	if got := st.Blocks.Load(); got != 0 {
+		t.Fatalf("Blocks = %d as the head waiter enqueued, want 0 (head spins first)", got)
+	}
+	// No post is coming: the spin runs out and the waiter parks.
+	waitUntil(t, func() bool { return st.Blocks.Load() == 1 })
 	if got := st.SpinWaits.Load(); got != 0 {
 		t.Fatalf("SpinWaits = %d with no post, want 0", got)
 	}
 	s.Post()
 	<-done
-	// The park lasted ~10ms >> spinParkThreshold: the budget must decay.
-	if got := s.spin.Load(); got >= spinLimit {
-		t.Errorf("spin budget %d did not decay after a %v park", got, 10*time.Millisecond)
+	if got := st.Blocks.Load(); got != 1 {
+		t.Errorf("Blocks = %d, want 1", got)
 	}
 	if st.ParkNanos.Count() != 1 {
 		t.Errorf("ParkNanos count = %d, want 1 (park observed)", st.ParkNanos.Count())
+	}
+}
+
+// A waiter that queues behind another is not the head and parks at
+// once, however quick the hand-offs before it were.
+func TestQueuedWaiterParksWithoutSpin(t *testing.T) {
+	s := NewBinary()
+	st := &Stats{}
+	s.SetStats(st)
+	spinOnOneP(t, s)
+
+	// Quick hand-offs first: each head waiter is posted to while it
+	// spins.
+	for i := 0; i < 8; i++ {
+		done := make(chan struct{})
+		go func() {
+			s.Wait()
+			close(done)
+		}()
+		for s.Waiters() == 0 {
+			runtime.Gosched()
+		}
+		s.Post()
+		<-done
+	}
+
+	head, isHead := s.acquireOrEnqueue()
+	if head == nil || !isHead {
+		t.Fatalf("acquireOrEnqueue on an empty queue = (%v, %v), want a head waiter", head, isHead)
+	}
+	w, isHead := s.acquireOrEnqueue()
+	if w == nil || isHead {
+		t.Fatalf("acquireOrEnqueue behind a waiter = (%v, %v), want a non-head waiter", w, isHead)
+	}
+	s.mu.Lock()
+	s.unlink(w)
+	s.mu.Unlock()
+	putWaiter(w)
+
+	blocks := st.Blocks.Load()
+	done := make(chan struct{})
+	go func() {
+		s.Wait()
+		close(done)
+	}()
+	for s.Waiters() < 2 {
+		runtime.Gosched()
+	}
+	// Queued behind head: it ran to its park without yielding.
+	if got := st.Blocks.Load() - blocks; got != 1 {
+		t.Fatalf("Blocks grew by %d as a second waiter enqueued, want 1 (no spin behind the head)", got)
+	}
+	s.Post() // to head
+	<-head.ch
+	putWaiter(head)
+	s.Post()
+	<-done
+	if got := st.Blocks.Load() - blocks; got != 1 {
+		t.Errorf("Blocks grew by %d, want 1", got)
 	}
 }

@@ -40,10 +40,12 @@ go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
 # The spin gate lives only in sem's parking lot (syncx.Mutex, monitor,
-# the Birrell baseline) and branches on GOMAXPROCS, so a single-core host
-# silently skips its multicore schedules; the condvar's nodes park on a
-# one-slot channel without spinning, and its batch post loop only
-# overlaps its woken waiters with more than one P. Re-run the three
+# the Birrell baseline): there the head waiter — an untimed Wait that
+# enqueued onto an empty queue — spins before it parks, and only with
+# more than one P, so a single-core host silently skips its multicore
+# schedules; the condvar's nodes park on a one-slot channel without
+# spinning, and its batch post loop only overlaps its woken waiters
+# with more than one P. Re-run the three
 # fabric packages with four Ps forced — the race detector sees the
 # spin-phase and concurrent-commit interleavings even when the host has
 # one CPU.
@@ -73,14 +75,17 @@ go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./int
 # A timeout/cancel loser's unlink registers no commit handler, so the
 # enqueue+unlink cycle is allocation-free too. The condvar park itself —
 # a post into a node's one-slot channel and a real deschedule on it,
-# stats attached — allocates nothing on two warm nodes.
+# stats attached — allocates nothing on two warm nodes, and the test
+# asserts that its measured loop parked (Sem.Blocks grew).
 go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc' ./internal/core
 # The parking lot's pooled park path (syncx.Mutex, monitor, the Birrell
 # baseline): a Wait that parks and is woken must recycle its waiter node
-# and channel — 0 allocs/op once the pool is warm. The core and sem
-# guards must run race-free: race shadow state adds a deterministic
-# allocation per park (both tests skip themselves under -race, so these
-# lines are the real gates).
+# and channel — 0 allocs/op once the pool is warm. Its "park" case pins
+# the single-P (no-spin) path and asserts every measured Wait parked;
+# its "spin" case asserts a head waiter caught the post in its spin,
+# also allocation-free. The core and sem guards must run race-free:
+# race shadow state adds a deterministic allocation per park (both
+# tests skip themselves under -race, so these lines are the real gates).
 go test -run 'TestWaitPooledNoAlloc' ./internal/sem
 
 step "broadcast wake smoke (one committed batch over 64 waiters)"
