@@ -39,6 +39,16 @@
 // and irrevocably from the start — the paper's "relaxed transaction" used
 // for I/O, which is what makes dedup stop scaling in its evaluation.
 //
+// That global lock is the serial gate, a distributed reader indicator in
+// the style of libitm's gtm_rwlock: an optimistic attempt raises the
+// reader count of its pooled Tx's own cache-line slot and checks a
+// serialPending flag; a serial transaction sets the flag and waits for
+// every slot to drain. The commit counters live on the same slots, and
+// the commit-latency histogram is sampled (about one attempt in 64, or every
+// attempt while a tracer is armed), so a disarmed optimistic attempt
+// writes no cache line shared by the whole engine beyond the orecs and
+// the clock of the data it writes.
+//
 // Nesting is flat (Section 4.3 of the paper): tx.Atomic runs a nested
 // block inside the same transaction.
 //

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -96,28 +97,82 @@ func (c Config) withDefaults() Config {
 }
 
 // TMStats aggregates engine activity. All fields are safe to read
-// concurrently.
+// concurrently. The three counters a disarmed commit path adds to are
+// SlotCounters, kept on the serial gate's slot lines; the rest are
+// engine-wide and count work off that path: aborts, serial transactions,
+// extensions and Retry.
 type TMStats struct {
-	Commits        obs.Counter // outermost commits (incl. serial)
+	Commits        SlotCounter // outermost commits (incl. serial)
 	Aborts         obs.Counter // attempts rolled back
 	ConflictAborts obs.Counter
 	CapacityAborts obs.Counter // HTM read/write-set overflow
 	SyscallAborts  obs.Counter // HTM abort due to Tx.Syscall
 	ExplicitAborts obs.Counter // Tx.Cancel
-	EarlyCommits   obs.Counter // Tx.CommitEarly (the condvar WAIT path)
+	EarlyCommits   SlotCounter // Tx.CommitEarly (the condvar WAIT path)
 	SerialCommits  obs.Counter // commits executed irrevocably
 	SerialFallback obs.Counter // optimistic → serial transitions
 	RelaxedTxns    obs.Counter // AtomicRelaxed invocations
 	Extensions     obs.Counter // successful snapshot extensions
-	HandlersRun    obs.Counter // onCommit handlers executed
+	HandlersRun    SlotCounter // onCommit handlers executed
 	RetryAborts    obs.Counter // attempts that called Retry
 	RetryWaits     obs.Counter // Retry callers that actually slept
 	RetryWakes     obs.Counter // sleeping retriers woken by commits
 
 	// CommitNanos is the wall time of attempts that committed
-	// (log2-bucketed, always on): the benchmark's stm.commit_p50_ns and
-	// commit_p99_ns rungs read it.
+	// (log2-bucketed), sampled: about one attempt in commitSampleEvery
+	// reads the clock at its start and is observed if it commits, or
+	// every attempt while a tracer is armed. The benchmark's stm.commit_p50_ns
+	// and commit_p99_ns rungs read it.
 	CommitNanos obs.Histogram
+}
+
+// SlotCounter is a TMStats counter kept on the serial gate's slots: a
+// commit adds to its own Tx's slot line, so counting touches no
+// engine-wide word, and Load sums the slots. The zero value reads 0.
+type SlotCounter struct {
+	slots *[gateSlots]gateSlot
+	k     slotCount
+}
+
+// Load returns the counter's value, summed over the slots.
+func (c *SlotCounter) Load() int64 {
+	if c.slots == nil {
+		return 0
+	}
+	var n int64
+	for i := range c.slots {
+		n += c.slots[i].counts[c.k].Load()
+	}
+	return n
+}
+
+// slotCount names one of the per-slot commit-path counters.
+type slotCount int
+
+const (
+	slotCommits slotCount = iota
+	slotEarlyCommits
+	slotHandlersRun
+	numSlotCounts
+)
+
+// gateSlots is the number of reader slots in the serial gate. Each
+// pooled Tx is bound to one, by its id, when the pool creates it;
+// sync.Pool keeps a Tx on one P, so in steady state each P raises its
+// own slot. A slot shared by two Ps is still correct, only slower.
+const gateSlots = 16
+
+// slotStride is a gate slot's size: two 64-byte lines, so that the
+// adjacent-line prefetcher does not pair two slots either.
+const slotStride = 128
+
+// gateSlot is one reader slot of the serial gate on lines of its own:
+// the optimistic attempts in flight on it, and the commit-path counters
+// their commits add to.
+type gateSlot struct {
+	readers atomic.Int64
+	counts  [numSlotCounts]atomic.Int64
+	_       [slotStride - 8*(1+numSlotCounts)]byte
 }
 
 // Snapshot returns all counters at one instant, keyed by name — handy for
@@ -159,10 +214,20 @@ type Engine struct {
 	orecs    []orec
 	orecMask uint64
 
-	// serialGate is the lock-elision gate: every optimistic attempt
-	// holds the read side; a serial (irrevocable) transaction holds the
-	// write side, excluding all optimism while it runs.
-	serialGate sync.RWMutex
+	// The serial gate, a distributed reader indicator (DESIGN.md §6.1):
+	// an optimistic attempt raises the reader count of its Tx's slot
+	// and then checks serialPending; a serial (irrevocable) transaction
+	// write-locks serialRW, sets serialPending and waits on drainCond
+	// until every slot has drained, excluding all optimism while it
+	// runs. serialRW's read side is only the slow path's waiting room.
+	slots         *[gateSlots]gateSlot
+	serialPending atomic.Bool
+	serialRW      sync.RWMutex
+	drainMu       sync.Mutex
+	drainCond     sync.Cond // L is drainMu
+	// serialSample is the CommitNanos countdown of serial transactions,
+	// guarded by serialRW's write side (an optimistic Tx keeps its own).
+	serialSample uint8
 
 	rngState atomic.Uint64
 	txPool   sync.Pool // recycled *Tx, logs retaining capacity
@@ -200,7 +265,12 @@ func NewEngine(cfg Config) *Engine {
 		cfg:      cfg,
 		orecs:    make([]orec, cfg.OrecCount),
 		orecMask: uint64(cfg.OrecCount - 1),
+		slots:    new([gateSlots]gateSlot),
 	}
+	e.drainCond.L = &e.drainMu
+	e.Stats.Commits = SlotCounter{e.slots, slotCommits}
+	e.Stats.EarlyCommits = SlotCounter{e.slots, slotEarlyCommits}
+	e.Stats.HandlersRun = SlotCounter{e.slots, slotHandlersRun}
 	seed := uint64(time.Now().UnixNano()) ^ (engineSeq.Add(1) * 0x9E3779B97F4A7C15)
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15 // xorshift64 must never start at 0
@@ -237,6 +307,9 @@ var wakeSeq atomic.Uint64
 // Monotonic across the process and never zero (zero means "no flow").
 func (e *Engine) NextWakeID() uint64 { return wakeSeq.Add(1) }
 
+// newTx takes a Tx from the pool, admits it through the serial gate and
+// starts an optimistic attempt on it. A Tx the pool creates is minted its
+// id and bound to its gate slot here, once.
 func (e *Engine) newTx(attempt int) *Tx {
 	m := modeWriteThrough
 	if e.cfg.Algorithm == AlgHTM {
@@ -244,19 +317,22 @@ func (e *Engine) newTx(attempt int) *Tx {
 	}
 	tx, _ := e.txPool.Get().(*Tx)
 	if tx == nil {
-		tx = &Tx{e: e}
+		id := e.txid.Add(1)
+		// A random phase: a new Tx's first attempt, which grows its
+		// logs from nil, is no likelier to be timed than any other.
+		tx = &Tx{e: e, id: id, slot: e.slotFor(id), sampleLeft: uint8(rand.IntN(commitSampleEvery))}
 	}
-	tx.id = e.txid.Add(1)
+	e.enterGate(tx.slot)
+	tx.gateHeld = true
 	tx.start = e.clock.Load()
 	tx.mode = m
 	tx.attempt = attempt
 	tx.status = txActive
 	tx.depth = 0
 	tx.accesses = 0
-	tx.gateHeld = false
 	tx.serialHeld = false
 	tx.readOnly = false
-	tx.began = time.Now()
+	tx.began = e.beginClock(&tx.sampleLeft)
 	tx.pend = tx.pend[:0]
 	tx.conflictB = nil
 	tx.label = ""
@@ -351,10 +427,8 @@ func (e *Engine) AtomicRelaxed(fn func(*Tx)) error {
 // to serial mode (HTM syscall aborts); a non-nil retrySet means the
 // attempt called Retry and the caller must sleep on those reads.
 func (e *Engine) attemptOnce(fn func(*Tx), attempt int, readOnly bool) (done, fallback bool, retrySet []readEntry, err error) {
-	e.serialGate.RLock()
 	tx := e.newTx(attempt)
 	tx.readOnly = readOnly
-	tx.gateHeld = true
 
 	defer func() {
 		r := recover()
@@ -407,7 +481,7 @@ func (e *Engine) attemptOnce(fn func(*Tx), attempt int, readOnly bool) (done, fa
 		tx.releaseGate()
 		tx.noteCommitted(obs.EvTxnCommit)
 		tx.runCommitHandlers()
-		e.Stats.Commits.Inc()
+		tx.count(slotCommits, 1)
 		e.recycle(tx)
 		return true, false, nil, nil
 	}
@@ -419,15 +493,106 @@ func (e *Engine) attemptOnce(fn func(*Tx), attempt int, readOnly bool) (done, fa
 func (tx *Tx) releaseGate() {
 	if tx.gateHeld {
 		tx.gateHeld = false
-		tx.e.serialGate.RUnlock()
+		tx.e.leaveGate(tx.slot)
 	}
 }
 
 func (tx *Tx) releaseSerial() {
 	if tx.serialHeld {
 		tx.serialHeld = false
-		tx.e.serialGate.Unlock()
+		tx.e.unlockSerial()
 	}
+}
+
+// slotFor is the gate slot a Tx with this id is bound to.
+func (e *Engine) slotFor(id uint64) *gateSlot { return &e.slots[id%gateSlots] }
+
+// enterGate admits an optimistic attempt on slot s: raise the slot's
+// reader count, then check serialPending. While a serial transaction is
+// pending or running the attempt steps back out and waits on serialRW's
+// read side, which that transaction's write lock holds shut until it
+// ends; Unlock lets every waiter through at once. A waiter raises its
+// count again while it holds the read side: no serial transaction can
+// be past its Lock then, and the next one's scan sees the count.
+func (e *Engine) enterGate(s *gateSlot) {
+	s.readers.Add(1)
+	if !e.serialPending.Load() {
+		return
+	}
+	e.leaveGate(s)
+	e.serialRW.RLock()
+	s.readers.Add(1)
+	e.serialRW.RUnlock()
+}
+
+// leaveGate lowers slot s's reader count. The reader that drains a slot
+// while a serial transaction is pending wakes it to rescan.
+func (e *Engine) leaveGate(s *gateSlot) {
+	if s.readers.Add(-1) == 0 && e.serialPending.Load() {
+		e.drainMu.Lock()
+		e.drainCond.Signal() // cvlint:ignore nakednotify the state it advertises is the slot's atomic reader count, not a Var
+		e.drainMu.Unlock()
+	}
+}
+
+// lockSerial takes the gate for a serial transaction: serialRW's write
+// side orders serial transactions among themselves, serialPending turns
+// new attempts away, and the scan waits out every attempt already in. An
+// attempt raises its count before it loads serialPending, and lockSerial
+// stores serialPending before it loads the counts; the atomics are
+// sequentially consistent, so the attempt sees the flag or the scan sees
+// the count. A drainer that saw the flag signals under drainMu, which
+// the scan holds from its load to its Wait, so no wake-up is lost.
+func (e *Engine) lockSerial() {
+	e.serialRW.Lock()
+	e.serialPending.Store(true)
+	e.drainMu.Lock()
+	for !e.drained() {
+		e.drainCond.Wait()
+	}
+	e.drainMu.Unlock()
+}
+
+func (e *Engine) unlockSerial() {
+	e.serialPending.Store(false)
+	e.serialRW.Unlock()
+}
+
+// drained reports whether no optimistic attempt holds any gate slot.
+func (e *Engine) drained() bool {
+	for i := range e.slots {
+		if e.slots[i].readers.Load() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// CommitNanos' sampling period while no tracer is armed: one attempt in
+// commitSampleEvery on average reads the clock at its start. Each gap is
+// drawn from commitSampleEvery ± commitSampleJitter, so that a workload
+// whose transactions repeat in a short cycle (a wait's enqueue, then a
+// notify, ...) is not sampled at one position of its cycle only.
+const (
+	commitSampleEvery  = 64
+	commitSampleJitter = 8
+)
+
+// beginClock returns an attempt's start time if the attempt is timed,
+// else the zero Time: every attempt while a tracer is armed, otherwise
+// the attempt at which the countdown *left has run down to zero. An
+// untimed attempt reads no clock, and noteCommitted observes nothing
+// for it.
+func (e *Engine) beginClock(left *uint8) time.Time {
+	if e.tracer.Enabled() {
+		return time.Now()
+	}
+	if *left == 0 {
+		*left = uint8(commitSampleEvery - commitSampleJitter - 1 + rand.IntN(2*commitSampleJitter+1))
+		return time.Now()
+	}
+	*left--
+	return time.Time{}
 }
 
 // runSerial executes fn irrevocably under the global lock. attempts is
@@ -435,18 +600,20 @@ func (tx *Tx) releaseSerial() {
 // AtomicRelaxed, which never tried optimistically). readOnly carries
 // AtomicRead's contract into the fallback: Write still panics.
 func (e *Engine) runSerial(fn func(*Tx), attempts int, readOnly bool) error {
-	e.serialGate.Lock()
+	e.lockSerial()
+	id := e.txid.Add(1)
 	tx := &Tx{
-		e:        e,
-		id:       e.txid.Add(1),
-		start:    e.clock.Load(),
-		mode:     modeSerial,
-		status:   txActive,
-		attempt:  attempts,
-		readOnly: readOnly,
-		began:    time.Now(),
+		e:          e,
+		id:         id,
+		slot:       e.slotFor(id),
+		start:      e.clock.Load(),
+		mode:       modeSerial,
+		status:     txActive,
+		attempt:    attempts,
+		readOnly:   readOnly,
+		serialHeld: true,
+		began:      e.beginClock(&e.serialSample),
 	}
-	tx.serialHeld = true
 	defer func() {
 		if r := recover(); r != nil {
 			// Irrevocable transactions cannot roll back; release the
@@ -485,7 +652,7 @@ func (tx *Tx) commitSerial(ev obs.EventType) {
 	tx.owned = tx.owned[:0]
 	tx.noteCommitted(ev)
 	tx.runCommitHandlers()
-	e.Stats.Commits.Inc()
+	tx.count(slotCommits, 1)
 	e.Stats.SerialCommits.Inc()
 }
 
@@ -506,7 +673,7 @@ func (tx *Tx) CommitEarly() {
 	tx.ensureActive("CommitEarly")
 	if tx.mode == modeSerial {
 		tx.commitSerial(obs.EvTxnEarlyCommit)
-		tx.e.Stats.EarlyCommits.Inc()
+		tx.count(slotEarlyCommits, 1)
 		return
 	}
 	if !tx.tryCommit() {
@@ -516,8 +683,8 @@ func (tx *Tx) CommitEarly() {
 	tx.releaseGate()
 	tx.noteCommitted(obs.EvTxnEarlyCommit)
 	tx.runCommitHandlers()
-	tx.e.Stats.Commits.Inc()
-	tx.e.Stats.EarlyCommits.Inc()
+	tx.count(slotCommits, 1)
+	tx.count(slotEarlyCommits, 1)
 }
 
 // backoff waits out a conflict before the next optimistic attempt: the

@@ -10,6 +10,9 @@ import "sync/atomic"
 //	bit 0     — locked flag
 //	bits 1-63 — if locked: owner transaction id; else: version number
 //
+// The owner id is the locking Tx's id: minted once per pooled Tx (per
+// attempt while a tracer is armed) and so unique among live
+// transactions, which is all validation's "locked by me" test needs.
 // Versions come from the engine's global clock. A transaction that locks
 // an orec remembers the pre-lock version and restores/advances it on
 // release.

@@ -8,7 +8,7 @@ import (
 
 // This file is the STM side of the observability layer (internal/obs):
 // the commit-deferred trace-emission API and the lifecycle bookkeeping
-// that feeds TMStats.CommitNanos.
+// that feeds TMStats.CommitNanos (sampled: see Engine.beginClock).
 //
 // The invariant mirrors Algorithm 5's SEMPOST deferral: nothing an
 // optimistic attempt does may become observable unless the attempt
@@ -67,9 +67,11 @@ func (tx *Tx) TraceFlow(typ obs.EventType, flow uint64, a, b int64) {
 	tx.pend = append(tx.pend, obs.Event{TS: tr.Now(), Type: typ, Lane: tx.id, A: a, B: b, Flow: flow})
 }
 
-// traceStart buffers the attempt-start event (surfaces only on commit).
+// traceStart mints the attempt its own trace lane and buffers the
+// attempt-start event (surfaces only on commit).
 func (tx *Tx) traceStart() {
 	if tr := tx.e.tracer; tr.Enabled() && tx.mode != modeSerial {
+		tx.id = tx.e.txid.Add(1)
 		tx.pend = append(tx.pend, obs.Event{TS: tr.Now(), Type: obs.EvTxnStart, Lane: tx.id})
 	}
 }
@@ -83,10 +85,10 @@ func (tx *Tx) flushTrace(tr *obs.Tracer) {
 }
 
 // noteCommitted records commit-side observability: the commit-latency
-// histogram (always on), and — when tracing — the flush of the attempt's
-// buffered events plus a span event covering the whole attempt, whose A
-// is the 1-based attempt number. ev selects the span type (commit,
-// early-commit, serial).
+// histogram (for a timed attempt, see Tx.began), and — when tracing —
+// the flush of the attempt's buffered events plus a span event covering
+// the whole attempt, whose A is the 1-based attempt number. ev selects
+// the span type (commit, early-commit, serial).
 func (tx *Tx) noteCommitted(ev obs.EventType) {
 	var dns int64
 	if !tx.began.IsZero() {
@@ -127,7 +129,10 @@ func traceReason(c abortCause) int64 {
 func (tx *Tx) noteAborted(cause abortCause) {
 	tx.pend = tx.pend[:0]
 	if tr := tx.e.tracer; tr.Enabled() {
-		dns := time.Since(tx.began).Nanoseconds()
+		var dns int64
+		if !tx.began.IsZero() { // zero if the tracer was armed mid-attempt
+			dns = time.Since(tx.began).Nanoseconds()
+		}
 		tr.EmitEvent(obs.Event{
 			TS:   tr.Now() - dns,
 			Dur:  dns,

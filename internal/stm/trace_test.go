@@ -144,23 +144,52 @@ func TestTraceFlowCommitDeferredAndAbortDiscarded(t *testing.T) {
 }
 
 // The commit-latency histogram populates on commits only — an aborted
-// attempt adds nothing — and Histograms() exposes it as commit_ns.
+// attempt adds nothing — and Histograms() exposes it as commit_ns. While
+// a tracer is armed every attempt is timed, so the count is exact.
+// Disarmed, one attempt in commitSampleEvery is on average: each pooled
+// Tx starts at a random phase below commitSampleEvery and then leaves
+// gaps of at least commitSampleEvery-commitSampleJitter attempts, so
+// however sync.Pool spreads the attempts over Txs, the count is at most
+// attempts/(commitSampleEvery-commitSampleJitter) plus the number of Txs
+// the pool created (each minted one id from txid), and 1000 attempts
+// leave at least one.
 func TestTMStatsHistogramsPopulate(t *testing.T) {
-	e := NewEngine(Config{Algorithm: AlgWriteThrough})
-	v := NewVar(e, 0)
-	for i := 0; i < 10; i++ {
-		e.MustAtomic(func(tx *Tx) { Write(tx, v, i) })
+	run := func(e *Engine, commits int) obs.HistogramSnapshot {
+		v := NewVar(e, 0)
+		for i := 0; i < commits; i++ {
+			e.MustAtomic(func(tx *Tx) { Write(tx, v, i) })
+		}
+		sentinel := errors.New("x")
+		_ = e.Atomic(func(tx *Tx) { tx.Cancel(sentinel) })
+		h := e.Stats.Histograms()["commit_ns"]
+		if h.Count > 0 && len(h.Buckets) == 0 {
+			t.Error("commit_ns has a count but no buckets")
+		}
+		return h
 	}
-	sentinel := errors.New("x")
-	_ = e.Atomic(func(tx *Tx) { tx.Cancel(sentinel) })
 
-	h := e.Stats.Histograms()
-	if h["commit_ns"].Count != 10 {
-		t.Errorf("commit_ns count = %d, want 10", h["commit_ns"].Count)
-	}
-	if len(h["commit_ns"].Buckets) == 0 {
-		t.Error("commit_ns has no buckets")
-	}
+	t.Run("traced", func(t *testing.T) {
+		e := NewEngine(Config{Algorithm: AlgWriteThrough})
+		tr := obs.NewTracer(1 << 10)
+		e.SetTracer(tr)
+		tr.Enable()
+		if h := run(e, 10); h.Count != 10 {
+			t.Errorf("commit_ns count = %d, want 10", h.Count)
+		}
+	})
+
+	t.Run("disarmed", func(t *testing.T) {
+		e := NewEngine(Config{Algorithm: AlgWriteThrough})
+		const commits = 1000
+		h := run(e, commits)
+		attempts := int64(commits + 1) // the cancelled attempt may draw a sample too
+		created := int64(e.txid.Load())
+		const minGap = commitSampleEvery - commitSampleJitter
+		if h.Count < 1 || minGap*h.Count > attempts+minGap*created {
+			t.Errorf("commit_ns count = %d after %d attempts on %d pooled Txs, want 1..%d/%d+%d",
+				h.Count, attempts, created, attempts, minGap, created)
+		}
+	})
 }
 
 // Handlers registered via OnCommit produce a txn.handlers event, emitted

@@ -76,13 +76,20 @@ type ownedEntry struct {
 	prev uint64
 }
 
-// Tx is one transaction. A Tx is created by Engine.Atomic (one per
-// attempt) and passed to the atomic function; it must not be retained
-// after the function returns, shared between goroutines, or used after
+// Tx is one transaction. Engine.Atomic runs each attempt on a pooled Tx
+// and passes it to the atomic function; it must not be retained after
+// the function returns, shared between goroutines, or used after
 // CommitEarly.
 type Tx struct {
-	e      *Engine
-	id     uint64
+	e *Engine
+	// id is the owner id in this Tx's orec lock words, minted when the
+	// pool creates the Tx (unique among live transactions, which is all a
+	// lock word needs) and re-minted per attempt only while a tracer is
+	// armed, so that each attempt has its own trace lane.
+	id uint64
+	// slot is this Tx's serial-gate slot, bound when the pool creates
+	// it: the reader count it raises and the commit counters it adds to.
+	slot   *gateSlot
 	start  uint64 // global-clock snapshot this attempt reads against
 	status txStatus
 	mode   mode
@@ -102,12 +109,17 @@ type Tx struct {
 	onCommit []func()
 	onAbort  []func()
 
-	gateHeld   bool // holds the serial gate's read side
-	serialHeld bool // holds the serial gate's write side (modeSerial)
+	gateHeld   bool // counted in its slot's readers (optimistic attempt)
+	serialHeld bool // holds the serial gate exclusively (modeSerial)
 	readOnly   bool // AtomicRead: Write panics
 	attempt    int
 
-	began time.Time // attempt start, for CommitNanos and the trace spans
+	// began is the attempt's start time, for CommitNanos and the trace
+	// spans. It is read only for a timed attempt — every attempt while a
+	// tracer is armed, else about one in commitSampleEvery, counted down
+	// by sampleLeft (Engine.beginClock) — and is zero otherwise.
+	began      time.Time
+	sampleLeft uint8
 	// pend buffers trace events emitted during this attempt (Tx.Trace).
 	// They reach the tracer only if the attempt commits — the trace-level
 	// analogue of the paper's SEMPOST deferral — and are discarded by
@@ -559,6 +571,9 @@ func (tx *Tx) rollback(cause abortCause) {
 	}
 }
 
+// count adds n to one of the commit-path counters on this Tx's slot line.
+func (tx *Tx) count(k slotCount, n int64) { tx.slot.counts[k].Add(n) }
+
 // clearFuncs empties a handler slice but keeps its capacity, dropping
 // the closure references so the pool does not pin them alive.
 func clearFuncs(fs []func()) []func() {
@@ -580,7 +595,7 @@ func (tx *Tx) runCommitHandlers() {
 		f()
 	}
 	if n := len(hs); n > 0 {
-		tx.e.Stats.HandlersRun.Add(int64(n))
+		tx.count(slotHandlersRun, int64(n))
 		// Direct emission: handlers run strictly after the commit.
 		tx.e.tracer.Emit(tx.id, obs.EvHandlerRun, int64(n), 0)
 	}

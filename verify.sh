@@ -50,6 +50,13 @@ step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
 # spin-phase and concurrent-commit interleavings even when the host has
 # one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
+# The serial gate's reader slots and serialPending handshake: twenty
+# race-detector runs of its deterministic tests at each core count, so
+# the one-P schedules (the violator runs without blocking) and the
+# parallel ones both get exercised.
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -race -run 'TestSerialGate' -count=20 ./internal/stm
+done
 
 step "tests (runtime sanitizer on: -tags stmsan)"
 go test -tags stmsan ./internal/stm ./internal/core
