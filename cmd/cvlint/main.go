@@ -16,7 +16,6 @@
 //	cvlint -tests ./internal/core     # include in-package _test.go files
 //	cvlint -format sarif ./...        # machine-readable output (json|sarif)
 //	cvlint -baseline lint.base ./...  # suppress known historical findings
-//	cvlint -cache ./...               # reuse findings when sources unchanged
 //	cvlint -list                      # describe the analyzer suite
 //
 // Exit status is 1 when diagnostics are reported, 2 on usage or load
@@ -51,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "output format: text, json, or sarif")
 	baselinePath := fs.String("baseline", "", "suppress findings recorded in this baseline file")
 	writeBaselinePath := fs.String("write-baseline", "", "record current findings to this baseline file and exit")
-	useCache := fs.Bool("cache", false, "replay cached findings when module sources are unchanged")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -86,38 +84,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
-	// The cache key covers every module source file, so a hit is exactly
-	// "nothing that could change the findings has changed".
-	var diags []lint.Diagnostic
-	cached := false
-	cacheID := ""
-	if *useCache {
-		if key, err := cacheKey(loader.ModDir, analyzers, *tests, dirs); err == nil {
-			cacheID = key
-			diags, cached = cacheLoad(key)
+	pkgs := make([]*lint.Package, 0, len(dirs))
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
+			return fail(stderr, fmt.Errorf("loading %s: %w", dir, err))
 		}
+		if *debug {
+			for _, te := range pkg.TypeErrors {
+				fmt.Fprintf(stderr, "cvlint: typecheck %s: %v\n", pkg.Path, te)
+			}
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	if !cached {
-		pkgs := make([]*lint.Package, 0, len(dirs))
-		for _, dir := range dirs {
-			pkg, err := loader.LoadDir(dir)
-			if err != nil {
-				return fail(stderr, fmt.Errorf("loading %s: %w", dir, err))
-			}
-			if *debug {
-				for _, te := range pkg.TypeErrors {
-					fmt.Fprintf(stderr, "cvlint: typecheck %s: %v\n", pkg.Path, te)
-				}
-			}
-			pkgs = append(pkgs, pkg)
-		}
-		mod := lint.NewModule(loader, pkgs...)
-		for _, pkg := range pkgs {
-			diags = append(diags, lint.Run(mod, pkg, analyzers)...)
-		}
-		if cacheID != "" {
-			_ = cacheStore(cacheID, diags) // best-effort; never fails the run
-		}
+	mod := lint.NewModule(loader, pkgs...)
+	var diags []lint.Diagnostic
+	for _, pkg := range pkgs {
+		diags = append(diags, lint.Run(mod, pkg, analyzers)...)
 	}
 
 	// Render (and baseline-match) with paths relative to the invocation

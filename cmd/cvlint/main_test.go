@@ -121,22 +121,3 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Errorf("surviving findings = %q, want txescape only", out)
 	}
 }
-
-func TestCacheReplaysFindings(t *testing.T) {
-	t.Setenv("CVLINT_CACHE_DIR", t.TempDir())
-
-	code1, out1, _ := exec(t, "-cache", "-format", "json", "./testdata/src/report")
-	dir := os.Getenv("CVLINT_CACHE_DIR")
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("cache dir entries = %v (err %v), want exactly one", ents, err)
-	}
-
-	code2, out2, _ := exec(t, "-cache", "-format", "json", "./testdata/src/report")
-	if code1 != 1 || code2 != 1 {
-		t.Fatalf("exits = %d, %d, want 1, 1", code1, code2)
-	}
-	if out1 != out2 {
-		t.Errorf("cache replay differs:\nfirst:  %s\nsecond: %s", out1, out2)
-	}
-}

@@ -366,9 +366,8 @@ func render(w *strings.Builder, cur, prev *sample, topN int) {
 	renderConflicts(w, cur, topN)
 }
 
-// renderWakes prints the wake pane: per-source consumer attribution,
-// read from the cv_wake_consumed_total counter sets (engine-level rows
-// and any per-CV rows registered via RegisterConsumedMetrics).
+// renderWakes prints the wake pane: per-engine consumer attribution,
+// read from the engine-labelled cv_wake_consumed_total counter sets.
 func renderWakes(w *strings.Builder, cur *sample, topN int) {
 	type wakeRow struct {
 		src                string
@@ -380,10 +379,7 @@ func renderWakes(w *strings.Builder, cur *sample, topN int) {
 		if name != "cv_wake_consumed_total" {
 			continue
 		}
-		src := labelValue(labels, "cv")
-		if src == "" {
-			src = labelValue(labels, "engine")
-		}
+		src := labelValue(labels, "engine")
 		r := rows[src]
 		if r == nil {
 			r = &wakeRow{src: src}

@@ -74,8 +74,8 @@ func TestNotifyAllBatchedConservation(t *testing.T) {
 		t.Errorf("Len = %d after broadcast, want 0", n)
 	}
 	snap := st.Snapshot()
-	if snap["woken"] != waiters || snap["waits"] != waiters {
-		t.Errorf("woken/waits = %d/%d, want %d/%d", snap["woken"], snap["waits"], waiters, waiters)
+	if snap["wake_consumed_waiter"] != waiters || snap["waits"] != waiters {
+		t.Errorf("wake_consumed_waiter/waits = %d/%d, want %d/%d", snap["wake_consumed_waiter"], snap["waits"], waiters, waiters)
 	}
 	if snap["notify_alls"] != 1 {
 		t.Errorf("notify_alls = %d, want 1", snap["notify_alls"])
@@ -127,11 +127,57 @@ func TestNotifyNPartialBatch(t *testing.T) {
 	}
 	collectAll(t, done[4:], "drain")
 	snap := st.Snapshot()
-	if snap["woken"] != 6 {
-		t.Errorf("woken = %d, want 6", snap["woken"])
+	if snap["sem_posts"] != 6 {
+		t.Errorf("sem_posts = %d, want 6", snap["sem_posts"])
 	}
 	if h := st.Histograms()["broadcast_ns"]; h.Count != 2 {
 		t.Errorf("broadcast_ns count = %d, want 2 batches", h.Count)
+	}
+}
+
+// A notify whose attempt restarts is counted once, at commit: the
+// aborted attempt's dequeue wakes nobody (Algorithm 5, line 9), so it
+// counts for nothing either. Each body restarts once after its notify.
+func TestRestartedNotifyCountedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		waiters int
+		key     string
+		notify  func(cv *CondVar, tx *stm.Tx)
+	}{
+		// The waiters' predicate is gen, bumped under their mutex first.
+		// cvlint:ignore nakednotify the predicate write precedes the transaction
+		{"NotifyOne", 1, "notify_ones", func(cv *CondVar, tx *stm.Tx) { cv.NotifyOne(tx) }},
+		// cvlint:ignore nakednotify the predicate write precedes the transaction
+		{"NotifyAll", 2, "notify_alls", func(cv *CondVar, tx *stm.Tx) { cv.NotifyAll(tx) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := stm.NewEngine(stm.Config{})
+			cv := New(e, Options{})
+			st := &CVStats{}
+			cv.SetStats(st)
+
+			var m syncx.Mutex
+			gen := 0
+			done := parkWaiters(t, cv, &m, &gen, tc.waiters)
+			m.Lock()
+			gen++
+			m.Unlock()
+			attempts := 0
+			e.MustAtomic(func(tx *stm.Tx) {
+				attempts++
+				tc.notify(cv, tx)
+				if attempts == 1 {
+					tx.Restart()
+				}
+			})
+			collectAll(t, done, tc.name)
+			snap := st.Snapshot()
+			if attempts != 2 || snap[tc.key] != 1 || snap["sem_posts"] != int64(tc.waiters) {
+				t.Errorf("attempts %d, %s %d, sem_posts %d; want 2, 1, %d",
+					attempts, tc.key, snap[tc.key], snap["sem_posts"], tc.waiters)
+			}
+		})
 	}
 }
 

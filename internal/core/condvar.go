@@ -21,13 +21,11 @@ type Options struct{}
 
 // CVStats aggregates condition-variable activity.
 type CVStats struct {
-	Waits       obs.Counter // completed WAIT operations
-	NotifyOnes  obs.Counter // NotifyOne calls that woke someone
-	NotifyAlls  obs.Counter // NotifyAll calls that woke >= 1 thread
-	NotifyEmpty obs.Counter // notifies that found an empty queue
-	Woken       obs.Counter // total threads woken
-	Timeouts    obs.Counter // timed waits that expired un-notified
-	Cancels     obs.Counter // context waits that ended cancelled
+	Waits      obs.Counter // completed WAIT operations
+	NotifyOnes obs.Counter // committed single-waiter dequeues (NotifyOne, NotifyBest)
+	NotifyAlls obs.Counter // committed NotifyAll/NotifyN batches
+	Timeouts   obs.Counter // timed waits that expired un-notified
+	Cancels    obs.Counter // context waits that ended cancelled
 
 	// Wait latency, split at the committed SEMPOST — the two halves the
 	// paper's end-to-end numbers cannot separate: how long a waiter sat
@@ -132,10 +130,11 @@ type Node struct {
 	batch atomic.Pointer[wakeBatch]
 
 	// wakeID is the causal wake stamp (DESIGN.md §15): the flow id the
-	// committed notify minted, stored by wakeNode before the semaphore
-	// post and consumed (Swap(0)) by the woken owner in noteWake. The
-	// semaphore hand-off orders the store before the owner's read; the
-	// atomic keeps concurrent scrapers safe, like the timestamps above.
+	// committed notify's armed tracer minted (0 when none was armed),
+	// stored by wakeNode before the semaphore post and consumed
+	// (Swap(0)) by the woken owner in noteWake. The semaphore hand-off
+	// orders the store before the owner's read; the atomic keeps
+	// concurrent scrapers safe, like the timestamps above.
 	wakeID atomic.Uint64
 }
 
@@ -175,13 +174,6 @@ type CondVar struct {
 	// attribution label set by SetName — a setup-time field like st.
 	id   uint64
 	name string
-
-	// Per-condvar consumed-by counters behind RegisterConsumedMetrics
-	// (the named-CV view of CVStats.WakeConsumed). consumedOn is a
-	// setup-time flag like st: when false — the default — the wake path
-	// never touches them.
-	consumedOn bool
-	consumed   [3]obs.Counter // indexed by obs.WakeBy* consumer codes
 }
 
 // New creates a condition variable whose internal transactions run on e.
@@ -655,7 +647,8 @@ func (cv *CondVar) WaitAtCommit(tx *stm.Tx) {
 // window, the enqueue→notify latency observation, the causal wake stamp,
 // the sempost trace event, and the post itself: one send into the node's
 // slot, which cannot block (one post per dequeue, and the slot is empty
-// at enqueue). wakeID is the flow id the committed notify minted.
+// at enqueue). wakeID is the flow id the committed notify minted, 0 when
+// no tracer was armed.
 func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 	// Fault hook: stall between the committed dequeue and the semaphore
 	// post — the window in which a timed-out or cancelled waiter races a
@@ -681,22 +674,25 @@ func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 }
 
 // notifyCommitted is the committed side of a single-node notification:
-// the wake flow's root plus the wakeNode post. It runs exactly once per
-// real dequeue — from the notifier's commit handler, or directly for a
-// naked/lock-based notifier.
+// the NotifyOnes count, the wake flow's root and the wakeNode post. It
+// runs from the notifier's commit handler, exactly once per committed
+// dequeue, so an aborted attempt's notify is neither posted nor counted.
 func (cv *CondVar) notifyCommitted(n *Node) {
-	// Mint the causal wake id here — the moment the notify became real
-	// (the commit handler fired, or a non-transactional notifier dequeued).
-	wakeID := cv.e.NextWakeID()
-	if tr := cv.e.Tracer(); tr.Enabled() {
-		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, 1, int64(cv.id))
+	if cv.st != nil {
+		cv.st.NotifyOnes.Inc()
 	}
+	// The causal wake id is minted here, the moment the notify became
+	// real, by the armed tracer that will carry it (0 while disarmed).
+	tr := cv.e.Tracer()
+	wakeID := tr.NextFlow()
+	tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, 1, int64(cv.id))
 	cv.wakeNode(n, wakeID)
 }
 
 // wakeCommitted is the committed side of a batched NotifyAll/NotifyN,
 // Algorithm 6's commit handler: the batch's sanitizer generation
-// checks, then one semaphore post per dequeued waiter, in queue order.
+// checks, the NotifyAlls count, then one semaphore post per dequeued
+// waiter, in queue order.
 func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	total := len(nodes) // never 0: an empty dequeue registers no handler
 	for i, n := range nodes {
@@ -704,15 +700,15 @@ func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	}
 	var wb *wakeBatch
 	if cv.st != nil {
+		cv.st.NotifyAlls.Inc()
 		wb = &wakeBatch{startNS: monoNS()}
 		wb.remaining.Store(int64(total))
 	}
 	// One wakeID per committed batch: every post of this broadcast
-	// carries it (the flow id of the wake trace).
-	wakeID := cv.e.NextWakeID()
-	if tr := cv.e.Tracer(); tr.Enabled() {
-		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
-	}
+	// carries it (the flow id of the wake trace; 0 while disarmed).
+	tr := cv.e.Tracer()
+	wakeID := tr.NextFlow()
+	tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
 	for _, n := range nodes {
 		n.batch.Store(wb)
 		cv.wakeNode(n, wakeID)
@@ -740,9 +736,6 @@ func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64) {
 		cv.st.WakeChainDepth.Observe(1)
 		cv.st.WakeConsumed[by].Inc()
 	}
-	if cv.consumedOn {
-		cv.consumed[by].Inc()
-	}
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.Emit(n.id, obs.EvCVWake, int64(n.id), int64(cv.id))
 		if flow != 0 {
@@ -752,17 +745,10 @@ func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64) {
 	return flow
 }
 
-// notifyPost arranges for node's semaphore to be posted: at commit of the
-// outermost transaction when one is live (Algorithm 5 line 9), or
-// immediately for naked/lock-based callers (tx == nil).
+// notifyPost arranges for node's semaphore to be posted at commit of the
+// outermost transaction (Algorithm 5 line 9). tx is the notify body's
+// own transaction: a naked notifier's body runs in one too.
 func (cv *CondVar) notifyPost(tx *stm.Tx, n *Node) {
-	if tx == nil {
-		if tr := cv.e.Tracer(); tr.Enabled() {
-			tr.Emit(n.id, obs.EvCVNotify, int64(n.id), int64(cv.id))
-		}
-		cv.notifyCommitted(n)
-		return
-	}
 	// Attempt-buffered: an aborted attempt's notify leaves no trace.
 	tx.Trace(obs.EvCVNotify, int64(n.id), int64(cv.id))
 	// Capture the node's incarnation at dequeue time: the commit handler
@@ -817,21 +803,13 @@ func (cv *CondVar) NotifyOne(tx *stm.Tx) bool {
 	} else {
 		cv.e.MustAtomic(body)
 	}
-	if cv.st != nil {
-		if found {
-			cv.st.NotifyOnes.Inc()
-			cv.st.Woken.Inc()
-		} else {
-			cv.st.NotifyEmpty.Inc()
-		}
-	}
 	return found
 }
 
 // notifyBatch is the shared body of NotifyAll and NotifyN: unlink up to
-// max waiters (max < 0 means all), schedule one commit handler
-// (wakeCommitted) that posts the whole batch, and count the call. It
-// returns the number dequeued.
+// max waiters (max < 0 means all) and schedule one commit handler
+// (wakeCommitted) that posts and counts the whole batch. It returns the
+// number dequeued.
 func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 	count := 0
 	body := func(tx *stm.Tx) {
@@ -868,14 +846,6 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 		tx.Atomic(body)
 	} else {
 		cv.e.MustAtomic(body)
-	}
-	if cv.st != nil {
-		if count > 0 {
-			cv.st.NotifyAlls.Inc()
-			cv.st.Woken.Add(int64(count))
-		} else {
-			cv.st.NotifyEmpty.Inc()
-		}
 	}
 	return count
 }
@@ -943,14 +913,6 @@ func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
 		tx.Atomic(body)
 	} else {
 		cv.e.MustAtomic(body)
-	}
-	if cv.st != nil {
-		if found {
-			cv.st.NotifyOnes.Inc()
-			cv.st.Woken.Inc()
-		} else {
-			cv.st.NotifyEmpty.Inc()
-		}
 	}
 	return found
 }

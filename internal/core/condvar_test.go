@@ -70,8 +70,8 @@ func TestNotifyBeforeWaitIsLost(t *testing.T) {
 	if cv.NotifyAll(nil) != 0 {
 		t.Fatal("NotifyAll on empty queue woke someone")
 	}
-	if st.NotifyEmpty.Load() != 2 {
-		t.Fatalf("NotifyEmpty = %d, want 2", st.NotifyEmpty.Load())
+	if p, o, a := st.Sem.Posts.Load(), st.NotifyOnes.Load(), st.NotifyAlls.Load(); p+o+a != 0 {
+		t.Fatalf("empty notifies counted: sem_posts=%d notify_ones=%d notify_alls=%d, want 0", p, o, a)
 	}
 	// Condvar (not semaphore) semantics: a later Wait must block.
 	var m syncx.Mutex

@@ -250,8 +250,8 @@ func TestLostWakeupWindowSurvived(t *testing.T) {
 			t.Fatal("spurious wakeup after forced lost-wakeup windows")
 		}
 		m.Unlock()
-		if st.Waits.Load() != rounds || st.Woken.Load() != rounds {
-			t.Fatalf("waits=%d woken=%d, want %d each", st.Waits.Load(), st.Woken.Load(), rounds)
+		if st.Waits.Load() != rounds || st.Sem.Posts.Load() != rounds {
+			t.Fatalf("waits=%d sem_posts=%d, want %d each", st.Waits.Load(), st.Sem.Posts.Load(), rounds)
 		}
 	})
 }

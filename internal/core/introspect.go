@@ -41,10 +41,8 @@ type cvScalar struct {
 func (s *CVStats) scalars() []cvScalar {
 	return []cvScalar{
 		{"waits", "completed WAIT operations", s.Waits.Load},
-		{"notify_ones", "NotifyOne calls that woke someone", s.NotifyOnes.Load},
-		{"notify_alls", "NotifyAll calls that woke at least one thread", s.NotifyAlls.Load},
-		{"notify_empty", "notifies that found an empty queue", s.NotifyEmpty.Load},
-		{"woken", "total threads woken", s.Woken.Load},
+		{"notify_ones", "committed single-waiter notifies (NotifyOne, NotifyBest)", s.NotifyOnes.Load},
+		{"notify_alls", "committed NotifyAll/NotifyN batches", s.NotifyAlls.Load},
 		{"timeouts", "timed waits that expired un-notified", s.Timeouts.Load},
 		{"cancels", "context waits that ended cancelled", s.Cancels.Load},
 		{"sem_posts", "node semaphore posts", s.Sem.Posts.Load},
@@ -85,7 +83,16 @@ func (s *CVStats) RegisterMetrics(r *registry.Registry, labels registry.Labels) 
 		}
 		r.RegisterCounter("cv_"+sc.name+"_total", sc.help, labels, sc.read)
 	}
-	registerConsumed(r, labels, &s.WakeConsumed)
+	c := &s.WakeConsumed
+	r.RegisterCounterSet("cv_wake_consumed_total",
+		"wakes consumed, by consumer kind (waiter, or a timeout/cancel loser keeping a raced permit)",
+		labels, func() []registry.Sample {
+			return []registry.Sample{
+				{Labels: registry.Labels{"by": "waiter"}, Value: c[obs.WakeByWaiter].Load()},
+				{Labels: registry.Labels{"by": "timeout"}, Value: c[obs.WakeByTimeout].Load()},
+				{Labels: registry.Labels{"by": "cancel"}, Value: c[obs.WakeByCancel].Load()},
+			}
+		})
 	for _, th := range s.histograms() {
 		r.RegisterHistogram("cv_"+th.name, th.help, labels, th.h.Snapshot)
 	}
@@ -165,33 +172,4 @@ func (cv *CondVar) RegisterIntrospect(r *registry.Registry, name string) {
 	r.RegisterGauge("cv_queue_depth", "condvar wait-queue depth, walked at scrape time",
 		registry.Labels{"cv": name}, func() int64 { return int64(cv.Len()) })
 	r.RegisterWaiters(name, cv.WaitChain)
-}
-
-// RegisterConsumedMetrics enables this condvar's per-instance
-// consumed-by counters and registers them into r labeled with the
-// condvar's name — the named-CV view of CVStats.WakeConsumed, so a
-// facility's "queue.notempty" losers are distinguishable from its
-// "queue.notfull" ones. A setup-time call like SetStats: it flips the
-// consumedOn flag the wake path reads unsynchronized, so call it before
-// the condvar is shared. No-op if r is nil or the condvar is unnamed.
-func (cv *CondVar) RegisterConsumedMetrics(r *registry.Registry) {
-	if r == nil || cv.name == "" {
-		return
-	}
-	cv.consumedOn = true
-	registerConsumed(r, registry.Labels{"cv": cv.name}, &cv.consumed)
-}
-
-// registerConsumed registers one cv_wake_consumed_total{by=} family over
-// counters indexed by the obs.WakeBy* codes.
-func registerConsumed(r *registry.Registry, labels registry.Labels, c *[3]obs.Counter) {
-	r.RegisterCounterSet("cv_wake_consumed_total",
-		"wakes consumed, by consumer kind (waiter, or a timeout/cancel loser keeping a raced permit)",
-		labels, func() []registry.Sample {
-			return []registry.Sample{
-				{Labels: registry.Labels{"by": "waiter"}, Value: c[obs.WakeByWaiter].Load()},
-				{Labels: registry.Labels{"by": "timeout"}, Value: c[obs.WakeByTimeout].Load()},
-				{Labels: registry.Labels{"by": "cancel"}, Value: c[obs.WakeByCancel].Load()},
-			}
-		})
 }

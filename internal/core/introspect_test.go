@@ -18,10 +18,9 @@ import (
 // cvSnapshotKeys freezes the CVStats export key set (same contract as
 // the TMStats test in internal/stm).
 var cvSnapshotKeys = []string{
-	"cancels", "notify_alls", "notify_empty", "notify_ones",
+	"cancels", "notify_alls", "notify_ones",
 	"sem_blocks", "sem_posts", "timeouts", "waits",
 	"wake_consumed_cancel", "wake_consumed_timeout", "wake_consumed_waiter",
-	"woken",
 }
 
 var cvHistogramKeys = []string{

@@ -7,29 +7,59 @@ import (
 	"repro/internal/stm"
 )
 
-// The causal wake stamp (wakeID mint, the stamp on the node, consumer
-// attribution) rides the hottest path in the stack: every
-// notify→post→wake cycle pays it whether or not a tracer is armed. With
-// the tracer disarmed — the steady state — the whole stamp+post+consume
-// cycle must stay allocation-free; verify.sh gates on this alongside
-// the obs-level EmitFlow guards.
+// The causal wake stamp (the flow id, the stamp on the node, consumer
+// attribution) rides the hottest path in the stack. With the tracer
+// attached but disarmed — the steady state — the committed notify mints
+// no flow id (the node's stamp stays 0) and the whole
+// count+post+consume cycle stays allocation-free; verify.sh gates on
+// this alongside the obs-level EmitFlow guards.
 func TestWakeStampDisarmedNoAlloc(t *testing.T) {
 	e := stm.NewEngine(stm.Config{})
+	e.SetTracer(obs.NewTracer(1024))
 	cv := New(e, Options{})
 	st := &CVStats{}
 	cv.SetStats(st)
 
 	n := cv.acquireNode()
 	defer cv.releaseNode(n)
+	var stamped uint64
 	if a := testing.AllocsPerRun(1000, func() {
 		n.enqueuedNS.Store(monoNS())
-		// The full committed-notify hot path: mint a wakeID, stamp the
-		// node, post, consume the banked permit, attribute the wake.
-		cv.wakeNode(n, cv.e.NextWakeID())
+		// The full committed-notify hot path: count, (not) mint, stamp
+		// the node, post, consume the banked permit, attribute the wake.
+		cv.notifyCommitted(n)
 		<-n.wake
+		stamped |= n.wakeID.Load()
 		cv.noteWake(n, obs.WakeByWaiter)
 	}); a != 0 {
 		t.Errorf("disarmed wake-stamp cycle allocates %.1f times per op", a)
+	}
+	if stamped != 0 {
+		t.Errorf("disarmed committed notify stamped wakeID %d, want 0", stamped)
+	}
+}
+
+// One tracer routinely spans several engines (a benchmark builds one
+// engine per cell, cvstress soaks two kinds back to back), so the
+// tracer, not the engine, mints flow ids: two engines sharing an armed
+// tracer stamp distinct, non-zero ids.
+func TestWakeFlowIDsDistinctAcrossEngines(t *testing.T) {
+	tr := obs.NewTracer(1024)
+	tr.Enable()
+	seen := map[uint64]bool{}
+	for i := 0; i < 2; i++ {
+		e := stm.NewEngine(stm.Config{})
+		e.SetTracer(tr)
+		cv := New(e, Options{})
+		n := cv.acquireNode()
+		cv.notifyCommitted(n)
+		<-n.wake
+		id := cv.noteWake(n, obs.WakeByWaiter)
+		cv.releaseNode(n)
+		if id == 0 || seen[id] {
+			t.Fatalf("engine %d stamped flow id %d (already seen: %v)", i, id, seen)
+		}
+		seen[id] = true
 	}
 }
 

@@ -182,11 +182,10 @@ func TestTraceAbortedNotifyLeavesNoEvents(t *testing.T) {
 	if h["sem_park_ns"].Count != 1 {
 		t.Errorf("sem_park_ns count = %d, want 1 (waiter parked once)", h["sem_park_ns"].Count)
 	}
-	// waits and sem_posts are committed-side counters and must be exact;
-	// notify_ones/woken count calls (the aborted NotifyOne included), so
-	// they are not asserted here.
+	// Every counter here is committed-side, so the aborted NotifyOne
+	// counts for nothing.
 	snap := st.Snapshot()
-	if snap["waits"] != 1 || snap["sem_posts"] != 1 {
+	if snap["waits"] != 1 || snap["sem_posts"] != 1 || snap["notify_ones"] != 1 {
 		t.Errorf("snapshot = %v", snap)
 	}
 	if snap["wake_consumed_waiter"] != 1 || snap["wake_consumed_timeout"] != 0 || snap["wake_consumed_cancel"] != 0 {
@@ -270,7 +269,7 @@ func TestDepthGauge(t *testing.T) {
 func TestCVStatsKeys(t *testing.T) {
 	st := &CVStats{}
 	snap := st.Snapshot()
-	for _, k := range []string{"waits", "notify_ones", "notify_alls", "notify_empty", "woken", "timeouts", "sem_posts", "sem_blocks"} {
+	for _, k := range []string{"waits", "notify_ones", "notify_alls", "timeouts", "sem_posts", "sem_blocks"} {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("Snapshot missing %q (have %s)", k, strings.Join(keysOf(snap), ","))
 		}

@@ -216,15 +216,9 @@ func (tk *Toolkit) NewCondNamed(name string) Cond {
 
 // NewCondVarNamed is NewCondVar plus CondVar.SetName under the
 // toolkit's Label prefix, so conflict tables and traces show
-// "taskq.workAvail" instead of a bare creation site. When the toolkit
-// has an introspection registry, the named condvar also gets its
-// per-instance consumed-by counters (cv_wake_consumed_total labeled
-// cv=<name>), which only make sense once the condvar has a name to
-// label them with.
+// "taskq.workAvail" instead of a bare creation site.
 func (tk *Toolkit) NewCondVarNamed(name string) *core.CondVar {
-	cv := tk.NewCondVar().SetName(tk.label(name))
-	cv.RegisterConsumedMetrics(tk.Introspect) // no-op without a registry
-	return cv
+	return tk.NewCondVar().SetName(tk.label(name))
 }
 
 // newVarNamed names a facility's state Var under the toolkit's Label

@@ -102,3 +102,24 @@ func TestUntaggedEventsKeepClassicRendering(t *testing.T) {
 		t.Errorf("untagged event rendered as %+v", ce)
 	}
 }
+
+// NextFlow mints ids only while armed: a nil or disarmed tracer returns
+// 0 ("no flow"), an armed one counts up from 1 and keeps counting
+// across a disarm.
+func TestNextFlowOnlyWhileArmed(t *testing.T) {
+	var nilTr *Tracer
+	tr := NewTracer(1024)
+	if nilTr.NextFlow() != 0 || tr.NextFlow() != 0 {
+		t.Fatal("disarmed tracer minted a flow id")
+	}
+	tr.Enable()
+	a, b := tr.NextFlow(), tr.NextFlow()
+	tr.Disable()
+	if tr.NextFlow() != 0 {
+		t.Fatal("disarmed tracer minted a flow id")
+	}
+	tr.Enable()
+	if c := tr.NextFlow(); a != 1 || b != 2 || c != 3 {
+		t.Fatalf("armed ids %d, %d, then %d; want 1, 2, 3", a, b, c)
+	}
+}

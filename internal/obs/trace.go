@@ -34,8 +34,9 @@ const (
 	EvFaultInject // fault injector fired at a hook point; A = point, B = action
 
 	// Causal wake-propagation events (DESIGN.md §15). All four carry the
-	// process-scoped wakeID in Event.Flow, binding a committed notify to
-	// each semaphore post it made and to the waiters that consumed them.
+	// wakeID (minted by Tracer.NextFlow) in Event.Flow, binding a committed
+	// notify to each semaphore post it made and to the waiters that
+	// consumed them.
 	EvWakeRoot // committed notify minted a wakeID; Lane = cv id, A = batch size, B = cv id
 	EvWakePost // dequeued waiter posted by the commit handler; Lane = node id
 	EvWakeEnd  // wake consumed; Lane = node id, B = consumer code (WakeBy*)
@@ -212,6 +213,8 @@ type Tracer struct {
 	on     atomic.Bool
 	epoch  time.Time
 	shards [numShards]shard
+	_      [64]byte      // keep flows off the lines Emit reads
+	flows  atomic.Uint64 // last minted flow id (NextFlow)
 }
 
 // NewTracer creates a tracer holding up to capacity events (rounded up to
@@ -240,6 +243,17 @@ func (t *Tracer) Disable() { t.on.Store(false) }
 
 // Enabled reports whether the tracer is recording. Safe on nil.
 func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
+
+// NextFlow mints a causal flow id (a wakeID, DESIGN.md §15.1): non-zero
+// and unique among this tracer's flows, however many engines share it.
+// While the tracer is disarmed it returns 0 ("no flow") and writes
+// nothing. Safe on nil.
+func (t *Tracer) NextFlow() uint64 {
+	if !t.Enabled() {
+		return 0
+	}
+	return t.flows.Add(1)
+}
 
 // Now returns the current timestamp in the tracer's timebase
 // (monotonic nanoseconds since the tracer was created).

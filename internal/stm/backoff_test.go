@@ -43,11 +43,10 @@ func TestBackoffBounded(t *testing.T) {
 // TestBackoffEnvelope: the jittered sleep lands in [d/2, d] for every
 // draw at every bound backoff sleeps.
 func TestBackoffEnvelope(t *testing.T) {
-	e := NewEngine(Config{})
 	for attempt := 2; attempt < 20; attempt++ {
 		d := backoffDelay(attempt)
 		for i := 0; i < 200; i++ {
-			if s := e.jitter(d); s < d/2 || s > d {
+			if s := jitter(d); s < d/2 || s > d {
 				t.Fatalf("attempt %d: jittered sleep %v outside [%v, %v]", attempt, s, d/2, d)
 			}
 		}
@@ -74,24 +73,5 @@ func TestBackoffDelayEnvelopeTable(t *testing.T) {
 		if got := backoffDelay(tc.attempt); got != tc.want {
 			t.Errorf("backoffDelay(%d) = %v, want %v", tc.attempt, got, tc.want)
 		}
-	}
-}
-
-// Engines created back-to-back (routinely within the same nanosecond)
-// must not share a jitter seed, or their backoff sleeps collide in
-// lockstep.
-func TestEngineJitterSeedsDistinct(t *testing.T) {
-	const engines = 1000
-	seen := make(map[uint64]int, engines)
-	for i := 0; i < engines; i++ {
-		e := NewEngine(Config{})
-		s := e.rngState.Load()
-		if s == 0 {
-			t.Fatal("engine seeded xorshift with 0 (would stick at 0 forever)")
-		}
-		if j, dup := seen[s]; dup {
-			t.Fatalf("engines %d and %d share rng seed %#x", j, i, s)
-		}
-		seen[s] = i
 	}
 }

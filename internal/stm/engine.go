@@ -229,9 +229,8 @@ type Engine struct {
 	// guarded by serialRW's write side (an optimistic Tx keeps its own).
 	serialSample uint8
 
-	rngState atomic.Uint64
-	txPool   sync.Pool // recycled *Tx, logs retaining capacity
-	retry    retryHub  // sleeping Retry() callers, keyed by orec
+	txPool sync.Pool // recycled *Tx, logs retaining capacity
+	retry  retryHub  // sleeping Retry() callers, keyed by orec
 
 	// debug enables the runtime sanitizer (see debug.go). Default set by
 	// the stmsan build tag; toggled with SetDebugChecks.
@@ -253,11 +252,6 @@ type Engine struct {
 	Stats TMStats
 }
 
-// engineSeq distinguishes engines created within the same clock tick:
-// without it, engines born in the same nanosecond would seed identical
-// xorshift streams and their backoff jitter would collide in lockstep.
-var engineSeq atomic.Uint64
-
 // NewEngine creates an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
@@ -271,11 +265,6 @@ func NewEngine(cfg Config) *Engine {
 	e.Stats.Commits = SlotCounter{e.slots, slotCommits}
 	e.Stats.EarlyCommits = SlotCounter{e.slots, slotEarlyCommits}
 	e.Stats.HandlersRun = SlotCounter{e.slots, slotHandlersRun}
-	seed := uint64(time.Now().UnixNano()) ^ (engineSeq.Add(1) * 0x9E3779B97F4A7C15)
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15 // xorshift64 must never start at 0
-	}
-	e.rngState.Store(seed)
 	e.debug.Store(debugDefault)
 	return e
 }
@@ -293,19 +282,6 @@ func (e *Engine) Name() string { return e.cfg.Name }
 // exactly one, while a commit that wrote nothing (an AtomicRead, or an
 // Atomic whose body only read) leaves it alone.
 func (e *Engine) Now() uint64 { return e.clock.Load() }
-
-// wakeSeq mints causal wake ids. Process-global, not per-engine: one
-// tracer (and one trace file) routinely spans several engines — the
-// benchmark harness builds a fresh engine per cell, cvstress soaks two
-// kinds back to back — and per-engine counters would collide flow ids
-// across them, merging unrelated wake flows in the analyzer.
-var wakeSeq atomic.Uint64
-
-// NextWakeID mints the next causal wake id (DESIGN.md §15): allocated
-// by a committed notify's handler, stamped onto every waiter it posts,
-// and carried in trace events' Flow field.
-// Monotonic across the process and never zero (zero means "no flow").
-func (e *Engine) NextWakeID() uint64 { return wakeSeq.Add(1) }
 
 // newTx takes a Tx from the pool, admits it through the serial gate and
 // starts an optimistic attempt on it. A Tx the pool creates is minted its
@@ -696,7 +672,7 @@ func (e *Engine) backoff(attempt int) {
 		runtime.Gosched()
 		return
 	}
-	time.Sleep(e.jitter(d))
+	time.Sleep(jitter(d))
 }
 
 // backoffDelay is the pre-jitter delay bound for a retry: 0 (yield) on
@@ -709,22 +685,9 @@ func backoffDelay(attempt int) time.Duration {
 	return min(backoffBase<<min(attempt, 12), backoffMax)
 }
 
-// jitter draws a sleep uniformly from [d/2, d].
-func (e *Engine) jitter(d time.Duration) time.Duration {
+// jitter draws a sleep uniformly from [d/2, d] from math/rand/v2's
+// runtime-backed per-thread source, so concurrent backoffs share no word.
+func jitter(d time.Duration) time.Duration {
 	half := d / 2
-	return half + time.Duration(e.nextRand()%uint64(half+1))
-}
-
-// nextRand is a lock-free xorshift64 shared by backoff jitter.
-func (e *Engine) nextRand() uint64 {
-	for {
-		s := e.rngState.Load()
-		x := s
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if e.rngState.CompareAndSwap(s, x) {
-			return x
-		}
-	}
+	return half + rand.N(half+1)
 }

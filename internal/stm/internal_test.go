@@ -143,18 +143,6 @@ type errTestStm string
 
 func (e errTestStm) Error() string { return string(e) }
 
-func TestNextRandNonZeroAndVarying(t *testing.T) {
-	e := NewEngine(Config{})
-	a := e.nextRand()
-	bv := e.nextRand()
-	if a == 0 || bv == 0 {
-		t.Fatal("xorshift produced zero")
-	}
-	if a == bv {
-		t.Fatal("xorshift repeated immediately")
-	}
-}
-
 // TestConcurrentMixedModes runs optimistic, relaxed, read-only and
 // retrying transactions against each other.
 func TestConcurrentMixedModes(t *testing.T) {

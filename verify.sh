@@ -16,7 +16,7 @@
 # `./verify.sh -short` skips the time-heavy black-box/crash gates (the
 # blackbox oracle soak, the injected-bug negative gate, the SIGKILL
 # crash round, the regression-seed replay, the flake gate over every
-# package that runs transactions or parks on sem, and the nested
+# package that runs transactions, parks on sem or traces, and the nested
 # benchmark module's smoke test) for a quick pre-push run.
 set -eu
 
@@ -75,10 +75,12 @@ step "tracer overhead guard (disabled path must not allocate)"
 go test -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc|TestParkLabelGateNoAlloc' ./internal/obs
 go test -run 'NoAlloc' ./internal/obs/registry
 go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./internal/stm
-# The causal wake stamp (wakeID mint + node stamp + consumer attribution)
-# rides the notify→post→wake hot path unconditionally; with the tracer
-# disarmed the whole cycle must stay allocation-free, bounding the
-# wake-tracing overhead on a broadcast to the atomic stores.
+# The causal wake stamp (node stamp + consumer attribution) rides the
+# notify→post→wake hot path; the wakeID is minted only by an armed
+# tracer, so a disarmed committed notify stamps 0 and does no shared
+# write. With the tracer disarmed the whole cycle must stay
+# allocation-free, bounding the wake-tracing overhead on a broadcast to
+# the node-local atomic stores.
 # A timeout/cancel loser's unlink registers no commit handler, so the
 # enqueue+unlink cycle is allocation-free too. The condvar park itself —
 # a post into a node's one-slot channel and a real deschedule on it,
@@ -152,7 +154,7 @@ if [ "$SHORT" -eq 0 ]; then
 	go test -run TestRegressionSeeds ./cmd/cvstress
 	rm -f "$CVSTRESS"
 
-	step "flake gate (transaction and sem packages' tests five times at GOMAXPROCS 1, 2 and 4 beside a CPU hog)"
+	step "flake gate (transaction, sem and tracing packages' tests five times at GOMAXPROCS 1, 2 and 4 beside a CPU hog)"
 	# A busy loop steals one CPU for the whole gate, so tests that lean on
 	# scheduling (backoff, retry wake-ups, the serial fallback, the spin
 	# gate, timeout/cancel losers racing notifiers) see the preemption of
@@ -165,7 +167,8 @@ if [ "$SHORT" -eq 0 ]; then
 	for procs in 1 2 4; do
 		GOMAXPROCS=$procs go test -count=5 ./internal/stm ./internal/sem ./internal/core \
 			./internal/facility ./internal/syncx ./internal/monitor \
-			./internal/pthreadcv ./internal/birrellcv
+			./internal/pthreadcv ./internal/birrellcv \
+			./internal/obs/... ./internal/waketrace
 	done
 	kill $HOGPID
 	trap - EXIT INT TERM
