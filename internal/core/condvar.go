@@ -266,7 +266,11 @@ func (cv *CondVar) releaseNode(n *Node) {
 	// recycled node never inherits a stale batch or flow.
 	n.batch.Store(nil)
 	n.wakeID.Store(0)
-	n.tag.StoreDirect(nil) // cvlint:ignore directstore woken node is owner-private (Section 3.3)
+	// Only a tagged node is cleared: storing a nil any boxes it, one
+	// allocation on every untagged wait.
+	if n.tag.LoadDirect() != nil { // cvlint:ignore directstore woken node is owner-private (Section 3.3)
+		n.tag.StoreDirect(nil) // cvlint:ignore directstore woken node is owner-private (Section 3.3)
+	}
 	cv.pool.Put(n)
 }
 
@@ -772,6 +776,20 @@ func (cv *CondVar) checkGen(n *Node, gen uint64) {
 	}
 }
 
+// nakedEmpty reports whether a naked notify (tx == nil) may return at
+// once: one consistent read of head (stm.Peek) found the queue empty,
+// which linearizes the notify as one that found no waiter, without a
+// transaction. It reports false whenever Peek cannot tell, and always
+// for a transactional caller, whose emptiness read must stay in its own
+// read set.
+func (cv *CondVar) nakedEmpty(tx *stm.Tx) bool {
+	if tx != nil {
+		return false
+	}
+	h, ok := stm.Peek(cv.head)
+	return ok && h == nil
+}
+
 // NotifyOne is Algorithm 5: dequeue the longest-waiting waiter and
 // schedule its wake-up. Pass the live transaction when calling from one,
 // or nil from lock-based/unsynchronized code. It reports whether a waiter
@@ -779,8 +797,13 @@ func (cv *CondVar) checkGen(n *Node, gen uint64) {
 //
 // When called inside a transaction the wake-up happens only if and when
 // that transaction commits — a NotifyOne from an aborted transaction wakes
-// nobody.
+// nobody. A naked NotifyOne that finds the queue empty returns after one
+// consistent read of head, with no transaction (nakedEmpty); so do naked
+// NotifyAll, NotifyN and NotifyBest.
 func (cv *CondVar) NotifyOne(tx *stm.Tx) bool {
+	if cv.nakedEmpty(tx) {
+		return false
+	}
 	found := false
 	body := func(tx *stm.Tx) {
 		found = false
@@ -811,6 +834,9 @@ func (cv *CondVar) NotifyOne(tx *stm.Tx) bool {
 // (wakeCommitted) that posts and counts the whole batch. It returns the
 // number dequeued.
 func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
+	if cv.nakedEmpty(tx) {
+		return 0
+	}
 	count := 0
 	body := func(tx *stm.Tx) {
 		count = 0
@@ -881,6 +907,9 @@ func (cv *CondVar) NotifyN(tx *stm.Tx, max int) int {
 // Traditional OS condvars cannot offer this — their waiter set is opaque
 // kernel state, which is why the oblivious NotifyAll pattern exists.
 func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
+	if cv.nakedEmpty(tx) {
+		return false
+	}
 	found := false
 	body := func(tx *stm.Tx) {
 		found = false

@@ -133,3 +133,26 @@ func TestLoserUnlinkNoAlloc(t *testing.T) {
 		t.Errorf("enqueue+unlink cycle allocates %.1f times per op", a)
 	}
 }
+
+// A whole untagged wait node cycle — take a node from the pool, enqueue
+// it, unlink it as a loser does, return it to the pool — allocates
+// nothing once the pool is warm. releaseNode clears the NotifyBest tag
+// only on a tagged node: storing a nil any boxes it.
+func TestWaitNodeCycleNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow state allocates")
+	}
+	e := stm.NewEngine(stm.Config{})
+	cv := New(e, Options{})
+	cycle := func() {
+		n := cv.enqueueSelf(nil, nil)
+		if !cv.removeNode(n) {
+			t.Fatal("removeNode did not find the enqueued node")
+		}
+		cv.releaseNode(n)
+	}
+	cycle()
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		t.Errorf("acquire+enqueue+unlink+release cycle allocates %.1f times per op", a)
+	}
+}

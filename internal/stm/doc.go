@@ -63,6 +63,10 @@
 //     enclosing sync block before sleeping (Algorithm 4, line 9). After an
 //     early commit the remaining code in the atomic function runs
 //     unsynchronized and must not touch the Tx.
+//   - Peek is a one-read transaction without a Tx: it returns one Var's
+//     committed value, or reports that a concurrent writer or a pending
+//     serial transaction kept it from telling. A naked notify uses it
+//     to return from an empty queue without running a transaction.
 //   - Saved reproduces Section 4.2's ad-hoc stack checkpointing: it
 //     snapshots a closure-captured local at registration and restores it if
 //     the transaction aborts, so re-execution sees the pre-transaction

@@ -265,6 +265,10 @@ func (tx *Tx) SetLabel(label string) {
 	}
 }
 
+// extendHook, set only by tests, runs in readShared between a read's
+// consistent pair and the snapshot extension that read triggers.
+var extendHook func()
+
 // readShared performs a consistent versioned read of b's published value
 // and logs it in the read set. Shared by all optimistic modes.
 func (tx *Tx) readShared(b *varBase) any {
@@ -289,16 +293,24 @@ func (tx *Tx) readShared(b *varBase) any {
 			// try a timestamp extension (revalidate the read set and
 			// advance the snapshot); HTM aborts immediately.
 			b.noteEncounter()
+			if extendHook != nil {
+				extendHook()
+			}
 			if tx.mode == modeHTM || !tx.extend() {
 				tx.abortConflictOn(b)
 			}
-			// Extension succeeded: accept this read as logged below
-			// rather than re-loop. The prior reads were unchanged
-			// through the extension instant, so all of them coexisted
-			// with (val, w1) at the moment of the consistent w1==w2
-			// pair above. (w1's version was drawn before this read saw
-			// it unlocked and extend loaded the clock after, so it is
-			// now ≤ start: a re-loop would only read the pair again.)
+			// Extension succeeded: the prior reads hold at the new
+			// snapshot, but this one was read before extend loaded the
+			// clock, and a writer may have locked the orec and drawn a
+			// stamp at or below the new snapshot in between. Accepting
+			// (val, w1) then lets a later read see that writer's
+			// commit beside this pre-commit value: a torn snapshot,
+			// which an AtomicRead commits as is. Re-read unless the
+			// orec still holds w1 after the clock load, which puts
+			// (val, w1) at the new snapshot too.
+			if o.load() != w1 {
+				continue
+			}
 		}
 		tx.reads = append(tx.reads, readEntry{o, versionOf(w1), b})
 		tx.noteAccess()

@@ -102,6 +102,35 @@ func (v *Var[T]) StoreDirect(x T) {
 	v.base.val.Store(box[T]{x})
 }
 
+// Peek is a read-only transaction of one read, run without a Tx: it
+// returns v's committed value and ok=true, or ok=false when it cannot
+// tell one from a concurrent transaction's intermediate state (v's orec
+// locked or re-versioned around the load, or a serial transaction
+// pending). The caller then runs a real transaction. One consistent
+// read is linearizable on its own; it takes no gate slot, logs nothing
+// and draws no fault, and it never makes another transaction abort
+// (DESIGN.md §6.1).
+//
+// serialPending is loaded between the value and the orec reload because
+// a serial transaction writes in place without locking: its commit
+// stamps every orec it wrote before it clears the flag, so a Peek that
+// loaded any of its stores sees the flag set or the orec moved.
+func Peek[T any](v *Var[T]) (x T, ok bool) {
+	b := &v.base
+	w1 := b.o.load()
+	if isLocked(w1) {
+		return x, false
+	}
+	val := b.val.Load()
+	if b.eng.serialPending.Load() {
+		return x, false
+	}
+	if b.o.load() != w1 {
+		return x, false
+	}
+	return val.(box[T]).v, true
+}
+
 // Read returns the value of v inside transaction tx, recording the read
 // for validation. It aborts (by panicking with an internal signal caught
 // by Atomic) if a conflict is detected.

@@ -50,12 +50,13 @@ step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
 # spin-phase and concurrent-commit interleavings even when the host has
 # one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
-# The serial gate's reader slots and serialPending handshake: twenty
-# race-detector runs of its deterministic tests at each core count, so
+# The serial gate's reader slots and serialPending handshake, and
+# stm.Peek's reads against held serial and optimistic writers: twenty
+# race-detector runs of their deterministic tests at each core count, so
 # the one-P schedules (the violator runs without blocking) and the
 # parallel ones both get exercised.
 for procs in 1 2 4; do
-	GOMAXPROCS=$procs go test -race -run 'TestSerialGate' -count=20 ./internal/stm
+	GOMAXPROCS=$procs go test -race -run 'TestSerialGate|TestPeek' -count=20 ./internal/stm
 done
 
 step "tests (runtime sanitizer on: -tags stmsan)"
@@ -85,8 +86,11 @@ go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./int
 # enqueue+unlink cycle is allocation-free too. The condvar park itself —
 # a post into a node's one-slot channel and a real deschedule on it,
 # stats attached — allocates nothing on two warm nodes, and the test
-# asserts that its measured loop parked (Sem.Blocks grew).
-go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc' ./internal/core
+# asserts that its measured loop parked (Sem.Blocks grew). A whole
+# untagged node cycle (pool, enqueue, unlink, release) allocates nothing,
+# and a naked notify on an empty queue is one consistent read (stm.Peek):
+# no transaction, no commit, no allocation.
+go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc|TestWaitNodeCycleNoAlloc|TestNakedNotifyEmptyNoAlloc' ./internal/core
 # The parking lot's pooled park path (syncx.Mutex, monitor, the Birrell
 # baseline): a Wait that parks and is woken must recycle its waiter node
 # and channel — 0 allocs/op once the pool is warm. Its "park" case pins
