@@ -254,7 +254,7 @@ func TestSanitizerBatchRecycledNode(t *testing.T) {
 			t.Fatal("wakeCommitted against a recycled node did not panic under the sanitizer")
 		}
 	}()
-	cv.wakeCommitted([]*Node{n}, []uint64{staleGen})
+	wakeCommitted([]stm.CommitArg{{P: n, N: staleGen}})
 }
 
 var errAbortProvoked = errProvoked{}

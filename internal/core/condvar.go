@@ -94,18 +94,24 @@ type Node struct {
 	wake chan struct{}
 	next *stm.Var[*Node]
 	tag  *stm.Var[any] // optional predicate descriptor for NotifyBest
+	// cv is the condvar whose pool made the node: the pre-bound commit
+	// handlers reach it through their node argument.
+	cv *CondVar
 
 	// id identifies the node in trace output (the lane its enqueue →
 	// notify → sempost → wake chain renders on).
 	id uint64
 
 	// Observability timestamps, as atomic monotonic nanoseconds since
-	// the package epoch (zero = unset). The owner/notifier hand-off
-	// alone would make plain fields race-free (the enqueue commit orders
-	// the enqueue stamp before any notifier's read; the semaphore
-	// hand-off orders the notify stamp before the waiter's read), but
-	// the introspection scraper (WaitChain) reads them from arbitrary
-	// goroutines with no such ordering — hence atomics.
+	// the package epoch (zero = unset), taken only while something reads
+	// them (DESIGN.md §10.3): enqueuedNS for a stats sink or a wait-chain
+	// reader, parkedNS for those or an armed tracer, notifiedNS for a
+	// stats sink. The owner/notifier hand-off alone would make plain
+	// fields race-free (the enqueue commit orders the enqueue stamp
+	// before any notifier's read; the semaphore hand-off orders the
+	// notify stamp before the waiter's read), but the introspection
+	// scraper (WaitChain) reads them from arbitrary goroutines with no
+	// such ordering — hence atomics.
 	enqueuedNS atomic.Int64
 	notifiedNS atomic.Int64
 	// parkedNS stamps the owner's park (zero until it deschedules): the
@@ -174,6 +180,10 @@ type CondVar struct {
 	// attribution label set by SetName — a setup-time field like st.
 	id   uint64
 	name string
+
+	// chained is set by RegisterIntrospect: a registry reads this
+	// condvar's WaitChain, so waits stamp their enqueue and park ages.
+	chained atomic.Bool
 }
 
 // New creates a condition variable whose internal transactions run on e.
@@ -212,6 +222,7 @@ func (cv *CondVar) Engine() *stm.Engine { return cv.e }
 
 func (cv *CondVar) newNode() *Node {
 	n := &Node{
+		cv:   cv,
 		id:   nodeSeq.Add(1),
 		wake: make(chan struct{}, 1),
 		next: stm.NewVar[*Node](cv.e, nil),
@@ -286,7 +297,11 @@ func (cv *CondVar) enqueue(tx *stm.Tx, n *Node) {
 	if n.inQueue.Swap(true) && cv.sanitizeOn() {
 		panic("core: sanitizer: condvar node enqueued while still linked in the wait queue (double WAIT on one node, or a recycled node the queue still references)")
 	}
-	n.enqueuedNS.Store(monoNS())
+	var now int64
+	if cv.st != nil || cv.chainRead() {
+		now = monoNS()
+	}
+	n.enqueuedNS.Store(now)
 	n.notifiedNS.Store(0)
 	n.parkedNS.Store(0)
 	if tx != nil {
@@ -403,17 +418,23 @@ func (cv *CondVar) semWait(n *Node, loser int64, d time.Duration, ctx context.Co
 		done = ctx.Done()
 	}
 
-	// The park: one clock read for the WaitChain stamp, the rest only
-	// when an instrument is attached. The label is cleared only if this
-	// park set it, so a gate that flips mid-park neither strands a label
-	// nor wipes one the goroutine set itself.
-	start := monoNS()
-	n.parkedNS.Store(start)
+	// The park. Whether it reads the clock is decided once, here: only
+	// for a reader of the park stamp (a wait-chain reader, a stats sink
+	// or an armed tracer), so a tracer armed mid-park never measures from
+	// a zero start. The label is cleared only if this park set it, so a
+	// gate that flips mid-park neither strands a label nor wipes one the
+	// goroutine set itself.
 	tr := cv.e.Tracer()
+	labelled := obs.ParkLabelsEnabled()
+	timed := labelled || cv.st != nil || cv.chained.Load() || tr.Enabled()
+	var start int64
+	if timed {
+		start = monoNS()
+		n.parkedNS.Store(start)
+	}
 	if tr.Enabled() {
 		tr.Emit(n.id, obs.EvSemPark, 0, 0)
 	}
-	labelled := obs.ParkLabelsEnabled()
 	if labelled {
 		labelParked(n.id)
 	}
@@ -432,7 +453,7 @@ func (cv *CondVar) semWait(n *Node, loser int64, d time.Duration, ctx context.Co
 	if labelled {
 		clearParkLabel()
 	}
-	if cv.st != nil || tr.Enabled() {
+	if timed && (cv.st != nil || tr.Enabled()) {
 		dur := monoNS() - start
 		if cv.st != nil {
 			cv.st.Sem.Blocks.Inc()
@@ -644,7 +665,15 @@ func (cv *CondVar) WaitTx(tx *stm.Tx) {
 //	}
 func (cv *CondVar) WaitAtCommit(tx *stm.Tx) {
 	n := cv.enqueueSelf(tx, nil)
-	tx.OnCommit(func() { cv.park(n, obs.WakeByWaiter, 0, nil) })
+	tx.PushCommitArg(n, 0)
+	tx.OnCommitCall(parkCommitted)
+}
+
+// parkCommitted is WaitAtCommit's pre-bound commit handler: the SEMWAIT
+// of its one node argument.
+func parkCommitted(args []stm.CommitArg) {
+	n := args[0].P.(*Node)
+	n.cv.park(n, obs.WakeByWaiter, 0, nil)
 }
 
 // wakeNode performs the committed post of one dequeued node: the fault
@@ -658,16 +687,17 @@ func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 	// post — the window in which a timed-out or cancelled waiter races a
 	// wake-up it can no longer refuse.
 	cv.faultWindow(fault.CVNotify, n.id)
-	now := monoNS()
+	// Stored before the send: the channel hand-off orders these stores
+	// before the woken waiter's reads in noteWake (DESIGN.md §15). The
+	// notify stamp's one reader is the stats sink (NotifyToWake).
 	if cv.st != nil {
+		now := monoNS()
 		if enq := n.enqueuedNS.Load(); enq != 0 {
 			cv.st.EnqueueToNotify.Observe(now - enq)
 		}
 		cv.st.Sem.Posts.Inc()
+		n.notifiedNS.Store(now)
 	}
-	// Stored before the send: the channel hand-off orders these stores
-	// before the woken waiter's reads in noteWake (DESIGN.md §15).
-	n.notifiedNS.Store(now)
 	n.wakeID.Store(wakeID)
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.Emit(n.id, obs.EvCVSemPost, int64(n.id), 0)
@@ -696,11 +726,13 @@ func (cv *CondVar) notifyCommitted(n *Node) {
 // wakeCommitted is the committed side of a batched NotifyAll/NotifyN,
 // Algorithm 6's commit handler: the batch's sanitizer generation
 // checks, the NotifyAlls count, then one semaphore post per dequeued
-// waiter, in queue order.
-func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
-	total := len(nodes) // never 0: an empty dequeue registers no handler
-	for i, n := range nodes {
-		cv.checkGen(n, gens[i])
+// waiter, in queue order. Its arguments are the dequeued nodes, each
+// with the generation its dequeue captured.
+func wakeCommitted(batch []stm.CommitArg) {
+	total := len(batch) // never 0: an empty dequeue registers no handler
+	cv := batch[0].P.(*Node).cv
+	for _, a := range batch {
+		cv.checkGen(a.P.(*Node), a.N)
 	}
 	var wb *wakeBatch
 	if cv.st != nil {
@@ -713,7 +745,8 @@ func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	tr := cv.e.Tracer()
 	wakeID := tr.NextFlow()
 	tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
-	for _, n := range nodes {
+	for _, a := range batch {
+		n := a.P.(*Node)
 		n.batch.Store(wb)
 		cv.wakeNode(n, wakeID)
 	}
@@ -758,12 +791,19 @@ func (cv *CondVar) notifyPost(tx *stm.Tx, n *Node) {
 	// Capture the node's incarnation at dequeue time: the commit handler
 	// must wake the waiter that was unlinked, not whoever owns a recycled
 	// node later (ABA). The body may re-run on conflict; each attempt
-	// re-captures against its own dequeue.
-	gen := n.gen.Load()
-	tx.OnCommit(func() {
-		cv.checkGen(n, gen)
-		cv.notifyCommitted(n)
-	})
+	// re-captures against its own dequeue. The handler is pre-bound, a
+	// function plus its (node, generation) argument, so registering it
+	// allocates nothing.
+	tx.PushCommitArg(n, n.gen.Load())
+	tx.OnCommitCall(postCommitted)
+}
+
+// postCommitted is notifyPost's pre-bound commit handler: the ABA check
+// and the committed post of its one (node, generation) argument.
+func postCommitted(args []stm.CommitArg) {
+	n := args[0].P.(*Node)
+	n.cv.checkGen(n, args[0].N)
+	n.cv.notifyCommitted(n)
 }
 
 // checkGen is the sanitizer's ABA check at commit: n must still be the
@@ -844,11 +884,9 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 		if sn == nil {
 			return
 		}
-		// Per-attempt collections: a retried attempt rebuilds them from
-		// its own consistent snapshot, and the commit handler closes over
-		// exactly the attempt that committed.
-		var nodes []*Node
-		var gens []uint64
+		// The batch is the handler's argument list, pushed into the
+		// Tx's retained log: an aborted attempt's list is discarded with
+		// it, and the committing attempt's list is the one posted.
 		// Every next-link access happens inside the transaction
 		// (Section 3.3's race-freedom argument).
 		for sn != nil && (max < 0 || count < max) {
@@ -857,8 +895,7 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 			// the committed batch can detect recycling (ABA), same as
 			// the single-node path.
 			tx.Trace(obs.EvCVNotify, int64(sn.id), int64(cv.id))
-			nodes = append(nodes, sn)
-			gens = append(gens, sn.gen.Load())
+			tx.PushCommitArg(sn, sn.gen.Load())
 			count++
 			sn = stm.Read(tx, sn.next)
 		}
@@ -866,7 +903,7 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 		if sn == nil {
 			stm.Write(tx, cv.tail, nil)
 		}
-		tx.OnCommit(func() { cv.wakeCommitted(nodes, gens) })
+		tx.OnCommitCall(wakeCommitted)
 	}
 	if tx != nil {
 		tx.Atomic(body)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime/pprof"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -24,10 +25,27 @@ import (
 // stamps (3 words) do not.
 var epoch = time.Now()
 
+// clockHook, set only by tests, runs on every monoNS read: it counts
+// the clock reads of a wait cycle. Atomic, because a test's stray
+// goroutines may still read the clock while it is set or cleared.
+var clockHook atomic.Pointer[func()]
+
 // monoNS returns monotonic nanoseconds since the package epoch. Always
 // positive in practice (the first caller runs after init), so zero can
 // mean "unset".
-func monoNS() int64 { return time.Since(epoch).Nanoseconds() }
+func monoNS() int64 {
+	if h := clockHook.Load(); h != nil {
+		(*h)()
+	}
+	return time.Since(epoch).Nanoseconds()
+}
+
+// chainRead reports whether anything reads WaitChain's ages: a registry
+// this condvar was registered into (RegisterIntrospect), or the
+// introspection server, which holds park labels on while it serves.
+func (cv *CondVar) chainRead() bool {
+	return cv.chained.Load() || obs.ParkLabelsEnabled()
+}
 
 // cvScalar is one CVStats counter row.
 type cvScalar struct {
@@ -106,9 +124,11 @@ const maxWaitChain = 4096
 // ids, enqueue ages, and park ages. The queue is walked in a read-only
 // transaction (so a torn list is never observed); the node pointers are
 // then inspected outside it through their atomic stamps, so a node
-// released concurrently yields stale-but-safe values. ParkAgeNS
-// is -1 for a waiter that is enqueued but not yet descheduled — the
-// paper's lost-wakeup window, made visible.
+// released concurrently yields stale-but-safe values. ParkAgeNS is -1
+// for a waiter that is enqueued but not yet descheduled — the paper's
+// lost-wakeup window, made visible. The ages are stamped only while a
+// reader exists (chainRead, or a stats sink; DESIGN.md §10.3): a waiter
+// that enqueued with none reports EnqueueAgeNS 0 and ParkAgeNS -1.
 func (cv *CondVar) WaitChain() []registry.Waiter {
 	var nodes []*Node
 	_ = cv.e.AtomicRead(func(tx *stm.Tx) {
@@ -164,11 +184,13 @@ func clearParkLabel() {
 // RegisterIntrospect registers the condvar's live sources into r under
 // name: the queue-depth gauge and the wait-chain source. Both walk the
 // queue in a read-only transaction at scrape time; the wait path keeps
-// no count of its own.
+// no count of its own, and from here on stamps the enqueue and park
+// ages the wait chain reports.
 func (cv *CondVar) RegisterIntrospect(r *registry.Registry, name string) {
 	if r == nil {
 		return
 	}
+	cv.chained.Store(true)
 	r.RegisterGauge("cv_queue_depth", "condvar wait-queue depth, walked at scrape time",
 		registry.Labels{"cv": name}, func() int64 { return int64(cv.Len()) })
 	r.RegisterWaiters(name, cv.WaitChain)

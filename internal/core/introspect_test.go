@@ -159,9 +159,11 @@ func TestWaitChainParkAgeClamped(t *testing.T) {
 
 // The head of the wait chain reports the oldest park's age while anyone
 // is parked, and the chain is empty before the first park and once every
-// waiter has been released.
+// waiter has been released. The ages are stamped only for a reader, so
+// the condvar is registered the way introspect.Start's callers do.
 func TestWaitChainOldestParkAge(t *testing.T) {
 	cv := New(stm.NewEngine(stm.Config{}), Options{})
+	cv.RegisterIntrospect(registry.New(), "oldest")
 	if got := cv.WaitChain(); len(got) != 0 {
 		t.Fatalf("idle condvar has wait chain %+v", got)
 	}
@@ -180,7 +182,10 @@ func TestWaitChainOldestParkAge(t *testing.T) {
 		c := cv.WaitChain()
 		return len(c) == 3 && c[0].ParkAgeNS >= 0 && c[1].ParkAgeNS >= 0 && c[2].ParkAgeNS >= 0
 	})
-	time.Sleep(5 * time.Millisecond)
+	waitUntil(t, "a positive oldest park age", func() bool {
+		c := cv.WaitChain()
+		return len(c) == 3 && c[0].ParkAgeNS > 0
+	})
 
 	if c := cv.WaitChain(); len(c) != 3 || c[0].ParkAgeNS <= 0 {
 		t.Fatalf("oldest park age not positive: %+v", c)
@@ -193,6 +198,28 @@ func TestWaitChainOldestParkAge(t *testing.T) {
 	if got := cv.WaitChain(); len(got) != 0 {
 		t.Fatalf("wait chain not empty after every waiter was released: %+v", got)
 	}
+}
+
+// With no reader attached — no stats sink, no tracer, no registry, no
+// park labels — a wait takes no stamps: its wait-chain row reports
+// EnqueueAgeNS 0 and ParkAgeNS -1 however long it has been parked.
+func TestWaitChainUnreadReportsNoAges(t *testing.T) {
+	cv := New(stm.NewEngine(stm.Config{}), Options{})
+	n := cv.enqueueSelf(nil, nil)
+	done := make(chan struct{})
+	go func() {
+		cv.park(n, obs.WakeByWaiter, 0, nil)
+		close(done)
+	}()
+	for i := 0; i < 3; i++ {
+		time.Sleep(time.Millisecond)
+		c := cv.WaitChain()
+		if len(c) != 1 || c[0].EnqueueAgeNS != 0 || c[0].ParkAgeNS != -1 {
+			t.Fatalf("unread wait chain = %+v, want one waiter with ages 0 and -1", c)
+		}
+	}
+	cv.NotifyOne(nil)
+	<-done
 }
 
 // goroutineLabelled reports whether some goroutine carries the park

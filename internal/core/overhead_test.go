@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -154,5 +155,127 @@ func TestWaitNodeCycleNoAlloc(t *testing.T) {
 	cycle()
 	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
 		t.Errorf("acquire+enqueue+unlink+release cycle allocates %.1f times per op", a)
+	}
+}
+
+// countClock counts the package clock's reads (monoNS) until the test
+// ends.
+func countClock(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	reads := new(atomic.Int64)
+	count := func() { reads.Add(1) }
+	clockHook.Store(&count)
+	t.Cleanup(func() { clockHook.Store(nil) })
+	return reads
+}
+
+// waitNotifyCycle is one whole wait cycle on one goroutine: enqueue a
+// node, dequeue it with a naked NotifyOne (whose commit handler posts
+// it), take the post in park, and return the node to the pool.
+func waitNotifyCycle(t *testing.T, cv *CondVar) {
+	n := cv.enqueueSelf(nil, nil)
+	// cvlint:ignore nakednotify the cycle has no predicate: the wait machinery itself is the subject
+	if !cv.NotifyOne(nil) {
+		t.Fatal("NotifyOne found no waiter")
+	}
+	if _, notified := cv.park(n, obs.WakeByWaiter, 0, nil); !notified {
+		t.Fatal("park did not take the post")
+	}
+}
+
+// With nothing reading the node stamps — no stats sink, the tracer
+// attached but disarmed, no registry, no park labels — a wait cycle
+// reads no clock, whether the waiter finds its post already in the slot
+// or deschedules for it. With a stats sink the same cycle stamps the
+// enqueue, the notify and the wake. verify.sh runs this beside the
+// allocation guards.
+func TestDisarmedWaitCycleNoClock(t *testing.T) {
+	e := stm.NewEngine(stm.Config{})
+	e.SetTracer(obs.NewTracer(1024))
+	cv := New(e, Options{})
+	reads := countClock(t)
+	const cycles = 100
+	for i := 0; i < cycles; i++ {
+		waitNotifyCycle(t, cv)
+	}
+	if got := reads.Load(); got != 0 {
+		t.Errorf("disarmed wait cycle read the clock %d times in %d cycles, want 0", got, cycles)
+	}
+
+	// The descheduling path: two nodes ping-pong between two goroutines,
+	// so the waiter nearly always finds its slot empty and parks.
+	ping, pong := cv.acquireNode(), cv.acquireNode()
+	const rounds = 1000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			cv.semWait(ping, obs.WakeByWaiter, 0, nil)
+			cv.wakeNode(pong, 0)
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		cv.wakeNode(ping, 0)
+		cv.semWait(pong, obs.WakeByWaiter, 0, nil)
+	}
+	<-done
+	if got := reads.Load(); got != 0 {
+		t.Errorf("disarmed park cycle read the clock %d times in %d rounds, want 0", got, rounds)
+	}
+
+	st := &CVStats{}
+	cv = New(e, Options{})
+	cv.SetStats(st)
+	for i := 0; i < cycles; i++ {
+		waitNotifyCycle(t, cv)
+	}
+	if got := reads.Load(); got < 3*cycles {
+		t.Errorf("wait cycle with stats read the clock %d times in %d cycles, want >= %d", got, cycles, 3*cycles)
+	}
+	if got := st.EnqueueToNotify.Snapshot().Count; got != cycles {
+		t.Errorf("EnqueueToNotify observed %d waits, want %d", got, cycles)
+	}
+}
+
+// A whole wait cycle — enqueue, naked NotifyOne, park, release — allocates
+// nothing once the pools are warm: the notify's commit handler is
+// pre-bound (a function plus its node and generation), not a closure.
+func TestWaitNotifyCycleNoAlloc(t *testing.T) {
+	e := stm.NewEngine(stm.Config{})
+	if raceEnabled || e.DebugChecks() {
+		t.Skip("race detector shadow state and the sanitizer's handler wrapper allocate")
+	}
+	cv := New(e, Options{})
+	cycle := func() { waitNotifyCycle(t, cv) }
+	cycle()
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		t.Errorf("enqueue+NotifyOne+park+release cycle allocates %.1f times per op", a)
+	}
+}
+
+// A NotifyAll of a 16-waiter batch allocates nothing either: the batch's
+// nodes and generations are the pre-bound handler's arguments, pushed
+// into the transaction's retained argument log.
+func TestNotifyAllCycleNoAlloc(t *testing.T) {
+	e := stm.NewEngine(stm.Config{})
+	if raceEnabled || e.DebugChecks() {
+		t.Skip("race detector shadow state and the sanitizer's handler wrapper allocate")
+	}
+	cv := New(e, Options{})
+	var nodes [16]*Node
+	cycle := func() {
+		for i := range nodes {
+			nodes[i] = cv.enqueueSelf(nil, nil)
+		}
+		if got := cv.NotifyAll(nil); got != len(nodes) {
+			t.Fatalf("NotifyAll woke %d, want %d", got, len(nodes))
+		}
+		for _, n := range nodes {
+			cv.park(n, obs.WakeByWaiter, 0, nil)
+		}
+	}
+	cycle()
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Errorf("16-waiter NotifyAll cycle allocates %.1f times per op", a)
 	}
 }

@@ -295,9 +295,10 @@ func (m *Module) extractCall(ff *funcFacts, call *ast.CallExpr, bind map[types.O
 			case handlerLit(info, call) != nil:
 				walkArgs(handlerLit(info, call))
 				return
-			case isStmTxRecv(recv) && (name == "OnCommit" || name == "OnAbort"):
-				// Handler given as a method value / func ident: still
-				// deferred; nothing of it runs in the attempt.
+			case isStmTxRecv(recv) && (name == "OnCommit" || name == "OnCommitCall" || name == "OnAbort"):
+				// Handler given as a method value / func ident (always so
+				// for OnCommitCall's pre-bound form): still deferred;
+				// nothing of it runs in the attempt.
 				return
 			}
 			walkArgs(nil)

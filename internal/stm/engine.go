@@ -326,7 +326,7 @@ func (e *Engine) recycle(tx *Tx) {
 	tx.writes = tx.writes[:0]
 	tx.undo = tx.undo[:0]
 	tx.owned = tx.owned[:0]
-	tx.onCommit = clearFuncs(tx.onCommit)
+	tx.clearHandlers()
 	tx.onAbort = clearFuncs(tx.onAbort)
 	tx.pend = tx.pend[:0]
 	e.txPool.Put(tx)

@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -231,6 +232,74 @@ func TestOnCommitDiscardedOnCancel(t *testing.T) {
 			t.Fatal("onCommit handler ran despite cancel")
 		}
 	})
+}
+
+// A pre-bound handler gets exactly the arguments pushed since the
+// previous registration, runs in registration order among closure
+// handlers, and is discarded with an aborted attempt together with its
+// arguments: a retried attempt starts from an empty argument log.
+func TestOnCommitCallArgsOrderAndAbort(t *testing.T) {
+	forEachAlg(t, func(t *testing.T, e *Engine) {
+		var order []uint64
+		record := func(args []CommitArg) {
+			for _, a := range args {
+				order = append(order, a.N)
+			}
+		}
+		tries := 0
+		e.MustAtomic(func(tx *Tx) {
+			tries++
+			order = order[:0]
+			tx.PushCommitArg(nil, 1)
+			tx.OnCommitCall(record)
+			if tries == 1 {
+				tx.PushCommitArg(nil, 99)
+				tx.Restart()
+			}
+			tx.OnCommit(func() { order = append(order, 2) })
+			tx.PushCommitArg(nil, 3)
+			tx.PushCommitArg(nil, 4)
+			tx.OnCommitCall(record)
+		})
+		if want := []uint64{1, 2, 3, 4}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("handler order = %v, want %v", order, want)
+		}
+		ran := false
+		_ = e.Atomic(func(tx *Tx) {
+			tx.PushCommitArg(nil, 5)
+			tx.OnCommitCall(func([]CommitArg) { ran = true })
+			tx.Cancel(errors.New("x"))
+		})
+		if ran {
+			t.Fatal("pre-bound handler ran despite cancel")
+		}
+	})
+}
+
+// postArg is a top-level handler: registering it captures nothing.
+func postArg(args []CommitArg) { *args[0].P.(*uint64) += args[0].N }
+
+// Registering a pre-bound handler with a top-level function allocates
+// nothing once the Tx pool and its logs are warm.
+func TestOnCommitCallNoAlloc(t *testing.T) {
+	if raceEnabled || debugDefault {
+		t.Skip("race detector shadow state and the sanitizer's wrapper allocate")
+	}
+	e := NewEngine(Config{})
+	v := NewVar(e, 0)
+	var sum uint64
+	body := func(tx *Tx) {
+		Write(tx, v, Read(tx, v)+1)
+		tx.PushCommitArg(&sum, 2)
+		tx.OnCommitCall(postArg)
+	}
+	e.MustAtomic(body)
+	if a := testing.AllocsPerRun(1000, func() { e.MustAtomic(body) }); a != 0 {
+		t.Errorf("transaction with a pre-bound handler allocates %.1f times per op", a)
+	}
+	if sum != 2*1002 {
+		t.Errorf("handler sum = %d, want %d", sum, 2*1002)
+	}
 }
 
 func TestOnAbortRunsOnCancel(t *testing.T) {

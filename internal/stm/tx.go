@@ -106,8 +106,14 @@ type Tx struct {
 
 	accesses int // HTM capacity accounting
 
-	onCommit []func()
+	onCommit []commitHandler
 	onAbort  []func()
+	// args is the argument log of the pre-bound handlers (OnCommitCall):
+	// each registration takes the arguments pushed since the previous one
+	// (args[argMark:]). Like the other logs it keeps its capacity across
+	// attempts, so a steady-state registration allocates nothing.
+	args    []CommitArg
+	argMark int
 
 	gateHeld   bool // counted in its slot's readers (optimistic attempt)
 	serialHeld bool // holds the serial gate exclusively (modeSerial)
@@ -173,7 +179,53 @@ func (tx *Tx) statusString() string {
 // semaphore operation runs inside a (hardware) transaction.
 func (tx *Tx) OnCommit(f func()) {
 	tx.ensureActive("OnCommit")
-	tx.onCommit = append(tx.onCommit, tx.wrapOnCommit(f))
+	tx.onCommit = append(tx.onCommit, commitHandler{f: tx.wrapOnCommit(f)})
+}
+
+// CommitArg is one argument slot of a pre-bound commit handler. P holds
+// a pointer (an interface holding a pointer does not allocate) and N a
+// word that travels with it, such as a generation stamp.
+type CommitArg struct {
+	P any
+	N uint64
+}
+
+// commitHandler is one registered commit handler: a closure (OnCommit),
+// or a pre-bound function over args[lo:hi] of the Tx's argument log
+// (OnCommitCall).
+type commitHandler struct {
+	f      func()
+	fn     func([]CommitArg)
+	lo, hi int
+}
+
+// PushCommitArg appends one argument for the next OnCommitCall.
+func (tx *Tx) PushCommitArg(p any, n uint64) {
+	tx.ensureActive("PushCommitArg")
+	tx.args = append(tx.args, CommitArg{p, n})
+}
+
+// OnCommitCall is OnCommit without a closure: it registers fn to run
+// after the outermost transaction commits, called with every argument
+// pushed by PushCommitArg since the previous OnCommitCall, in push
+// order. It is the shape of the paper's RegisterHandler(SEMPOST, node):
+// a handler plus its argument. Registered with a top-level function, it
+// allocates nothing once the Tx's logs are warm. Handlers of both forms
+// run in registration order, and an abort discards both. fn must not
+// retain its argument slice, which the Tx reuses.
+func (tx *Tx) OnCommitCall(fn func([]CommitArg)) {
+	tx.ensureActive("OnCommitCall")
+	lo, hi := tx.argMark, len(tx.args)
+	tx.argMark = hi
+	if tx.e.debug.Load() {
+		// The sanitizer's at-most-once wrapper is a closure: it takes a
+		// private copy of the arguments, so the closure form's check
+		// covers this one.
+		args := append([]CommitArg(nil), tx.args[lo:hi]...)
+		tx.onCommit = append(tx.onCommit, commitHandler{f: tx.wrapOnCommit(func() { fn(args) })})
+		return
+	}
+	tx.onCommit = append(tx.onCommit, commitHandler{fn: fn, lo: lo, hi: hi})
 }
 
 // OnAbort registers f to run if this attempt aborts (before the retry).
@@ -561,7 +613,7 @@ func (tx *Tx) rollback(cause abortCause) {
 		tx.onAbort[i]()
 	}
 	tx.onAbort = clearFuncs(tx.onAbort)
-	tx.onCommit = clearFuncs(tx.onCommit)
+	tx.clearHandlers()
 	tx.noteAborted(cause)
 	if profiling.Load() {
 		tx.e.recordAbort(cause, tx.conflictB, tx.label)
@@ -596,17 +648,33 @@ func clearFuncs(fs []func()) []func() {
 	return fs[:0]
 }
 
-// runCommitHandlers executes onCommit handlers in registration order.
-// The slice header is reset first, but no append can land in the shared
-// backing array while hs runs: the transaction is already committed, so
-// any OnCommit from a handler panics via ensureActive.
-func (tx *Tx) runCommitHandlers() {
-	hs := tx.onCommit
+// clearHandlers empties the commit handler and argument logs, keeping
+// their capacity but dropping the closure and argument references so the
+// pool does not pin them alive. Only this truncates the two logs, so
+// nothing beyond their length is ever left set.
+func (tx *Tx) clearHandlers() {
+	clear(tx.onCommit)
 	tx.onCommit = tx.onCommit[:0]
-	for _, f := range hs {
-		f()
+	clear(tx.args)
+	tx.args = tx.args[:0]
+	tx.argMark = 0
+}
+
+// runCommitHandlers executes onCommit handlers in registration order,
+// then empties the logs. No append can land in them while the handlers
+// run: the transaction is already committed, so any OnCommit,
+// OnCommitCall or PushCommitArg from a handler panics via ensureActive.
+func (tx *Tx) runCommitHandlers() {
+	n := len(tx.onCommit)
+	for _, h := range tx.onCommit {
+		if h.fn != nil {
+			h.fn(tx.args[h.lo:h.hi])
+		} else {
+			h.f()
+		}
 	}
-	if n := len(hs); n > 0 {
+	tx.clearHandlers()
+	if n > 0 {
 		tx.count(slotHandlersRun, int64(n))
 		// Direct emission: handlers run strictly after the commit.
 		tx.e.tracer.Emit(tx.id, obs.EvHandlerRun, int64(n), 0)

@@ -75,7 +75,7 @@ go run ./cmd/cvlint -tests -baseline lint-tests.baseline ./...
 step "tracer overhead guard (disabled path must not allocate)"
 go test -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc|TestParkLabelGateNoAlloc' ./internal/obs
 go test -run 'NoAlloc' ./internal/obs/registry
-go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./internal/stm
+go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity|TestOnCommitCallNoAlloc' ./internal/stm
 # The causal wake stamp (node stamp + consumer attribution) rides the
 # notify→post→wake hot path; the wakeID is minted only by an armed
 # tracer, so a disarmed committed notify stamps 0 and does no shared
@@ -89,8 +89,11 @@ go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./int
 # asserts that its measured loop parked (Sem.Blocks grew). A whole
 # untagged node cycle (pool, enqueue, unlink, release) allocates nothing,
 # and a naked notify on an empty queue is one consistent read (stm.Peek):
-# no transaction, no commit, no allocation.
-go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc|TestWaitNodeCycleNoAlloc|TestNakedNotifyEmptyNoAlloc' ./internal/core
+# no transaction, no commit, no allocation. A whole wait cycle (enqueue,
+# naked NotifyOne, park, release) and a 16-waiter NotifyAll cycle
+# allocate nothing (their commit handlers are pre-bound, not closures),
+# and with no reader of the node stamps a wait cycle reads no clock.
+go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc|TestWaitNodeCycleNoAlloc|TestWaitNotifyCycleNoAlloc|TestNotifyAllCycleNoAlloc|TestDisarmedWaitCycleNoClock|TestNakedNotifyEmptyNoAlloc' ./internal/core
 # The parking lot's pooled park path (syncx.Mutex, monitor, the Birrell
 # baseline): a Wait that parks and is woken must recycle its waiter node
 # and channel — 0 allocs/op once the pool is warm. Its "park" case pins
