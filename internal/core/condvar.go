@@ -118,10 +118,12 @@ type Node struct {
 	// park age WaitChain reports.
 	parkedNS atomic.Int64
 
-	// Sanitizer bookkeeping (checked only when the engine's debug checks
-	// are on; see sanitize* below). inQueue tracks whether the node is
+	// Sanitizer bookkeeping, maintained only while the engine's debug
+	// checks are on (see sanitizeOn). inQueue tracks whether the node is
 	// reachable from the wait queue; gen counts pool recycles, so a
 	// notification that outlives the node it targeted is detected (ABA).
+	// inQueue is set only under checks, but cleared whenever it is set,
+	// so checks switched on later never see a flag a dequeue left behind.
 	inQueue atomic.Bool
 	gen     atomic.Uint64
 
@@ -187,11 +189,16 @@ type CondVar struct {
 }
 
 // New creates a condition variable whose internal transactions run on e.
+//
+// head and tail are one stripe (one orec), as Algorithm 3's adjacent
+// words are in libitm's ml_wt: an enqueue into an empty queue, a dequeue
+// of the last waiter and a NotifyAll each lock one orec, not two.
 func New(e *stm.Engine, _ Options) *CondVar {
+	head := stm.NewVar[*Node](e, nil)
 	cv := &CondVar{
 		e:    e,
-		head: stm.NewVar[*Node](e, nil),
-		tail: stm.NewVar[*Node](e, nil),
+		head: head,
+		tail: stm.NewVarInStripe(head, nil),
 		id:   cvSeq.Add(1),
 	}
 	cv.pool.New = func() any { return cv.newNode() }
@@ -268,15 +275,19 @@ func (cv *CondVar) releaseNode(n *Node) {
 		if len(n.wake) != 0 {
 			panic("core: sanitizer: condvar node released with a post still in its slot — the next waiter to draw it from the pool would wake spuriously")
 		}
+		// Retire this incarnation: any notification still in flight
+		// against the old one is a bug the generation check will catch.
+		n.gen.Add(1)
 	}
-	// Retire this incarnation: any notification still in flight against
-	// the old one is a bug the generation check will catch.
-	n.gen.Add(1)
-	n.inQueue.Store(false)
+	clearFlag(&n.inQueue)
 	// noteWake consumed these on every legal path; clear anyway so a
 	// recycled node never inherits a stale batch or flow.
-	n.batch.Store(nil)
-	n.wakeID.Store(0)
+	if n.batch.Load() != nil {
+		n.batch.Store(nil)
+	}
+	if n.wakeID.Load() != 0 {
+		n.wakeID.Store(0)
+	}
 	// Only a tagged node is cleared: storing a nil any boxes it, one
 	// allocation on every untagged wait.
 	if n.tag.LoadDirect() != nil { // cvlint:ignore directstore woken node is owner-private (Section 3.3)
@@ -294,16 +305,18 @@ func (cv *CondVar) enqueue(tx *stm.Tx, n *Node) {
 	// which corrupts the list the moment either incarnation is unlinked.
 	// An aborted enclosing transaction abandons its node (a fresh one is
 	// acquired on retry), so the flag is never stale on this path.
-	if n.inQueue.Swap(true) && cv.sanitizeOn() {
+	if cv.sanitizeOn() && n.inQueue.Swap(true) {
 		panic("core: sanitizer: condvar node enqueued while still linked in the wait queue (double WAIT on one node, or a recycled node the queue still references)")
 	}
-	var now int64
+	// A stamp is written only when its value changes: a disarmed cycle
+	// finds all three already zero and writes none.
 	if cv.st != nil || cv.chainRead() {
-		now = monoNS()
+		n.enqueuedNS.Store(monoNS())
+	} else {
+		clearStamp(&n.enqueuedNS)
 	}
-	n.enqueuedNS.Store(now)
-	n.notifiedNS.Store(0)
-	n.parkedNS.Store(0)
+	clearStamp(&n.notifiedNS)
+	clearStamp(&n.parkedNS)
 	if tx != nil {
 		tx.Atomic(n.enqBody)
 	} else {
@@ -319,6 +332,14 @@ func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 	// Attempt-buffered: an aborted attempt's enqueue never shows in
 	// the trace.
 	tx.Trace(obs.EvCVEnqueue, int64(n.id), int64(cv.id))
+	// Line 1, inside the transaction: a doomed enqueuer whose snapshot
+	// still had this node as tail may hold its next link's orec, and
+	// this read then aborts the attempt instead of racing the lock
+	// (DESIGN.md §7.2). Read first: a node last dequeued as the tail
+	// already has a nil link, and the line stays a read.
+	if stm.Read(tx, n.next) != nil {
+		stm.Write(tx, n.next, nil)
+	}
 	t := stm.Read(tx, cv.tail)
 	if t == nil {
 		stm.Write(tx, cv.head, n)
@@ -329,13 +350,12 @@ func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 }
 
 // enqueueSelf is the front half of every WAIT (Algorithm 4 lines 1–8):
-// take a node from the pool, privatize it, and insert it into the wait
-// queue — inside tx when the caller is transactional, in its own
-// transaction otherwise. The caller then ends its sync block (line 9)
-// and hands the node to park.
+// take a node from the pool and insert it into the wait queue — inside
+// tx when the caller is transactional, in its own transaction otherwise;
+// line 1 runs in that transaction (enqueueBody). The caller then ends its
+// sync block (line 9) and hands the node to park.
 func (cv *CondVar) enqueueSelf(tx *stm.Tx, tag any) *Node {
 	n := cv.acquireNode()
-	n.next.StoreDirect(nil) // line 1: the node is private here; cvlint:ignore directstore privatized (Section 3.3)
 	if tag != nil {
 		n.tag.StoreDirect(tag) // cvlint:ignore directstore pre-enqueue: node is owner-private (Section 3.3)
 	}
@@ -609,7 +629,7 @@ func (cv *CondVar) removeNode(target *Node) bool {
 		}
 	})
 	if found {
-		target.inQueue.Store(false)
+		clearFlag(&target.inQueue)
 	}
 	return found
 }
@@ -698,12 +718,14 @@ func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 		cv.st.Sem.Posts.Inc()
 		n.notifiedNS.Store(now)
 	}
-	n.wakeID.Store(wakeID)
+	if wakeID != 0 {
+		n.wakeID.Store(wakeID)
+	}
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.Emit(n.id, obs.EvCVSemPost, int64(n.id), 0)
 		tr.EmitFlow(n.id, obs.EvWakePost, wakeID, 0, 0)
 	}
-	n.inQueue.Store(false)
+	clearFlag(&n.inQueue)
 	n.wake <- struct{}{}
 }
 
@@ -747,7 +769,9 @@ func wakeCommitted(batch []stm.CommitArg) {
 	tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
 	for _, a := range batch {
 		n := a.P.(*Node)
-		n.batch.Store(wb)
+		if wb != nil {
+			n.batch.Store(wb)
+		}
 		cv.wakeNode(n, wakeID)
 	}
 }
@@ -761,9 +785,15 @@ func wakeCommitted(batch []stm.CommitArg) {
 // flow id so the resume path can bind the waiter's next transaction into
 // the wake flow (Wait's continuation wrapper, WaitTx's post-resume step).
 func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64) {
-	flow = n.wakeID.Swap(0)
-	if wb := n.batch.Swap(nil); wb != nil && wb.remaining.Add(-1) == 0 {
-		cv.st.BroadcastNanos.Observe(monoNS() - wb.startNS)
+	// Each word is swapped only after a non-zero load: a disarmed wake
+	// finds both zero and writes neither.
+	if n.wakeID.Load() != 0 {
+		flow = n.wakeID.Swap(0)
+	}
+	if n.batch.Load() != nil {
+		if wb := n.batch.Swap(nil); wb.remaining.Add(-1) == 0 {
+			cv.st.BroadcastNanos.Observe(monoNS() - wb.startNS)
+		}
 	}
 	if cv.st != nil {
 		cv.st.Waits.Inc()
@@ -804,6 +834,21 @@ func postCommitted(args []stm.CommitArg) {
 	n := args[0].P.(*Node)
 	n.cv.checkGen(n, args[0].N)
 	n.cv.notifyCommitted(n)
+}
+
+// clearStamp zeroes a node stamp unless it is zero already: a plain
+// load, where an unconditional atomic store is a locked instruction.
+func clearStamp(w *atomic.Int64) {
+	if w.Load() != 0 {
+		w.Store(0)
+	}
+}
+
+// clearFlag clears a node flag unless it is clear already.
+func clearFlag(f *atomic.Bool) {
+	if f.Load() {
+		f.Store(false)
+	}
 }
 
 // checkGen is the sanitizer's ABA check at commit: n must still be the

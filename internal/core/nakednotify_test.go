@@ -75,22 +75,14 @@ func TestNakedNotifyEmptyNoAlloc(t *testing.T) {
 // (serial) one, whose in-place writes lock no orec: every wait returns,
 // and every committed post is consumed by exactly one wait. An empty
 // read taken while an enqueue is in flight must fall back to the
-// transaction, or a waiter is stranded and the test hangs.
+// transaction, or a waiter is stranded and the test hangs. Under -tags
+// stmsan the sanitizer checks this mix too: a doomed enqueuer that
+// still holds a recycled node's next link meets the new owner's
+// transactional line 1, not a direct store.
 func TestNakedNotifyRacesWaiters(t *testing.T) {
 	for _, alg := range []stm.Algorithm{stm.AlgWriteThrough, stm.AlgHTM} {
 		t.Run(alg.String(), func(t *testing.T) {
 			e := stm.NewEngine(stm.Config{Algorithm: alg})
-			// The sanitizer stays off here, also under -tags stmsan. Its
-			// direct-access check fires on a race this mix reaches at
-			// the parent commit too: a doomed enqueuer whose snapshot
-			// still had node X as tail locks X.next (write-through at
-			// encounter, HTM at commit) after X was dequeued, recycled
-			// and taken by a new waiter, whose line-1 StoreDirect(nil)
-			// then meets the lock. The doomed writer never commits and
-			// its undo restores the same nil, but the STM gives no
-			// privatization safety (DESIGN.md §7.2), so the check is
-			// right to notice it.
-			e.SetDebugChecks(false)
 			cv := New(e, Options{})
 			st := &CVStats{}
 			cv.SetStats(st)

@@ -80,5 +80,7 @@
 // clock, not by the atomicity of the value load itself. Orecs are striped:
 // several Vars may hash to one orec, which models the false-conflict
 // behaviour of address-hashed orec tables in real STMs (Config.OrecCount
-// controls the table size).
+// controls the table size). NewVarInStripe places a Var on another's orec
+// on purpose, as adjacent words share one in libitm's ml_wt: a commit
+// that writes both then locks one orec.
 package stm

@@ -97,7 +97,7 @@ func (c Config) withDefaults() Config {
 }
 
 // TMStats aggregates engine activity. All fields are safe to read
-// concurrently. The three counters a disarmed commit path adds to are
+// concurrently. The two counters a disarmed commit path adds to are
 // SlotCounters, kept on the serial gate's slot lines; the rest are
 // engine-wide and count work off that path: aborts, serial transactions,
 // extensions and Retry.
@@ -113,7 +113,6 @@ type TMStats struct {
 	SerialFallback obs.Counter // optimistic → serial transitions
 	RelaxedTxns    obs.Counter // AtomicRelaxed invocations
 	Extensions     obs.Counter // successful snapshot extensions
-	HandlersRun    SlotCounter // onCommit handlers executed
 	RetryAborts    obs.Counter // attempts that called Retry
 	RetryWaits     obs.Counter // Retry callers that actually slept
 	RetryWakes     obs.Counter // sleeping retriers woken by commits
@@ -152,7 +151,6 @@ type slotCount int
 const (
 	slotCommits slotCount = iota
 	slotEarlyCommits
-	slotHandlersRun
 	numSlotCounts
 )
 
@@ -264,7 +262,6 @@ func NewEngine(cfg Config) *Engine {
 	e.drainCond.L = &e.drainMu
 	e.Stats.Commits = SlotCounter{e.slots, slotCommits}
 	e.Stats.EarlyCommits = SlotCounter{e.slots, slotEarlyCommits}
-	e.Stats.HandlersRun = SlotCounter{e.slots, slotHandlersRun}
 	e.debug.Store(debugDefault)
 	return e
 }

@@ -28,12 +28,17 @@ func (e *Engine) Fault() *fault.Injector { return e.fault }
 // this attempt. Delay decisions stall right here, widening whatever
 // window the hook sits in; abort-shaped decisions are returned for the
 // caller to translate into its own abort path (see faultPanic).
+//
+// The nil-injector check inlines into every hook; the draw is out of line.
 func (tx *Tx) faultAt(p fault.Point) fault.Decision {
-	in := tx.e.fault
-	if in == nil || tx.mode == modeSerial {
+	if tx.e.fault == nil || tx.mode == modeSerial {
 		return fault.Decision{}
 	}
-	d := in.At(p)
+	return tx.faultDraw(p)
+}
+
+func (tx *Tx) faultDraw(p fault.Point) fault.Decision {
+	d := tx.e.fault.At(p)
 	if d.Action == fault.ActNone {
 		return d
 	}

@@ -33,7 +33,6 @@ func (s *TMStats) scalars() []tmScalar {
 		{"serial_fallback", "optimistic-to-serial transitions", s.SerialFallback.Load},
 		{"relaxed_txns", "AtomicRelaxed invocations", s.RelaxedTxns.Load},
 		{"extensions", "successful snapshot extensions", s.Extensions.Load},
-		{"handlers_run", "onCommit handlers executed", s.HandlersRun.Load},
 		{"retry_aborts", "attempts that called Retry", s.RetryAborts.Load},
 		{"retry_waits", "Retry callers that actually slept", s.RetryWaits.Load},
 		{"retry_wakes", "sleeping retriers woken by commits", s.RetryWakes.Load},

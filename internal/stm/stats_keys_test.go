@@ -20,7 +20,7 @@ import (
 // deliberate two-touch change.
 var snapshotKeys = []string{
 	"aborts", "capacity_aborts", "commits", "conflict_aborts",
-	"early_commits", "explicit_aborts", "extensions", "handlers_run",
+	"early_commits", "explicit_aborts", "extensions",
 	"relaxed_txns", "retry_aborts", "retry_waits", "retry_wakes",
 	"serial_commits", "serial_fallback", "syscall_aborts",
 }

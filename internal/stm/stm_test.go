@@ -215,9 +215,6 @@ func TestOnCommitRunsOnceInOrder(t *testing.T) {
 		if fmt.Sprint(order) != "[1 2 3]" {
 			t.Fatalf("handler order = %v, want [1 2 3]", order)
 		}
-		if got := e.Stats.HandlersRun.Load(); got != 3 {
-			t.Fatalf("HandlersRun = %d, want 3", got)
-		}
 	})
 }
 

@@ -154,10 +154,16 @@ func (tx *Tx) Serial() bool { return tx.mode == modeSerial }
 // Attempt returns the zero-based retry attempt number of this execution.
 func (tx *Tx) Attempt() int { return tx.attempt }
 
+// ensureActive panics unless the transaction is active. It inlines into
+// every Read and Write; the panic message is built out of line.
 func (tx *Tx) ensureActive(op string) {
 	if tx.status != txActive {
-		panic(fmt.Sprintf("stm: %s on %s transaction (did code run after CommitEarly/Wait?)", op, tx.statusString()))
+		tx.inactivePanic(op)
 	}
+}
+
+func (tx *Tx) inactivePanic(op string) {
+	panic(fmt.Sprintf("stm: %s on %s transaction (did code run after CommitEarly/Wait?)", op, tx.statusString()))
 }
 
 func (tx *Tx) statusString() string {
@@ -675,7 +681,6 @@ func (tx *Tx) runCommitHandlers() {
 	}
 	tx.clearHandlers()
 	if n > 0 {
-		tx.count(slotHandlersRun, int64(n))
 		// Direct emission: handlers run strictly after the commit.
 		tx.e.tracer.Emit(tx.id, obs.EvHandlerRun, int64(n), 0)
 	}

@@ -55,6 +55,21 @@ func NewVarNamed[T any](e *Engine, name string, init T) *Var[T] {
 	return v
 }
 
+// NewVarInStripe is NewVar for a cell that shares peer's orec: the two
+// Vars are one stripe, as adjacent words are in libitm's ml_wt, which maps
+// memory to orecs in 32-byte stripes. A transaction that writes both
+// locks, releases and stamps one orec; a writer of either conflicts with
+// a reader of either, exactly as when two Vars hash to one orec. The new
+// Var belongs to peer's engine.
+func NewVarInStripe[T any](peer *Var[T], init T) *Var[T] {
+	v := newVar(peer.base.eng, init)
+	v.base.o = peer.base.o
+	if profiling.Load() {
+		v.base.attachSiteMeta(2)
+	}
+	return v
+}
+
 func newVar[T any](e *Engine, init T) *Var[T] {
 	v := &Var[T]{}
 	v.base.seq = e.varSeq.Add(1)

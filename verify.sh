@@ -50,13 +50,15 @@ step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
 # spin-phase and concurrent-commit interleavings even when the host has
 # one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
-# The serial gate's reader slots and serialPending handshake, and
-# stm.Peek's reads against held serial and optimistic writers: twenty
-# race-detector runs of their deterministic tests at each core count, so
-# the one-P schedules (the violator runs without blocking) and the
-# parallel ones both get exercised.
+# The serial gate's reader slots and serialPending handshake, stm.Peek's
+# reads against held serial and optimistic writers, and two Vars on one
+# stripe (one orec: a writer of either conflicts with a reader of the
+# other and wakes its Retry): twenty race-detector runs of their
+# deterministic tests at each core count, so the one-P schedules (the
+# violator runs without blocking) and the parallel ones both get
+# exercised.
 for procs in 1 2 4; do
-	GOMAXPROCS=$procs go test -race -run 'TestSerialGate|TestPeek' -count=20 ./internal/stm
+	GOMAXPROCS=$procs go test -race -run 'TestSerialGate|TestPeek|TestStripe' -count=20 ./internal/stm
 done
 
 step "tests (runtime sanitizer on: -tags stmsan)"
@@ -92,8 +94,11 @@ go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity|TestOn
 # no transaction, no commit, no allocation. A whole wait cycle (enqueue,
 # naked NotifyOne, park, release) and a 16-waiter NotifyAll cycle
 # allocate nothing (their commit handlers are pre-bound, not closures),
-# and with no reader of the node stamps a wait cycle reads no clock.
-go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc|TestWaitNodeCycleNoAlloc|TestWaitNotifyCycleNoAlloc|TestNotifyAllCycleNoAlloc|TestDisarmedWaitCycleNoClock|TestNakedNotifyEmptyNoAlloc' ./internal/core
+# and with no reader of the node stamps a wait cycle reads no clock. With
+# debug checks off a wait cycle writes none of the sanitizer's node words
+# (inQueue, gen), and each of its two transactions locks one orec (head
+# and tail are one stripe).
+go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc|TestWaitNodeCycleNoAlloc|TestWaitNotifyCycleNoAlloc|TestNotifyAllCycleNoAlloc|TestDisarmedWaitCycleNoClock|TestNakedNotifyEmptyNoAlloc|TestDisarmedNodeWords|TestWaitCycleLocksOneOrecPerTransaction' ./internal/core
 # The parking lot's pooled park path (syncx.Mutex, monitor, the Birrell
 # baseline): a Wait that parks and is woken must recycle its waiter node
 # and channel — 0 allocs/op once the pool is warm. Its "park" case pins
