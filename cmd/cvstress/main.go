@@ -466,10 +466,6 @@ func runChaos(goroutines int, seed uint64, rate float64, dur time.Duration, dump
 		tr.Enable()
 		reg.SetTracer(tr)
 	}
-	// Contention attribution is part of the instrumented-by-default set:
-	// the deliberately-contended chaos.hot probe below must rank first on
-	// /debug/cv/conflicts (the verify.sh attribution smoke asserts it).
-	stm.SetProfiling(true)
 	rec := introspect.NewRecorder(dumpDir, reg)
 	code := exitOK
 	for _, kind := range []facility.Kind{facility.LockTM, facility.Txn} {
@@ -583,7 +579,6 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 			defer hotWg.Done()
 			for running(deadline) {
 				e.MustAtomic(func(tx *stm.Tx) {
-					tx.SetLabel("chaos.hot-probe")
 					stm.Write(tx, hot, stm.Read(tx, hot)+1)
 				})
 			}
@@ -592,13 +587,15 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 
 	// Race probes on the same injected engine: the timed-wait race and
 	// the cancellation race, each holding the lost/spurious invariant.
-	cv := core.New(e, core.Options{})
+	// Both probe condvars are named so their queue aborts get their own
+	// rows on /debug/cv/conflicts instead of folding into (unattributed).
+	cv := core.New(e, core.Options{}).SetName("chaos.probe")
 	cv.SetStats(cvStats)
 	cv.RegisterIntrospect(reg, e.Name()+"/probe")
 	// Broadcast probe state: a separate condvar with a wide wait set, woken
 	// by single NotifyAll batches while the injector stalls the
 	// post/park/notify hook points underneath.
-	bcv := core.New(e, core.Options{})
+	bcv := core.New(e, core.Options{}).SetName("chaos.bcast")
 	bcv.SetStats(cvStats)
 	var bm syncx.Mutex
 	bgen := 0

@@ -4,7 +4,7 @@
 // /debug/cv/conflicts, rendering per-engine commit/abort rates, the
 // busiest condition variables with their deepest waiters, the wake pane
 // (who consumed each wake: the waiter, a timeout, or a cancellation),
-// and the hottest transactional Vars by attributed aborts.
+// and the hottest named transactional Vars by attributed aborts.
 //
 // Usage:
 //
@@ -160,13 +160,12 @@ func fetch(url string) ([]byte, error) {
 
 // sample is one poll of the endpoint.
 type sample struct {
-	at          time.Time
-	scalars     map[string]float64 // full "name{labels}" key -> value
-	hists       map[string]histVar
-	waiters     []registry.Waiter
-	sources     []sourceSummary
-	conflicts   map[string][]registry.ConflictVar // engine -> top-K hot Vars
-	profilingOn bool
+	at        time.Time
+	scalars   map[string]float64 // full "name{labels}" key -> value
+	hists     map[string]histVar
+	waiters   []registry.Waiter
+	sources   []sourceSummary
+	conflicts map[string][]registry.ConflictVar // engine -> top-K hot Vars
 }
 
 type histVar struct {
@@ -227,14 +226,12 @@ func poll(base string) (*sample, error) {
 		return nil, err
 	}
 	var cd struct {
-		ProfilingOn bool                              `json:"profiling_on"`
-		Engines     map[string][]registry.ConflictVar `json:"engines"`
+		Engines map[string][]registry.ConflictVar `json:"engines"`
 	}
 	if err := json.Unmarshal(body, &cd); err != nil {
 		return nil, fmt.Errorf("conflicts: %w", err)
 	}
 	s.conflicts = cd.Engines
-	s.profilingOn = cd.ProfilingOn
 	return s, nil
 }
 
@@ -433,9 +430,6 @@ func renderConflicts(w *strings.Builder, cur *sample, topN int) {
 		}
 	}
 	if len(rows) == 0 {
-		if !cur.profilingOn {
-			fmt.Fprintln(w, "\nTOP CONFLICTS: (attribution off — start the target with -profile or stm.SetProfiling)")
-		}
 		return
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -453,11 +447,11 @@ func renderConflicts(w *strings.Builder, cur *sample, topN int) {
 	if len(rows) > topN {
 		rows = rows[:topN]
 	}
-	fmt.Fprintf(w, "\n%-28s %-14s %10s %12s  %s\n",
-		"TOP CONFLICTS (VAR)", "ENGINE", "ABORTS", "ENCOUNTERS", "REASONS")
+	fmt.Fprintf(w, "\n%-28s %-14s %10s  %s\n",
+		"TOP CONFLICTS (VAR)", "ENGINE", "ABORTS", "REASONS")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-28s %-14s %10d %12d  %s\n",
-			r.cv.Var, r.engine, r.cv.Total, r.cv.Encounters, reasonMix(r.cv.ByReason))
+		fmt.Fprintf(w, "%-28s %-14s %10d  %s\n",
+			r.cv.Var, r.engine, r.cv.Total, reasonMix(r.cv.ByReason))
 	}
 }
 

@@ -21,7 +21,7 @@
 //	-trace out.json             record a Chrome trace_event file of the run
 //	-tracebuf N                 trace ring-buffer capacity in events
 //	-introspect addr            serve /debug/cv/* live endpoints while running
-//	-profile                    enable STM contention attribution
+//	                            (abort attribution on /debug/cv/conflicts)
 //
 // Examples:
 //
@@ -42,7 +42,6 @@ import (
 	"repro/internal/obs/introspect"
 	"repro/internal/obs/registry"
 	"repro/internal/parsec"
-	"repro/internal/stm"
 	"repro/internal/waketrace"
 )
 
@@ -62,7 +61,6 @@ func main() {
 	traceBuf := flag.Int("tracebuf", 1<<20, "trace ring-buffer capacity in events")
 	introspectAddr := flag.String("introspect", "", "serve /debug/cv/* live-introspection endpoints on this address (e.g. 127.0.0.1:6070)")
 	quiet := flag.Bool("quiet", false, "suppress live progress")
-	profile := flag.Bool("profile", false, "enable STM contention attribution (per-Var conflict counters; auto-on with -introspect)")
 	flag.Parse()
 
 	effScale := *scale
@@ -141,12 +139,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "parsecbench: introspect: listening on %s\n", srv.Addr())
-	}
-	if *profile || *introspectAddr != "" {
-		// Attribution costs one atomic load on already-slow conflict
-		// paths, so the introspection server gets it for free — its
-		// /debug/cv/conflicts endpoint is empty otherwise.
-		stm.SetProfiling(true)
 	}
 
 	sw := harness.Run(cfg)

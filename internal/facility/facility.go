@@ -204,19 +204,9 @@ func (tk *Toolkit) Waiters() int {
 	return n
 }
 
-// NewCondNamed is NewCond with an attribution name for the TM-backed
-// flavour; LockPthread condvars have no attribution surface, so the
-// name is ignored there.
-func (tk *Toolkit) NewCondNamed(name string) Cond {
-	if tk.Kind == LockTM {
-		return core.NewLockCond(tk.NewCondVarNamed(name))
-	}
-	return tk.NewCond()
-}
-
 // NewCondVarNamed is NewCondVar plus CondVar.SetName under the
 // toolkit's Label prefix, so conflict tables and traces show
-// "taskq.workAvail" instead of a bare creation site.
+// "taskq.workAvail" instead of folding into "(unattributed)".
 func (tk *Toolkit) NewCondVarNamed(name string) *core.CondVar {
 	return tk.NewCondVar().SetName(tk.label(name))
 }

@@ -132,14 +132,13 @@ func TestParkLabelsHeldPerServer(t *testing.T) {
 	}
 }
 
-// TestConflictsEndpoint validates /debug/cv/conflicts: JSON shape,
-// topk query handling, and the profiling_on flag mirroring the stm
-// gate.
+// TestConflictsEndpoint validates /debug/cv/conflicts: JSON shape and
+// topk query handling.
 func TestConflictsEndpoint(t *testing.T) {
 	reg := registry.New()
 	reg.RegisterConflicts("chaos/tm-cv", func(topK int) []registry.ConflictVar {
 		rows := []registry.ConflictVar{
-			{Var: "chaos.hot", Encounters: 9, Total: 40, ByReason: map[string]int64{"conflict": 40}},
+			{Var: "chaos.hot", Total: 40, ByReason: map[string]int64{"conflict": 40}},
 			{Var: "taskq.items", Total: 3, ByReason: map[string]int64{"conflict": 3}},
 		}
 		if topK < len(rows) {
@@ -153,10 +152,6 @@ func TestConflictsEndpoint(t *testing.T) {
 	}
 	defer s.Close()
 
-	prev := stm.ProfilingEnabled()
-	stm.SetProfiling(true)
-	defer stm.SetProfiling(prev)
-
 	body, resp := get(t, s.URL()+"/debug/cv/conflicts")
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("conflicts Content-Type = %q", ct)
@@ -165,8 +160,8 @@ func TestConflictsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &cd); err != nil {
 		t.Fatalf("conflicts not JSON: %v\n%s", err, body)
 	}
-	if cd.GeneratedAt.IsZero() || !cd.ProfilingOn {
-		t.Errorf("dump header = %+v, want generated_at set and profiling_on", cd)
+	if cd.GeneratedAt.IsZero() {
+		t.Errorf("dump header = %+v, want generated_at set", cd)
 	}
 	rows := cd.Engines["chaos/tm-cv"]
 	if len(rows) != 2 || rows[0].Var != "chaos.hot" || rows[0].Total != 40 {
@@ -179,15 +174,6 @@ func TestConflictsEndpoint(t *testing.T) {
 	}
 	if cd.TopK != 1 || len(cd.Engines["chaos/tm-cv"]) != 1 {
 		t.Fatalf("topk=1 dump = %+v", cd)
-	}
-
-	stm.SetProfiling(false)
-	body, _ = get(t, s.URL()+"/debug/cv/conflicts")
-	if err := json.Unmarshal([]byte(body), &cd); err != nil {
-		t.Fatal(err)
-	}
-	if cd.ProfilingOn {
-		t.Error("profiling_on still true after SetProfiling(false)")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/registry"
-	"repro/internal/stm"
 )
 
 // Options configures Start.
@@ -152,11 +151,9 @@ const defaultConflictTopK = 20
 
 // ConflictsDump is the /debug/cv/conflicts body: per engine, the top-K
 // abort-attribution rows (DESIGN.md §13), ranked by attributed aborts.
-// Empty tables mean contention profiling is off (stm.SetProfiling) or
-// nothing aborted yet.
+// Empty tables mean nothing aborted yet.
 type ConflictsDump struct {
 	GeneratedAt time.Time                         `json:"generated_at"`
-	ProfilingOn bool                              `json:"profiling_on"`
 	TopK        int                               `json:"top_k"`
 	Engines     map[string][]registry.ConflictVar `json:"engines"`
 }
@@ -169,7 +166,6 @@ func BuildConflictsDump(reg *registry.Registry, topK int) ConflictsDump {
 	}
 	return ConflictsDump{
 		GeneratedAt: time.Now(),
-		ProfilingOn: stm.ProfilingEnabled(),
 		TopK:        topK,
 		Engines:     reg.Conflicts(topK),
 	}

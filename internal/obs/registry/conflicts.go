@@ -80,23 +80,13 @@ func (s *setSource) renderSample(sample Sample) string {
 	return renderLabels(merged)
 }
 
-// ConflictVar is one row of an engine's abort-attribution table: a Var
-// (by name or creation site), its conflict-encounter and attributed-
-// abort counts, the per-reason breakdown, and the per-transaction-label
-// breakdown. Produced by stm.Engine.ConflictProfile; the type lives here
-// so the introspection stack can consume it without importing stm.
+// ConflictVar is one row of an engine's abort-attribution table: a
+// named Var (or the "(unattributed)" residue), its attributed-abort
+// count and the per-reason breakdown. Produced by
+// stm.Engine.ConflictProfile; the type lives here so the introspection
+// stack can consume it without importing stm.
 type ConflictVar struct {
-	Var        string           `json:"var"`
-	Site       string           `json:"site,omitempty"`
-	Encounters int64            `json:"encounters"`
-	Total      int64            `json:"aborts"`
-	ByReason   map[string]int64 `json:"by_reason,omitempty"`
-	Labels     []ConflictLabel  `json:"labels,omitempty"`
-}
-
-// ConflictLabel is one transaction-label slice of a ConflictVar row.
-type ConflictLabel struct {
-	Label    string           `json:"label"`
+	Var      string           `json:"var"`
 	Total    int64            `json:"aborts"`
 	ByReason map[string]int64 `json:"by_reason,omitempty"`
 }

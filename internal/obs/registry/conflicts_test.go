@@ -125,6 +125,10 @@ func TestConflictsInSnapshot(t *testing.T) {
 func TestConcurrentUpsertAndScrape(t *testing.T) {
 	r := New()
 	const writers, scrapes = 4, 4
+	// One source before any scraper starts: the validator rejects an
+	// exposition with no samples, which a scrape that beat every writer's
+	// first registration would otherwise produce.
+	r.RegisterCounter("race_commits_total", "", Labels{"engine": "e0"}, func() int64 { return 0 })
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

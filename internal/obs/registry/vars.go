@@ -61,8 +61,8 @@ type Snapshot struct {
 	Histograms map[string]obs.HistogramSnapshot `json:"histograms"`
 	Waiters    []Waiter                         `json:"waiters,omitempty"`
 	// Conflicts is the top-K abort-attribution table per engine
-	// (DESIGN.md §13); empty unless contention profiling recorded
-	// activity. Flight-recorder dumps inherit it through this field.
+	// (DESIGN.md §13); empty until an engine records an abort.
+	// Flight-recorder dumps inherit it through this field.
 	Conflicts map[string][]ConflictVar `json:"conflicts,omitempty"`
 }
 

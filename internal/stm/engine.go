@@ -243,8 +243,7 @@ type Engine struct {
 	fault *fault.Injector
 
 	// prof is the contention-attribution state (see profile.go). The
-	// zero value is ready; it only grows when Vars are named or created
-	// under the profiling gate.
+	// zero value is ready; it only grows when Vars are named.
 	prof engineProfile
 
 	Stats TMStats
@@ -308,7 +307,6 @@ func (e *Engine) newTx(attempt int) *Tx {
 	tx.began = e.beginClock(&tx.sampleLeft)
 	tx.pend = tx.pend[:0]
 	tx.conflictB = nil
-	tx.label = ""
 	tx.traceStart()
 	return tx
 }

@@ -74,7 +74,7 @@ func (e *Engine) RegisterMetrics(r *registry.Registry) {
 	// Contention attribution (profile.go): the per-(var, reason) abort
 	// counters as one dynamic-label counter family, and the structured
 	// top-K table for /debug/cv/conflicts, cvtop and flight dumps. Both
-	// are pull-only; with profiling off they render empty.
+	// are pull-only; before the first abort they render empty.
 	r.RegisterCounterSet("stm_conflicts_total",
 		"aborts attributed per conflicting Var and abort reason",
 		labels, e.conflictSamples)

@@ -9,69 +9,42 @@ import (
 )
 
 // Tests for the contention attribution layer (profile.go): overhead
-// guards for the disabled path, deterministic conflict attribution, and
-// the naming/labeling surface.
+// guards for the commit and abort paths, deterministic conflict
+// attribution on a fresh engine (attribution is always on), and the
+// naming surface.
 
-// withProfiling flips the process-wide gate for one test and restores
-// the previous state afterwards (other tests in this package assert the
-// zero-alloc fast path with the gate off).
-func withProfiling(t *testing.T, on bool) {
-	t.Helper()
-	prev := ProfilingEnabled()
-	SetProfiling(on)
-	t.Cleanup(func() { SetProfiling(prev) })
-}
-
-// TestProfilingDisabledNoAllocCommit is the overhead guard for the hot
-// path: with attribution off, a read-write transaction must not
-// allocate at all — same bar as the tracer's TestTraceDisabledNoAlloc.
-func TestProfilingDisabledNoAllocCommit(t *testing.T) {
+// TestNamedVarCommitNoAlloc is the overhead guard for the hot path: a
+// read-write transaction on a named Var must not allocate at all — same
+// bar as the tracer's TestTraceDisabledNoAlloc.
+func TestNamedVarCommitNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
-	withProfiling(t, false)
 	e := NewEngine(Config{})
 	v := NewVarNamed(e, "guard.v", 0)
 	fn := func(tx *Tx) { Write(tx, v, Read(tx, v)+1) }
 	if allocs := testing.AllocsPerRun(200, func() { e.MustAtomic(fn) }); allocs != 0 {
-		t.Fatalf("commit path allocates %.1f/op with profiling disabled, want 0", allocs)
+		t.Fatalf("commit path allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestAbortPathAllocParity guards the enabled path: once the label
-// cells are warm, recording an abort must not allocate — aborting with
-// attribution on costs the same allocations as aborting with it off.
-func TestAbortPathAllocParity(t *testing.T) {
+// TestRecordAbortNoAlloc guards the abort path: recording an abort,
+// whether blamed on a named Var or on no Var, never allocates.
+func TestRecordAbortNoAlloc(t *testing.T) {
 	e := NewEngine(Config{})
-	v := NewVarNamed(e, "guard.cancel", 0)
-	cancelErr := errTestStm("abort-parity")
-	abortOnce := func() {
-		_ = e.Atomic(func(tx *Tx) {
-			tx.SetLabel("parity-probe")
-			Write(tx, v, 1)
-			tx.Cancel(cancelErr)
-		})
-	}
-
-	withProfiling(t, false)
-	base := testing.AllocsPerRun(200, abortOnce)
-
-	SetProfiling(true)
-	abortOnce() // warm the "parity-probe" label cell
-	enabled := testing.AllocsPerRun(200, abortOnce)
-
-	if enabled > base {
-		t.Fatalf("abort path allocates %.1f/op with profiling on vs %.1f/op off", enabled, base)
+	v := NewVarNamed(e, "guard.abort", 0)
+	for name, b := range map[string]*varBase{"named Var": &v.base, "nil": nil} {
+		if allocs := testing.AllocsPerRun(200, func() { e.recordAbort(causeConflict, b) }); allocs != 0 {
+			t.Fatalf("recordAbort on %s allocates %.1f/op, want 0", name, allocs)
+		}
 	}
 }
 
 // TestConflictAttributionDeterministic drives the snapshot-extension
-// failure from TestExtensionFailureAborts with profiling on and asserts
-// the abort lands in the attribution table: right Var, reason
-// "conflict", encounter counted, transaction label recorded — and that
-// SetLabel is first-wins.
+// failure from TestExtensionFailureAborts on a fresh engine, with no
+// setup, and asserts the abort lands in the attribution table: right
+// Var, reason "conflict".
 func TestConflictAttributionDeterministic(t *testing.T) {
-	withProfiling(t, true)
 	e := NewEngine(Config{OrecCount: 1 << 16})
 	x := NewVarNamed(e, "hot.x", 1)
 	b := NewVarNamed(e, "hot.b", 0)
@@ -86,8 +59,6 @@ func TestConflictAttributionDeterministic(t *testing.T) {
 	}()
 	attempts := 0
 	e.MustAtomic(func(tx *Tx) {
-		tx.SetLabel("ext-probe")
-		tx.SetLabel("second-label-must-lose")
 		attempts++
 		_ = Read(tx, x)
 		if attempts == 1 {
@@ -113,15 +84,6 @@ func TestConflictAttributionDeterministic(t *testing.T) {
 	if hot.Total < 1 || hot.ByReason["conflict"] < 1 {
 		t.Fatalf("hot.b row = %+v, want >=1 conflict abort", *hot)
 	}
-	if hot.Encounters < 1 {
-		t.Fatalf("hot.b encounters = %d, want >=1", hot.Encounters)
-	}
-	if len(hot.Labels) != 1 || hot.Labels[0].Label != "ext-probe" {
-		t.Fatalf("hot.b labels = %+v, want exactly [ext-probe] (SetLabel is first-wins)", hot.Labels)
-	}
-	if hot.Labels[0].ByReason["conflict"] < 1 {
-		t.Fatalf("ext-probe label reasons = %+v, want conflict >=1", hot.Labels[0].ByReason)
-	}
 
 	// The scrape shape: one sample per (var, reason).
 	found := false
@@ -135,11 +97,10 @@ func TestConflictAttributionDeterministic(t *testing.T) {
 	}
 }
 
-// TestVarNamingAndSiteFallback pins the display-name rules: explicit
-// names win, Vars created under the gate fall back to their creation
-// site, and SetName works after the fact.
-func TestVarNamingAndSiteFallback(t *testing.T) {
-	withProfiling(t, true)
+// TestVarNaming pins the naming rules: an explicit name sticks, SetName
+// works after the fact, and an unnamed Var has no name and its aborts
+// land in the "(unattributed)" row.
+func TestVarNaming(t *testing.T) {
 	e := NewEngine(Config{})
 
 	named := NewVarNamed(e, "explicit.name", 0)
@@ -147,29 +108,30 @@ func TestVarNamingAndSiteFallback(t *testing.T) {
 		t.Fatalf("Name() = %q", got)
 	}
 
-	anon := NewVar(e, 0) // site captured: this file, this line
-	m := anon.base.meta.Load()
-	if m == nil {
-		t.Fatal("Var created under profiling has no meta")
+	anon := NewVar(e, 0)
+	if got := anon.Name(); got != "" {
+		t.Fatalf("unnamed Name() = %q, want \"\"", got)
 	}
-	if !strings.Contains(m.display(), "profile_test.go") {
-		t.Fatalf("site fallback = %q, want a profile_test.go creation site", m.display())
-	}
-	// Name() documents the same fallback chain: explicit name, else site.
-	if got := anon.Name(); got != m.display() {
-		t.Fatalf("Name() = %q, want creation site %q", got, m.display())
+	e.recordAbort(causeConflict, &anon.base)
+	rows := e.ConflictProfile(0)
+	if len(rows) != 1 || rows[0].Var != "(unattributed)" || rows[0].ByReason["conflict"] != 1 {
+		t.Fatalf("rows after an unnamed Var's abort = %+v, want one (unattributed) conflict", rows)
 	}
 
 	anon.SetName("renamed.later")
-	if got := anon.base.meta.Load().display(); got != "renamed.later" {
-		t.Fatalf("display after SetName = %q", got)
+	if got := anon.Name(); got != "renamed.later" {
+		t.Fatalf("Name() after SetName = %q", got)
+	}
+	e.recordAbort(causeConflict, &anon.base)
+	rows = e.ConflictProfile(0)
+	if len(rows) != 2 || rows[0].Var != "renamed.later" || rows[0].Total != 1 {
+		t.Fatalf("rows after SetName = %+v, want renamed.later first with 1 abort", rows)
 	}
 }
 
 // TestUnattributedBucket: aborts with no conflicting Var identified
 // (Cancel) land in the "(unattributed)" row rather than vanishing.
 func TestUnattributedBucket(t *testing.T) {
-	withProfiling(t, true)
 	e := NewEngine(Config{})
 	v := NewVarNamed(e, "bucket.v", 0)
 	_ = e.Atomic(func(tx *Tx) {
@@ -186,12 +148,11 @@ func TestUnattributedBucket(t *testing.T) {
 
 // TestProfileTopKTruncates: topK bounds the table, hottest rows first.
 func TestProfileTopKTruncates(t *testing.T) {
-	withProfiling(t, true)
 	e := NewEngine(Config{})
 	for i, n := range []int{5, 3, 1} {
 		v := NewVarNamed(e, []string{"k.a", "k.b", "k.c"}[i], 0)
 		for j := 0; j < n; j++ {
-			e.recordAbort(causeConflict, &v.base, "")
+			e.recordAbort(causeConflict, &v.base)
 		}
 	}
 	rows := e.ConflictProfile(2)
@@ -206,11 +167,10 @@ func TestProfileTopKTruncates(t *testing.T) {
 // (algorithm, engine, reason, var), and the body must satisfy the
 // in-repo exposition validator.
 func TestConflictFamilyExposition(t *testing.T) {
-	withProfiling(t, true)
 	e := NewEngine(Config{Name: "pin", Algorithm: AlgWriteThrough})
 	v := NewVarNamed(e, "pin.hot", 0)
-	e.recordAbort(causeConflict, &v.base, "")
-	e.recordAbort(causeRetry, &v.base, "")
+	e.recordAbort(causeConflict, &v.base)
+	e.recordAbort(causeRetry, &v.base)
 
 	r := registry.New()
 	e.RegisterMetrics(r)

@@ -133,11 +133,9 @@ type Tx struct {
 	pend []obs.Event
 
 	// conflictB is the Var blamed for this attempt's abort, set by the
-	// abort site (a plain pointer store) and consumed by rollback when
-	// contention profiling is on; nil when no specific Var was
-	// identified. label is the attribution label set via SetLabel.
+	// abort site (a plain pointer store) and consumed by rollback's
+	// recordAbort; nil when no specific Var was identified.
 	conflictB *varBase
-	label     string
 }
 
 // Engine returns the engine this transaction runs on.
@@ -303,24 +301,10 @@ func (tx *Tx) abortConflict() {
 }
 
 // abortConflictOn is abortConflict with the conflicting Var recorded
-// for attribution. The store is unconditional (cheaper than gating) and
-// only rollback reads it, behind the profiling gate.
+// for attribution. Only rollback reads it.
 func (tx *Tx) abortConflictOn(b *varBase) {
 	tx.conflictB = b
 	panic(abortSignal{cause: causeConflict})
-}
-
-// SetLabel tags the transaction for abort attribution: the profile's
-// label dimension (profile.go). First-wins under flat nesting, so an
-// outer caller's label is not clobbered by a nested block. A no-op
-// unless contention profiling is enabled.
-func (tx *Tx) SetLabel(label string) {
-	if !profiling.Load() {
-		return
-	}
-	if tx.label == "" {
-		tx.label = label
-	}
 }
 
 // extendHook, set only by tests, runs in readShared between a read's
@@ -334,14 +318,12 @@ func (tx *Tx) readShared(b *varBase) any {
 	for spin := 0; ; spin++ {
 		w1 := o.load()
 		if isLocked(w1) {
-			b.noteEncounter()
 			tx.abortConflictOn(b)
 		}
 		val := b.val.Load()
 		w2 := o.load()
 		if w1 != w2 {
 			if tx.mode == modeHTM {
-				b.noteEncounter()
 				tx.abortConflictOn(b) // eager HTM: any disturbance aborts
 			}
 			continue // value changed underfoot; re-read
@@ -350,7 +332,6 @@ func (tx *Tx) readShared(b *varBase) any {
 			// The location changed after our snapshot. Software modes
 			// try a timestamp extension (revalidate the read set and
 			// advance the snapshot); HTM aborts immediately.
-			b.noteEncounter()
 			if extendHook != nil {
 				extendHook()
 			}
@@ -447,17 +428,14 @@ func (tx *Tx) writeThrough(b *varBase, boxed any) {
 		}
 		w := o.load()
 		if isLocked(w) {
-			b.noteEncounter()
 			tx.abortConflictOn(b) // no waiting: deadlock-free by construction
 		}
 		if versionOf(w) > tx.start {
-			b.noteEncounter()
 			if !tx.extend() {
 				tx.abortConflictOn(b)
 			}
 		}
 		if !o.cas(w, lockWord(tx.id)) {
-			b.noteEncounter()
 			tx.abortConflictOn(b)
 		}
 		tx.owned = append(tx.owned, ownedEntry{o, versionOf(w)})
@@ -488,12 +466,10 @@ func (tx *Tx) validateReads() bool {
 					continue
 				}
 			}
-			r.b.noteEncounter()
 			tx.conflictB = r.b
 			return false
 		}
 		if versionOf(w) != r.ver {
-			r.b.noteEncounter()
 			tx.conflictB = r.b
 			return false
 		}
@@ -550,7 +526,6 @@ func (tx *Tx) tryCommit() bool {
 		}
 		w := o.load()
 		if isLocked(w) || !o.cas(w, lockWord(tx.id)) {
-			tx.writes[i].b.noteEncounter()
 			tx.conflictB = tx.writes[i].b
 			tx.releaseOwnedToPrev()
 			tx.rollback(causeConflict)
@@ -621,9 +596,7 @@ func (tx *Tx) rollback(cause abortCause) {
 	tx.onAbort = clearFuncs(tx.onAbort)
 	tx.clearHandlers()
 	tx.noteAborted(cause)
-	if profiling.Load() {
-		tx.e.recordAbort(cause, tx.conflictB, tx.label)
-	}
+	tx.e.recordAbort(cause, tx.conflictB)
 	tx.conflictB = nil
 	st := &tx.e.Stats
 	st.Aborts.Inc()

@@ -16,9 +16,9 @@ type varBase struct {
 	seq uint64
 	eng *Engine // for the runtime sanitizer (debug.go)
 
-	// meta is the contention-attribution identity (profile.go); nil for
-	// unnamed Vars created while profiling is off. Read/Write fast paths
-	// never touch it — only naming, conflict sightings and rollback do.
+	// meta is the Var's abort-attribution row (profile.go); nil until the
+	// Var is named. Read/Write fast paths never touch it — only naming
+	// and rollback do.
 	meta atomic.Pointer[varMeta]
 }
 
@@ -35,23 +35,21 @@ type Var[T any] struct {
 }
 
 // NewVar allocates a transactional cell bound to engine e, holding init.
-// While contention profiling is enabled (SetProfiling), the creation
-// site is captured as the Var's attribution fallback name.
 func NewVar[T any](e *Engine, init T) *Var[T] {
-	v := newVar(e, init)
-	if profiling.Load() {
-		v.base.attachSiteMeta(2)
-	}
+	v := &Var[T]{}
+	v.base.seq = e.varSeq.Add(1)
+	v.base.o = &e.orecs[orecIndex(v.base.seq, e.orecMask)]
+	v.base.eng = e
+	v.base.val.Store(box[T]{init})
 	return v
 }
 
-// NewVarNamed is NewVar with an explicit attribution name: conflict
-// tables show name instead of a creation-site file:line. Naming is
-// always recorded (independent of the profiling gate) so a profile
-// enabled later still resolves names.
+// NewVarNamed is NewVar with an attribution name: the conflict table
+// gives the Var its own abort row under name instead of folding its
+// aborts into "(unattributed)".
 func NewVarNamed[T any](e *Engine, name string, init T) *Var[T] {
-	v := newVar(e, init)
-	v.base.ensureMeta().setName(name)
+	v := NewVar(e, init)
+	v.base.setName(name)
 	return v
 }
 
@@ -62,39 +60,22 @@ func NewVarNamed[T any](e *Engine, name string, init T) *Var[T] {
 // a reader of either, exactly as when two Vars hash to one orec. The new
 // Var belongs to peer's engine.
 func NewVarInStripe[T any](peer *Var[T], init T) *Var[T] {
-	v := newVar(peer.base.eng, init)
+	v := NewVar(peer.base.eng, init)
 	v.base.o = peer.base.o
-	if profiling.Load() {
-		v.base.attachSiteMeta(2)
-	}
-	return v
-}
-
-func newVar[T any](e *Engine, init T) *Var[T] {
-	v := &Var[T]{}
-	v.base.seq = e.varSeq.Add(1)
-	v.base.o = &e.orecs[orecIndex(v.base.seq, e.orecMask)]
-	v.base.eng = e
-	v.base.val.Store(box[T]{init})
 	return v
 }
 
 // SetName sets (or replaces) the Var's attribution name after creation,
 // returning v for chaining. Safe to call at any time.
 func (v *Var[T]) SetName(name string) *Var[T] {
-	v.base.ensureMeta().setName(name)
+	v.base.setName(name)
 	return v
 }
 
-// Name returns the Var's attribution name: the explicit name if set,
-// else the captured creation site, else "".
+// Name returns the Var's attribution name, or "" if it was never named.
 func (v *Var[T]) Name() string {
-	m := v.base.meta.Load()
-	if m == nil {
-		return ""
-	}
-	if s := m.display(); s != "(unattributed)" {
-		return s
+	if m := v.base.meta.Load(); m != nil {
+		return *m.name.Load()
 	}
 	return ""
 }
