@@ -1,3 +1,20 @@
+// Package core implements the paper's contribution: condition variables
+// that are usable from lock-based critical sections, transactions, and
+// unsynchronized code alike ("Transaction-Friendly Condition Variables",
+// Wang, Liu & Spear, SPAA 2014).
+//
+// The package ships one condition variable and checks two models:
+//
+//   - model.go is the Section 2 artefact: an exhaustive small-scope
+//     model checker that explores Algorithm 2 (the spin-flag condvar over
+//     an abstract set Q of waiting threads) over every interleaving of
+//     small thread mixes, against the Lemma 2 invariants and Definition 1
+//     legality.
+//   - CondVar (condvar.go) is the practical implementation —
+//     Algorithms 3–6: a transactional queue of per-thread semaphores with
+//     commit-deferred SEMPOST. modelimpl.go checks the same algorithms,
+//     with the timeout/cancel loser path, through the explorer model.go
+//     shares with it.
 package core
 
 import (

@@ -310,7 +310,7 @@ func (cv *CondVar) enqueue(tx *stm.Tx, n *Node) {
 	}
 	// A stamp is written only when its value changes: a disarmed cycle
 	// finds all three already zero and writes none.
-	if cv.st != nil || cv.chainRead() {
+	if cv.st != nil || cv.chained.Load() {
 		n.enqueuedNS.Store(monoNS())
 	} else {
 		clearStamp(&n.enqueuedNS)
@@ -441,12 +441,9 @@ func (cv *CondVar) semWait(n *Node, loser int64, d time.Duration, ctx context.Co
 	// The park. Whether it reads the clock is decided once, here: only
 	// for a reader of the park stamp (a wait-chain reader, a stats sink
 	// or an armed tracer), so a tracer armed mid-park never measures from
-	// a zero start. The label is cleared only if this park set it, so a
-	// gate that flips mid-park neither strands a label nor wipes one the
-	// goroutine set itself.
+	// a zero start.
 	tr := cv.e.Tracer()
-	labelled := obs.ParkLabelsEnabled()
-	timed := labelled || cv.st != nil || cv.chained.Load() || tr.Enabled()
+	timed := cv.st != nil || cv.chained.Load() || tr.Enabled()
 	var start int64
 	if timed {
 		start = monoNS()
@@ -454,9 +451,6 @@ func (cv *CondVar) semWait(n *Node, loser int64, d time.Duration, ctx context.Co
 	}
 	if tr.Enabled() {
 		tr.Emit(n.id, obs.EvSemPark, 0, 0)
-	}
-	if labelled {
-		labelParked(n.id)
 	}
 	woken := true
 	if expired == nil && done == nil {
@@ -469,9 +463,6 @@ func (cv *CondVar) semWait(n *Node, loser int64, d time.Duration, ctx context.Co
 		case <-done:
 			woken = false
 		}
-	}
-	if labelled {
-		clearParkLabel()
 	}
 	if timed && (cv.st != nil || tr.Enabled()) {
 		dur := monoNS() - start

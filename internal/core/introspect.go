@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"runtime/pprof"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -14,11 +11,9 @@ import (
 
 // This file is the condvar's face toward the live-introspection stack
 // (DESIGN.md §10): the CVStats instrument table backing
-// Snapshot/Histograms/RegisterMetrics, the per-condvar wait-chain
-// source behind /debug/cv/waiters, and the park-time goroutine labels.
-// Nothing here runs unless a scraper asks, except the labels, which the
-// park applies only behind obs.ParkLabelsEnabled (one atomic load when
-// off, checked by TestParkLabelGateNoAlloc in internal/obs).
+// Snapshot/Histograms/RegisterMetrics and the per-condvar wait-chain
+// source behind /debug/cv/waiters. Nothing here runs unless a scraper
+// asks.
 
 // epoch anchors the Node timestamps: monotonic nanoseconds since
 // process-local time zero fit an atomic.Int64, which plain time.Time
@@ -38,13 +33,6 @@ func monoNS() int64 {
 		(*h)()
 	}
 	return time.Since(epoch).Nanoseconds()
-}
-
-// chainRead reports whether anything reads WaitChain's ages: a registry
-// this condvar was registered into (RegisterIntrospect), or the
-// introspection server, which holds park labels on while it serves.
-func (cv *CondVar) chainRead() bool {
-	return cv.chained.Load() || obs.ParkLabelsEnabled()
 }
 
 // cvScalar is one CVStats counter row.
@@ -127,7 +115,7 @@ const maxWaitChain = 4096
 // released concurrently yields stale-but-safe values. ParkAgeNS is -1
 // for a waiter that is enqueued but not yet descheduled — the paper's
 // lost-wakeup window, made visible. The ages are stamped only while a
-// reader exists (chainRead, or a stats sink; DESIGN.md §10.3): a waiter
+// reader exists (a registry or a stats sink; DESIGN.md §10.3): a waiter
 // that enqueued with none reports EnqueueAgeNS 0 and ParkAgeNS -1.
 func (cv *CondVar) WaitChain() []registry.Waiter {
 	var nodes []*Node
@@ -141,7 +129,6 @@ func (cv *CondVar) WaitChain() []registry.Waiter {
 		}
 	})
 	now := monoNS()
-	labelsOn := obs.ParkLabelsEnabled()
 	out := make([]registry.Waiter, 0, len(nodes))
 	for _, n := range nodes {
 		w := registry.Waiter{Node: n.id, ParkAgeNS: -1}
@@ -156,29 +143,9 @@ func (cv *CondVar) WaitChain() []registry.Waiter {
 			// both.
 			w.ParkAgeNS = min(max(now-parked, 0), w.EnqueueAgeNS)
 		}
-		if labelsOn {
-			w.PprofLabel = ParkLabelKey + "=" + strconv.FormatUint(n.id, 10)
-		}
 		out = append(out, w)
 	}
 	return out
-}
-
-// ParkLabelKey is the goroutine pprof label key parked waiters carry
-// (value: the condvar node id). Visible in goroutine profiles of a
-// process with introspection on, and echoed by /debug/cv/waiters.
-const ParkLabelKey = "cv_lane"
-
-// labelParked tags the calling goroutine with its node id so goroutine
-// profiles taken during the park attribute it to its condvar node.
-func labelParked(id uint64) {
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels(ParkLabelKey, strconv.FormatUint(id, 10))))
-}
-
-// clearParkLabel drops the park label once the goroutine resumes.
-func clearParkLabel() {
-	pprof.SetGoroutineLabels(context.Background())
 }
 
 // RegisterIntrospect registers the condvar's live sources into r under

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"testing"
 	"time"
 
@@ -73,8 +70,6 @@ func TestWaitChainAndRegisterIntrospect(t *testing.T) {
 	cv := New(e, Options{})
 	r := registry.New()
 	cv.RegisterIntrospect(r, "test-cv")
-	obs.HoldParkLabels()
-	defer obs.ReleaseParkLabels()
 
 	if got := cv.WaitChain(); len(got) != 0 {
 		t.Fatalf("idle condvar has wait chain %+v", got)
@@ -123,9 +118,6 @@ func TestWaitChainAndRegisterIntrospect(t *testing.T) {
 		}
 		if w.EnqueueAgeNS < w.ParkAgeNS {
 			t.Errorf("park age %d exceeds enqueue age %d", w.ParkAgeNS, w.EnqueueAgeNS)
-		}
-		if w.PprofLabel == "" {
-			t.Errorf("park labels on but waiter carries no pprof label: %+v", w)
 		}
 	}
 	if depth := r.Vars()[`cv_queue_depth{cv="test-cv"}`]; depth != int64(2) {
@@ -200,8 +192,8 @@ func TestWaitChainOldestParkAge(t *testing.T) {
 	}
 }
 
-// With no reader attached — no stats sink, no tracer, no registry, no
-// park labels — a wait takes no stamps: its wait-chain row reports
+// With no reader attached — no stats sink, no tracer, no registry — a
+// wait takes no stamps: its wait-chain row reports
 // EnqueueAgeNS 0 and ParkAgeNS -1 however long it has been parked.
 func TestWaitChainUnreadReportsNoAges(t *testing.T) {
 	cv := New(stm.NewEngine(stm.Config{}), Options{})
@@ -220,63 +212,6 @@ func TestWaitChainUnreadReportsNoAges(t *testing.T) {
 	}
 	cv.NotifyOne(nil)
 	<-done
-}
-
-// goroutineLabelled reports whether some goroutine carries the park
-// label of node id, per the debug=1 goroutine profile.
-func goroutineLabelled(t *testing.T, id uint64) bool {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Contains(buf.Bytes(), []byte(`"`+ParkLabelKey+`":"`+strconv.FormatUint(id, 10)+`"`))
-}
-
-// A park that labelled its goroutine clears the label on wake even if
-// labeling was switched off mid-park: the label must not outlive the
-// park and leak into every goroutine the waiter starts later.
-func TestParkLabelClearedWhenGateClosesMidPark(t *testing.T) {
-	cv := New(stm.NewEngine(stm.Config{}), Options{})
-	obs.HoldParkLabels()
-	released := false
-	defer func() {
-		if !released {
-			obs.ReleaseParkLabels()
-		}
-	}()
-
-	woken, hold := make(chan struct{}), make(chan struct{})
-	var m syncx.Mutex
-	go func() {
-		m.Lock()
-		// cvlint:ignore waitloop parks one waiter one-shot to inspect its label
-		cv.WaitLocked(&m)
-		m.Unlock()
-		close(woken)
-		<-hold // stay alive so the profile still lists this goroutine
-	}()
-	defer close(hold)
-	var id uint64
-	waitUntil(t, "park", func() bool {
-		c := cv.WaitChain()
-		if len(c) == 1 && c[0].ParkAgeNS >= 0 {
-			id = c[0].Node
-			return true
-		}
-		return false
-	})
-	if !goroutineLabelled(t, id) {
-		t.Fatalf("parked waiter carries no %s=%d label", ParkLabelKey, id)
-	}
-
-	obs.ReleaseParkLabels()
-	released = true
-	cv.NotifyOne(nil)
-	<-woken
-	if goroutineLabelled(t, id) {
-		t.Fatalf("woken waiter still carries %s=%d after labeling was switched off mid-park", ParkLabelKey, id)
-	}
 }
 
 func TestCVStatsRegisterMetrics(t *testing.T) {

@@ -104,28 +104,35 @@ func CheckModel(roles []Role) (ModelResult, error) {
 	for i := range init.x {
 		init.x[i] = -1
 	}
+	return explore(init,
+		func(s mstate) error { return checkInvariants(roles, s) },
+		func(s mstate) ([]mstate, error) { return successors(roles, s) },
+		func(s mstate) error { return checkTerminal(roles, s) })
+}
 
-	visited := make(map[mstate]bool)
+// explore is the depth-first search both checkers share. It visits every
+// state reachable from init once, runs check on each, expands it with
+// next, and runs terminal on each state with no successor. It returns
+// exploration statistics, or the first violation found.
+func explore[S comparable](init S, check func(S) error, next func(S) ([]S, error), terminal func(S) error) (ModelResult, error) {
+	visited := map[S]bool{init: true}
+	stack := []S{init}
 	var res ModelResult
-	stack := []mstate{init}
-	visited[init] = true
-
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		res.States++
 
-		if err := checkInvariants(roles, s); err != nil {
+		if err := check(s); err != nil {
 			return res, err
 		}
-
-		succs, err := successors(roles, s)
+		succs, err := next(s)
 		if err != nil {
 			return res, err
 		}
 		if len(succs) == 0 {
 			res.Terminals++
-			if err := checkTerminal(roles, s); err != nil {
+			if err := terminal(s); err != nil {
 				return res, err
 			}
 			continue

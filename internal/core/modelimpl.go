@@ -117,35 +117,10 @@ func CheckImplModel(roles []ImplRole) (ModelResult, error) {
 		init.victim[i] = -1
 	}
 
-	visited := map[implState]bool{init: true}
-	stack := []implState{init}
-	var res ModelResult
-
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		res.States++
-
-		if err := checkImplInvariants(roles, s); err != nil {
-			return res, err
-		}
-		succs := implSuccessors(roles, s)
-		if len(succs) == 0 {
-			res.Terminals++
-			if err := checkImplTerminal(roles, s); err != nil {
-				return res, err
-			}
-			continue
-		}
-		for _, n := range succs {
-			res.Transitions++
-			if !visited[n] {
-				visited[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	return res, nil
+	return explore(init,
+		func(s implState) error { return checkImplInvariants(roles, s) },
+		func(s implState) ([]implState, error) { return implSuccessors(roles, s), nil },
+		func(s implState) error { return checkImplTerminal(roles, s) })
 }
 
 // unlink removes queue slot k, closing the gap.

@@ -184,7 +184,7 @@ func waitNotifyCycle(t *testing.T, cv *CondVar) {
 }
 
 // With nothing reading the node stamps — no stats sink, the tracer
-// attached but disarmed, no registry, no park labels — a wait cycle
+// attached but disarmed, no registry — a wait cycle
 // reads no clock, whether the waiter finds its post already in the slot
 // or deschedules for it. With a stats sink the same cycle stamps the
 // enqueue, the notify and the wake. verify.sh runs this beside the

@@ -152,13 +152,13 @@ func handlerLit(info *types.Info, call *ast.CallExpr) *ast.FuncLit {
 
 // condvarTypes are the condition-variable facades whose Wait/Notify
 // methods the waitloop and nakednotify checks understand. The pthreadcv
-// and birrellcv baselines are included: their waits DO wake spuriously, so
-// the loop discipline matters even more there.
+// baseline is included: its waits DO wake spuriously, so the loop
+// discipline matters even more there.
 var condvarTypeNames = map[string]bool{
 	"CondVar":  true, // core.CondVar
 	"LockCond": true, // core.LockCond
 	"TxCond":   true, // core.TxCond
-	"Cond":     true, // pthreadcv.Cond, birrellcv.Cond
+	"Cond":     true, // pthreadcv.Cond
 }
 
 // isCondvarRecv reports whether a named receiver type is one of the

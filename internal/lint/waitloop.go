@@ -10,8 +10,8 @@ import (
 // multiplexes several predicates, so a wake-up is oblivious: it proves
 // *some* state changed, not that *your* predicate now holds. Returning
 // from a wait without re-checking in a loop is the classic lost-wakeup /
-// stolen-wakeup bug. (For the pthreadcv/birrellcv baselines the loop is
-// mandatory for an extra reason: those waits wake spuriously.)
+// stolen-wakeup bug. (For the pthreadcv baseline the loop is mandatory
+// for an extra reason: its waits wake spuriously.)
 //
 // The check understands the repo's atomic-block idiom: the loop usually
 // encloses the Atomic call, with the wait inside the transaction literal —

@@ -56,9 +56,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !obs.ParkLabelsEnabled() {
-		t.Error("Start did not enable park labels")
-	}
 
 	body, resp := get(t, s.URL()+"/debug/cv/metrics")
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
@@ -103,32 +100,6 @@ func TestServerEndpoints(t *testing.T) {
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if obs.ParkLabelsEnabled() {
-		t.Error("Close did not disable park labels")
-	}
-}
-
-// Labels stay on while any server runs: closing one of two must not
-// switch them off for the other.
-func TestParkLabelsHeldPerServer(t *testing.T) {
-	a, err := Start(Options{Addr: "127.0.0.1:0", Registry: registry.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Start(Options{Addr: "127.0.0.1:0", Registry: registry.New()})
-	if err != nil {
-		a.Close()
-		t.Fatal(err)
-	}
-	a.Close()
-	a.Close() // a second Close must not release b's hold
-	if !obs.ParkLabelsEnabled() {
-		t.Error("closing one server turned park labels off while another still runs")
-	}
-	b.Close()
-	if obs.ParkLabelsEnabled() {
-		t.Error("park labels still on after every server closed")
 	}
 }
 

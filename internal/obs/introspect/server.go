@@ -7,10 +7,9 @@
 // plus the flight recorder that snapshots the same registry when a
 // soak fails.
 //
-// Nothing in this package touches a hot path. A process that never
-// calls Start pays exactly the instruments it already had; while a
-// server runs, the only added steady-state cost is the park-label gate
-// (one atomic load per condvar park, see obs.HoldParkLabels).
+// Nothing in this package touches a hot path: a server only reads the
+// registry at scrape time, so a process pays exactly the instruments it
+// already had whether or not a server runs.
 package introspect
 
 import (
@@ -19,10 +18,8 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/registry"
 )
 
@@ -39,15 +36,12 @@ type Options struct {
 
 // Server is a running introspection endpoint.
 type Server struct {
-	reg   *registry.Registry
-	ln    net.Listener
-	srv   *http.Server
-	close sync.Once // releases the park-label hold exactly once
+	reg *registry.Registry
+	ln  net.Listener
+	srv *http.Server
 }
 
-// Start listens on opts.Addr and serves the /debug/cv/* endpoints. It
-// holds park-time goroutine labeling on for the server's lifetime;
-// Close releases the hold, so labels stay on while any server runs.
+// Start listens on opts.Addr and serves the /debug/cv/* endpoints.
 func Start(opts Options) (*Server, error) {
 	reg := opts.Registry
 	if reg == nil {
@@ -66,8 +60,6 @@ func Start(opts Options) (*Server, error) {
 	mux.HandleFunc("/debug/cv/trace", s.handleTrace)
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln) //nolint:errcheck — Serve always returns on Close
-
-	obs.HoldParkLabels()
 	return s, nil
 }
 
@@ -80,12 +72,8 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // Registry returns the served registry.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Close stops the listener and releases the server's park-label hold.
-// Closing twice releases it once.
-func (s *Server) Close() error {
-	s.close.Do(obs.ReleaseParkLabels)
-	return s.srv.Close()
-}
+// Close stops the server: its listener and any open connections.
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -65,22 +65,3 @@ func TestHistogramObserveNoAlloc(t *testing.T) {
 		t.Errorf("Observe allocates %.1f times per op", a)
 	}
 }
-
-// The park-label gate guards the runtime/pprof labeling added for live
-// introspection; when labels are off — the steady state — the condvar
-// park path pays exactly one atomic load and zero allocations.
-// Referenced from internal/core/introspect.go.
-func TestParkLabelGateNoAlloc(t *testing.T) {
-	if ParkLabelsEnabled() {
-		t.Fatal("park labels on with no holder")
-	}
-	var sink bool
-	if a := testing.AllocsPerRun(1000, func() {
-		if ParkLabelsEnabled() {
-			sink = !sink
-		}
-	}); a != 0 {
-		t.Errorf("disabled park-label gate allocates %.1f times per op", a)
-	}
-	_ = sink
-}

@@ -11,8 +11,7 @@ import (
 // instrument in the registry must not change what its hot-path
 // operations cost. Registration stores a read closure; the instrument
 // itself stays a plain atomic, so Inc/Store/Observe allocate nothing and
-// the disabled introspection stack adds at most one atomic load
-// (obs.ParkLabelsEnabled, guarded in internal/obs/overhead_test.go).
+// the introspection stack adds nothing to them.
 
 func TestRegisteredCounterIncNoAlloc(t *testing.T) {
 	r := New()

@@ -72,7 +72,6 @@ type Waiter struct {
 	Node         uint64 `json:"node"`
 	EnqueueAgeNS int64  `json:"enqueue_age_ns"`
 	ParkAgeNS    int64  `json:"park_age_ns"`
-	PprofLabel   string `json:"pprof_label,omitempty"`
 }
 
 // WaiterSource produces the current wait chain of one condvar.

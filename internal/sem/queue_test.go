@@ -93,9 +93,8 @@ func TestLoserRaceConservation(t *testing.T) {
 // The parking lot's park path is allocation-free in steady state:
 // waiter structs (with their hand-off channels) are pooled, so a
 // post/wait round-trip through a real park allocates nothing. This is
-// verify.sh's overhead guard for the lot that syncx.Mutex, monitor and
-// the Birrell baseline park on; core's TestParkNoAlloc guards the
-// condvar's own park.
+// verify.sh's overhead guard for the lot that syncx.Mutex and monitor
+// park on; core's TestParkNoAlloc guards the condvar's own park.
 //
 // Each side posts only once the other is queued, so no Wait takes a
 // banked permit. "park" samples both semaphores as single-P, so there

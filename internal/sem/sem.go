@@ -5,8 +5,9 @@
 // per-thread semaphores (its Algorithm 3 uses POSIX sem_t). The
 // condvar's own per-node semaphore parks one goroutine by construction
 // and is a one-slot channel in internal/core; this package is the
-// shared parking lot for many waiters — syncx.Mutex, internal/monitor
-// and the Birrell baseline — with two properties:
+// shared parking lot for many waiters — syncx.Mutex and internal/monitor
+// park on it, cvstress's sem chaos probes it and the benchmark's sem.*
+// rungs time it — with two properties:
 //
 //  1. Memory: a Post that happens before the matching Wait is never
 //     lost — Wait consumes the permit and returns immediately.
@@ -32,8 +33,8 @@
 // is one and otherwise appends itself under the same lock, so there is
 // no window between a waiter's check and its enqueue for a post to fall
 // into. Wake-up order is global FIFO at every GOMAXPROCS — Section 3.4's
-// deterministic order for syncx.Mutex, internal/monitor and the Birrell
-// baseline, the parking lot's three callers. DESIGN.md §16.1 has the
+// deterministic order for syncx.Mutex and internal/monitor, the parking
+// lot's two callers in the module. DESIGN.md §16.1 has the
 // measurements behind this layout and the result that would justify
 // striping the queue per P.
 package sem

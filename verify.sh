@@ -39,14 +39,13 @@ step "tests (race detector)"
 go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The spin gate lives only in sem's parking lot (syncx.Mutex, monitor,
-# the Birrell baseline): there the head waiter — an untimed Wait that
-# enqueued onto an empty queue — spins before it parks, and only with
-# more than one P, so a single-core host silently skips its multicore
-# schedules; the condvar's nodes park on a one-slot channel without
-# spinning, and its batch post loop only overlaps its woken waiters
-# with more than one P. Re-run the three
-# fabric packages with four Ps forced — the race detector sees the
+# The spin gate lives only in sem's parking lot (syncx.Mutex, monitor):
+# there the head waiter — an untimed Wait that enqueued onto an empty
+# queue — spins before it parks, and only with more than one P, so a
+# single-core host silently skips its multicore schedules; the condvar's
+# nodes park on a one-slot channel without spinning, and its batch post
+# loop only overlaps its woken waiters with more than one P. Re-run the
+# three fabric packages with four Ps forced — the race detector sees the
 # spin-phase and concurrent-commit interleavings even when the host has
 # one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
@@ -75,7 +74,7 @@ go run ./cmd/cvlint ./...
 go run ./cmd/cvlint -tests -baseline lint-tests.baseline ./...
 
 step "tracer overhead guard (disabled path must not allocate)"
-go test -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc|TestParkLabelGateNoAlloc' ./internal/obs
+go test -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc' ./internal/obs
 go test -run 'NoAlloc' ./internal/obs/registry
 go test -run 'TestNamedVarCommitNoAlloc|TestRecordAbortNoAlloc|TestOnCommitCallNoAlloc' ./internal/stm
 # The causal wake stamp (node stamp + consumer attribution) rides the
@@ -99,14 +98,14 @@ go test -run 'TestNamedVarCommitNoAlloc|TestRecordAbortNoAlloc|TestOnCommitCallN
 # (inQueue, gen), and each of its two transactions locks one orec (head
 # and tail are one stripe).
 go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc|TestWaitNodeCycleNoAlloc|TestWaitNotifyCycleNoAlloc|TestNotifyAllCycleNoAlloc|TestDisarmedWaitCycleNoClock|TestNakedNotifyEmptyNoAlloc|TestDisarmedNodeWords|TestWaitCycleLocksOneOrecPerTransaction' ./internal/core
-# The parking lot's pooled park path (syncx.Mutex, monitor, the Birrell
-# baseline): a Wait that parks and is woken must recycle its waiter node
-# and channel — 0 allocs/op once the pool is warm. Its "park" case pins
-# the single-P (no-spin) path and asserts every measured Wait parked;
-# its "spin" case asserts a head waiter caught the post in its spin,
-# also allocation-free. The core and sem guards must run race-free:
-# race shadow state adds a deterministic allocation per park (both
-# tests skip themselves under -race, so these lines are the real gates).
+# The parking lot's pooled park path (syncx.Mutex, monitor): a Wait that
+# parks and is woken must recycle its waiter node and channel — 0
+# allocs/op once the pool is warm. Its "park" case pins the single-P
+# (no-spin) path and asserts every measured Wait parked; its "spin" case
+# asserts a head waiter caught the post in its spin, also
+# allocation-free. The core and sem guards must run race-free: race
+# shadow state adds a deterministic allocation per park (both tests skip
+# themselves under -race, so these lines are the real gates).
 go test -run 'TestWaitPooledNoAlloc' ./internal/sem
 
 step "broadcast wake smoke (one committed batch over 64 waiters)"
@@ -179,7 +178,7 @@ if [ "$SHORT" -eq 0 ]; then
 	for procs in 1 2 4; do
 		GOMAXPROCS=$procs go test -count=5 ./internal/stm ./internal/sem ./internal/core \
 			./internal/facility ./internal/syncx ./internal/monitor \
-			./internal/pthreadcv ./internal/birrellcv \
+			./internal/pthreadcv \
 			./internal/obs/... ./internal/waketrace \
 			./internal/oracle ./internal/harness
 	done
