@@ -3,7 +3,9 @@
 // -baseline suppresses exactly those, and anything new still fails the
 // run. Entries match on (check, file, message) — deliberately not on
 // line numbers, so unrelated edits that shift code do not resurrect
-// baselined findings.
+// baselined findings. An entry no finding matches fails the run too, so
+// a baseline only shrinks: use it with the checks and packages it was
+// written for.
 package main
 
 import (
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/lint"
 )
@@ -25,8 +28,10 @@ type baselineFile struct {
 	Entries []baselineEntry `json:"entries"`
 }
 
-func baselineKey(check, file, msg string) string {
-	return check + "\x00" + filepath.ToSlash(file) + "\x00" + msg
+// key is e with its file in slash form: the multiset's match key.
+func (e baselineEntry) key() baselineEntry {
+	e.File = filepath.ToSlash(e.File)
+	return e
 }
 
 // writeBaseline records diags as the new baseline at path.
@@ -48,7 +53,7 @@ func writeBaseline(path string, diags []lint.Diagnostic) error {
 
 // loadBaseline reads a baseline file into a multiset of match keys: a
 // finding that occurs twice must be baselined twice.
-func loadBaseline(path string) (map[string]int, error) {
+func loadBaseline(path string) (map[baselineEntry]int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -57,26 +62,31 @@ func loadBaseline(path string) (map[string]int, error) {
 	if err := json.Unmarshal(data, &bf); err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
-	set := map[string]int{}
+	set := map[baselineEntry]int{}
 	for _, e := range bf.Entries {
-		set[baselineKey(e.Check, e.File, e.Message)]++
+		set[e.key()]++
 	}
 	return set, nil
 }
 
-// filterBaseline drops findings covered by the baseline multiset.
-func filterBaseline(diags []lint.Diagnostic, set map[string]int) []lint.Diagnostic {
-	if len(set) == 0 {
-		return diags
-	}
-	out := diags[:0]
+// filterBaseline drops findings covered by the baseline multiset. It
+// returns the surviving findings and the stale entries, those no finding
+// consumed, rendered as "file: [check] message" in sorted order.
+func filterBaseline(diags []lint.Diagnostic, set map[baselineEntry]int) (out []lint.Diagnostic, stale []string) {
+	out = diags[:0]
 	for _, d := range diags {
-		k := baselineKey(d.Check, d.Pos.Filename, d.Msg)
+		k := baselineEntry{d.Check, d.Pos.Filename, d.Msg}.key()
 		if set[k] > 0 {
 			set[k]--
 			continue
 		}
 		out = append(out, d)
 	}
-	return out
+	for k, n := range set {
+		for ; n > 0; n-- {
+			stale = append(stale, fmt.Sprintf("%s: [%s] %s", k.File, k.Check, k.Message))
+		}
+	}
+	sort.Strings(stale)
+	return out, stale
 }

@@ -18,8 +18,9 @@
 //	cvlint -baseline lint.base ./...  # suppress known historical findings
 //	cvlint -list                      # describe the analyzer suite
 //
-// Exit status is 1 when diagnostics are reported, 2 on usage or load
-// errors. Suppress an individual finding with a justified directive:
+// Exit status is 1 when diagnostics are reported or a -baseline entry
+// matches no finding, 2 on usage or load errors. Suppress an individual
+// finding with a justified directive:
 //
 //	n.next.StoreDirect(nil) // cvlint:ignore directstore node is private here
 package main
@@ -118,12 +119,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cvlint: wrote baseline with %d finding(s) to %s\n", len(diags), *writeBaselinePath)
 		return 0
 	}
+	var stale []string
 	if *baselinePath != "" {
 		set, err := loadBaseline(*baselinePath)
 		if err != nil {
 			return fail(stderr, err)
 		}
-		diags = filterBaseline(diags, set)
+		diags, stale = filterBaseline(diags, set)
 	}
 
 	switch *format {
@@ -137,8 +139,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
+	for _, e := range stale {
+		fmt.Fprintf(stderr, "cvlint: stale baseline entry, no finding matches it: %s\n", e)
+	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "cvlint: %d problem(s) found\n", len(diags))
+	}
+	if len(diags) > 0 || len(stale) > 0 {
 		return 1
 	}
 	return 0

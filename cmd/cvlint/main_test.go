@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,5 +120,36 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out, "txescape") || strings.Contains(out, "impuretxn") {
 		t.Errorf("surviving findings = %q, want txescape only", out)
+	}
+
+	// An entry no finding consumes fails the run and is named, even when
+	// every finding is covered: the baseline may only shrink.
+	code, _, _ = exec(t, "-write-baseline", base, "./testdata/src/report")
+	if code != 0 {
+		t.Fatalf("write-baseline exit = %d, want 0", code)
+	}
+	data, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bf baselineFile
+	if err := json.Unmarshal(data, &bf); err != nil {
+		t.Fatal(err)
+	}
+	extra := baselineEntry{Check: "waitloop", File: "testdata/src/report/gone.go", Message: "fixed long ago"}
+	bf.Entries = append(bf.Entries, extra)
+	if data, err = json.Marshal(bf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errb = exec(t, "-baseline", base, "./testdata/src/report")
+	if code != 1 {
+		t.Fatalf("stale-baseline run exit = %d, want 1\nstdout: %s\nstderr: %s", code, out, errb)
+	}
+	want := "stale baseline entry, no finding matches it: testdata/src/report/gone.go: [waitloop] fixed long ago"
+	if out != "" || !strings.Contains(errb, want) || strings.Count(errb, "stale baseline entry") != 1 {
+		t.Errorf("stale-baseline run: stdout %q, stderr %q; want no findings and one stale entry %q", out, errb, want)
 	}
 }

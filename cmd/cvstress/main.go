@@ -1,22 +1,5 @@
 // Command cvstress validates the condition-variable implementations under
-// sustained load. It has three modes:
-//
-//	-mode spurious   park waiters, notify exactly k of n, and verify that
-//	                 exactly k wake (the TM condvar's no-spurious-wake-up
-//	                 guarantee, Section 3.4); with -baseline it runs the
-//	                 pthread-style condvar with injected spurious wake-ups
-//	                 instead and reports how many fired.
-//	-mode wakeup     hammer a bounded buffer with producers/consumers and
-//	                 verify no item is lost or duplicated (lost-wake-up
-//	                 detector) across all three systems.
-//	-mode storm      drive heavy notify traffic from transactions that
-//	                 abort with high probability, verifying that only
-//	                 committed transactions ever wake a waiter.
-//
-//	-mode timed      hammer the timeout/notify race of WaitLockedTimeout:
-//	                 every notify that claims a waiter must be observed by
-//	                 a wait returning true, and no wait may report a
-//	                 notification nobody sent.
+// sustained load. It has two modes:
 //
 //	-mode chaos      duration-bounded soak with the deterministic fault
 //	                 injector armed across every hook point (forced
@@ -60,7 +43,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +58,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
 	"repro/internal/obs/registry"
-	"repro/internal/pthreadcv"
 	"repro/internal/sem"
 	"repro/internal/stm"
 	"repro/internal/syncx"
@@ -147,10 +128,8 @@ func awaitOrStuck(d time.Duration, wait func()) bool {
 }
 
 func main() {
-	mode := flag.String("mode", "spurious", "spurious | wakeup | storm | timed | chaos | blackbox")
+	mode := flag.String("mode", "chaos", "chaos | blackbox")
 	goroutines := flag.Int("goroutines", 8, "concurrency level")
-	iters := flag.Int("iters", 2000, "iterations / items per goroutine")
-	baseline := flag.Bool("baseline", false, "spurious mode: use the pthread baseline with injection")
 	seed := flag.Uint64("seed", 0xC4A05, "chaos/blackbox mode: workload + fault injector seed")
 	faultrate := flag.Float64("faultrate", 0.2, "chaos/blackbox mode: per-hook-point injection probability (0 disables)")
 	duration := flag.Duration("duration", 2*time.Second, "chaos/blackbox mode: soak time per system")
@@ -185,21 +164,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cvstress: introspect: listening on %s\n", srv.Addr())
 	}
 
-	code := exitOK
-	fail := func(ok bool) {
-		if !ok {
-			code = exitInvariant
-		}
-	}
+	var code int
 	switch *mode {
-	case "spurious":
-		fail(runSpurious(*goroutines, *baseline))
-	case "wakeup":
-		fail(runWakeup(*goroutines, *iters))
-	case "storm":
-		fail(runStorm(*goroutines, *iters))
-	case "timed":
-		fail(runTimed(*iters))
 	case "chaos":
 		code = runChaos(*goroutines, *seed, *faultrate, *duration, *dumpDir, *tracePath, *traceBuf)
 	case "blackbox":
@@ -219,217 +185,16 @@ func main() {
 		os.Exit(exitSetup)
 	}
 	if code != exitOK {
-		replay := fmt.Sprintf("go run ./cmd/cvstress -mode %s -seed %d -goroutines %d", *mode, *seed, *goroutines)
-		switch *mode {
-		case "chaos", "blackbox":
-			replay += fmt.Sprintf(" -faultrate %g -duration %s", *faultrate, *duration)
-			if *bugLostWake {
-				replay += " -buglostwake"
-			}
-		default:
-			replay += fmt.Sprintf(" -iters %d", *iters)
+		replay := fmt.Sprintf("go run ./cmd/cvstress -mode %s -seed %d -goroutines %d -faultrate %g -duration %s",
+			*mode, *seed, *goroutines, *faultrate, *duration)
+		if *bugLostWake {
+			replay += " -buglostwake"
 		}
 		fmt.Printf("replay: %s\n", replay)
 		fmt.Printf("RESULT: FAIL (exit %d)\n", code)
 		os.Exit(code)
 	}
 	fmt.Println("RESULT: OK")
-}
-
-func runSpurious(n int, baseline bool) bool {
-	if baseline {
-		inj := pthreadcv.NewSpuriousInjector(1.0, 42)
-		inj.MaxDelay = 200 * time.Microsecond
-		var st pthreadcv.Stats
-		c := pthreadcv.New(inj)
-		c.SetStats(&st)
-		var m syncx.Mutex
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m.Lock()
-				// cvlint:ignore waitloop harness measures raw spurious wake-ups, a loop would hide them
-				c.Wait(&m)
-				m.Unlock()
-			}()
-		}
-		wg.Wait() // all return via injected spurious wake-ups
-		fmt.Printf("baseline: %d waits, %d spurious wake-ups (expected: all)\n",
-			n, st.SpuriousWakes.Load())
-		return st.SpuriousWakes.Load() == int64(n)
-	}
-
-	e := stm.NewEngine(stm.Config{})
-	cv := core.New(e, core.Options{})
-	var m syncx.Mutex
-	k := n / 2
-	var woken atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.Lock()
-			// cvlint:ignore waitloop harness counts exact wake-ups, a predicate loop would mask extras
-			cv.WaitLocked(&m)
-			m.Unlock()
-			woken.Add(1)
-		}()
-	}
-	for cv.Len() != n {
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < k; i++ {
-		cv.NotifyOne(nil)
-	}
-	time.Sleep(200 * time.Millisecond) // grace period for any spurious wake
-	got := woken.Load()
-	fmt.Printf("tmcondvar: parked %d, notified %d, woke %d (must equal)\n", n, k, got)
-	ok := got == int64(k)
-	cv.NotifyAll(nil)
-	wg.Wait()
-	return ok
-}
-
-func runWakeup(goroutines, iters int) bool {
-	ok := true
-	for _, kind := range facility.Kinds {
-		tk := &facility.Toolkit{Kind: kind}
-		if kind != facility.LockPthread {
-			tk.Engine = stm.NewEngine(stm.Config{})
-		}
-		q := facility.NewQueue[int](tk, 16)
-		producers := goroutines / 2
-		if producers == 0 {
-			producers = 1
-		}
-		consumers := producers
-		total := producers * iters
-		seen := make([]atomic.Int32, total)
-		var consumed atomic.Int64
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			p := p
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					q.Put(p*iters + i)
-				}
-			}()
-		}
-		for c := 0; c < consumers; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					x, okGet := q.Get()
-					if !okGet {
-						return
-					}
-					seen[x].Add(1)
-					consumed.Add(1)
-				}
-			}()
-		}
-		go func() {
-			for consumed.Load() < int64(total) {
-				time.Sleep(time.Millisecond)
-			}
-			q.Close()
-		}()
-		wg.Wait()
-		bad := 0
-		for i := range seen {
-			if seen[i].Load() != 1 {
-				bad++
-			}
-		}
-		fmt.Printf("%-22s: %d items, %d lost/duplicated\n", kind, total, bad)
-		if bad != 0 {
-			ok = false
-		}
-	}
-	return ok
-}
-
-func runTimed(iters int) bool {
-	e := stm.NewEngine(stm.Config{})
-	cv := core.New(e, core.Options{})
-	var m syncx.Mutex
-	lost, spurious := 0, 0
-	for i := 0; i < iters; i++ {
-		res := make(chan bool, 1)
-		go func() {
-			m.Lock()
-			// cvlint:ignore waitloop harness probes the timeout/notify race one-shot by design
-			res <- cv.WaitLockedTimeout(&m, time.Duration(i%5)*100*time.Microsecond)
-		}()
-		time.Sleep(time.Duration(i%7) * 50 * time.Microsecond)
-		notified := cv.NotifyOne(nil)
-		got := <-res
-		m.Unlock()
-		if notified && !got {
-			lost++
-		}
-		if !notified && got {
-			spurious++
-		}
-	}
-	fmt.Printf("timed: %d races, %d lost wake-ups, %d spurious (must be 0/0)\n",
-		iters, lost, spurious)
-	return lost == 0 && spurious == 0
-}
-
-func runStorm(goroutines, iters int) bool {
-	e := stm.NewEngine(stm.Config{})
-	cv := core.New(e, core.Options{})
-	var m syncx.Mutex
-	var woken atomic.Int64
-	var committedNotifies atomic.Int64
-	var wg sync.WaitGroup
-
-	waiters := goroutines
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.Lock()
-			// cvlint:ignore waitloop harness counts exact wake-ups, a predicate loop would mask extras
-			cv.WaitLocked(&m)
-			m.Unlock()
-			woken.Add(1)
-		}()
-	}
-	for cv.Len() != waiters {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Notify storm: most transactions cancel after notifying; only the
-	// committed ones may wake anyone.
-	errAbort := errors.New("storm abort")
-	i := 0
-	for committedNotifies.Load() < int64(waiters) {
-		i++
-		abort := i%7 != 0
-		found := false
-		err := e.Atomic(func(tx *stm.Tx) {
-			found = cv.NotifyOne(tx)
-			if abort {
-				tx.Cancel(errAbort)
-			}
-		})
-		if err == nil && found {
-			committedNotifies.Add(1)
-		}
-	}
-	wg.Wait()
-	got := woken.Load()
-	fmt.Printf("storm: %d committed notifies, %d wakes (must equal), %d aborted notify txns\n",
-		committedNotifies.Load(), got, e.Stats.ExplicitAborts.Load())
-	return got == committedNotifies.Load()
 }
 
 // chaosRules builds the injection plan for one chaos soak: forced

@@ -181,6 +181,82 @@ func TestRestartedNotifyCountedOnce(t *testing.T) {
 	}
 }
 
+// Each committed notify is counted once, under its kind: a single
+// dequeue (NotifyOne, NotifyBest) adds to notify_ones and observes no
+// broadcast_ns; a batch (NotifyN, NotifyAll) adds to notify_alls and
+// observes broadcast_ns once, when its last waiter resumes. The same
+// notify inside a cancelled transaction counts nothing.
+func TestNotifyStatsSplit(t *testing.T) {
+	first := func(any) int64 { return 0 } // ties go to the head
+	for _, tc := range []struct {
+		name              string
+		notify            func(cv *CondVar, tx *stm.Tx) int
+		ones, alls, bcast int64
+	}{
+		// The waiters' predicate is gen, bumped under their mutex first.
+		// cvlint:ignore nakednotify the predicate write precedes the transaction
+		{"NotifyOne", func(cv *CondVar, tx *stm.Tx) int { return boolInt(cv.NotifyOne(tx)) }, 1, 0, 0},
+		// cvlint:ignore nakednotify the predicate write precedes the transaction
+		{"NotifyBest", func(cv *CondVar, tx *stm.Tx) int { return boolInt(cv.NotifyBest(tx, first)) }, 1, 0, 0},
+		// cvlint:ignore nakednotify the predicate write precedes the transaction
+		{"NotifyN", func(cv *CondVar, tx *stm.Tx) int { return cv.NotifyN(tx, 2) }, 0, 1, 1},
+		// cvlint:ignore nakednotify the predicate write precedes the transaction
+		{"NotifyAll", func(cv *CondVar, tx *stm.Tx) int { return cv.NotifyAll(tx) }, 0, 1, 1},
+	} {
+		for _, cancel := range []bool{false, true} {
+			name := tc.name
+			if cancel {
+				name += "/cancelled"
+			}
+			t.Run(name, func(t *testing.T) {
+				e := stm.NewEngine(stm.Config{})
+				cv := New(e, Options{})
+				st := &CVStats{}
+				cv.SetStats(st)
+
+				var m syncx.Mutex
+				gen := 0
+				done := parkWaiters(t, cv, &m, &gen, 3)
+				m.Lock()
+				gen++
+				m.Unlock()
+				woken := 0
+				err := e.Atomic(func(tx *stm.Tx) {
+					woken = tc.notify(cv, tx)
+					if cancel {
+						tx.Cancel(errAbortProvoked)
+					}
+				})
+				want := [3]int64{tc.ones, tc.alls, tc.bcast}
+				if cancel {
+					if err == nil {
+						t.Fatal("cancelled transaction committed")
+					}
+					want = [3]int64{}
+					woken = 0
+				}
+				collectAll(t, done[:woken], name)
+				got := [3]int64{st.NotifyOnes.Load(), st.NotifyAlls.Load(), st.BroadcastNanos.Count()}
+				if got != want {
+					t.Errorf("notify_ones, notify_alls, broadcast_ns count = %v, want %v", got, want)
+				}
+
+				m.Lock()
+				cv.NotifyAll(nil)
+				m.Unlock()
+				collectAll(t, done[woken:], "remaining")
+			})
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // A batched NotifyAll inside a transaction that aborts wakes nobody and
 // leaves the queue intact — the single commit handler is discarded with
 // the transaction, exactly like the per-node handlers were.
@@ -237,9 +313,9 @@ func TestNotifyAllBatchAbortDiscards(t *testing.T) {
 	}
 }
 
-// The batch commit handler must detect a recycled node (ABA) exactly as
-// the single-node path does: wakeCommitted against a stale generation
-// capture panics under the sanitizer.
+// The commit handler must detect a recycled node (ABA): a batch
+// wakeCommitted against a stale generation capture panics under the
+// sanitizer.
 func TestSanitizerBatchRecycledNode(t *testing.T) {
 	e := stm.NewEngine(stm.Config{})
 	e.SetDebugChecks(true)
@@ -254,7 +330,7 @@ func TestSanitizerBatchRecycledNode(t *testing.T) {
 			t.Fatal("wakeCommitted against a recycled node did not panic under the sanitizer")
 		}
 	}()
-	wakeCommitted([]stm.CommitArg{{P: n, N: staleGen}})
+	wakeAll([]stm.CommitArg{{P: n, N: staleGen}})
 }
 
 var errAbortProvoked = errProvoked{}

@@ -530,10 +530,7 @@ func (cv *CondVar) WaitTagged(s syncx.Sync, tag any, cont func(syncx.Sync)) {
 // executes its own continuation in place (Section 4.1's "remove lines
 // 12–13" variant).
 func (cv *CondVar) WaitLocked(m *syncx.Mutex) {
-	n := cv.enqueueSelf(nil, nil)
-	m.Unlock()
-	cv.park(n, obs.WakeByWaiter, 0, nil)
-	m.Lock()
+	cv.waitLocked(m, obs.WakeByWaiter, 0, nil)
 }
 
 // WaitLockedTimeout is WaitLocked with a deadline — the
@@ -546,11 +543,7 @@ func (cv *CondVar) WaitLocked(m *syncx.Mutex) {
 // (possibly commit-deferred) semaphore post is consumed and the wait
 // reports true. No wake-up is ever lost and no node leaks.
 func (cv *CondVar) WaitLockedTimeout(m *syncx.Mutex, d time.Duration) bool {
-	n := cv.enqueueSelf(nil, nil)
-	m.Unlock()
-	_, notified := cv.park(n, obs.WakeByTimeout, d, nil)
-	m.Lock()
-	return notified
+	return cv.waitLocked(m, obs.WakeByTimeout, d, nil)
 }
 
 // WaitLockedCtx is WaitLocked with cancellation — the abortable wait
@@ -567,9 +560,15 @@ func (cv *CondVar) WaitLockedTimeout(m *syncx.Mutex, d time.Duration) bool {
 // released node's slot, and no node leaks into the recycled pool while
 // still queue-reachable (releaseNode's sanitizer checks assert both).
 func (cv *CondVar) WaitLockedCtx(m *syncx.Mutex, ctx context.Context) bool {
+	return cv.waitLocked(m, obs.WakeByCancel, 0, ctx)
+}
+
+// waitLocked is the one body of the three lock-based WAITs: enqueue,
+// release m, park as loser (see park), re-acquire m.
+func (cv *CondVar) waitLocked(m *syncx.Mutex, loser int64, d time.Duration, ctx context.Context) bool {
 	n := cv.enqueueSelf(nil, nil)
 	m.Unlock()
-	_, notified := cv.park(n, obs.WakeByCancel, 0, ctx)
+	_, notified := cv.park(n, loser, d, ctx)
 	m.Lock()
 	return notified
 }
@@ -604,15 +603,7 @@ func (cv *CondVar) removeNode(target *Node) bool {
 		var prev *Node
 		for n := stm.Read(tx, cv.head); n != nil; n = stm.Read(tx, n.next) {
 			if n == target {
-				nx := stm.Read(tx, n.next)
-				if prev == nil {
-					stm.Write(tx, cv.head, nx)
-				} else {
-					stm.Write(tx, prev.next, nx)
-				}
-				if nx == nil {
-					stm.Write(tx, cv.tail, prev)
-				}
+				cv.unlink(tx, prev, n)
 				found = true
 				return
 			}
@@ -623,6 +614,21 @@ func (cv *CondVar) removeNode(target *Node) bool {
 		clearFlag(&target.inQueue)
 	}
 	return found
+}
+
+// unlink removes n from the wait queue inside tx; prev is its
+// predecessor, nil when n is the head. It is the one mid-queue removal,
+// shared by a loser's removeNode and NotifyBest.
+func (cv *CondVar) unlink(tx *stm.Tx, prev, n *Node) {
+	nx := stm.Read(tx, n.next)
+	if prev == nil {
+		stm.Write(tx, cv.head, nx)
+	} else {
+		stm.Write(tx, prev.next, nx)
+	}
+	if nx == nil {
+		stm.Write(tx, cv.tail, prev)
+	}
 }
 
 // WaitTx is the manually-refactored transactional WAIT the paper's
@@ -720,28 +726,18 @@ func (cv *CondVar) wakeNode(n *Node, wakeID uint64) {
 	n.wake <- struct{}{}
 }
 
-// notifyCommitted is the committed side of a single-node notification:
-// the NotifyOnes count, the wake flow's root and the wakeNode post. It
-// runs from the notifier's commit handler, exactly once per committed
-// dequeue, so an aborted attempt's notify is neither posted nor counted.
-func (cv *CondVar) notifyCommitted(n *Node) {
-	if cv.st != nil {
-		cv.st.NotifyOnes.Inc()
-	}
-	// The causal wake id is minted here, the moment the notify became
-	// real, by the armed tracer that will carry it (0 while disarmed).
-	tr := cv.e.Tracer()
-	wakeID := tr.NextFlow()
-	tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, 1, int64(cv.id))
-	cv.wakeNode(n, wakeID)
-}
+// wakeOne (NotifyOne, NotifyBest) and wakeAll (NotifyAll, NotifyN) are
+// the pre-bound commit handlers of every notify: wakeCommitted, bound to
+// the stats its batch counts.
+func wakeOne(batch []stm.CommitArg) { wakeCommitted(batch, false) }
+func wakeAll(batch []stm.CommitArg) { wakeCommitted(batch, true) }
 
-// wakeCommitted is the committed side of a batched NotifyAll/NotifyN,
-// Algorithm 6's commit handler: the batch's sanitizer generation
-// checks, the NotifyAlls count, then one semaphore post per dequeued
-// waiter, in queue order. Its arguments are the dequeued nodes, each
-// with the generation its dequeue captured.
-func wakeCommitted(batch []stm.CommitArg) {
+// wakeCommitted is the committed side of a notify (Algorithm 5 line 9,
+// Algorithm 6): the sanitizer's generation checks, the count (for all,
+// NotifyAlls and the commit-to-last-wake record; else NotifyOnes), the
+// wake flow's root, then one post per dequeued node, in queue order. It
+// runs once per committed dequeue: an aborted notify posts nothing.
+func wakeCommitted(batch []stm.CommitArg, all bool) {
 	total := len(batch) // never 0: an empty dequeue registers no handler
 	cv := batch[0].P.(*Node).cv
 	for _, a := range batch {
@@ -749,12 +745,16 @@ func wakeCommitted(batch []stm.CommitArg) {
 	}
 	var wb *wakeBatch
 	if cv.st != nil {
-		cv.st.NotifyAlls.Inc()
-		wb = &wakeBatch{startNS: monoNS()}
-		wb.remaining.Store(int64(total))
+		if all {
+			cv.st.NotifyAlls.Inc()
+			wb = &wakeBatch{startNS: monoNS()}
+			wb.remaining.Store(int64(total))
+		} else {
+			cv.st.NotifyOnes.Inc()
+		}
 	}
-	// One wakeID per committed batch: every post of this broadcast
-	// carries it (the flow id of the wake trace; 0 while disarmed).
+	// One wakeID per committed notify, minted by the armed tracer that
+	// carries it (0 while disarmed): every post of the batch shares it.
 	tr := cv.e.Tracer()
 	wakeID := tr.NextFlow()
 	tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
@@ -803,28 +803,17 @@ func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64) {
 	return flow
 }
 
-// notifyPost arranges for node's semaphore to be posted at commit of the
-// outermost transaction (Algorithm 5 line 9). tx is the notify body's
-// own transaction: a naked notifier's body runs in one too.
+// notifyPost adds dequeued node n to the batch of the commit handler
+// the notify body registers in tx, its own transaction.
 func (cv *CondVar) notifyPost(tx *stm.Tx, n *Node) {
 	// Attempt-buffered: an aborted attempt's notify leaves no trace.
 	tx.Trace(obs.EvCVNotify, int64(n.id), int64(cv.id))
 	// Capture the node's incarnation at dequeue time: the commit handler
 	// must wake the waiter that was unlinked, not whoever owns a recycled
 	// node later (ABA). The body may re-run on conflict; each attempt
-	// re-captures against its own dequeue. The handler is pre-bound, a
-	// function plus its (node, generation) argument, so registering it
-	// allocates nothing.
+	// re-captures against its own dequeue, and an aborted attempt's
+	// arguments are discarded with it.
 	tx.PushCommitArg(n, n.gen.Load())
-	tx.OnCommitCall(postCommitted)
-}
-
-// postCommitted is notifyPost's pre-bound commit handler: the ABA check
-// and the committed post of its one (node, generation) argument.
-func postCommitted(args []stm.CommitArg) {
-	n := args[0].P.(*Node)
-	n.cv.checkGen(n, args[0].N)
-	n.cv.notifyCommitted(n)
 }
 
 // clearStamp zeroes a node stamp unless it is zero already: a plain
@@ -877,39 +866,13 @@ func (cv *CondVar) nakedEmpty(tx *stm.Tx) bool {
 // consistent read of head, with no transaction (nakedEmpty); so do naked
 // NotifyAll, NotifyN and NotifyBest.
 func (cv *CondVar) NotifyOne(tx *stm.Tx) bool {
-	if cv.nakedEmpty(tx) {
-		return false
-	}
-	found := false
-	body := func(tx *stm.Tx) {
-		found = false
-		sn := stm.Read(tx, cv.head)
-		if sn == nil {
-			return
-		}
-		nx := stm.Read(tx, sn.next)
-		if nx == nil {
-			stm.Write(tx, cv.head, nil)
-			stm.Write(tx, cv.tail, nil)
-		} else {
-			stm.Write(tx, cv.head, nx)
-		}
-		cv.notifyPost(tx, sn)
-		found = true
-	}
-	if tx != nil {
-		tx.Atomic(body)
-	} else {
-		cv.e.MustAtomic(body)
-	}
-	return found
+	return cv.notify(tx, 1, wakeOne) == 1
 }
 
-// notifyBatch is the shared body of NotifyAll and NotifyN: unlink up to
-// max waiters (max < 0 means all) and schedule one commit handler
-// (wakeCommitted) that posts and counts the whole batch. It returns the
-// number dequeued.
-func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
+// notify is the one dequeue of NotifyOne, NotifyAll and NotifyN: unlink
+// up to max waiters from the head (max < 0 means all) and register post
+// as the commit handler over them. It returns the number dequeued.
+func (cv *CondVar) notify(tx *stm.Tx, max int, post func([]stm.CommitArg)) int {
 	if cv.nakedEmpty(tx) {
 		return 0
 	}
@@ -926,12 +889,7 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 		// Every next-link access happens inside the transaction
 		// (Section 3.3's race-freedom argument).
 		for sn != nil && (max < 0 || count < max) {
-			// Attempt-buffered: an aborted attempt's notify leaves no
-			// trace. The node's incarnation is captured at dequeue so
-			// the committed batch can detect recycling (ABA), same as
-			// the single-node path.
-			tx.Trace(obs.EvCVNotify, int64(sn.id), int64(cv.id))
-			tx.PushCommitArg(sn, sn.gen.Load())
+			cv.notifyPost(tx, sn)
 			count++
 			sn = stm.Read(tx, sn.next)
 		}
@@ -939,7 +897,7 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 		if sn == nil {
 			stm.Write(tx, cv.tail, nil)
 		}
-		tx.OnCommitCall(wakeCommitted)
+		tx.OnCommitCall(post)
 	}
 	if tx != nil {
 		tx.Atomic(body)
@@ -949,14 +907,11 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 	return count
 }
 
-// NotifyAll is Algorithm 6: dequeue every waiter and schedule all their
-// wake-ups. It returns the number of waiters notified.
-//
-// One transaction dequeues the whole set and registers one commit
-// handler, which posts each waiter's semaphore in queue order (see
-// wakeCommitted).
+// NotifyAll is Algorithm 6: one transaction dequeues every waiter and
+// registers one commit handler that posts them in queue order. It
+// returns the number of waiters notified.
 func (cv *CondVar) NotifyAll(tx *stm.Tx) int {
-	return cv.notifyBatch(tx, -1)
+	return cv.notify(tx, -1, wakeAll)
 }
 
 // NotifyN dequeues and wakes at most max waiters (in queue order) as one
@@ -969,7 +924,7 @@ func (cv *CondVar) NotifyN(tx *stm.Tx, max int) int {
 	if max == 0 {
 		return 0
 	}
-	return cv.notifyBatch(tx, max)
+	return cv.notify(tx, max, wakeAll)
 }
 
 // NotifyBest is the Section 3.4 extension: traverse the waiting set and
@@ -998,17 +953,9 @@ func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
 		if best == nil {
 			return
 		}
-		// Unlink best.
-		nx := stm.Read(tx, best.next)
-		if bestPrev == nil {
-			stm.Write(tx, cv.head, nx)
-		} else {
-			stm.Write(tx, bestPrev.next, nx)
-		}
-		if nx == nil {
-			stm.Write(tx, cv.tail, bestPrev)
-		}
+		cv.unlink(tx, bestPrev, best)
 		cv.notifyPost(tx, best)
+		tx.OnCommitCall(wakeOne)
 		found = true
 	}
 	if tx != nil {

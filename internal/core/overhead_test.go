@@ -28,7 +28,7 @@ func TestWakeStampDisarmedNoAlloc(t *testing.T) {
 		n.enqueuedNS.Store(monoNS())
 		// The full committed-notify hot path: count, (not) mint, stamp
 		// the node, post, consume the banked permit, attribute the wake.
-		cv.notifyCommitted(n)
+		wakeOne([]stm.CommitArg{{P: n, N: n.gen.Load()}})
 		<-n.wake
 		stamped |= n.wakeID.Load()
 		cv.noteWake(n, obs.WakeByWaiter)
@@ -53,7 +53,7 @@ func TestWakeFlowIDsDistinctAcrossEngines(t *testing.T) {
 		e.SetTracer(tr)
 		cv := New(e, Options{})
 		n := cv.acquireNode()
-		cv.notifyCommitted(n)
+		wakeOne([]stm.CommitArg{{P: n, N: n.gen.Load()}})
 		<-n.wake
 		id := cv.noteWake(n, obs.WakeByWaiter)
 		cv.releaseNode(n)

@@ -48,16 +48,16 @@ func (b *varBase) sanitizeDirect(op string) {
 }
 
 // wrapOnCommit guards a commit handler against double execution.
-func (tx *Tx) wrapOnCommit(f func()) func() {
+func (tx *Tx) wrapOnCommit(f func([]CommitArg)) func([]CommitArg) {
 	if !tx.e.debug.Load() {
 		return f
 	}
 	ran := false
-	return func() {
+	return func(args []CommitArg) {
 		if ran {
 			panic("stm: sanitizer: onCommit handler executed twice — commit handlers are at-most-once effects (a duplicated SEMPOST wakes a thread whose wake-up nobody scheduled)")
 		}
 		ran = true
-		f()
+		f(args)
 	}
 }

@@ -69,38 +69,38 @@ func TestSanitizerOffByDefault(t *testing.T) {
 func TestSanitizerOnCommitHandlerTwice(t *testing.T) {
 	e := NewEngine(Config{})
 	e.SetDebugChecks(true)
-	var wrapped func()
+	var wrapped func([]CommitArg)
 	ran := 0
 	e.MustAtomic(func(tx *Tx) {
 		tx.OnCommit(func() { ran++ })
-		wrapped = tx.onCommit[len(tx.onCommit)-1].f
+		wrapped = tx.onCommit[len(tx.onCommit)-1].fn
 	})
 	if ran != 1 {
 		t.Fatalf("handler ran %d times at commit, want 1", ran)
 	}
 	defer expectSanitizerPanic(t, "onCommit handler executed twice")
-	wrapped()
+	wrapped(nil)
 }
 
-// The pre-bound form is covered by the same check: under the sanitizer
-// an OnCommitCall registration is held as a wrapped closure over a copy
-// of its arguments, so re-running it panics too.
+// A pre-bound registration is covered by the same check: under the
+// sanitizer every OnCommitCall handler is held wrapped, so re-running it
+// panics too.
 func TestSanitizerOnCommitCallTwice(t *testing.T) {
 	e := NewEngine(Config{})
 	e.SetDebugChecks(true)
-	var wrapped func()
+	var wrapped func([]CommitArg)
 	var got []uint64
 	e.MustAtomic(func(tx *Tx) {
 		got = got[:0]
 		tx.PushCommitArg(nil, 7)
 		tx.OnCommitCall(func(args []CommitArg) { got = append(got, args[0].N) })
-		wrapped = tx.onCommit[len(tx.onCommit)-1].f
+		wrapped = tx.onCommit[len(tx.onCommit)-1].fn
 	})
 	if len(got) != 1 || got[0] != 7 {
 		t.Fatalf("pre-bound handler saw %v at commit, want [7]", got)
 	}
 	defer expectSanitizerPanic(t, "onCommit handler executed twice")
-	wrapped()
+	wrapped(nil)
 }
 
 // Legal uses must stay silent with the sanitizer on: direct access before

@@ -54,10 +54,13 @@
 //
 // # Features the condition variable needs
 //
-//   - Tx.OnCommit registers a handler to run after the outermost commit;
-//     the condvar defers SEMPOST to commit time this way, so a wake-up is
+//   - Tx.OnCommitCall registers a handler to run after the outermost
+//     commit, called with the arguments PushCommitArg logged for it; the
+//     condvar defers SEMPOST to commit time this way, so a wake-up is
 //     never caused by a transaction that ultimately aborts and never
-//     executed inside a hardware transaction (Algorithm 5, line 9).
+//     executed inside a hardware transaction (Algorithm 5, line 9). It
+//     is the one handler form: Tx.OnCommit(f) registers a handler whose
+//     one argument is f.
 //   - Tx.CommitEarly commits the running transaction in the middle of the
 //     atomic function ("punctuation"): WAIT uses it to complete the
 //     enclosing sync block before sleeping (Algorithm 4, line 9). After an

@@ -273,6 +273,34 @@ func TestOnCommitCallArgsOrderAndAbort(t *testing.T) {
 	})
 }
 
+// A closure registered with OnCommit is OnCommitCall's one argument: a
+// func value boxes without allocating, so a warm Tx registering a
+// non-capturing func allocates nothing either.
+func TestOnCommitNoAlloc(t *testing.T) {
+	if raceEnabled || debugDefault {
+		t.Skip("race detector shadow state and the sanitizer's wrapper allocate")
+	}
+	e := NewEngine(Config{})
+	v := NewVar(e, 0)
+	body := func(tx *Tx) {
+		Write(tx, v, Read(tx, v)+1)
+		tx.OnCommit(countCommit)
+	}
+	e.MustAtomic(body)
+	before := commits.Load()
+	if a := testing.AllocsPerRun(1000, func() { e.MustAtomic(body) }); a != 0 {
+		t.Errorf("transaction with an OnCommit handler allocates %.1f times per op", a)
+	}
+	if got := commits.Load() - before; got != 1001 {
+		t.Errorf("handler ran %d times, want 1001", got)
+	}
+}
+
+// commits counts countCommit's runs; countCommit captures nothing.
+var commits atomic.Int64
+
+func countCommit() { commits.Add(1) }
+
 // postArg is a top-level handler: registering it captures nothing.
 func postArg(args []CommitArg) { *args[0].P.(*uint64) += args[0].N }
 

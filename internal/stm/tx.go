@@ -180,11 +180,17 @@ func (tx *Tx) statusString() string {
 // aborts, f is discarded. This is the paper's RegisterHandler (Algorithm
 // 5, line 9): the condition variable uses it to defer SEMPOST past commit,
 // so no wake-up is caused by a transaction that does not commit, and no
-// semaphore operation runs inside a (hardware) transaction.
+// semaphore operation runs inside a (hardware) transaction. It is
+// OnCommitCall(callFunc) over the one argument f: a func value is
+// pointer-shaped, so boxing it allocates nothing.
 func (tx *Tx) OnCommit(f func()) {
 	tx.ensureActive("OnCommit")
-	tx.onCommit = append(tx.onCommit, commitHandler{f: tx.wrapOnCommit(f)})
+	tx.PushCommitArg(f, 0)
+	tx.OnCommitCall(callFunc)
 }
+
+// callFunc is OnCommit's pre-bound handler: it calls its one argument.
+func callFunc(args []CommitArg) { args[0].P.(func())() }
 
 // CommitArg is one argument slot of a pre-bound commit handler. P holds
 // a pointer (an interface holding a pointer does not allocate) and N a
@@ -194,11 +200,9 @@ type CommitArg struct {
 	N uint64
 }
 
-// commitHandler is one registered commit handler: a closure (OnCommit),
-// or a pre-bound function over args[lo:hi] of the Tx's argument log
-// (OnCommitCall).
+// commitHandler is one registered commit handler: a function over
+// args[lo:hi] of the Tx's argument log.
 type commitHandler struct {
-	f      func()
 	fn     func([]CommitArg)
 	lo, hi int
 }
@@ -209,27 +213,19 @@ func (tx *Tx) PushCommitArg(p any, n uint64) {
 	tx.args = append(tx.args, CommitArg{p, n})
 }
 
-// OnCommitCall is OnCommit without a closure: it registers fn to run
-// after the outermost transaction commits, called with every argument
-// pushed by PushCommitArg since the previous OnCommitCall, in push
-// order. It is the shape of the paper's RegisterHandler(SEMPOST, node):
-// a handler plus its argument. Registered with a top-level function, it
-// allocates nothing once the Tx's logs are warm. Handlers of both forms
-// run in registration order, and an abort discards both. fn must not
-// retain its argument slice, which the Tx reuses.
+// OnCommitCall registers fn to run after the outermost transaction
+// commits, called with every argument pushed by PushCommitArg since the
+// previous OnCommitCall, in push order. It is the shape of the paper's
+// RegisterHandler(SEMPOST, node): a handler plus its argument.
+// Registered with a top-level function, it allocates nothing once the
+// Tx's logs are warm. Handlers run in registration order, and an abort
+// discards them with their arguments. fn must not retain its argument
+// slice, which the Tx reuses.
 func (tx *Tx) OnCommitCall(fn func([]CommitArg)) {
 	tx.ensureActive("OnCommitCall")
 	lo, hi := tx.argMark, len(tx.args)
 	tx.argMark = hi
-	if tx.e.debug.Load() {
-		// The sanitizer's at-most-once wrapper is a closure: it takes a
-		// private copy of the arguments, so the closure form's check
-		// covers this one.
-		args := append([]CommitArg(nil), tx.args[lo:hi]...)
-		tx.onCommit = append(tx.onCommit, commitHandler{f: tx.wrapOnCommit(func() { fn(args) })})
-		return
-	}
-	tx.onCommit = append(tx.onCommit, commitHandler{fn: fn, lo: lo, hi: hi})
+	tx.onCommit = append(tx.onCommit, commitHandler{fn: tx.wrapOnCommit(fn), lo: lo, hi: hi})
 }
 
 // OnAbort registers f to run if this attempt aborts (before the retry).
@@ -646,11 +642,7 @@ func (tx *Tx) clearHandlers() {
 func (tx *Tx) runCommitHandlers() {
 	n := len(tx.onCommit)
 	for _, h := range tx.onCommit {
-		if h.fn != nil {
-			h.fn(tx.args[h.lo:h.hi])
-		} else {
-			h.f()
-		}
+		h.fn(tx.args[h.lo:h.hi])
 	}
 	tx.clearHandlers()
 	if n > 0 {
