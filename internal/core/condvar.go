@@ -87,6 +87,11 @@ func (s *CVStats) Histograms() map[string]obs.HistogramSnapshot {
 // after the wake-up the node is private again (the privatization argument
 // of Section 3.3) and returns to the pool.
 //
+// The link lies in the condvar's stripe, with head and tail, and is
+// meaningful only while the node is queued and not the tail: the tail's
+// link is whatever it was when the node last left a queue, and every
+// walk stops at the tail without reading it (succ).
+//
 // The semaphore is wake, a capacity-1 channel: one waiter parks on it
 // and one notifier posts it once per dequeue, so the slot is empty at
 // every enqueue and the post never blocks.
@@ -175,8 +180,11 @@ type CondVar struct {
 	e    *stm.Engine
 	head *stm.Var[*Node]
 	tail *stm.Var[*Node]
-	pool sync.Pool
-	st   *CVStats
+	// stripe is the one orec of head, tail and every node's link: the
+	// lock a naked or lock-based queue operation takes first.
+	stripe stm.Stripe
+	pool   sync.Pool
+	st     *CVStats
 
 	// id tags this condvar's trace events (see cvSeq); name is the
 	// attribution label set by SetName — a setup-time field like st.
@@ -190,16 +198,19 @@ type CondVar struct {
 
 // New creates a condition variable whose internal transactions run on e.
 //
-// head and tail are one stripe (one orec), as Algorithm 3's adjacent
-// words are in libitm's ml_wt: an enqueue into an empty queue, a dequeue
-// of the last waiter and a NotifyAll each lock one orec, not two.
+// head, tail and every node's next link are one stripe (one orec), as
+// libitm's ml_wt maps a small queue's words to one orec: every queue
+// operation locks that one orec, and a caller with no transaction of its
+// own runs it as a one-stripe transaction (stm.Engine.AtomicStripe),
+// which locks the orec before its first access (DESIGN.md §16.5).
 func New(e *stm.Engine, _ Options) *CondVar {
 	head := stm.NewVar[*Node](e, nil)
 	cv := &CondVar{
-		e:    e,
-		head: head,
-		tail: stm.NewVarInStripe(head, nil),
-		id:   cvSeq.Add(1),
+		e:      e,
+		head:   head,
+		tail:   stm.NewVarInStripe(head, nil),
+		stripe: head.Stripe(),
+		id:     cvSeq.Add(1),
 	}
 	cv.pool.New = func() any { return cv.newNode() }
 	return cv
@@ -232,7 +243,7 @@ func (cv *CondVar) newNode() *Node {
 		cv:   cv,
 		id:   nodeSeq.Add(1),
 		wake: make(chan struct{}, 1),
-		next: stm.NewVar[*Node](cv.e, nil),
+		next: stm.NewVarInStripe(cv.head, nil),
 		tag:  stm.NewVar[any](cv.e, nil),
 	}
 	if cv.name != "" {
@@ -297,8 +308,8 @@ func (cv *CondVar) releaseNode(n *Node) {
 }
 
 // enqueue inserts n into the wait queue, flat-nesting into tx when the
-// caller is transactional, or running its own transaction otherwise
-// (Algorithm 4 lines 2–8).
+// caller is transactional, or running its own one-stripe transaction
+// otherwise (Algorithm 4 lines 2–8).
 func (cv *CondVar) enqueue(tx *stm.Tx, n *Node) {
 	// The Swap runs once per enqueue (outside the retryable body): a node
 	// observed already-queued here is reachable from the queue twice,
@@ -317,29 +328,32 @@ func (cv *CondVar) enqueue(tx *stm.Tx, n *Node) {
 	}
 	clearStamp(&n.notifiedNS)
 	clearStamp(&n.parkedNS)
+	cv.atomic(tx, n.enqBody)
+}
+
+// atomic runs a queue operation's body: flat-nested into tx when the
+// caller is transactional, else as a one-stripe transaction on the
+// queue's stripe, which every access of a body that touches only head,
+// tail and links falls in.
+func (cv *CondVar) atomic(tx *stm.Tx, body func(*stm.Tx)) {
 	if tx != nil {
-		tx.Atomic(n.enqBody)
+		tx.Atomic(body)
 	} else {
-		cv.e.MustAtomic(n.enqBody)
+		cv.e.AtomicStripe(cv.stripe, body)
 	}
 }
 
 // enqueueBody is the transactional insert of one node, bound into the
 // node's cached enqBody closure at newNode so the park path does not
 // rebuild it on every Wait. Like Algorithm 4 it registers no commit
-// handler.
+// handler. It has no line 1 (n.next := nil): n becomes the tail, whose
+// link no walk reads, and a doomed enqueuer whose snapshot still has n
+// as tail cannot write n's link, because that write needs the stripe's
+// orec, whose version has moved past its snapshot (DESIGN.md §7.2).
 func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 	// Attempt-buffered: an aborted attempt's enqueue never shows in
 	// the trace.
 	tx.Trace(obs.EvCVEnqueue, int64(n.id), int64(cv.id))
-	// Line 1, inside the transaction: a doomed enqueuer whose snapshot
-	// still had this node as tail may hold its next link's orec, and
-	// this read then aborts the attempt instead of racing the lock
-	// (DESIGN.md §7.2). Read first: a node last dequeued as the tail
-	// already has a nil link, and the line stays a read.
-	if stm.Read(tx, n.next) != nil {
-		stm.Write(tx, n.next, nil)
-	}
 	t := stm.Read(tx, cv.tail)
 	if t == nil {
 		stm.Write(tx, cv.head, n)
@@ -349,11 +363,11 @@ func (cv *CondVar) enqueueBody(tx *stm.Tx, n *Node) {
 	stm.Write(tx, cv.tail, n)
 }
 
-// enqueueSelf is the front half of every WAIT (Algorithm 4 lines 1–8):
+// enqueueSelf is the front half of every WAIT (Algorithm 4 lines 2–8):
 // take a node from the pool and insert it into the wait queue — inside
-// tx when the caller is transactional, in its own transaction otherwise;
-// line 1 runs in that transaction (enqueueBody). The caller then ends its
-// sync block (line 9) and hands the node to park.
+// tx when the caller is transactional, in its own transaction otherwise.
+// The caller then ends its sync block (line 9) and hands the node to
+// park.
 func (cv *CondVar) enqueueSelf(tx *stm.Tx, tag any) *Node {
 	n := cv.acquireNode()
 	if tag != nil {
@@ -594,16 +608,17 @@ func (cv *CondVar) WaitCtx(s syncx.Sync, ctx context.Context, cont func(syncx.Sy
 }
 
 // removeNode unlinks target from the wait queue, reporting whether it was
-// still enqueued. It always runs its own top-level transaction, so the
-// unlink is committed by the time MustAtomic returns.
+// still enqueued. It always runs its own one-stripe transaction, so the
+// unlink is committed by the time AtomicStripe returns.
 func (cv *CondVar) removeNode(target *Node) bool {
 	found := false
-	cv.e.MustAtomic(func(tx *stm.Tx) {
+	cv.e.AtomicStripe(cv.stripe, func(tx *stm.Tx) {
 		found = false
+		tail := stm.Read(tx, cv.tail)
 		var prev *Node
-		for n := stm.Read(tx, cv.head); n != nil; n = stm.Read(tx, n.next) {
+		for n := stm.Read(tx, cv.head); n != nil; n = succ(tx, n, tail) {
 			if n == target {
-				cv.unlink(tx, prev, n)
+				cv.unlink(tx, prev, n, tail)
 				found = true
 				return
 			}
@@ -616,14 +631,27 @@ func (cv *CondVar) removeNode(target *Node) bool {
 	return found
 }
 
+// succ is n's successor in the queue whose tail is tail: nil for the
+// tail, whose link is stale and never read, else n's next link. Every
+// walk of the queue steps through it.
+func succ(tx *stm.Tx, n, tail *Node) *Node {
+	if n == tail {
+		return nil
+	}
+	return stm.Read(tx, n.next)
+}
+
 // unlink removes n from the wait queue inside tx; prev is its
-// predecessor, nil when n is the head. It is the one mid-queue removal,
-// shared by a loser's removeNode and NotifyBest.
-func (cv *CondVar) unlink(tx *stm.Tx, prev, n *Node) {
-	nx := stm.Read(tx, n.next)
-	if prev == nil {
+// predecessor, nil when n is the head, and tail the queue's tail. It is
+// the one mid-queue removal, shared by a loser's removeNode and
+// NotifyBest. Unlinking the tail makes prev the tail, whose link is then
+// left as it is.
+func (cv *CondVar) unlink(tx *stm.Tx, prev, n, tail *Node) {
+	nx := succ(tx, n, tail)
+	switch {
+	case prev == nil:
 		stm.Write(tx, cv.head, nx)
-	} else {
+	case nx != nil:
 		stm.Write(tx, prev.next, nx)
 	}
 	if nx == nil {
@@ -877,12 +905,13 @@ func (cv *CondVar) notify(tx *stm.Tx, max int, post func([]stm.CommitArg)) int {
 		return 0
 	}
 	count := 0
-	body := func(tx *stm.Tx) {
+	cv.atomic(tx, func(tx *stm.Tx) {
 		count = 0
 		sn := stm.Read(tx, cv.head)
 		if sn == nil {
 			return
 		}
+		tail := stm.Read(tx, cv.tail)
 		// The batch is the handler's argument list, pushed into the
 		// Tx's retained log: an aborted attempt's list is discarded with
 		// it, and the committing attempt's list is the one posted.
@@ -891,19 +920,14 @@ func (cv *CondVar) notify(tx *stm.Tx, max int, post func([]stm.CommitArg)) int {
 		for sn != nil && (max < 0 || count < max) {
 			cv.notifyPost(tx, sn)
 			count++
-			sn = stm.Read(tx, sn.next)
+			sn = succ(tx, sn, tail)
 		}
 		stm.Write(tx, cv.head, sn)
 		if sn == nil {
 			stm.Write(tx, cv.tail, nil)
 		}
 		tx.OnCommitCall(post)
-	}
-	if tx != nil {
-		tx.Atomic(body)
-	} else {
-		cv.e.MustAtomic(body)
-	}
+	})
 	return count
 }
 
@@ -944,7 +968,8 @@ func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
 		var best, bestPrev *Node
 		bestScore := int64(-1)
 		var prev *Node
-		for n := stm.Read(tx, cv.head); n != nil; n = stm.Read(tx, n.next) {
+		tail := stm.Read(tx, cv.tail)
+		for n := stm.Read(tx, cv.head); n != nil; n = succ(tx, n, tail) {
 			if s := score(stm.Read(tx, n.tag)); s > bestScore {
 				best, bestPrev, bestScore = n, prev, s
 			}
@@ -953,11 +978,13 @@ func (cv *CondVar) NotifyBest(tx *stm.Tx, score func(tag any) int64) bool {
 		if best == nil {
 			return
 		}
-		cv.unlink(tx, bestPrev, best)
+		cv.unlink(tx, bestPrev, best, tail)
 		cv.notifyPost(tx, best)
 		tx.OnCommitCall(wakeOne)
 		found = true
 	}
+	// The tags have orecs of their own, so a naked NotifyBest runs an
+	// ordinary transaction, not a one-stripe one.
 	if tx != nil {
 		tx.Atomic(body)
 	} else {
@@ -973,7 +1000,8 @@ func (cv *CondVar) Len() int {
 	n := 0
 	_ = cv.e.AtomicRead(func(tx *stm.Tx) {
 		n = 0
-		for c := stm.Read(tx, cv.head); c != nil; c = stm.Read(tx, c.next) {
+		tail := stm.Read(tx, cv.tail)
+		for c := stm.Read(tx, cv.head); c != nil; c = succ(tx, c, tail) {
 			n++
 		}
 	})

@@ -121,7 +121,8 @@ func (cv *CondVar) WaitChain() []registry.Waiter {
 	var nodes []*Node
 	_ = cv.e.AtomicRead(func(tx *stm.Tx) {
 		nodes = nodes[:0]
-		for n := stm.Read(tx, cv.head); n != nil; n = stm.Read(tx, n.next) {
+		tail := stm.Read(tx, cv.tail)
+		for n := stm.Read(tx, cv.head); n != nil; n = succ(tx, n, tail) {
 			nodes = append(nodes, n)
 			if len(nodes) == maxWaitChain {
 				return

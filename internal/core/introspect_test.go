@@ -137,7 +137,6 @@ func TestWaitChainAndRegisterIntrospect(t *testing.T) {
 func TestWaitChainParkAgeClamped(t *testing.T) {
 	cv := New(stm.NewEngine(stm.Config{}), Options{})
 	n := cv.acquireNode()
-	n.next.StoreDirect(nil)
 	cv.enqueue(nil, n)
 	n.parkedNS.Store(monoNS() + int64(time.Hour)) // hostile: the park "begins" in the future
 	chain := cv.WaitChain()

@@ -75,14 +75,16 @@ func TestNakedNotifyEmptyNoAlloc(t *testing.T) {
 // (serial) one, whose in-place writes lock no orec: every wait returns,
 // and every committed post is consumed by exactly one wait. An empty
 // read taken while an enqueue is in flight must fall back to the
-// transaction, or a waiter is stranded and the test hangs. Under -tags
-// stmsan the sanitizer checks this mix too: a doomed enqueuer that
-// still holds a recycled node's next link meets the new owner's
-// transactional line 1, not a direct store.
+// transaction, or a waiter is stranded and the test hangs. The
+// sanitizer is on: a doomed enqueuer whose snapshot still has a
+// recycled node as tail must abort before it can lock that node's link
+// (the link is in the queue's stripe), and a node linked twice or
+// released while linked panics.
 func TestNakedNotifyRacesWaiters(t *testing.T) {
 	for _, alg := range []stm.Algorithm{stm.AlgWriteThrough, stm.AlgHTM} {
 		t.Run(alg.String(), func(t *testing.T) {
 			e := stm.NewEngine(stm.Config{Algorithm: alg})
+			e.SetDebugChecks(true)
 			cv := New(e, Options{})
 			st := &CVStats{}
 			cv.SetStats(st)

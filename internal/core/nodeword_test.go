@@ -8,22 +8,36 @@ import (
 	"repro/internal/stm"
 )
 
-// cv.head and cv.tail are one stripe: while a transaction holds the
-// orec it locked by writing tail, a consistent read of head cannot be
-// taken. TestWaitCycleLocksOneOrecPerTransaction counts the locks.
+// cv.head, cv.tail and every node's next link are one stripe: while a
+// transaction holds the orec it locked by writing tail, a consistent
+// read of head or of a link cannot be taken, and the queue's stripe is
+// every one of their stripes. The NotifyBest tag keeps an orec of its
+// own. TestWaitCycleLocksOneOrecPerTransaction counts the locks.
 func TestHeadTailOneStripe(t *testing.T) {
 	e := stm.NewEngine(stm.Config{OrecCount: 1 << 16})
 	cv := New(e, Options{})
+	n := cv.acquireNode()
 	e.MustAtomic(func(tx *stm.Tx) {
 		stm.Write(tx, cv.tail, nil) // write-through: locks tail's orec now
 		if _, ok := stm.Peek(cv.head); ok {
 			t.Error("Peek read head while tail's orec was locked: head and tail are on two orecs")
 		}
+		if _, ok := stm.Peek(n.next); ok {
+			t.Error("Peek read a node's link while tail's orec was locked: the link has an orec of its own")
+		}
+		if _, ok := stm.Peek(n.tag); !ok {
+			t.Error("Peek could not read a node's tag while tail's orec was locked: the tag shares the queue's orec")
+		}
 	})
+	for name, st := range map[string]stm.Stripe{"head": cv.head.Stripe(), "tail": cv.tail.Stripe(), "link": n.next.Stripe()} {
+		if st != cv.stripe {
+			t.Errorf("the queue's %s is not on the queue's stripe", name)
+		}
+	}
 	if _, ok := stm.Peek(cv.head); !ok {
 		t.Fatal("Peek could not read head on a quiescent engine")
 	}
-	n := cv.enqueueSelf(nil, nil) // into an empty queue: writes head and tail
+	cv.enqueue(nil, n) // into an empty queue: writes head and tail
 	if !cv.removeNode(n) {
 		t.Fatal("removeNode did not find the enqueued node")
 	}
@@ -143,17 +157,18 @@ func TestSanitizerToggleMidWait(t *testing.T) {
 }
 
 // Each transaction of a single-waiter cycle locks one orec: the enqueue
-// into an empty queue writes head and tail, one stripe, and reads the
-// node's already-nil link without writing it; the dequeue of the last
-// waiter writes head and tail. An armed injector with no rule counts
-// every orec acquisition (the OrecAcquire hook) and fires none.
+// into an empty queue writes head and tail, one stripe, and the dequeue
+// of the last waiter writes head and tail. On the write-through engine
+// both are one-stripe transactions, which take that orec before they
+// start; on the simulated HTM they lock it at commit. An armed injector
+// with no rule counts every orec acquisition (the OrecAcquire hook) and
+// fires none.
 func TestWaitCycleLocksOneOrecPerTransaction(t *testing.T) {
 	for _, alg := range []stm.Algorithm{stm.AlgWriteThrough, stm.AlgHTM} {
 		t.Run(alg.String(), func(t *testing.T) {
 			e := stm.NewEngine(stm.Config{Algorithm: alg, OrecCount: 1 << 16})
 			cv := New(e, Options{})
 			n := cv.acquireNode()
-			waitCycleOn(t, cv, n) // the node's link is nil from here on
 			in := fault.New(1)
 			in.Arm()
 			e.SetFault(in)

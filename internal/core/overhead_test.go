@@ -238,8 +238,9 @@ func TestDisarmedWaitCycleNoClock(t *testing.T) {
 }
 
 // A whole wait cycle — enqueue, naked NotifyOne, park, release — allocates
-// nothing once the pools are warm: the notify's commit handler is
-// pre-bound (a function plus its node and generation), not a closure.
+// nothing once the pools are warm: the enqueue and the notify are
+// one-stripe transactions on pooled Txs, and the notify's commit handler
+// is pre-bound (a function plus its node and generation), not a closure.
 func TestWaitNotifyCycleNoAlloc(t *testing.T) {
 	e := stm.NewEngine(stm.Config{})
 	if raceEnabled || e.DebugChecks() {

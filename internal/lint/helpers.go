@@ -101,13 +101,16 @@ type atomicBlockKind int
 
 const (
 	notAtomic        atomicBlockKind = iota
-	atomicOptimistic                 // Atomic, MustAtomic, AtomicRead, tx.Atomic
+	atomicOptimistic                 // Atomic, MustAtomic, AtomicRead, AtomicStripe, tx.Atomic
 	atomicRelaxed                    // AtomicRelaxed: irrevocable, I/O is legal
 )
 
 // atomicBlock reports whether call runs its function-literal argument as a
-// transaction body: Engine.Atomic/MustAtomic/AtomicRead/AtomicRelaxed and
-// the flat-nesting Tx.Atomic. Returns the literal when present.
+// transaction body: Engine.Atomic/MustAtomic/AtomicRead/AtomicStripe/
+// AtomicRelaxed and the flat-nesting Tx.Atomic. Returns the literal when
+// present. An AtomicStripe body counts as optimistic: it runs once on a
+// write-through engine but through Atomic on an HTM one, and it holds
+// its stripe's orec throughout.
 func atomicBlock(info *types.Info, call *ast.CallExpr) (lit *ast.FuncLit, kind atomicBlockKind) {
 	recv, name, ok := methodCall(info, call)
 	if !ok || !pathIs(recv.Obj().Pkg(), stmPathSuffix) {
@@ -118,7 +121,7 @@ func atomicBlock(info *types.Info, call *ast.CallExpr) (lit *ast.FuncLit, kind a
 		return nil, notAtomic
 	}
 	switch name {
-	case "Atomic", "MustAtomic", "AtomicRead":
+	case "Atomic", "MustAtomic", "AtomicRead", "AtomicStripe":
 		kind = atomicOptimistic
 	case "AtomicRelaxed":
 		kind = atomicRelaxed
@@ -258,7 +261,7 @@ func baseEffect(recv *types.Named, name string) (Effect, string, bool) {
 		return 0, "", true
 	case rn == "Engine" && pathIs(pkg, stmPathSuffix):
 		switch name {
-		case "Atomic", "MustAtomic", "AtomicRead", "AtomicRelaxed":
+		case "Atomic", "MustAtomic", "AtomicRead", "AtomicStripe", "AtomicRelaxed":
 			return EffNestedAtomic, "Engine." + name, true
 		}
 		if strings.HasPrefix(name, "Register") {

@@ -56,7 +56,7 @@ const (
 	EffSleep                           // time.Sleep
 	EffGo                              // launches a goroutine
 	EffBlock                           // parking wait (sem.Wait, lock-based condvar waits)
-	EffNestedAtomic                    // Engine-level Atomic/MustAtomic/AtomicRead/AtomicRelaxed
+	EffNestedAtomic                    // Engine-level Atomic/MustAtomic/AtomicRead/AtomicStripe/AtomicRelaxed
 	EffStoreTx                         // stores/sends/hands off a *stm.Tx it received
 	EffNotify                          // condvar NotifyOne/NotifyAll/Signal/Broadcast/...
 )

@@ -23,6 +23,23 @@ func bad(e *stm.Engine, s *sem.Sem, ch chan int) {
 	})
 }
 
+// A one-stripe body runs once on a write-through engine, but through
+// Atomic, and so perhaps many times, on an HTM one: its effects go
+// through tx.OnCommit too.
+func badStripe(e *stm.Engine, v *stm.Var[int], s *sem.Sem) {
+	e.AtomicStripe(v.Stripe(), func(tx *stm.Tx) {
+		stm.Write(tx, v, 1)
+		s.Post() // want "sem.Post"
+	})
+}
+
+func goodStripe(e *stm.Engine, v *stm.Var[int], s *sem.Sem) {
+	e.AtomicStripe(v.Stripe(), func(tx *stm.Tx) {
+		stm.Write(tx, v, 1)
+		tx.OnCommit(s.Post)
+	})
+}
+
 // good: handlers run outside the attempt, and relaxed transactions are
 // irrevocable, so I/O is legal in both.
 func good(e *stm.Engine, s *sem.Sem, ch chan int) {

@@ -22,6 +22,23 @@ func badNested(e *stm.Engine) {
 	})
 }
 
+// A one-stripe transaction waits for its stripe's orec, which the
+// enclosing attempt may hold: it would wait forever.
+func badNestedStripe(e *stm.Engine, v *stm.Var[int]) {
+	e.MustAtomic(func(tx *stm.Tx) {
+		e.AtomicStripe(v.Stripe(), func(tx2 *stm.Tx) {}) // want "nested Engine.AtomicStripe inside an optimistic transaction body"
+	})
+}
+
+// A one-stripe body holds its orec from start to end: parking in it
+// stalls every transaction on the stripe.
+func badStripeBody(e *stm.Engine, v *stm.Var[int], s *sem.Sem) {
+	e.AtomicStripe(v.Stripe(), func(tx *stm.Tx) {
+		stm.Write(tx, v, 1)
+		s.Wait() // want "parks the goroutine while the attempt holds ownership records"
+	})
+}
+
 // The park is two helper calls deep: body → waitDeep1 → waitDeep2 → sem.Wait.
 func waitDeep1(s *sem.Sem) { waitDeep2(s) }
 func waitDeep2(s *sem.Sem) { s.Wait() }

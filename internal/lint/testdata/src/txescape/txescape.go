@@ -27,6 +27,13 @@ func bad(e *stm.Engine, ch chan *stm.Tx, txs []*stm.Tx) {
 	})
 }
 
+// A one-stripe body's Tx dies with the body too.
+func badStripe(e *stm.Engine, v *stm.Var[int]) {
+	e.AtomicStripe(v.Stripe(), func(tx *stm.Tx) {
+		globalTx = tx // want "package-level"
+	})
+}
+
 // good: synchronous helpers, same-attempt literals, and goroutines that
 // open their own transaction are all fine.
 func good(e *stm.Engine) {

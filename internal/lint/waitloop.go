@@ -24,8 +24,8 @@ import (
 //	}
 //
 // so function literals passed to Atomic/MustAtomic/AtomicRead/
-// AtomicRelaxed and Sync.Exec are transparent when searching for the
-// enclosing loop.
+// AtomicStripe/AtomicRelaxed and Sync.Exec are transparent when
+// searching for the enclosing loop.
 //
 // False-positive policy: a wait that genuinely needs no predicate (a
 // one-shot event with a single waiter) should either be rewritten with an

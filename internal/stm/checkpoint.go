@@ -21,11 +21,11 @@ package stm
 //	    ...
 //	})
 //
-// Saved has no effect on serial (irrevocable) transactions, which never
-// abort.
+// Saved has no effect on irrevocable (serial or one-stripe)
+// transactions, which never abort.
 func Saved[T any](tx *Tx, p *T) {
 	tx.ensureActive("Saved")
-	if tx.mode == modeSerial {
+	if tx.irrevocable() {
 		return
 	}
 	old := *p
@@ -36,7 +36,7 @@ func Saved[T any](tx *Tx, p *T) {
 // on abort, the elements present at registration are copied back.
 func SavedSlice[T any](tx *Tx, s []T) {
 	tx.ensureActive("SavedSlice")
-	if tx.mode == modeSerial {
+	if tx.irrevocable() {
 		return
 	}
 	old := make([]T, len(s))

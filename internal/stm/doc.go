@@ -70,6 +70,12 @@
 //     committed value, or reports that a concurrent writer or a pending
 //     serial transaction kept it from telling. A naked notify uses it
 //     to return from an empty queue without running a transaction.
+//   - Engine.AtomicStripe runs a transaction whose every access falls
+//     in one stripe (Vars made with NewVarInStripe share one orec): it
+//     locks that orec before the body runs, so it needs no read log,
+//     validation, undo log or retry, and cannot abort. The condvar runs
+//     a naked or lock-based queue operation this way; its head, tail
+//     and node links are one stripe.
 //   - Saved reproduces Section 4.2's ad-hoc stack checkpointing: it
 //     snapshots a closure-captured local at registration and restores it if
 //     the transaction aborts, so re-execution sees the pre-transaction

@@ -280,20 +280,13 @@ func (e *Engine) Name() string { return e.cfg.Name }
 func (e *Engine) Now() uint64 { return e.clock.Load() }
 
 // newTx takes a Tx from the pool, admits it through the serial gate and
-// starts an optimistic attempt on it. A Tx the pool creates is minted its
-// id and bound to its gate slot here, once.
+// starts an optimistic attempt on it.
 func (e *Engine) newTx(attempt int) *Tx {
 	m := modeWriteThrough
 	if e.cfg.Algorithm == AlgHTM {
 		m = modeHTM
 	}
-	tx, _ := e.txPool.Get().(*Tx)
-	if tx == nil {
-		id := e.txid.Add(1)
-		// A random phase: a new Tx's first attempt, which grows its
-		// logs from nil, is no likelier to be timed than any other.
-		tx = &Tx{e: e, id: id, slot: e.slotFor(id), sampleLeft: uint8(rand.IntN(commitSampleEvery))}
-	}
+	tx := e.pooledTx()
 	e.enterGate(tx.slot)
 	tx.gateHeld = true
 	tx.start = e.clock.Load()
@@ -308,6 +301,19 @@ func (e *Engine) newTx(attempt int) *Tx {
 	tx.pend = tx.pend[:0]
 	tx.conflictB = nil
 	tx.traceStart()
+	return tx
+}
+
+// pooledTx takes a Tx from the pool. A Tx the pool creates is minted
+// its id and bound to its gate slot here, once.
+func (e *Engine) pooledTx() *Tx {
+	tx, _ := e.txPool.Get().(*Tx)
+	if tx == nil {
+		id := e.txid.Add(1)
+		// A random phase: a new Tx's first attempt, which grows its
+		// logs from nil, is no likelier to be timed than any other.
+		tx = &Tx{e: e, id: id, slot: e.slotFor(id), sampleLeft: uint8(rand.IntN(commitSampleEvery))}
+	}
 	return tx
 }
 
@@ -642,6 +648,9 @@ func (tx *Tx) commitSerial(ev obs.EventType) {
 // punctuated transaction retries until it commits.
 func (tx *Tx) CommitEarly() {
 	tx.ensureActive("CommitEarly")
+	if tx.mode == modeStripe {
+		panic("stm: CommitEarly inside a one-stripe transaction (AtomicStripe), which holds its stripe to the end")
+	}
 	if tx.mode == modeSerial {
 		tx.commitSerial(obs.EvTxnEarlyCommit)
 		tx.count(slotEarlyCommits, 1)

@@ -41,8 +41,8 @@ func Retry(tx *Tx) {
 	switch tx.mode {
 	case modeHTM:
 		panic("stm: Retry is not supported on hardware TM — read-set visibility requires software instrumentation (see paper Section 6)")
-	case modeSerial:
-		panic("stm: Retry inside an irrevocable (serial/relaxed) transaction")
+	case modeSerial, modeStripe:
+		panic("stm: Retry inside an irrevocable (serial, relaxed or one-stripe) transaction")
 	}
 	if len(tx.reads) == 0 {
 		panic("stm: Retry with an empty read set would sleep forever")

@@ -15,6 +15,7 @@ const (
 	modeWriteThrough mode = iota // encounter-time locking, undo log (ml_wt)
 	modeHTM                      // simulated best-effort hardware TM, redo log
 	modeSerial                   // irrevocable, under the global serial lock
+	modeStripe                   // one orec locked up front (Engine.AtomicStripe)
 )
 
 // txStatus is the lifecycle state of a Tx.
@@ -120,6 +121,12 @@ type Tx struct {
 	readOnly   bool // AtomicRead: Write panics
 	attempt    int
 
+	// A one-stripe transaction's orec (modeStripe), the version it held
+	// when locked, and whether a Write has stored into the stripe.
+	stripe    *orec
+	stripeVer uint64
+	wrote     bool
+
 	// began is the attempt's start time, for CommitNanos and the trace
 	// spans. It is read only for a timed attempt — every attempt while a
 	// tracer is armed, else about one in commitSampleEvery, counted down
@@ -148,6 +155,10 @@ func (tx *Tx) Active() bool { return tx.status == txActive }
 // Serial reports whether this attempt is executing irrevocably under the
 // global serial lock (either via AtomicRelaxed or after the fallback).
 func (tx *Tx) Serial() bool { return tx.mode == modeSerial }
+
+// irrevocable reports whether this transaction cannot roll back: a
+// serial one, or a one-stripe one (AtomicStripe).
+func (tx *Tx) irrevocable() bool { return tx.mode >= modeSerial }
 
 // Attempt returns the zero-based retry attempt number of this execution.
 func (tx *Tx) Attempt() int { return tx.attempt }
@@ -249,12 +260,12 @@ func (tx *Tx) Atomic(fn func(*Tx)) {
 func (tx *Tx) Depth() int { return tx.depth }
 
 // Cancel aborts the transaction permanently: Atomic stops retrying and
-// returns err. Panics if called on a serial (irrevocable) transaction,
-// which by definition cannot roll back.
+// returns err. Panics if called on an irrevocable (serial or one-stripe)
+// transaction, which by definition cannot roll back.
 func (tx *Tx) Cancel(err error) {
 	tx.ensureActive("Cancel")
-	if tx.mode == modeSerial {
-		panic("stm: Cancel inside an irrevocable (serial/relaxed) transaction")
+	if tx.irrevocable() {
+		panic("stm: Cancel inside an irrevocable (serial, relaxed or one-stripe) transaction")
 	}
 	panic(abortSignal{cause: causeCancel, err: err})
 }
@@ -264,8 +275,8 @@ func (tx *Tx) Cancel(err error) {
 // fallback threshold).
 func (tx *Tx) Restart() {
 	tx.ensureActive("Restart")
-	if tx.mode == modeSerial {
-		panic("stm: Restart inside an irrevocable (serial/relaxed) transaction")
+	if tx.irrevocable() {
+		panic("stm: Restart inside an irrevocable (serial, relaxed or one-stripe) transaction")
 	}
 	panic(abortSignal{cause: causeConflict})
 }

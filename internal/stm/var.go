@@ -13,8 +13,7 @@ type box[T any] struct{ v T }
 type varBase struct {
 	val atomic.Value // always holds box[T] for the owning Var's T
 	o   *orec
-	seq uint64
-	eng *Engine // for the runtime sanitizer (debug.go)
+	eng *Engine // for the runtime sanitizer (debug.go) and Stripe
 
 	// meta is the Var's abort-attribution row (profile.go); nil until the
 	// Var is named. Read/Write fast paths never touch it — only naming
@@ -37,8 +36,7 @@ type Var[T any] struct {
 // NewVar allocates a transactional cell bound to engine e, holding init.
 func NewVar[T any](e *Engine, init T) *Var[T] {
 	v := &Var[T]{}
-	v.base.seq = e.varSeq.Add(1)
-	v.base.o = &e.orecs[orecIndex(v.base.seq, e.orecMask)]
+	v.base.o = &e.orecs[orecIndex(e.varSeq.Add(1), e.orecMask)]
 	v.base.eng = e
 	v.base.val.Store(box[T]{init})
 	return v
@@ -134,18 +132,21 @@ func Read[T any](tx *Tx, v *Var[T]) T {
 	tx.ensureActive("Read")
 	b := &v.base
 	switch tx.mode {
-	case modeSerial:
-		return b.val.Load().(box[T]).v
-	case modeHTM:
-		if cur, ok := tx.findWrite(b); ok {
-			return cur.(box[T]).v
-		}
-		return tx.readShared(b).(box[T]).v
-	default: // modeWriteThrough
+	case modeWriteThrough:
 		if tx.ownsOrec(b.o) {
 			// We hold the lock; the published value is our own
 			// write (or a stable pre-image nobody else can touch).
 			return b.val.Load().(box[T]).v
+		}
+		return tx.readShared(b).(box[T]).v
+	case modeStripe:
+		tx.inStripe(b, "Read")
+		return b.val.Load().(box[T]).v
+	case modeSerial:
+		return b.val.Load().(box[T]).v
+	default: // modeHTM
+		if cur, ok := tx.findWrite(b); ok {
+			return cur.(box[T]).v
 		}
 		return tx.readShared(b).(box[T]).v
 	}
@@ -160,6 +161,13 @@ func Write[T any](tx *Tx, v *Var[T], x T) {
 	}
 	b := &v.base
 	switch tx.mode {
+	case modeWriteThrough:
+		tx.writeThrough(b, box[T]{x})
+	case modeStripe:
+		// The stripe's orec is held: store in place.
+		tx.inStripe(b, "Write")
+		b.val.Store(box[T]{x})
+		tx.wrote = true
 	case modeSerial:
 		b.val.Store(box[T]{x})
 		// No lock needed: the serial gate excludes every other
@@ -168,10 +176,8 @@ func Write[T any](tx *Tx, v *Var[T], x T) {
 		if !tx.ownsOrec(b.o) {
 			tx.owned = append(tx.owned, ownedEntry{o: b.o})
 		}
-	case modeHTM:
+	default: // modeHTM
 		tx.bufferWrite(b, box[T]{x})
-	default: // modeWriteThrough
-		tx.writeThrough(b, box[T]{x})
 	}
 }
 

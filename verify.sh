@@ -50,14 +50,16 @@ step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
 # one CPU.
 GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
 # The serial gate's reader slots and serialPending handshake, stm.Peek's
-# reads against held serial and optimistic writers, and two Vars on one
+# reads against held serial and optimistic writers, two Vars on one
 # stripe (one orec: a writer of either conflicts with a reader of the
-# other and wakes its Retry): twenty race-detector runs of their
-# deterministic tests at each core count, so the one-P schedules (the
-# violator runs without blocking) and the parallel ones both get
-# exercised.
+# other and wakes its Retry), and the one-stripe transaction
+# (AtomicStripe: its misuse panics, delay-only fault hooks, exclusion of
+# and by optimistic, read-only, Peek and relaxed transactions, Retry
+# wake-ups): twenty race-detector runs of their tests at each core
+# count, so the one-P schedules (the violator runs without blocking) and
+# the parallel ones both get exercised.
 for procs in 1 2 4; do
-	GOMAXPROCS=$procs go test -race -run 'TestSerialGate|TestPeek|TestStripe' -count=20 ./internal/stm
+	GOMAXPROCS=$procs go test -race -run 'TestSerialGate|TestPeek|TestStripe|TestAtomicStripe' -count=20 ./internal/stm
 done
 
 step "tests (runtime sanitizer on: -tags stmsan)"
@@ -77,7 +79,10 @@ go run ./cmd/cvlint -tests -baseline lint-tests.baseline ./...
 step "tracer overhead guard (disabled path must not allocate)"
 go test -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc' ./internal/obs
 go test -run 'NoAlloc' ./internal/obs/registry
-go test -run 'TestNamedVarCommitNoAlloc|TestRecordAbortNoAlloc|TestOnCommitCallNoAlloc|TestOnCommitNoAlloc' ./internal/stm
+# A one-stripe wait cycle (an enqueue, then a dequeue that registers a
+# pre-bound commit handler, each an AtomicStripe on one stripe) allocates
+# nothing once the Tx pool is warm.
+go test -run 'TestNamedVarCommitNoAlloc|TestRecordAbortNoAlloc|TestOnCommitCallNoAlloc|TestOnCommitNoAlloc|TestAtomicStripeWaitCycleNoAlloc' ./internal/stm
 # The causal wake stamp (node stamp + consumer attribution) rides the
 # notify→post→wake hot path; the wakeID is minted only by an armed
 # tracer, so a disarmed committed notify stamps 0 and does no shared
@@ -96,8 +101,9 @@ go test -run 'TestNamedVarCommitNoAlloc|TestRecordAbortNoAlloc|TestOnCommitCallN
 # allocate nothing (their commit handlers are pre-bound, not closures),
 # and with no reader of the node stamps a wait cycle reads no clock. With
 # debug checks off a wait cycle writes none of the sanitizer's node words
-# (inQueue, gen), and each of its two transactions locks one orec (head
-# and tail are one stripe).
+# (inQueue, gen), and each of its two transactions locks one orec (head,
+# tail and the links are one stripe, which a naked or lock-based queue
+# operation locks first, as a one-stripe transaction).
 go test -run 'TestWakeStampDisarmedNoAlloc|TestLoserUnlinkNoAlloc|TestParkNoAlloc|TestWaitNodeCycleNoAlloc|TestWaitNotifyCycleNoAlloc|TestNotifyAllCycleNoAlloc|TestDisarmedWaitCycleNoClock|TestNakedNotifyEmptyNoAlloc|TestDisarmedNodeWords|TestWaitCycleLocksOneOrecPerTransaction' ./internal/core
 # The parking lot's pooled park path (syncx.Mutex, monitor): a Wait that
 # parks and is woken must recycle its waiter node and channel — 0
