@@ -2,11 +2,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,91 +25,17 @@ type blackboxConfig struct {
 	faultrate   float64
 	duration    time.Duration
 	dumpDir     string
-	stateDir    string
-	checkpoint  time.Duration
-	recoverRun  bool
 	bugLostWake bool
 }
 
 // runBlackbox drives seeded, replayable action scripts against the
 // facility layer (task queue, bounded queue, pool, barrier and broadcast
-// rounds, under LockTM and Txn) while an expected-state oracle
-// (internal/oracle) shadows every operation. With -state the oracle
-// journals transitions and checkpoints snapshots so a SIGKILL leaves a
-// verifiable post-mortem on disk; with -recover the previous run's state
-// is audited first and the soak continues as the next incarnation. The
-// exit code separates invariant violations (2) from stuck/hung facilities
-// (3) and setup errors (1); DESIGN.md §14 documents the protocol.
+// rounds, under LockTM and Txn) while an in-memory expected-state oracle
+// (internal/oracle) shadows every operation of the live run. The exit
+// code separates invariant violations (2) from stuck/hung facilities (3);
+// DESIGN.md §14 documents the protocol.
 func runBlackbox(cfg blackboxConfig) int {
-	incarnation := uint64(0)
-	if cfg.recoverRun {
-		if cfg.stateDir == "" {
-			fmt.Fprintln(os.Stderr, "cvstress: -recover requires -state")
-			return exitSetup
-		}
-		_, rep, err := oracle.Recover(cfg.stateDir)
-		switch {
-		case errors.Is(err, oracle.ErrNoState):
-			fmt.Println("recovery: no prior state (fresh start)")
-		case err != nil:
-			fmt.Fprintln(os.Stderr, "cvstress: recover:", err)
-			return exitSetup
-		default:
-			fmt.Println(rep)
-			if len(rep.Divergences) > 0 {
-				for _, d := range rep.Divergences {
-					fmt.Println(d)
-				}
-				fmt.Printf("blackbox: divergences=%d parked_waiters=0\n", len(rep.Divergences))
-				return exitInvariant
-			}
-			incarnation = rep.Incarnation + 1
-		}
-	}
-
-	orc := oracle.New(cfg.seed)
-	orc.SetIncarnation(incarnation)
-	var jnl *oracle.Journal
-	stopCk := make(chan struct{})
-	var ckWg sync.WaitGroup
-	if cfg.stateDir != "" {
-		if err := os.MkdirAll(cfg.stateDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "cvstress: state dir:", err)
-			return exitSetup
-		}
-		snapPath := filepath.Join(cfg.stateDir, oracle.SnapshotFile)
-		j, err := oracle.CreateJournal(filepath.Join(cfg.stateDir, oracle.JournalFile))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cvstress: journal:", err)
-			return exitSetup
-		}
-		orc.SetJournal(j)
-		jnl = j
-		// Truncating the journal invalidated any older snapshot (its Seq
-		// would skip the new journal's records entirely), so write the
-		// fresh model's snapshot before the first event: a SIGKILL at any
-		// point now recovers a snapshot/journal pair of one incarnation.
-		if err := orc.SaveAtomic(snapPath); err != nil {
-			fmt.Fprintln(os.Stderr, "cvstress: snapshot:", err)
-			return exitSetup
-		}
-		ckWg.Add(1)
-		go func() {
-			defer ckWg.Done()
-			t := time.NewTicker(cfg.checkpoint)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopCk:
-					return
-				case <-t.C:
-					if err := orc.SaveAtomic(snapPath); err != nil {
-						fmt.Fprintln(os.Stderr, "cvstress: checkpoint:", err)
-					}
-				}
-			}
-		}()
-	}
+	orc := oracle.New()
 
 	// Instrumented like chaos mode: tracer + flight recorder stand by so a
 	// failure (or a signal-initiated drain) leaves a forensic dump.
@@ -127,22 +50,9 @@ func runBlackbox(cfg blackboxConfig) int {
 	code := exitOK
 	parked := 0
 	for _, kind := range []facility.Kind{facility.LockTM, facility.Txn} {
-		c, w := runBlackboxKind(kind, orc, incarnation, cfg, reg)
+		c, w := runBlackboxKind(kind, orc, cfg, reg)
 		code = worseCode(code, c)
 		parked += w
-	}
-
-	if cfg.stateDir != "" {
-		close(stopCk)
-		ckWg.Wait()
-		if err := orc.SaveAtomic(filepath.Join(cfg.stateDir, oracle.SnapshotFile)); err != nil {
-			fmt.Fprintln(os.Stderr, "cvstress: final snapshot:", err)
-			code = worseCode(code, exitSetup)
-		}
-		if err := jnl.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "cvstress: journal:", err)
-			code = worseCode(code, exitSetup)
-		}
 	}
 
 	divs := orc.Divergences()
@@ -156,8 +66,8 @@ func runBlackbox(cfg blackboxConfig) int {
 		code = worseCode(code, exitStuck)
 	}
 	tot := orc.Totals()
-	fmt.Printf("blackbox: incarnation=%d tasks=%d items=%d cond_rounds=%d pool_rounds=%d barrier_rounds=%d\n",
-		incarnation, tot.TasksCompleted, tot.ItemsGot, tot.CondRounds, tot.PoolRounds, tot.BarrierRounds)
+	fmt.Printf("blackbox: tasks=%d items=%d cond_rounds=%d pool_rounds=%d barrier_rounds=%d\n",
+		tot.TasksCompleted, tot.ItemsGot, tot.CondRounds, tot.PoolRounds, tot.BarrierRounds)
 	fmt.Printf("blackbox: divergences=%d parked_waiters=%d\n", len(divs), parked)
 	if code != exitOK || stopFlag.Load() {
 		tag := "blackbox-failure"
@@ -165,7 +75,7 @@ func runBlackbox(cfg blackboxConfig) int {
 			tag = "signal-drain"
 		}
 		if path, err := rec.Trigger(tag, map[string]any{
-			"seed": cfg.seed, "incarnation": incarnation, "exit": code,
+			"seed": cfg.seed, "exit": code,
 		}); err == nil && path != "" {
 			fmt.Printf("flight dump: %s\n", path)
 		}
@@ -175,23 +85,23 @@ func runBlackbox(cfg blackboxConfig) int {
 
 // runBlackboxKind soaks one system and returns (exit code, parked
 // waiters left behind after the drain).
-func runBlackboxKind(kind facility.Kind, orc *oracle.Oracle, incarnation uint64, cfg blackboxConfig, reg *registry.Registry) (int, int) {
+func runBlackboxKind(kind facility.Kind, orc *oracle.Oracle, cfg blackboxConfig, reg *registry.Registry) (int, int) {
 	e := stm.NewEngine(stm.Config{Name: "bb/" + kind.Short()})
+	// The injector and the actor scripts draw from one derived seed, a
+	// pure function of -seed, so a replay line redraws both.
+	runSeed := fault.DeriveSeed(cfg.seed, 0)
 	var in *fault.Injector
 	if cfg.faultrate > 0 {
-		// Each incarnation arms a derived seed: deterministic and
-		// replayable per restart, but not a replay of the schedule the
-		// previous incarnation crashed under.
-		in = chaosRules(fault.DeriveSeed(cfg.seed, incarnation), cfg.faultrate)
+		in = chaosRules(runSeed, cfg.faultrate)
 		e.SetFault(in)
 		in.Arm()
 		defer in.Disarm()
 	}
 	e.SetTracer(reg.Tracer())
 	label := "bb" + kind.Short()
-	tk := &facility.Toolkit{Kind: kind, Engine: e, Label: label, Journal: orc}
+	tk := &facility.Toolkit{Kind: kind, Engine: e, Label: label}
 
-	tqKey := label + ".taskq" // must match the toolkit's journal binding key
+	tqKey := label + ".taskq"
 	qKey := label + ".q"
 	poolKey := label + ".pool"
 	barKey := label + ".barrier"
@@ -216,24 +126,25 @@ func runBlackboxKind(kind facility.Kind, orc *oracle.Oracle, incarnation uint64,
 	var putOK, got atomic.Int64
 
 	// Producers: each actor replays a seeded action script — the draw
-	// sequence is a pure function of (seed, incarnation, kind, actor), so
-	// a failing run's submissions are reproduced by the replay command.
+	// sequence is a pure function of (seed, kind, actor), so a failing
+	// run's submissions are reproduced by the replay command.
+	tw := &taskWrapper{orc: orc, key: tqKey}
 	var prodWg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		p := p
 		prodWg.Add(1)
 		go func() {
 			defer prodWg.Done()
-			actorSeed := fault.DeriveSeed(cfg.seed, incarnation) ^ uint64(kind)<<32 ^ uint64(p)
+			actorSeed := runSeed ^ uint64(kind)<<32 ^ uint64(p)
 			rng := rand.New(rand.NewSource(int64(actorSeed)))
 			for running(deadline) {
 				switch rng.Intn(4) {
 				case 0:
-					tq.Submit(func() { tasksRun.Add(1) })
+					tq.Submit(tw.wrap(func() { tasksRun.Add(1) }))
 				case 1:
 					batch := make([]func(), 1+rng.Intn(4))
 					for i := range batch {
-						batch[i] = func() { tasksRun.Add(1) }
+						batch[i] = tw.wrap(func() { tasksRun.Add(1) })
 					}
 					tq.SubmitBatch(batch)
 				default:
@@ -405,4 +316,25 @@ func runBlackboxKind(kind facility.Kind, orc *oracle.Oracle, incarnation uint64,
 		return exitStuck, waiters
 	}
 	return exitOK, waiters
+}
+
+// taskWrapper reports a task queue's tasks to the oracle under key: each
+// task gets the next id, TaskSubmitted when it is wrapped (before Submit
+// or SubmitBatch can make it visible to a worker), and TaskCompleted
+// after its body returns.
+type taskWrapper struct {
+	orc *oracle.Oracle
+	key string
+	seq atomic.Uint64
+}
+
+// wrap records task's submission and returns it wrapped to record its
+// completion.
+func (w *taskWrapper) wrap(task func()) func() {
+	id := w.seq.Add(1)
+	w.orc.TaskSubmitted(w.key, id)
+	return func() {
+		task()
+		w.orc.TaskCompleted(w.key, id)
+	}
 }

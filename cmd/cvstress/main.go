@@ -20,18 +20,15 @@
 //
 //	-mode blackbox   seeded action scripts drive the facility layer (task
 //	                 queue, bounded queue, pool, barrier, broadcast
-//	                 rounds) while an expected-state oracle
-//	                 (internal/oracle) shadows every operation. -state
-//	                 persists the oracle's journal and periodic snapshots
-//	                 for SIGKILL crash testing (cmd/crashtest); -recover
-//	                 audits the previous run's state first; -buglostwake
-//	                 injects an intentional lost-wakeup bug the gate must
-//	                 catch. DESIGN.md §14.
+//	                 rounds) while an in-memory expected-state oracle
+//	                 (internal/oracle) shadows every operation of the
+//	                 live run; -buglostwake injects an intentional
+//	                 lost-wakeup bug the gate must catch. DESIGN.md §14.
 //
 // Exit status taxonomy (all modes):
 //
 //	0  clean run
-//	1  setup error (unknown mode, bad flags, unusable state dir)
+//	1  setup error (unknown mode, bad flags)
 //	2  invariant violation / oracle divergence
 //	3  timeout: a facility hung or a waiter stayed parked through the drain
 //
@@ -137,9 +134,6 @@ func main() {
 	dumpDir := flag.String("dumpdir", "", "chaos/blackbox mode: flight-recorder dump directory (default: system temp)")
 	tracePath := flag.String("trace", "", "chaos mode: write the run's Chrome trace here and validate its wake flows (analyze with cmd/cvtrace)")
 	traceBuf := flag.Int("tracebuf", 1<<16, "chaos mode: tracer ring-buffer capacity in events")
-	stateDir := flag.String("state", "", "blackbox mode: oracle state directory (journal + periodic snapshots) for crash testing")
-	checkpoint := flag.Duration("checkpoint", 100*time.Millisecond, "blackbox mode: snapshot interval when -state is set")
-	recoverRun := flag.Bool("recover", false, "blackbox mode: audit the previous run's -state before soaking as the next incarnation")
 	bugLostWake := flag.Bool("buglostwake", false, "blackbox mode: inject an intentional lost-wakeup bug (broadcasts wake one waiter short) that the oracle gate must catch")
 	flag.Parse()
 
@@ -175,9 +169,6 @@ func main() {
 			faultrate:   *faultrate,
 			duration:    *duration,
 			dumpDir:     *dumpDir,
-			stateDir:    *stateDir,
-			checkpoint:  *checkpoint,
-			recoverRun:  *recoverRun,
 			bugLostWake: *bugLostWake,
 		})
 	default:

@@ -64,23 +64,16 @@ func asExitError(err error, target **exec.ExitError) bool {
 	return ok
 }
 
-func TestBlackboxCleanRunWritesState(t *testing.T) {
+func TestBlackboxCleanRun(t *testing.T) {
 	bin := testBinary(t)
-	state := t.TempDir()
 	out, err := exec.Command(bin, "-mode", "blackbox", "-seed", "1",
-		"-duration", "400ms", "-goroutines", "4", "-faultrate", "0.05",
-		"-state", state).CombinedOutput()
+		"-duration", "400ms", "-goroutines", "4", "-faultrate", "0.05").CombinedOutput()
 	if code := exitCode(t, err); code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
 	if !strings.Contains(string(out), "divergences=0") ||
 		!strings.Contains(string(out), "parked_waiters=0") {
 		t.Fatalf("missing clean summary:\n%s", out)
-	}
-	for _, f := range []string{"oracle.json", "journal.log"} {
-		if _, err := os.Stat(filepath.Join(state, f)); err != nil {
-			t.Fatalf("state file %s: %v", f, err)
-		}
 	}
 }
 
@@ -97,50 +90,6 @@ func TestBlackboxCatchesInjectedLostWakeup(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "replay: go run ./cmd/cvstress") {
 		t.Fatalf("no replay line on failure:\n%s", out)
-	}
-}
-
-func TestBlackboxSigkillThenRecover(t *testing.T) {
-	bin := testBinary(t)
-	state := t.TempDir()
-	cmd := exec.Command(bin, "-mode", "blackbox", "-seed", "3",
-		"-duration", "30s", "-goroutines", "4", "-faultrate", "0.05",
-		"-state", state, "-checkpoint", "50ms")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Let the run checkpoint at least once, then kill it dead.
-	journal := filepath.Join(state, "journal.log")
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if fi, err := os.Stat(journal); err == nil && fi.Size() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			t.Fatal("journal never grew")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	time.Sleep(300 * time.Millisecond)
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-
-	out, err := exec.Command(bin, "-mode", "blackbox", "-seed", "3",
-		"-duration", "300ms", "-goroutines", "4", "-faultrate", "0.05",
-		"-state", state, "-recover").CombinedOutput()
-	if code := exitCode(t, err); code != 0 {
-		t.Fatalf("recovery exit %d, output:\n%s", code, out)
-	}
-	s := string(out)
-	if !strings.Contains(s, "recovery: snapshot_seq=") ||
-		!strings.Contains(s, "divergences=0") {
-		t.Fatalf("recovery not clean:\n%s", s)
-	}
-	if !strings.Contains(s, "incarnation=1") {
-		t.Fatalf("incarnation not advanced:\n%s", s)
 	}
 }
 
@@ -172,9 +121,5 @@ func TestSetupErrorsExitOne(t *testing.T) {
 	bin := testBinary(t)
 	if out, err := exec.Command(bin, "-mode", "nosuchmode").CombinedOutput(); exitCode(t, err) != 1 {
 		t.Fatalf("unknown mode: exit %d, output:\n%s", exitCode(t, err), out)
-	}
-	out, err := exec.Command(bin, "-mode", "blackbox", "-recover").CombinedOutput()
-	if exitCode(t, err) != 1 {
-		t.Fatalf("-recover without -state: exit %d, output:\n%s", exitCode(t, err), out)
 	}
 }

@@ -124,11 +124,6 @@ type Toolkit struct {
 	// conflict tables (DESIGN.md §13).
 	Label string
 
-	// Journal, when non-nil, receives the completion journal of every
-	// task queue this toolkit builds (see Journal); keys are the
-	// facility kind under the Label prefix ("taskq" → "<Label>.taskq").
-	Journal Journal
-
 	cvSeq atomic.Uint64
 
 	// Condvars handed out by this toolkit, tracked for Waiters() — the

@@ -61,7 +61,6 @@ type lockTaskQueue struct {
 	closed    bool
 	workers   int
 	exited    int
-	j         journalBinding
 }
 
 func newLockTaskQueue(tk *Toolkit, workers int) *lockTaskQueue {
@@ -70,7 +69,6 @@ func newLockTaskQueue(tk *Toolkit, workers int) *lockTaskQueue {
 		idle:      tk.NewCond(),
 		workers:   workers,
 	}
-	q.j.bind(tk, "taskq")
 	for i := 0; i < workers; i++ {
 		go q.worker()
 	}
@@ -78,7 +76,6 @@ func newLockTaskQueue(tk *Toolkit, workers int) *lockTaskQueue {
 }
 
 func (q *lockTaskQueue) Submit(task func()) {
-	task = q.j.wrap(task) // journal the submission before it is visible
 	q.mu.Lock()
 	q.tasks = append(q.tasks, task)
 	q.pending++
@@ -90,7 +87,6 @@ func (q *lockTaskQueue) SubmitBatch(tasks []func()) {
 	if len(tasks) == 0 {
 		return
 	}
-	tasks = q.j.wrapAll(tasks)
 	q.mu.Lock()
 	q.tasks = append(q.tasks, tasks...)
 	q.pending += len(tasks)
@@ -178,7 +174,6 @@ type txnTaskQueue struct {
 	workAvail *core.CondVar
 	idle      *core.CondVar
 	workers   int
-	j         journalBinding
 }
 
 func newTxnTaskQueue(tk *Toolkit, workers int) *txnTaskQueue {
@@ -193,7 +188,6 @@ func newTxnTaskQueue(tk *Toolkit, workers int) *txnTaskQueue {
 		idle:      tk.NewCondVarNamed("taskq.idle"),
 		workers:   workers,
 	}
-	q.j.bind(tk, "taskq")
 	for i := 0; i < workers; i++ {
 		go q.worker()
 	}
@@ -201,7 +195,6 @@ func newTxnTaskQueue(tk *Toolkit, workers int) *txnTaskQueue {
 }
 
 func (q *txnTaskQueue) Submit(task func()) {
-	task = q.j.wrap(task) // journal the submission before it is visible
 	q.e.MustAtomic(func(tx *stm.Tx) {
 		ts := stm.Read(tx, q.tasks)
 		nts := make([]func(), len(ts), len(ts)+1)
@@ -216,7 +209,6 @@ func (q *txnTaskQueue) SubmitBatch(tasks []func()) {
 	if len(tasks) == 0 {
 		return
 	}
-	tasks = q.j.wrapAll(tasks)
 	q.e.MustAtomic(func(tx *stm.Tx) {
 		ts := stm.Read(tx, q.tasks)
 		nts := make([]func(), len(ts), len(ts)+len(tasks))

@@ -302,16 +302,16 @@ func mix(seed uint64, p Point, n uint64) uint64 {
 	return x
 }
 
-// DeriveSeed maps a base seed and a restart incarnation to the seed that
-// incarnation's injector runs with. The crash tester restarts the stress
-// process with the same -seed; deriving the armed seed from (seed,
-// incarnation) keeps every incarnation's fault sequence deterministic and
-// replayable while preventing each restart from replaying the exact fault
-// schedule of the run it is recovering from. The point argument to mix is
+// DeriveSeed maps a base seed and a stream number to a derived seed, a
+// pure function of the two. The blackbox harness arms its injector with
+// DeriveSeed(seed, 0) and derives its actor scripts from the same value,
+// so a failing run's fault schedule and submissions are a function of
+// -seed alone: the run's replay: line, which starts a fresh process with
+// that seed, draws them again exactly. The point argument to mix is
 // NumPoints — outside the hook-point range — so derived seeds never
-// collide with any incarnation's own per-point decision stream.
-func DeriveSeed(base, incarnation uint64) uint64 {
-	return mix(base, NumPoints, incarnation)
+// collide with any injector's own per-point decision stream.
+func DeriveSeed(base, stream uint64) uint64 {
+	return mix(base, NumPoints, stream)
 }
 
 // Sequence returns the first n decisions point p would draw under the

@@ -11,9 +11,9 @@ import (
 // TestMain doubles as the re-exec helper: when the parent test below
 // re-runs the test binary with FAULT_REEXEC_CHILD set, the process
 // prints its injector's decision transcript and exits instead of
-// running the test suite. This is the crash tester's situation — a
-// fresh process, same seed — so determinism across re-exec (not merely
-// across two injectors in one process) is the property under test.
+// running the test suite. This is a replay: line's situation — a fresh
+// process, same seed — so determinism across re-exec (not merely across
+// two injectors in one process) is the property under test.
 func TestMain(m *testing.M) {
 	if os.Getenv("FAULT_REEXEC_CHILD") != "" {
 		fmt.Print(reexecTranscript())
@@ -24,7 +24,7 @@ func TestMain(m *testing.M) {
 
 // reexecTranscript arms a fixed-configuration injector and renders a
 // deterministic transcript of live draws interleaved across points —
-// the same (seed, point, n) stream every incarnation must reproduce.
+// the same (seed, point, n) stream every process must reproduce.
 func reexecTranscript() string {
 	const seed = 0xDEC0DE
 	in := New(DeriveSeed(seed, 1)).
@@ -50,8 +50,9 @@ func reexecTranscript() string {
 }
 
 // TestDeterminismAcrossReexec re-executes the test binary twice — two
-// separate processes, as a crash/restart pair would be — and requires
-// both transcripts to match each other and the in-process reference.
+// separate processes, as a failing run and its replay: line are — and
+// requires both transcripts to match each other and the in-process
+// reference.
 func TestDeterminismAcrossReexec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short")
@@ -71,22 +72,22 @@ func TestDeterminismAcrossReexec(t *testing.T) {
 	}
 }
 
-// TestDeriveSeed pins the restart-seeding contract: pure in its inputs,
-// distinct across incarnations, and never colliding with the base seed
-// itself (so a restarted run does not replay the crash schedule).
+// TestDeriveSeed pins the seeding contract: pure in its inputs, distinct
+// across streams, and never colliding with the base seed itself (so a
+// derived schedule is not the base seed's own).
 func TestDeriveSeed(t *testing.T) {
 	if DeriveSeed(42, 0) != DeriveSeed(42, 0) {
 		t.Fatal("DeriveSeed is not pure")
 	}
 	seen := map[uint64]bool{42: true}
-	for inc := uint64(0); inc < 100; inc++ {
-		s := DeriveSeed(42, inc)
+	for stream := uint64(0); stream < 100; stream++ {
+		s := DeriveSeed(42, stream)
 		if seen[s] {
-			t.Fatalf("incarnation %d: derived seed %#x collides", inc, s)
+			t.Fatalf("stream %d: derived seed %#x collides", stream, s)
 		}
 		seen[s] = true
 	}
 	if DeriveSeed(42, 7) == DeriveSeed(43, 7) {
-		t.Fatal("different base seeds derive the same incarnation seed")
+		t.Fatal("different base seeds derive the same stream seed")
 	}
 }

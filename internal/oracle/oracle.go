@@ -1,16 +1,16 @@
 // Package oracle is the expected-state model behind the black-box stress
-// harness (cvstress -mode blackbox) and the SIGKILL crash tester
-// (cmd/crashtest). The facility layer's own counters cannot vouch for the
-// facility layer — a lost wake-up that strands a task in the queue also
-// strands the counter that would have reported it — so the oracle keeps an
-// independent shadow of what the workload did: which tasks were submitted
-// and which completed, which items entered a bounded queue and which came
-// out, how many waiters parked behind a condvar generation and how many
-// resumed, which pool workers ran each command, and how many parties each
-// barrier round released. Any observation the model cannot explain is a
-// Divergence, and the harness turns divergences into a non-zero exit.
+// harness (cvstress -mode blackbox). The facility layer's own counters
+// cannot vouch for the facility layer — a lost wake-up that strands a task
+// in the queue also strands the counter that would have reported it — so
+// the oracle keeps an independent in-memory shadow of what a live run did:
+// which tasks were submitted and which completed, which items entered a
+// bounded queue and which came out, how many waiters parked behind a
+// condvar generation and how many resumed, which pool workers ran each
+// command, and how many parties each barrier round released. Any
+// observation the model cannot explain is a Divergence, and the harness
+// turns divergences into a non-zero exit.
 //
-// Three properties shape the implementation (following rockyardkv's
+// Two properties shape the implementation (following rockyardkv's
 // BLACKBOX.md expected-state pattern, see SNIPPETS.md):
 //
 //   - Per-key locking. Every facility instance under test is one key, and
@@ -22,12 +22,6 @@
 //     outcome after it, so an observation that overtakes its counterpart
 //     (a consumer reporting an item before the producer reported the Put
 //     that published it) is explained by the model instead of flagged.
-//
-//   - Crash-surviving persistence. Task and item transitions append to a
-//     journal whose records are written before the model mutates, and the
-//     whole model snapshots periodically by atomic temp+rename, so a
-//     SIGKILL leaves on disk everything needed to check the run post
-//     mortem (recover.go), modulo the documented in-flight window.
 package oracle
 
 import (
@@ -37,12 +31,33 @@ import (
 	"sync/atomic"
 )
 
-// Item shadow states (the values persisted in snapshots; see apply).
+// Item shadow states (see applyLocked).
 const (
 	itemPutStarted uint8 = 1 // producer announced the Put
 	itemPutDone    uint8 = 2 // Put returned true; item is (or was) in the queue
 	itemGotEarly   uint8 = 3 // consumer reported the item before the producer's PutDone
 )
+
+// op is a task or item event type.
+type op uint8
+
+const (
+	opTaskSubmit    op = iota + 1 // task became visible to workers
+	opTaskComplete                // task body finished
+	opItemPutStart                // producer about to Put
+	opItemPutDone                 // Put returned true
+	opItemPutClosed               // Put returned false (queue closed)
+	opItemGot                     // consumer received the item
+)
+
+// record is one task or item event. Seq orders it among the run's events
+// and names it in a divergence.
+type record struct {
+	Seq uint64
+	Op  op
+	Key string
+	ID  uint64
+}
 
 // Divergence is one observation the expected-state model cannot explain.
 type Divergence struct {
@@ -69,7 +84,7 @@ type poolRun struct {
 }
 
 // keyState is the shadow of one facility instance. All fields are guarded
-// by mu; the embedding Oracle only touches them through withKey.
+// by mu; the embedding Oracle reaches them through key.
 type keyState struct {
 	mu sync.Mutex
 
@@ -81,16 +96,13 @@ type keyState struct {
 	// Bounded-queue item model: open items by shadow state. Entries are
 	// deleted as soon as an item's lifecycle closes, so the map is
 	// bounded by the in-flight window, not the run length.
-	items      map[uint64]uint8
-	itemsPut   uint64 // Put returned true
-	itemsGot   uint64
-	itemsRejct uint64 // Put returned false (queue closed)
+	items    map[uint64]uint8
+	itemsPut uint64 // Put returned true
+	itemsGot uint64
 
 	// Condvar wake accounting: rounds in flight (pruned at round end).
 	condRounds map[uint64]*condRound
 	condDone   uint64
-	condParked uint64
-	condWoken  uint64
 
 	// Pool occupancy: generations in flight (pruned at run end).
 	poolRuns map[uint64]*poolRun
@@ -106,43 +118,21 @@ type keyState struct {
 // Oracle is the expected-state model. All methods are safe for concurrent
 // use; per-key methods contend only on their key.
 type Oracle struct {
-	seed        uint64
-	incarnation uint64
-
 	mu   sync.Mutex // guards keys map only
 	keys map[string]*keyState
 
-	// seq totally orders journaled events: a record with Seq <= a
-	// snapshot's Seq is guaranteed to be reflected in that snapshot
-	// (see Snapshot for the locking argument).
+	// seq numbers the task and item events in the order they reach the
+	// model; a divergence carries the number of the event that caused it.
 	seq atomic.Uint64
-
-	j *Journal // optional; nil = in-memory only
 
 	dmu  sync.Mutex
 	divs []Divergence
 }
 
-// New returns an empty oracle. The seed is recorded in snapshots so a
-// crash-recovery pass can name the exact replay command.
-func New(seed uint64) *Oracle {
-	return &Oracle{seed: seed, keys: make(map[string]*keyState)}
+// New returns an empty oracle.
+func New() *Oracle {
+	return &Oracle{keys: make(map[string]*keyState)}
 }
-
-// SetJournal attaches the append-only journal. Must be called before the
-// workload starts (not concurrency-safe against in-flight operations).
-func (o *Oracle) SetJournal(j *Journal) { o.j = j }
-
-// SetIncarnation records which restart of the stress process this model
-// shadows (0 for the first run); persisted in snapshots so the crash
-// tester can tell recoveries apart.
-func (o *Oracle) SetIncarnation(n uint64) { o.incarnation = n }
-
-// Incarnation returns the value set by SetIncarnation.
-func (o *Oracle) Incarnation() uint64 { return o.incarnation }
-
-// Seed returns the workload seed this model shadows.
-func (o *Oracle) Seed() uint64 { return o.seed }
 
 func (o *Oracle) key(name string) *keyState {
 	o.mu.Lock()
@@ -175,33 +165,27 @@ func (o *Oracle) Divergences() []Divergence {
 	return append([]Divergence(nil), o.divs...)
 }
 
-// event assigns the next sequence number, journals the record if a
-// journal is attached, and applies it to the model — all under the key's
-// lock, so the journal/model pair stays consistent with snapshots.
-func (o *Oracle) event(op Op, key string, id uint64) {
+// event assigns the next sequence number and applies the event to the
+// model under the key's lock.
+func (o *Oracle) event(kind op, key string, id uint64) {
 	ks := o.key(key)
 	ks.mu.Lock()
-	seq := o.seq.Add(1)
-	if o.j != nil {
-		o.j.Append(Record{Seq: seq, Op: op, Key: key, ID: id})
-	}
-	o.applyLocked(ks, Record{Seq: seq, Op: op, Key: key, ID: id})
+	o.applyLocked(ks, record{Seq: o.seq.Add(1), Op: kind, Key: key, ID: id})
 	ks.mu.Unlock()
 }
 
-// applyLocked advances the model by one journaled record. Shared between
-// the live path (event) and crash recovery (replay), so the two cannot
-// disagree about what a record means. Caller holds ks.mu.
-func (o *Oracle) applyLocked(ks *keyState, r Record) {
+// applyLocked advances the model by one task or item event. Caller holds
+// ks.mu.
+func (o *Oracle) applyLocked(ks *keyState, r record) {
 	switch r.Op {
-	case OpTaskSubmit:
+	case opTaskSubmit:
 		if ks.taskPending[r.ID] {
 			o.report(r.Seq, r.Key, "task.resubmit", "task %d submitted twice", r.ID)
 			return
 		}
 		ks.taskPending[r.ID] = true
 		ks.tasksSubmitted++
-	case OpTaskComplete:
+	case opTaskComplete:
 		if !ks.taskPending[r.ID] {
 			o.report(r.Seq, r.Key, "task.unknown-complete",
 				"task %d completed without a pending submission (double completion or phantom task)", r.ID)
@@ -209,13 +193,13 @@ func (o *Oracle) applyLocked(ks *keyState, r Record) {
 		}
 		delete(ks.taskPending, r.ID)
 		ks.tasksCompleted++
-	case OpItemPutStart:
+	case opItemPutStart:
 		if st, ok := ks.items[r.ID]; ok {
 			o.report(r.Seq, r.Key, "item.reput", "item %d put twice (state %d)", r.ID, st)
 			return
 		}
 		ks.items[r.ID] = itemPutStarted
-	case OpItemPutDone:
+	case opItemPutDone:
 		switch ks.items[r.ID] {
 		case itemPutStarted:
 			ks.items[r.ID] = itemPutDone
@@ -227,11 +211,10 @@ func (o *Oracle) applyLocked(ks *keyState, r Record) {
 			o.report(r.Seq, r.Key, "item.putdone-without-start",
 				"item %d reported stored without a put intent", r.ID)
 		}
-	case OpItemPutClosed:
+	case opItemPutClosed:
 		switch ks.items[r.ID] {
 		case itemPutStarted:
 			delete(ks.items, r.ID) // queue closed, item never entered
-			ks.itemsRejct++
 		case itemGotEarly:
 			o.report(r.Seq, r.Key, "item.got-rejected",
 				"item %d was consumed although its Put reported the queue closed", r.ID)
@@ -240,7 +223,7 @@ func (o *Oracle) applyLocked(ks *keyState, r Record) {
 			o.report(r.Seq, r.Key, "item.putclosed-without-start",
 				"item %d reported rejected without a put intent", r.ID)
 		}
-	case OpItemGot:
+	case opItemGot:
 		switch ks.items[r.ID] {
 		case itemPutDone:
 			delete(ks.items, r.ID)
@@ -255,18 +238,16 @@ func (o *Oracle) applyLocked(ks *keyState, r Record) {
 			o.report(r.Seq, r.Key, "item.unknown-get",
 				"item %d consumed without a live put (lost/duplicated item)", r.ID)
 		}
-	default:
-		o.report(r.Seq, r.Key, "journal.unknown-op", "op %q", r.Op)
 	}
 }
 
-// --- Task-queue model (also satisfies facility.Journal) ---
+// --- Task-queue model ---
 
 // TaskSubmitted records that task id became visible to workers of key.
-func (o *Oracle) TaskSubmitted(key string, id uint64) { o.event(OpTaskSubmit, key, id) }
+func (o *Oracle) TaskSubmitted(key string, id uint64) { o.event(opTaskSubmit, key, id) }
 
 // TaskCompleted records that task id's body finished executing.
-func (o *Oracle) TaskCompleted(key string, id uint64) { o.event(OpTaskComplete, key, id) }
+func (o *Oracle) TaskCompleted(key string, id uint64) { o.event(opTaskComplete, key, id) }
 
 // TaskQueueDrained asserts the quiesced state: every submitted task has
 // completed. Call after the workload stopped submitting and Drain
@@ -287,19 +268,19 @@ func (o *Oracle) TaskQueueDrained(key string) bool {
 // --- Bounded-queue item model ---
 
 // ItemPutStart records the intent to Put item id (call before Put).
-func (o *Oracle) ItemPutStart(key string, id uint64) { o.event(OpItemPutStart, key, id) }
+func (o *Oracle) ItemPutStart(key string, id uint64) { o.event(opItemPutStart, key, id) }
 
 // ItemPutDone records Put's outcome: ok is Put's return value.
 func (o *Oracle) ItemPutDone(key string, id uint64, ok bool) {
 	if ok {
-		o.event(OpItemPutDone, key, id)
+		o.event(opItemPutDone, key, id)
 	} else {
-		o.event(OpItemPutClosed, key, id)
+		o.event(opItemPutClosed, key, id)
 	}
 }
 
 // ItemGot records that a consumer received item id.
-func (o *Oracle) ItemGot(key string, id uint64) { o.event(OpItemGot, key, id) }
+func (o *Oracle) ItemGot(key string, id uint64) { o.event(opItemGot, key, id) }
 
 // QueueDrained asserts the quiesced state: no item is mid-lifecycle —
 // everything put was got, nothing is pending. Reports divergences and
@@ -325,7 +306,6 @@ func (o *Oracle) CondRoundStart(key string, round uint64, parties int) {
 	ks := o.key(key)
 	ks.mu.Lock()
 	ks.condRounds[round] = &condRound{expected: parties}
-	ks.condParked += uint64(parties)
 	ks.mu.Unlock()
 }
 
@@ -336,7 +316,6 @@ func (o *Oracle) CondWoken(key string, round uint64) {
 	ks.mu.Lock()
 	if cr := ks.condRounds[round]; cr != nil {
 		cr.woken++
-		ks.condWoken++
 	} else {
 		o.report(o.seq.Load(), key, "cond.unknown-round", "wake reported for unknown round %d", round)
 	}

@@ -24,7 +24,7 @@ func wantClean(t *testing.T, o *Oracle) {
 }
 
 func TestTaskLifecycle(t *testing.T) {
-	o := New(1)
+	o := New()
 	for id := uint64(1); id <= 100; id++ {
 		o.TaskSubmitted("tq", id)
 	}
@@ -42,7 +42,7 @@ func TestTaskLifecycle(t *testing.T) {
 }
 
 func TestTaskDoubleCompletion(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.TaskSubmitted("tq", 7)
 	o.TaskCompleted("tq", 7)
 	o.TaskCompleted("tq", 7)
@@ -50,13 +50,13 @@ func TestTaskDoubleCompletion(t *testing.T) {
 }
 
 func TestTaskPhantomCompletion(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.TaskCompleted("tq", 99)
 	wantDivergence(t, o, "task.unknown-complete")
 }
 
 func TestDrainIncomplete(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.TaskSubmitted("tq", 1)
 	o.TaskSubmitted("tq", 2)
 	o.TaskCompleted("tq", 1)
@@ -67,7 +67,7 @@ func TestDrainIncomplete(t *testing.T) {
 }
 
 func TestItemLifecycleAndReorder(t *testing.T) {
-	o := New(1)
+	o := New()
 	// Normal order.
 	o.ItemPutStart("q", 1)
 	o.ItemPutDone("q", 1, true)
@@ -90,7 +90,7 @@ func TestItemLifecycleAndReorder(t *testing.T) {
 }
 
 func TestItemDoubleGet(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.ItemPutStart("q", 5)
 	o.ItemPutDone("q", 5, true)
 	o.ItemGot("q", 5)
@@ -99,7 +99,7 @@ func TestItemDoubleGet(t *testing.T) {
 }
 
 func TestItemGotAfterRejectedPut(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.ItemPutStart("q", 5)
 	o.ItemGot("q", 5)            // early get...
 	o.ItemPutDone("q", 5, false) // ...but the Put says the item never entered
@@ -107,7 +107,7 @@ func TestItemGotAfterRejectedPut(t *testing.T) {
 }
 
 func TestQueueDrainedUnconsumed(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.ItemPutStart("q", 1)
 	o.ItemPutDone("q", 1, true)
 	if o.QueueDrained("q") {
@@ -117,7 +117,7 @@ func TestQueueDrainedUnconsumed(t *testing.T) {
 }
 
 func TestCondRoundAccounting(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.CondRoundStart("cv", 1, 4)
 	for i := 0; i < 4; i++ {
 		o.CondWoken("cv", 1)
@@ -129,7 +129,7 @@ func TestCondRoundAccounting(t *testing.T) {
 }
 
 func TestCondLostWakeup(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.CondRoundStart("cv", 1, 4)
 	for i := 0; i < 3; i++ {
 		o.CondWoken("cv", 1)
@@ -141,7 +141,7 @@ func TestCondLostWakeup(t *testing.T) {
 }
 
 func TestPoolOccupancy(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.PoolRunStart("pool", 1, 4)
 	for w := 0; w < 4; w++ {
 		o.PoolWorkerRan("pool", 1, w)
@@ -163,7 +163,7 @@ func TestPoolOccupancy(t *testing.T) {
 }
 
 func TestBarrierModel(t *testing.T) {
-	o := New(1)
+	o := New()
 	o.BarrierInit("bar", 3)
 	for round := 0; round < 5; round++ {
 		for p := 0; p < 3; p++ {
@@ -191,7 +191,7 @@ func TestBarrierModel(t *testing.T) {
 // TestConcurrentShadowing hammers one oracle from many goroutines — the
 // per-key locking must keep the model consistent (run under -race).
 func TestConcurrentShadowing(t *testing.T) {
-	o := New(1)
+	o := New()
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -13,11 +13,11 @@
 # Tier-1 (the subset CI must keep green) is `go build ./... && go test
 # ./...`; this script is the superset to run before merging.
 #
-# `./verify.sh -short` skips the time-heavy black-box/crash gates (the
-# blackbox oracle soak, the injected-bug negative gate, the SIGKILL
-# crash round, the regression-seed replay, the flake gate over every
-# package that runs transactions, parks on sem or traces, and the nested
-# benchmark module's smoke test) for a quick pre-push run.
+# `./verify.sh -short` skips the time-heavy blackbox gates (the blackbox
+# oracle soak, the injected-bug negative gate, the regression-seed
+# replay, the flake gate over every package that runs transactions,
+# parks on sem or traces, and the nested benchmark module's smoke test)
+# for a quick pre-push run.
 set -eu
 
 SHORT=0
@@ -165,9 +165,6 @@ if [ "$SHORT" -eq 0 ]; then
 	}
 	rm -f /tmp/bb_neg.$$
 
-	step "crash round (SIGKILL under load; oracle recovery must be clean)"
-	go run ./cmd/crashtest -rounds 1 -seed 3405691582 -bin "$CVSTRESS"
-
 	step "regression seeds (replay recorded past-failure seeds)"
 	go test -run TestRegressionSeeds ./cmd/cvstress
 	rm -f "$CVSTRESS"
@@ -195,7 +192,7 @@ if [ "$SHORT" -eq 0 ]; then
 	step "benchmark module (smoke test)"
 	(cd benchmark && go test .)
 else
-	step "skipping blackbox/crash gates (-short)"
+	step "skipping blackbox gates (-short)"
 fi
 
 step "introspection smoke (live /debug/cv/* endpoints during a chaos run)"
